@@ -19,20 +19,16 @@ from .analysis import (
     run_convergence,
 )
 from .localspaces import (
+    CellOperators,
     CellScalarBasis,
     RTFrame,
     EdgeScalarBasis,
     LambdaBasis,
     LocalCellOperators,
     OperatorCache,
-    WeakGradientOperator,
     build_lambda_basis,
-    build_rt_basis,
-    compute_weak_gradient,
     dim_pk,
     expected_lambda_dim,
-    project_lambda,
-    project_q0,
     project_qb,
 )
 from .polymesh import (

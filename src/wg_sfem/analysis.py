@@ -17,7 +17,15 @@ import numpy as np
 
 from .localspaces import OperatorCache, project_qb
 from .polymesh import GENERATORS, PolyMesh
-from .wgsolve import SolverError, WGSolution, assemble, build_dof_map, solve
+from .wgsolve import (
+    SolverError,
+    WGSolution,
+    assemble,
+    build_dof_map,
+    gather,
+    solve,
+    triple_bar_norm,
+)
 
 
 @dataclass(frozen=True)
@@ -118,10 +126,9 @@ def l2_projection_error(mesh: PolyMesh, k: int, u, solution: WGSolution,
     if cache is None:
         cache = OperatorCache(mesh, k)
     acc = 0.0
-    for c in range(mesh.n_cells):
-        ops = cache.get(c)
-        delta = ops.project_interior(u) - solution.u0[c]
-        acc += float(ops.scalar_norm_sq(delta))
+    for ops, cells, offsets in cache.batches():
+        delta = ops.project_interior(u, offsets=offsets) - solution.u0[cells]
+        acc += float(ops.scalar_norm_sq(delta.T).sum())
     return math.sqrt(acc)
 
 
@@ -137,11 +144,10 @@ def energy_error(mesh: PolyMesh, k: int, u, grad_u, solution: WGSolution,
     dofmap = build_dof_map(mesh, k)
     full = solution.full_vector(dofmap)
     acc = 0.0
-    for c in range(mesh.n_cells):
-        ops = cache.get(c)
-        exact = ops.project_lambda_field(grad_u)
-        discrete = ops.apply_weak_gradient(full[dofmap.cell_dofs(mesh, c)])
-        acc += float(ops.lambda_norm_sq(exact - discrete))
+    for ops, cells, offsets in cache.batches():
+        exact = ops.project_lambda_field(grad_u, offsets=offsets).T
+        discrete = ops.apply_weak_gradient(gather(full, dofmap.cell_dof_array(mesh, cells)))
+        acc += float(ops.lambda_norm_sq(exact - discrete).sum())
     return math.sqrt(acc)
 
 
@@ -153,17 +159,12 @@ def energy_error_via_projection(mesh: PolyMesh, k: int, u, solution: WGSolution,
     if cache is None:
         cache = OperatorCache(mesh, k)
     dofmap = build_dof_map(mesh, k)
-    full = solution.full_vector(dofmap)
-    qb = {e: project_qb(mesh, e, k, u) for e in range(mesh.n_edges)}
-    acc = 0.0
-    for c in range(mesh.n_cells):
-        ops = cache.get(c)
-        local_exact = np.concatenate(
-            [ops.project_interior(u)] + [qb[e] for e in mesh.cell_edges[c]]
-        )
-        diff = ops.apply_weak_gradient(local_exact - full[dofmap.cell_dofs(mesh, c)])
-        acc += float(ops.lambda_norm_sq(diff))
-    return math.sqrt(acc)
+    u0 = np.empty_like(solution.u0)
+    for ops, cells, offsets in cache.batches():
+        u0[cells] = ops.project_interior(u, offsets=offsets)
+    ub = np.array([project_qb(mesh, e, k, u) for e in range(mesh.n_edges)])
+    exact = np.concatenate([u0.ravel(), ub.ravel()])
+    return float(triple_bar_norm(mesh, k, exact - solution.full_vector(dofmap), cache))
 
 
 def rate(e_prev: float, e_curr: float) -> float:

@@ -12,6 +12,9 @@ constraint needs no quadrature.
 The weak-gradient space of a cell is the nullspace of the constraint system
 (normal-jump moments on fan chords; divergence-coefficient mismatch between
 sub-triangles), extracted by SVD with a hard expected-dimension check.
+
+OperatorCache builds these operators once per shape class (cells equal up
+to translation) and evaluates data for all cells of a class in one batch.
 """
 
 from __future__ import annotations
@@ -29,6 +32,11 @@ from .quadrature import assembly_degree, data_degree, segment_points, triangle_p
 MAX_DEGREE = 4
 NULLSPACE_RTOL = 1e-10
 CONDITION_WARN = 1e12
+# Shape-class keys round the vertex offsets, in units of the cell diameter,
+# and the log of the diameter to this many decimals.
+KEY_DECIMALS = 12
+# Cells per batch of OperatorCache.batches.
+BATCH_CELLS = 256
 
 
 class DegreeError(ValueError):
@@ -278,12 +286,6 @@ class TriangleRTBasis:
         return F[:, :, 0] * normal[0] + F[:, :, 1] * normal[1]
 
 
-def build_rt_basis(mesh: PolyMesh, subtri: SubTriangulation, tri_index: int, k: int
-                   ) -> TriangleRTBasis:
-    """RT_k basis on one sub-triangle of a cell's fan triangulation."""
-    return TriangleRTBasis(mesh, subtri, tri_index, k)
-
-
 @dataclass(frozen=True)
 class LambdaBasis:
     """Orthonormal coefficient basis of the weak-gradient space of one cell.
@@ -363,10 +365,8 @@ def build_lambda_basis(mesh: PolyMesh, cell: int, k: int,
             rows.append(row)
 
     C = np.array(rows)
-    sv = np.linalg.svd(C, compute_uv=False)
-    tol = NULLSPACE_RTOL * sv[0]
-    rank = int(np.sum(sv > tol))
-    _, _, Vh = np.linalg.svd(C, full_matrices=True)
+    _, sv, Vh = np.linalg.svd(C, full_matrices=True)
+    rank = int(np.sum(sv > NULLSPACE_RTOL * sv[0]))
     null = Vh[rank:].T
     if null.shape[1] != n_expected:
         raise LambdaDimensionError(
@@ -377,23 +377,15 @@ def build_lambda_basis(mesh: PolyMesh, cell: int, k: int,
     return LambdaBasis(cell, k, subtri, rt_bases, null, n_expected, residual)
 
 
-@dataclass(frozen=True)
-class WeakGradientOperator:
-    """Matrix mapping local (interior | per-side edge) DOFs to weak-gradient
-    coefficients, together with the mass matrix that defined it."""
-
-    cell: int
-    k: int
-    matrix: np.ndarray
-    mass_lambda: np.ndarray
-    moments: np.ndarray
-
-
 class LocalCellOperators:
-    """All per-cell discrete operators, built once and reused.
+    """All discrete operators of one cell, built once and reused.
 
     Local DOF order: interior P_k coefficients first, then the k+1 edge
     coefficients of each cell side in cycle order.
+
+    The data methods take optional ``offsets`` of shape (n, 2): they then act
+    on n copies of the cell translated by those offsets, in one batch, and
+    return one row per copy.  Every matrix is the same for all the copies.
     """
 
     def __init__(self, mesh: PolyMesh, cell: int, k: int):
@@ -422,7 +414,7 @@ class LocalCellOperators:
         self._blocks = V
 
         deg = assembly_degree(k)
-        self._tri_coords = [mesh.vertices[list(t)] for t in self.subtri.triangles]
+        self._tri_coords = mesh.vertices[np.array(self.subtri.triangles)]
 
         mass_lambda = np.zeros((nl, nl))
         mass_scalar = np.zeros((n0, n0))
@@ -458,13 +450,10 @@ class LocalCellOperators:
 
         cyc = mesh.cells[cell]
         n_sides = len(cyc)
-        self.edge_bases: list[EdgeScalarBasis] = []
         self._side_trace = []
         cols = [b_int]
         for s in range(n_sides):
-            edge = mesh.cell_edges[cell][s]
-            eb = EdgeScalarBasis(mesh, edge, k)
-            self.edge_bases.append(eb)
+            eb = EdgeScalarBasis(mesh, mesh.cell_edges[cell][s], k)
             a = mesh.vertices[cyc[s]]
             b = mesh.vertices[cyc[(s + 1) % n_sides]]
             pts, w = segment_points(a, b, deg)
@@ -491,11 +480,6 @@ class LocalCellOperators:
     def n_lambda(self) -> int:
         return self.lambda_basis.n_lambda
 
-    def weak_gradient_operator(self) -> WeakGradientOperator:
-        return WeakGradientOperator(
-            self.cell, self.k, self.weak_gradient, self.mass_lambda, self.moments
-        )
-
     def apply_weak_gradient(self, local_dofs: np.ndarray) -> np.ndarray:
         """Weak-gradient coefficients of a local function, shape (n_lambda, ...)."""
         return self.weak_gradient @ local_dofs
@@ -516,32 +500,54 @@ class LocalCellOperators:
         diff = phi_0 @ u0 - phi_b @ ub
         return w @ (diff * diff)
 
-    def project_interior(self, func, degree: int | None = None) -> np.ndarray:
-        """L2 projection onto the interior P_k basis."""
+    def data_points(self, degree: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Points and weights of a rule on the whole cell (data degree by
+        default), stacked over the fan sub-triangles, which get equally many."""
         if degree is None:
             degree = data_degree(self.k)
-        mom = np.zeros(self.scalar_basis.dim)
-        for coords in self._tri_coords:
-            pts, w = triangle_points(coords, degree)
-            vals = np.asarray(func(pts[:, 0], pts[:, 1]), dtype=float)
-            mom += (w * vals) @ self.scalar_basis.eval(pts)
-        return cho_solve(self._cho_scalar, mom)
+        pts, w = triangle_points(self._tri_coords, degree)
+        return pts.reshape(-1, 2), w.ravel()
 
-    def project_lambda_field(self, func, degree: int | None = None) -> np.ndarray:
+    @staticmethod
+    def _sample(func, pts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """func at pts moved by each offset, shape (n_offsets, npts, ...)."""
+        moved = offsets[:, None, :] + pts[None, :, :]
+        vals = np.asarray(func(moved[..., 0].ravel(), moved[..., 1].ravel()), dtype=float)
+        return vals.reshape(moved.shape[:2] + vals.shape[1:])
+
+    def interior_moments(self, func, offsets: np.ndarray, degree: int | None = None
+                         ) -> np.ndarray:
+        """(func, m_j) for the interior basis on each translated copy, shape
+        (n, dim)."""
+        pts, w = self.data_points(degree)
+        return self._sample(func, pts, offsets) @ (w[:, None] * self.scalar_basis.eval(pts))
+
+    def project_interior(self, func, degree: int | None = None,
+                         offsets: np.ndarray | None = None) -> np.ndarray:
+        """L2 projection onto the interior P_k basis."""
+        mom = self.interior_moments(func, _as_offsets(offsets), degree)
+        coeffs = cho_solve(self._cho_scalar, mom.T).T
+        return coeffs[0] if offsets is None else coeffs
+
+    def project_lambda_field(self, func, degree: int | None = None,
+                             offsets: np.ndarray | None = None) -> np.ndarray:
         """L2 projection of a vector field onto the weak-gradient space.
 
         func(x, y) must return shape (npts, 2).
         """
-        if degree is None:
-            degree = data_degree(self.k)
-        mom = np.zeros(self.n_lambda)
-        for i, coords in enumerate(self._tri_coords):
-            pts, w = triangle_points(coords, degree)
-            F = self.rt_bases[i].eval(pts)
-            vals = np.asarray(func(pts[:, 0], pts[:, 1]), dtype=float)
-            field_mom = np.einsum("q,qad,qd->a", w, F, vals)
-            mom += self._blocks[i].T @ field_mom
-        return cho_solve(self._cho_lambda, mom)
+        pts, w = self.data_points(degree)
+        nt = len(self.rt_bases)
+        vals = self._sample(func, pts, _as_offsets(offsets))
+        vals = vals.reshape(vals.shape[0], nt, -1)
+        pts, w = pts.reshape(nt, -1, 2), w.reshape(nt, -1)
+        mom = 0.0
+        for i, (rt, V) in enumerate(zip(self.rt_bases, self._blocks)):
+            # Weighted frame fields, shape (npts * 2, n_fields); the frame's
+            # orthonormalization is applied after the contraction.
+            F = (w[i, :, None, None] * rt.frame.eval(pts[i])).transpose(0, 2, 1)
+            mom = mom + (vals[:, i] @ F.reshape(-1, V.shape[0])) @ (rt._orth @ V)
+        coeffs = cho_solve(self._cho_lambda, mom.T).T
+        return coeffs[0] if offsets is None else coeffs
 
     def interior_values(self, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
         return self.scalar_basis.eval(pts) @ coeffs
@@ -554,32 +560,113 @@ class LocalCellOperators:
         return np.einsum("qad,a->qd", F, rt)
 
 
+def _as_offsets(offsets: np.ndarray | None) -> np.ndarray:
+    return np.zeros((1, 2)) if offsets is None else np.asarray(offsets, dtype=float)
+
+
+class CellOperators:
+    """The operators of one cell: those of its shape class, moved by offset.
+
+    Matrices and norms are the class's own; every function of position is
+    evaluated at the class's points shifted by the offset.
+    """
+
+    __slots__ = ("ops", "cell", "offset")
+    _SHARED = frozenset({
+        "k", "diameter", "n_local", "n_lambda", "stiffness", "weak_gradient",
+        "moments", "mass_lambda", "mass_scalar", "grad_mass",
+        "apply_weak_gradient", "lambda_norm_sq", "scalar_norm_sq",
+        "grad_seminorm_sq", "side_mismatch_sq",
+    })
+
+    def __init__(self, ops: LocalCellOperators, cell: int, offset: np.ndarray):
+        self.ops = ops
+        self.cell = cell
+        self.offset = offset
+
+    def __getattr__(self, name):
+        if name in CellOperators._SHARED:
+            return getattr(self.ops, name)
+        raise AttributeError(f"'CellOperators' has no attribute '{name}'")
+
+    @property
+    def subtri(self) -> SubTriangulation:
+        return triangulate_cell(self.ops.mesh, self.cell)
+
+    def project_interior(self, func, degree: int | None = None) -> np.ndarray:
+        return self.ops.project_interior(func, degree, self.offset[None])[0]
+
+    def project_lambda_field(self, func, degree: int | None = None) -> np.ndarray:
+        return self.ops.project_lambda_field(func, degree, self.offset[None])[0]
+
+    def interior_values(self, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        return self.ops.interior_values(coeffs, np.asarray(pts) - self.offset)
+
+    def lambda_values(self, coeffs: np.ndarray, pts: np.ndarray, tri_index: int
+                      ) -> np.ndarray:
+        return self.ops.lambda_values(coeffs, np.asarray(pts) - self.offset, tri_index)
+
+
 class OperatorCache:
-    """Per-cell operator bundles, built lazily and keyed by cell index."""
+    """Local operators of a mesh, built once per shape class.
+
+    Two cells share a class when one is a translate of the other: the same
+    vertex count, the same vertex offsets from cycle vertex 0 and the same
+    diameter (both to KEY_DECIMALS), and the same side orientations (whether
+    each side runs canonical low -> high, which fixes the sign of the odd
+    edge basis functions).  Every operator matrix depends only on these, so
+    one LocalCellOperators, built lazily from the class's first cell, serves
+    all its members.
+    """
 
     def __init__(self, mesh: PolyMesh, k: int):
         _check_degree(k)
         self.mesh = mesh
         self.k = k
-        self._ops: dict[int, LocalCellOperators] = {}
+        origin = mesh.vertices[[cyc[0] for cyc in mesh.cells]]
+        class_of = np.empty(mesh.n_cells, dtype=int)
+        keys: dict[tuple, int] = {}
+        for n_v in sorted({len(cyc) for cyc in mesh.cells}):
+            cells = [c for c, cyc in enumerate(mesh.cells) if len(cyc) == n_v]
+            cyc = np.array([mesh.cells[c] for c in cells])
+            coords = mesh.vertices[cyc]
+            diff = coords[:, :, None, :] - coords[:, None, :, :]
+            diam = np.sqrt((diff**2).sum(axis=3).max(axis=(1, 2)))
+            rel = (coords - coords[:, :1]).reshape(len(cells), -1) / diam[:, None]
+            # + 0.0 folds -0.0 into 0.0
+            shape = np.round(np.column_stack([rel, np.log(diam)]), KEY_DECIMALS) + 0.0
+            forward = cyc < np.roll(cyc, -1, axis=1)
+            for c, s, f in zip(cells, shape.tolist(), forward.tolist()):
+                class_of[c] = keys.setdefault((tuple(s), tuple(f)), len(keys))
+        order = np.argsort(class_of, kind="stable")
+        self._members = np.split(order, np.cumsum(np.bincount(class_of))[:-1])
+        self._class_of = class_of
+        self._offset = origin - origin[[m[0] for m in self._members]][class_of]
+        self._ops: list[LocalCellOperators | None] = [None] * len(self._members)
 
-    def get(self, cell: int) -> LocalCellOperators:
-        ops = self._ops.get(cell)
+    @property
+    def n_classes(self) -> int:
+        return len(self._members)
+
+    def _class_ops(self, i: int) -> LocalCellOperators:
+        ops = self._ops[i]
         if ops is None:
-            ops = LocalCellOperators(self.mesh, cell, self.k)
-            self._ops[cell] = ops
+            ops = LocalCellOperators(self.mesh, int(self._members[i][0]), self.k)
+            self._ops[i] = ops
         return ops
 
+    def get(self, cell: int) -> CellOperators:
+        return CellOperators(self._class_ops(self._class_of[cell]), cell, self._offset[cell])
 
-def compute_weak_gradient(mesh: PolyMesh, cell: int, k: int) -> WeakGradientOperator:
-    """Weak-gradient operator of one cell (builds the full local bundle)."""
-    return LocalCellOperators(mesh, cell, k).weak_gradient_operator()
-
-
-def project_q0(mesh: PolyMesh, cell: int, k: int, func, degree: int | None = None
-               ) -> np.ndarray:
-    """Element-wise L2 projection onto P_k of one cell."""
-    return LocalCellOperators(mesh, cell, k).project_interior(func, degree)
+    def batches(self):
+        """Yield (class operators, member cells, their offsets) per shape
+        class, at most BATCH_CELLS cells at a time so that data sampled over
+        a batch stays small."""
+        for i, members in enumerate(self._members):
+            ops = self._class_ops(i)
+            for start in range(0, members.size, BATCH_CELLS):
+                cells = members[start : start + BATCH_CELLS]
+                yield ops, cells, self._offset[cells]
 
 
 def project_qb(mesh: PolyMesh, edge: int, k: int, func, degree: int | None = None
@@ -595,9 +682,3 @@ def project_qb(mesh: PolyMesh, edge: int, k: int, func, degree: int | None = Non
     mass = phi.T @ (w[:, None] * phi)
     vals = np.asarray(func(pts[:, 0], pts[:, 1]), dtype=float)
     return np.linalg.solve(mass, (w * vals) @ phi)
-
-
-def project_lambda(mesh: PolyMesh, cell: int, k: int, func, degree: int | None = None
-                   ) -> np.ndarray:
-    """Element-wise L2 projection of a vector field onto the weak-gradient space."""
-    return LocalCellOperators(mesh, cell, k).project_lambda_field(func, degree)

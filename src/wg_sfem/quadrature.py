@@ -95,14 +95,19 @@ def reference_triangle_monomial_integral(a: int, b: int) -> float:
 
 
 def triangle_points(tri: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Physical quadrature points/weights on a triangle; weights sum to its area."""
+    """Physical quadrature points/weights on a triangle; weights sum to its area.
+
+    tri may also stack triangles, shape (..., 3, 2); points and weights then
+    carry the same leading axes.
+    """
     tri = np.asarray(tri, dtype=float)
     rule = triangle_rule(degree)
-    e1 = tri[1] - tri[0]
-    e2 = tri[2] - tri[0]
-    det = e1[0] * e2[1] - e1[1] * e2[0]
-    pts = tri[0] + np.outer(rule.points[:, 0], e1) + np.outer(rule.points[:, 1], e2)
-    return pts, rule.weights * abs(det)
+    e1 = tri[..., 1, :] - tri[..., 0, :]
+    e2 = tri[..., 2, :] - tri[..., 0, :]
+    det = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]
+    pts = (tri[..., None, 0, :] + rule.points[:, :1] * e1[..., None, :]
+           + rule.points[:, 1:] * e2[..., None, :])
+    return pts, rule.weights * np.abs(det)[..., None]
 
 
 def segment_points(a: np.ndarray, b: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,6 @@ from scipy.sparse.linalg import spsolve
 
 from .localspaces import OperatorCache, dim_pk, project_qb
 from .polymesh import PolyMesh
-from .quadrature import data_degree, triangle_points
 
 DIRECT_LIMIT = 5000
 
@@ -83,9 +82,26 @@ class DofMap:
 
     def cell_dofs(self, mesh: PolyMesh, c: int) -> np.ndarray:
         """Global indices in local operator order: interior, then sides."""
-        parts = [self.cell_interior(c)]
-        parts.extend(self.edge_dofs(e) for e in mesh.cell_edges[c])
-        return np.concatenate(parts)
+        return self.cell_dof_array(mesh, [c])[0]
+
+    def cell_dof_array(self, mesh: PolyMesh, cells) -> np.ndarray:
+        """cell_dofs of cells with equal side counts, shape (n_cells, n_local)."""
+        cells = np.asarray(cells)
+        n0, nb = self.n_interior_per_cell, self.n_per_edge
+        interior = cells[:, None] * n0 + np.arange(n0)
+        edges = np.array([mesh.cell_edges[c] for c in cells])
+        sides = self.edge_base + edges[:, :, None] * nb + np.arange(nb)
+        return np.hstack([interior, sides.reshape(cells.size, -1)])
+
+
+def gather(vec: np.ndarray, gdofs: np.ndarray) -> np.ndarray:
+    """Local coefficients of several cells as columns.
+
+    vec is (n_dofs,) or (n_dofs, m); gdofs is a cell_dof_array.  Returns
+    shape (n_local, n_cells * m), cell-major within the columns.
+    """
+    local = vec.reshape(vec.shape[0], -1)[gdofs]
+    return local.transpose(1, 0, 2).reshape(gdofs.shape[1], -1)
 
 
 def build_dof_map(mesh: PolyMesh, k: int) -> DofMap:
@@ -152,33 +168,33 @@ def assemble(mesh: PolyMesh, k: int, f, g=None, cache: OperatorCache | None = No
 
     rows, cols, vals = [], [], []
     b = np.zeros(n_dofs)
-    fdeg = data_degree(k)
-    for c in range(mesh.n_cells):
-        ops = cache.get(c)
-        gdofs = dofmap.cell_dofs(mesh, c)
-        n_loc = gdofs.size
-        rows.append(np.repeat(gdofs, n_loc))
-        cols.append(np.tile(gdofs, n_loc))
-        vals.append(ops.stiffness.ravel())
+    n0 = dofmap.n_interior_per_cell
+    for ops, cells, offsets in cache.batches():
+        gdofs = dofmap.cell_dof_array(mesh, cells)
+        n_loc = gdofs.shape[1]
+        rows.append(np.repeat(gdofs, n_loc, axis=1).ravel())
+        cols.append(np.tile(gdofs, n_loc).ravel())
+        vals.append(np.tile(ops.stiffness.ravel(), cells.size))
 
-        mom = np.zeros(dofmap.n_interior_per_cell)
-        for coords in ops._tri_coords:
-            pts, w = triangle_points(coords, fdeg)
+        mom = ops.interior_moments(f, offsets)
+        bad = ~np.isfinite(mom).all(axis=1)
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            pts = ops.data_points()[0] + offsets[i]
             fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-            if not np.all(np.isfinite(fv)):
-                bad = int(np.flatnonzero(~np.isfinite(fv))[0])
-                raise DataError(
-                    f"source field non-finite at quadrature point "
-                    f"({pts[bad, 0]}, {pts[bad, 1]}) in cell {c}"
-                )
-            mom += (w * fv) @ ops.scalar_basis.eval(pts)
-        b[dofmap.cell_interior(c)] += mom
+            q = int(np.flatnonzero(~np.isfinite(fv))[0])
+            raise DataError(
+                f"source field non-finite at quadrature point "
+                f"({pts[q, 0]}, {pts[q, 1]}) in cell {cells[i]}"
+            )
+        b[gdofs[:, :n0]] = mom
 
+    # Each local stiffness is exactly symmetric and COO summation adds the
+    # same cell contributions for (i, j) and (j, i), so A is exactly symmetric.
     A = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_dofs, n_dofs),
     ).tocsr()
-    A = 0.5 * (A + A.T)
 
     x_c = np.zeros(dofmap.constrained_dofs.size)
     if g is not None and x_c.size:
@@ -302,12 +318,11 @@ def triple_bar_norm(mesh: PolyMesh, k: int, vec: np.ndarray,
         cache = OperatorCache(mesh, k)
     dofmap = build_dof_map(mesh, k)
     acc = 0.0
-    for c in range(mesh.n_cells):
-        ops = cache.get(c)
-        local = vec[dofmap.cell_dofs(mesh, c)]
-        gw = ops.apply_weak_gradient(local)
-        acc = acc + ops.lambda_norm_sq(gw)
-    return np.sqrt(acc)
+    for ops, cells, _ in cache.batches():
+        local = gather(vec, dofmap.cell_dof_array(mesh, cells))
+        sq = ops.lambda_norm_sq(ops.apply_weak_gradient(local))
+        acc = acc + sq.reshape(cells.size, -1).sum(axis=0)
+    return np.sqrt(acc.reshape(vec.shape[1:]))[()]
 
 
 def discrete_h1_norm(mesh: PolyMesh, k: int, vec: np.ndarray,
@@ -320,13 +335,12 @@ def discrete_h1_norm(mesh: PolyMesh, k: int, vec: np.ndarray,
     n0 = dim_pk(k)
     nb = k + 1
     acc = 0.0
-    for c in range(mesh.n_cells):
-        ops = cache.get(c)
-        local = vec[dofmap.cell_dofs(mesh, c)]
+    for ops, cells, _ in cache.batches():
+        local = gather(vec, dofmap.cell_dof_array(mesh, cells))
         u0 = local[:n0]
-        acc = acc + ops.grad_seminorm_sq(u0)
-        inv_h = 1.0 / ops.diameter
-        for s in range(len(mesh.cells[c])):
+        sq = ops.grad_seminorm_sq(u0)
+        for s in range(len(mesh.cells[cells[0]])):
             ub = local[n0 + s * nb : n0 + (s + 1) * nb]
-            acc = acc + inv_h * ops.side_mismatch_sq(s, u0, ub)
-    return np.sqrt(acc)
+            sq = sq + ops.side_mismatch_sq(s, u0, ub) / ops.diameter
+        acc = acc + sq.reshape(cells.size, -1).sum(axis=0)
+    return np.sqrt(acc.reshape(vec.shape[1:]))[()]

@@ -8,13 +8,9 @@ from wg_sfem.localspaces import (
     OperatorCache,
     TriangleRTBasis,
     build_lambda_basis,
-    build_rt_basis,
-    compute_weak_gradient,
     dim_pk,
     expected_lambda_dim,
     monomial_exponents,
-    project_lambda,
-    project_q0,
     project_qb,
 )
 from wg_sfem.polymesh import (
@@ -51,7 +47,7 @@ def random_polynomial(k, seed):
 
 def test_rt0_has_three_fields_with_constant_edge_traces():
     sub = triangulate_cell(UNIT_SQUARE, 0)
-    rt = build_rt_basis(UNIT_SQUARE, sub, 0, 0)
+    rt = TriangleRTBasis(UNIT_SQUARE, sub, 0, 0)
     assert rt.n_fields == 3
     tri = UNIT_SQUARE.vertices[list(sub.triangles[0])]
     for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
@@ -65,13 +61,13 @@ def test_rt0_has_three_fields_with_constant_edge_traces():
 @pytest.mark.parametrize("k", range(5))
 def test_rt_dimension_formula(k):
     sub = triangulate_cell(UNIT_SQUARE, 0)
-    rt = build_rt_basis(UNIT_SQUARE, sub, 0, k)
+    rt = TriangleRTBasis(UNIT_SQUARE, sub, 0, k)
     assert rt.n_fields == (k + 1) * (k + 3)
 
 
 def test_rt2_gram_matrix_full_rank():
     sub = triangulate_cell(UNIT_SQUARE, 0)
-    rt = build_rt_basis(UNIT_SQUARE, sub, 1, 2)
+    rt = TriangleRTBasis(UNIT_SQUARE, sub, 1, 2)
     gram = rt.mass()
     assert gram.shape == (15, 15)
     sv = np.linalg.svd(gram, compute_uv=False)
@@ -291,8 +287,8 @@ def test_weak_gradient_single_edge_k0_dense_oracle():
 
 
 def test_weak_gradient_operator_consistency():
-    op = compute_weak_gradient(generate_quad_grid(2), 2, 1)
-    lhs = op.mass_lambda @ op.matrix
+    op = LocalCellOperators(generate_quad_grid(2), 2, 1)
+    lhs = op.mass_lambda @ op.weak_gradient
     scale = np.max(np.abs(op.moments))
     assert np.max(np.abs(lhs - op.moments)) < 1e-11 * scale
 
@@ -337,10 +333,11 @@ def test_q0_cell_average_analytic():
     mesh = build_mesh(
         [(0, 0), (0.5, 0), (0.5, 0.5), (0, 0.5)], [(0, 1, 2, 3)]
     )
-    avg_sin = project_q0(mesh, 0, 0, lambda x, y: np.sin(np.pi * x), degree=20)[0]
+    ops = LocalCellOperators(mesh, 0, 0)
+    avg_sin = ops.project_interior(lambda x, y: np.sin(np.pi * x), degree=20)[0]
     assert avg_sin == pytest.approx(2 / np.pi, abs=1e-12)
-    avg_sinsin = project_q0(
-        mesh, 0, 0, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y), degree=20
+    avg_sinsin = ops.project_interior(
+        lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y), degree=20
     )[0]
     assert avg_sinsin == pytest.approx(4 / np.pi**2, abs=1e-12)
 
@@ -381,7 +378,7 @@ def test_project_lambda_dense_least_squares_oracle():
     def field(x, y):
         return np.stack([y**2, -(x**2)], axis=-1)
 
-    coeffs = project_lambda(UNIT_SQUARE, 0, 0, field)
+    coeffs = ops.project_lambda_field(field)
 
     rows, rhs = [], []
     for i, tri in enumerate(ops.subtri.triangles):
@@ -492,3 +489,131 @@ def test_weak_gradient_exact_for_degree_kp1_polynomials(k):
             vals = ops.lambda_values(gw, pts, i)
             exact = grad(pts[:, 0], pts[:, 1])
             assert np.max(np.abs(vals - exact)) < 1e-10 * (np.max(np.abs(exact)) + 1)
+
+
+# ---------------------------------------------------------------- shape-class reuse
+
+
+def _sin_sin(x, y):
+    return np.sin(np.pi * x) * np.sin(np.pi * y)
+
+
+def _sin_sin_grad(x, y):
+    return np.pi * np.stack(
+        [np.cos(np.pi * x) * np.sin(np.pi * y), np.sin(np.pi * x) * np.cos(np.pi * y)],
+        axis=-1,
+    )
+
+
+# The weak-gradient basis is an SVD nullspace, fixed only up to a rotation,
+# and the matrices expressed in it carry the rounding of the per-triangle RT
+# orthonormalization (raw Gram condition up to 1e9 at k = 3): two fresh
+# builds of congruent cells at different positions differ by up to 1.2e-11
+# (mass_lambda) and 1.8e-12 (weak_gradient) at k = 3 on hex L4, even in a
+# common basis.  Those two are held to BASIS_MATRIX_RTOL; everything that
+# does not depend on the basis, and the projection, to 1e-12.
+BASIS_MATRIX_RTOL = 3e-11
+
+
+def _assert_rel_close(got, want, what, rtol=1e-12):
+    scale = max(np.max(np.abs(want)), 1e-300)
+    assert np.max(np.abs(got - want)) <= rtol * scale, what
+
+
+def _assert_view_matches_fresh(mesh, cache, c):
+    view = cache.get(c)
+    fresh = LocalCellOperators(mesh, c, cache.k)
+    # Rotate the fresh build's weak-gradient basis onto the view's.
+    R = view.ops.lambda_basis.coeffs.T @ fresh.lambda_basis.coeffs
+    _assert_rel_close(view.stiffness, fresh.stiffness, (c, "stiffness"))
+    _assert_rel_close(view.project_interior(_sin_sin), fresh.project_interior(_sin_sin),
+                      (c, "project_interior"))
+    _assert_rel_close(view.project_lambda_field(_sin_sin_grad),
+                      R @ fresh.project_lambda_field(_sin_sin_grad), (c, "project_lambda_field"))
+    _assert_rel_close(view.weak_gradient, R @ fresh.weak_gradient, (c, "weak_gradient"),
+                      BASIS_MATRIX_RTOL)
+    _assert_rel_close(view.mass_lambda, R @ fresh.mass_lambda @ R.T, (c, "mass_lambda"),
+                      BASIS_MATRIX_RTOL)
+
+
+@pytest.mark.parametrize("family,level", [("hex", 4), ("quad", 5)])
+@pytest.mark.parametrize("k", range(4))
+def test_reused_operators_match_fresh_build_on_every_cell(family, level, k):
+    mesh = GENERATORS[family](level)
+    cache = OperatorCache(mesh, k)
+    assert cache.n_classes < mesh.n_cells
+    for c in range(mesh.n_cells):
+        _assert_view_matches_fresh(mesh, cache, c)
+
+
+@pytest.fixture(scope="module")
+def bench_workloads():
+    """The benchmark's workload module, whose census is the reference count."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+@pytest.mark.parametrize("family,n_classes", [("square", 1), ("quad", 4), ("hex", 11)])
+def test_shape_class_census_on_generated_meshes(family, n_classes, bench_workloads):
+    mesh = GENERATORS[family](5)
+    cache = OperatorCache(mesh, 1)
+    assert cache.n_classes == n_classes
+    assert cache.n_classes == bench_workloads.count_shape_classes(mesh.vertices, mesh.cells)
+    cells = np.concatenate([cells for _, cells, _ in cache.batches()])
+    assert sorted(cells.tolist()) == list(range(mesh.n_cells))
+
+
+def test_jittered_cells_are_never_merged():
+    base = GENERATORS["square"](4)
+    rng = np.random.default_rng(5)
+    h = 1.0 / 8
+    verts = base.vertices + rng.uniform(-0.2 * h, 0.2 * h, base.vertices.shape)
+    mesh = build_mesh(verts, base.cells)
+    cache = OperatorCache(mesh, 1)
+    assert cache.n_classes == mesh.n_cells
+    for c in (0, 17, mesh.n_cells - 1):
+        _assert_view_matches_fresh(mesh, cache, c)
+
+
+@pytest.mark.parametrize("k", (1, 2))
+def test_translated_quads_with_other_side_orientations_get_own_class(k):
+    """The second quad is the first moved by (2, 0.5), but its vertices are
+    numbered so that three of its sides run against canonical order."""
+    quad = np.array([(0.0, 0.0), (1.0, 0.0), (1.1, 0.8), (-0.1, 1.2)])
+    moved = quad + (2.0, 0.5)
+    verts = np.vstack([quad, moved[[0, 3, 2, 1]]])
+    mesh = build_mesh(verts, [(0, 1, 2, 3), (4, 7, 6, 5)])
+    assert np.allclose(mesh.cell_vertices(1) - mesh.cell_vertices(0), (2.0, 0.5))
+    cache = OperatorCache(mesh, k)
+    assert cache.n_classes == 2
+    assert not np.allclose(cache.get(0).stiffness, cache.get(1).stiffness)
+    for c in (0, 1):
+        _assert_view_matches_fresh(mesh, cache, c)
+
+
+def test_condition_warning_fires_once_per_class_naming_its_first_cell(monkeypatch):
+    import wg_sfem.localspaces as localspaces
+
+    monkeypatch.setattr(localspaces, "CONDITION_WARN", 0.0)
+    mesh = generate_quad_grid(3)
+    cache = OperatorCache(mesh, 1)
+    with pytest.warns(RuntimeWarning) as caught:
+        for c in range(mesh.n_cells):
+            cache.get(c)
+    named = sorted(int(str(w.message).split(":")[0].split()[1]) for w in caught)
+    firsts = {}
+    for ops, cells, _ in cache.batches():
+        firsts.setdefault(id(ops), int(cells.min()))
+    assert cache.n_classes == 4
+    assert named == sorted(firsts.values())

@@ -264,3 +264,11 @@ def test_pcg_iteration_cap_raises_with_history():
     cap = 20 * int(np.ceil(np.sqrt(n)))
     assert exc.value.history.size == cap + 1
     assert exc.value.history[-1] > 1e-12
+
+
+@pytest.mark.parametrize("family,level", [("quad", 4), ("hex", 3)])
+@pytest.mark.parametrize("k", range(3))
+def test_assembled_matrix_symmetric_without_symmetrizing(family, level, k):
+    system = assemble(GENERATORS[family](level), k, zero, None)
+    A = system.full_matrix
+    assert abs(A - A.T).max() == 0
