@@ -19,10 +19,8 @@ from .analysis import (
     run_convergence,
 )
 from .localspaces import (
-    CellOperators,
     CellScalarBasis,
     RTFrame,
-    EdgeScalarBasis,
     LambdaBasis,
     LocalCellOperators,
     OperatorCache,
@@ -44,8 +42,6 @@ from .polymesh import (
 )
 from .quadrature import (
     QuadRule,
-    integrate_cell,
-    integrate_edge,
     segment_rule,
     triangle_rule,
 )

@@ -21,7 +21,6 @@ from .wgsolve import (
     SolverError,
     WGSolution,
     assemble,
-    build_dof_map,
     gather,
     solve,
     triple_bar_norm,
@@ -141,7 +140,7 @@ def energy_error(mesh: PolyMesh, k: int, u, grad_u, solution: WGSolution,
     """
     if cache is None:
         cache = OperatorCache(mesh, k)
-    dofmap = build_dof_map(mesh, k)
+    dofmap = cache.dofmap
     full = solution.full_vector(dofmap)
     acc = 0.0
     for ops, cells, offsets in cache.batches():
@@ -158,13 +157,12 @@ def energy_error_via_projection(mesh: PolyMesh, k: int, u, solution: WGSolution,
     for the commuting route used by energy_error."""
     if cache is None:
         cache = OperatorCache(mesh, k)
-    dofmap = build_dof_map(mesh, k)
     u0 = np.empty_like(solution.u0)
     for ops, cells, offsets in cache.batches():
         u0[cells] = ops.project_interior(u, offsets=offsets)
-    ub = np.array([project_qb(mesh, e, k, u) for e in range(mesh.n_edges)])
+    ub = project_qb(mesh, np.arange(mesh.n_edges), k, u)
     exact = np.concatenate([u0.ravel(), ub.ravel()])
-    return float(triple_bar_norm(mesh, k, exact - solution.full_vector(dofmap), cache))
+    return float(triple_bar_norm(mesh, k, exact - solution.full_vector(cache.dofmap), cache))
 
 
 def rate(e_prev: float, e_curr: float) -> float:
@@ -285,9 +283,8 @@ def run_level(family: str, level: int, k: int, case: ManufacturedCase,
     solution, cache = solve_case(mesh, k, case, tol=tol)
     l2 = l2_projection_error(mesh, k, case.u, solution, cache)
     energy = energy_error(mesh, k, case.u, case.grad_u, solution, cache)
-    dofs = build_dof_map(mesh, k).n_dofs
     return ErrorReport(
-        level=level, dofs=dofs, l2_err=l2, energy_err=energy,
+        level=level, dofs=cache.dofmap.n_dofs, l2_err=l2, energy_err=energy,
         iterations=solution.iterations, residual=solution.residual,
         method=solution.method,
     )

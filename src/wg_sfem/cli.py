@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .analysis import (
     CASES,
@@ -22,26 +21,10 @@ from .analysis import (
 )
 from .localspaces import MAX_DEGREE
 from .polymesh import GENERATORS, read_mesh, write_mesh
-from .wgsolve import SolverError, build_dof_map
+from .wgsolve import SolverError
 
 LEVEL_CAPS = {"square": 8, "quad": 8, "hex": 7}
 FORMATS = ("csv", "md", "json")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated options of one CLI invocation."""
-
-    subcommand: str
-    family: str | None = None
-    level: int | None = None
-    levels: tuple[int, int] | None = None
-    degree: int = 0
-    case: str = "sin2d"
-    mesh_path: str | None = None
-    out: str | None = None
-    fmt: str = "csv"
-    tol: float = 1e-12
 
 
 def _fmt(v: float) -> str:
@@ -80,8 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
-    cfg_kwargs = {"subcommand": args.subcommand}
+def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Check the parsed options; turns ``args.levels`` into an (lo, hi) pair."""
 
     def check_level(family: str, level: int) -> None:
         cap = LEVEL_CAPS[family]
@@ -90,8 +73,7 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunC
 
     if args.subcommand == "mesh":
         check_level(args.family, args.level)
-        cfg_kwargs.update(family=args.family, level=args.level, out=args.out)
-        return RunConfig(**cfg_kwargs)
+        return
 
     if not 0 <= args.degree <= MAX_DEGREE:
         parser.error(f"degree {args.degree} outside [0, {MAX_DEGREE}]")
@@ -104,11 +86,7 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunC
             if args.family is None or args.level is None:
                 parser.error("either --mesh or both --family and --level are required")
             check_level(args.family, args.level)
-        cfg_kwargs.update(
-            family=args.family, level=args.level, degree=args.degree, case=args.case,
-            mesh_path=args.mesh_path, out=args.out, tol=args.tol,
-        )
-        return RunConfig(**cfg_kwargs)
+        return
 
     try:
         a, b = args.levels.split(":")
@@ -119,63 +97,58 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunC
         parser.error(f"level range {args.levels} must contain at least 2 levels")
     check_level(args.family, lo)
     check_level(args.family, hi)
-    cfg_kwargs.update(
-        family=args.family, levels=(lo, hi), degree=args.degree, case=args.case,
-        out=args.out, fmt=args.fmt, tol=args.tol,
-    )
-    return RunConfig(**cfg_kwargs)
+    args.levels = (lo, hi)
 
 
-def _cmd_mesh(cfg: RunConfig) -> int:
-    mesh = GENERATORS[cfg.family](cfg.level)
-    write_mesh(mesh, cfg.out)
+def _cmd_mesh(args: argparse.Namespace) -> int:
+    mesh = GENERATORS[args.family](args.level)
+    write_mesh(mesh, args.out)
     print(
-        f"family={cfg.family} level={cfg.level} vertices={mesh.n_vertices} "
-        f"cells={mesh.n_cells} edges={mesh.n_edges} -> {cfg.out}"
+        f"family={args.family} level={args.level} vertices={mesh.n_vertices} "
+        f"cells={mesh.n_cells} edges={mesh.n_edges} -> {args.out}"
     )
     return 0
 
 
-def _cmd_solve(cfg: RunConfig) -> int:
-    if cfg.mesh_path is not None:
-        mesh = read_mesh(cfg.mesh_path)
+def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.mesh_path is not None:
+        mesh = read_mesh(args.mesh_path)
     else:
-        mesh = GENERATORS[cfg.family](cfg.level)
-    case = get_case(cfg.case)
+        mesh = GENERATORS[args.family](args.level)
+    case = get_case(args.case)
     try:
-        solution, cache = solve_case(mesh, cfg.degree, case, tol=cfg.tol)
+        solution, cache = solve_case(mesh, args.degree, case, tol=args.tol)
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    l2 = l2_projection_error(mesh, cfg.degree, case.u, solution, cache)
-    energy = energy_error(mesh, cfg.degree, case.u, case.grad_u, solution, cache)
-    dofs = build_dof_map(mesh, cfg.degree).n_dofs
+    l2 = l2_projection_error(mesh, args.degree, case.u, solution, cache)
+    energy = energy_error(mesh, args.degree, case.u, case.grad_u, solution, cache)
     print(
-        f"dofs={dofs} residual={_fmt(solution.residual)} "
+        f"dofs={cache.dofmap.n_dofs} residual={_fmt(solution.residual)} "
         f"l2_err={_fmt(l2)} energy_err={_fmt(energy)}"
     )
-    if cfg.out:
+    if args.out:
         payload = {
-            "k": cfg.degree,
+            "k": args.degree,
             "u0": [[float(v) for v in row] for row in solution.u0],
             "ub": [[float(v) for v in row] for row in solution.ub],
             "residual": solution.residual,
         }
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
             fh.write("\n")
     return 0
 
 
-def _cmd_convergence(cfg: RunConfig) -> int:
-    lo, hi = cfg.levels
-    case = get_case(cfg.case)
-    table = run_convergence(cfg.family, cfg.degree, range(lo, hi + 1), case,
-                            tol=cfg.tol)
-    rendered = table.render(cfg.fmt)
+def _cmd_convergence(args: argparse.Namespace) -> int:
+    lo, hi = args.levels
+    case = get_case(args.case)
+    table = run_convergence(args.family, args.degree, range(lo, hi + 1), case,
+                            tol=args.tol)
+    rendered = table.render(args.fmt)
     print(rendered, end="")
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(rendered)
     if table.partial:
         print(f"study incomplete: {table.failure}", file=sys.stderr)
@@ -186,12 +159,12 @@ def _cmd_convergence(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = _validate(parser, args)
-    if cfg.subcommand == "mesh":
-        return _cmd_mesh(cfg)
-    if cfg.subcommand == "solve":
-        return _cmd_solve(cfg)
-    return _cmd_convergence(cfg)
+    _validate(parser, args)
+    if args.subcommand == "mesh":
+        return _cmd_mesh(args)
+    if args.subcommand == "solve":
+        return _cmd_solve(args)
+    return _cmd_convergence(args)
 
 
 if __name__ == "__main__":

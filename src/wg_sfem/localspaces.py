@@ -1,8 +1,10 @@
 """Per-cell polynomial machinery for the stabilizer-free discretization.
 
 Scalar bases on cells are centroid-centered, diameter-scaled monomials
-((x-x_T)/h_T)^a ((y-y_T)/h_T)^b; edge bases are midpoint-centered powers of
-the half-length-scaled arc parameter.  The vector basis on each sub-triangle
+((x-x_T)/h_T)^a ((y-y_T)/h_T)^b; edge bases are the powers s^m of the
+reference-segment parameter s = 2t - 1, with t in [0, 1] running along the
+edge's canonical (low -> high vertex index) direction, so both adjacent cells
+see the same single-valued basis.  The vector basis on each sub-triangle
 spans [P_k]^2 plus the radial fields (xi, eta) * (homogeneous degree-k
 monomials) in the sub-triangle's own centered frame, which keeps Gram
 matrices well conditioned through k = 4; divergences are re-expanded into
@@ -14,20 +16,29 @@ The weak-gradient space of a cell is the nullspace of the constraint system
 sub-triangles), extracted by SVD with a hard expected-dimension check.
 
 OperatorCache builds these operators once per shape class (cells equal up
-to translation) and evaluates data for all cells of a class in one batch.
+to translation), hands each cell a copy of them moved to its position, and
+evaluates data for all cells of a class in one batch.
 """
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .polymesh import PolyMesh, SubTriangulation, triangulate_cell
-from .quadrature import assembly_degree, data_degree, segment_points, triangle_points
+from .quadrature import (
+    assembly_degree,
+    data_degree,
+    segment_points,
+    segment_rule,
+    triangle_points,
+)
 
 MAX_DEGREE = 4
 NULLSPACE_RTOL = 1e-10
@@ -49,6 +60,10 @@ class GeometryError(ValueError):
 
 class LambdaDimensionError(RuntimeError):
     """Numerical nullspace dimension disagrees with the closed-form count."""
+
+
+class DataError(ValueError):
+    """Non-finite samples in user-supplied field data."""
 
 
 def _check_degree(k: int) -> None:
@@ -113,33 +128,12 @@ class CellScalarBasis:
         return np.stack([gx, gy], axis=-1)
 
 
-class EdgeScalarBasis:
-    """Midpoint-centered scaled monomials in the arc parameter of one edge.
-
-    The parameter runs along the edge's canonical (low -> high vertex index)
-    direction and is scaled by the half-length, so both adjacent cells see
-    the same single-valued basis.
-    """
-
-    def __init__(self, mesh: PolyMesh, edge: int, k: int):
-        _check_degree(k)
-        self.edge = edge
-        self.k = k
-        self.midpoint = mesh.edge_midpoint(edge)
-        self.half_length = 0.5 * mesh.edge_length(edge)
-        self.tangent = mesh.edge_tangent(edge)
-
-    @property
-    def dim(self) -> int:
-        return self.k + 1
-
-    def param(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        return (pts - self.midpoint) @ self.tangent / self.half_length
-
-    def eval(self, pts: np.ndarray) -> np.ndarray:
-        s = self.param(pts)
-        return s[:, None] ** np.arange(self.k + 1)[None, :]
+def edge_basis(k: int, degree: int) -> np.ndarray:
+    """The P_k edge basis s^m, s = 2t - 1, at the points t of the segment rule
+    of the given degree, shape (npts, k + 1).  On segment_points(a, b, degree)
+    s runs from -1 at a to 1 at b."""
+    s = 2.0 * segment_rule(degree).points - 1.0
+    return s[:, None] ** np.arange(k + 1)
 
 
 class RTFrame:
@@ -245,9 +239,6 @@ class TriangleRTBasis:
         scale = float(np.sqrt((diff**2).sum(axis=2).max()))
         self.frame = RTFrame(k, center, scale)
         self.k = k
-        self.tri_index = tri_index
-        self.vertex_coords = coords
-        self.area = area
 
         pts, w = triangle_points(coords, 2 * k + 2)
         F = self.frame.eval(pts)
@@ -272,14 +263,6 @@ class TriangleRTBasis:
         """Divergence expansion over the frame's scalar monomials."""
         return self.frame.div_coeff_matrix() @ self._orth
 
-    def mass(self, degree: int | None = None) -> np.ndarray:
-        """Gram matrix of the fields over this triangle (close to identity)."""
-        if degree is None:
-            degree = assembly_degree(self.k)
-        pts, w = triangle_points(self.vertex_coords, degree)
-        F = self.eval(pts)
-        return np.einsum("q,qid,qjd->ij", w, F, F)
-
     def normal_trace(self, pts: np.ndarray, normal: np.ndarray) -> np.ndarray:
         """Normal component of each field at points on a line, shape (npts, n_fields)."""
         F = self.eval(pts)
@@ -288,10 +271,14 @@ class TriangleRTBasis:
 
 @dataclass(frozen=True)
 class LambdaBasis:
-    """Orthonormal coefficient basis of the weak-gradient space of one cell.
+    """Orthonormal coefficient basis of the weak-gradient space of one cell,
+    with the cell frame it was built in.
 
     coeffs: (n_triangles * n_fields, n_lambda); each column is one basis
     field over the per-sub-triangle RT blocks (one TriangleRTBasis each).
+    center, diameter: the cell frame of the scalar bases.
+    div_cell_frame: (n_triangles, dim P_k, n_fields); the divergence of each
+    sub-triangle's RT fields expanded over the cell-frame monomials.
     """
 
     cell: int
@@ -301,12 +288,12 @@ class LambdaBasis:
     coeffs: np.ndarray
     n_lambda: int
     constraint_residual: float
+    center: np.ndarray
+    diameter: float
+    div_cell_frame: np.ndarray
 
 
-def build_lambda_basis(mesh: PolyMesh, cell: int, k: int,
-                       subtri: SubTriangulation | None = None,
-                       rt_bases: tuple[TriangleRTBasis, ...] | None = None
-                       ) -> LambdaBasis:
+def build_lambda_basis(mesh: PolyMesh, cell: int, k: int) -> LambdaBasis:
     """Assemble the constraint system over stacked RT coefficients and return
     an orthonormal nullspace basis.
 
@@ -317,54 +304,45 @@ def build_lambda_basis(mesh: PolyMesh, cell: int, k: int,
     edges, so boundary traces are single-piece automatically.
     """
     _check_degree(k)
-    if subtri is None:
-        subtri = triangulate_cell(mesh, cell)
-    if rt_bases is None:
-        rt_bases = tuple(
-            TriangleRTBasis(mesh, subtri, i, k) for i in range(subtri.n_triangles)
-        )
+    subtri = triangulate_cell(mesh, cell)
+    rt_bases = tuple(TriangleRTBasis(mesh, subtri, i, k) for i in range(subtri.n_triangles))
+    center = mesh.cell_centroid(cell)
+    diameter = mesh.cell_diameter(cell)
+    div = np.array([
+        monomial_change_of_frame(k, rt.frame.center, rt.frame.scale, center, diameter)
+        @ rt.div_coeff_matrix()
+        for rt in rt_bases
+    ])
 
     nt = subtri.n_triangles
     nf = rt_bases[0].n_fields
-    n_rt = nt * nf
     n_expected = expected_lambda_dim(nt + 2, k)
 
+    def basis(coeffs: np.ndarray, residual: float) -> LambdaBasis:
+        return LambdaBasis(cell, k, subtri, rt_bases, coeffs, coeffs.shape[1], residual,
+                           center, diameter, div)
+
     if nt == 1:
-        return LambdaBasis(cell, k, subtri, rt_bases, np.eye(nf), nf, 0.0)
+        return basis(np.eye(nf), 0.0)
 
-    rows = []
-    for (va, vb), (ta, tb) in zip(subtri.internal_edges, subtri.internal_adjacency):
+    degree = 2 * k + 2
+    w_phi = segment_rule(degree).weights[:, None] * edge_basis(k, degree)
+    jumps = np.zeros((nt - 1, k + 1, nt, nf))
+    for j, ((va, vb), (ta, tb)) in enumerate(
+        zip(subtri.internal_edges, subtri.internal_adjacency)
+    ):
         a, b = mesh.vertices[va], mesh.vertices[vb]
-        length = float(np.linalg.norm(b - a))
-        tang = (b - a) / length
-        normal = np.array([tang[1], -tang[0]])
-        pts, w = segment_points(a, b, 2 * k + 2)
-        s = (pts - 0.5 * (a + b)) @ tang / (0.5 * length)
-        trace_a = rt_bases[ta].normal_trace(pts, normal)
-        trace_b = rt_bases[tb].normal_trace(pts, normal)
-        for m in range(k + 1):
-            wm = w * s**m / length
-            row = np.zeros(n_rt)
-            row[ta * nf : (ta + 1) * nf] = wm @ trace_a
-            row[tb * nf : (tb + 1) * nf] = -(wm @ trace_b)
-            rows.append(row)
+        t = b - a
+        normal = np.array([t[1], -t[0]]) / np.linalg.norm(t)
+        pts, _ = segment_points(a, b, degree)
+        jumps[j, :, ta] = w_phi.T @ rt_bases[ta].normal_trace(pts, normal)
+        jumps[j, :, tb] = -(w_phi.T @ rt_bases[tb].normal_trace(pts, normal))
+    matches = np.zeros((nt - 1, div.shape[1], nt, nf))
+    matches[:, :, 0] = -diameter * div[0]
+    later = np.arange(1, nt)
+    matches[later - 1, :, later] = diameter * div[1:]
 
-    cell_center = mesh.cell_centroid(cell)
-    cell_scale = mesh.cell_diameter(cell)
-    div_in_cell_frame = []
-    for rt in rt_bases:
-        T = monomial_change_of_frame(
-            k, rt.frame.center, rt.frame.scale, cell_center, cell_scale
-        )
-        div_in_cell_frame.append(cell_scale * (T @ rt.div_coeff_matrix()))
-    for i in range(1, nt):
-        for r in range(div_in_cell_frame[0].shape[0]):
-            row = np.zeros(n_rt)
-            row[i * nf : (i + 1) * nf] = div_in_cell_frame[i][r]
-            row[:nf] -= div_in_cell_frame[0][r]
-            rows.append(row)
-
-    C = np.array(rows)
+    C = np.concatenate([jumps.reshape(-1, nt * nf), matches.reshape(-1, nt * nf)])
     _, sv, Vh = np.linalg.svd(C, full_matrices=True)
     rank = int(np.sum(sv > NULLSPACE_RTOL * sv[0]))
     null = Vh[rank:].T
@@ -373,8 +351,7 @@ def build_lambda_basis(mesh: PolyMesh, cell: int, k: int,
             f"cell {cell} (k={k}): nullspace dimension {null.shape[1]} != "
             f"expected {n_expected}; constraint singular values {sv}"
         )
-    residual = float(np.linalg.norm(C @ null, ord=2))
-    return LambdaBasis(cell, k, subtri, rt_bases, null, n_expected, residual)
+    return basis(null, float(np.linalg.norm(C @ null, ord=2)))
 
 
 class LocalCellOperators:
@@ -383,47 +360,42 @@ class LocalCellOperators:
     Local DOF order: interior P_k coefficients first, then the k+1 edge
     coefficients of each cell side in cycle order.
 
-    The data methods take optional ``offsets`` of shape (n, 2): they then act
-    on n copies of the cell translated by those offsets, in one batch, and
-    return one row per copy.  Every matrix is the same for all the copies.
+    The operators serve every translate of the cell they were built on.
+    ``cell`` and ``offset`` name the translate that the data methods act on
+    by default: the built cell itself, offset zero, unless OperatorCache.get
+    moved a copy.  Given ``offsets`` of shape (n, 2) instead, the data
+    methods act on n copies of the built cell translated by those offsets,
+    in one batch, and return one row per copy.
     """
 
     def __init__(self, mesh: PolyMesh, cell: int, k: int):
         _check_degree(k)
         self.mesh = mesh
         self.cell = cell
+        self.offset = np.zeros(2)
         self.k = k
-        self.subtri = triangulate_cell(mesh, cell)
-        center = mesh.cell_centroid(cell)
-        scale = mesh.cell_diameter(cell)
-        self.diameter = scale
-        self.scalar_basis = CellScalarBasis(cell, k, center, scale)
-        self.rt_bases = tuple(
-            TriangleRTBasis(mesh, self.subtri, i, k)
-            for i in range(self.subtri.n_triangles)
-        )
-        self.lambda_basis = build_lambda_basis(
-            mesh, cell, k, subtri=self.subtri, rt_bases=self.rt_bases
-        )
+        lam = self.lambda_basis = build_lambda_basis(mesh, cell, k)
+        self.rt_bases = lam.rt_bases
+        self.diameter = lam.diameter
+        self.scalar_basis = CellScalarBasis(cell, k, lam.center, lam.diameter)
 
-        nt = self.subtri.n_triangles
+        nt = lam.subtri.n_triangles
         nf = self.rt_bases[0].n_fields
         n0 = self.scalar_basis.dim
-        nl = self.lambda_basis.n_lambda
-        V = self.lambda_basis.coeffs.reshape(nt, nf, nl)
+        nl = lam.n_lambda
+        V = lam.coeffs.reshape(nt, nf, nl)
         self._blocks = V
 
         deg = assembly_degree(k)
-        self._tri_coords = mesh.vertices[np.array(self.subtri.triangles)]
+        self._tri_coords = mesh.vertices[np.array(lam.subtri.triangles)]
 
         mass_lambda = np.zeros((nl, nl))
         mass_scalar = np.zeros((n0, n0))
         grad_mass = np.zeros((n0, n0))
         b_int = np.zeros((nl, n0))
         for i, coords in enumerate(self._tri_coords):
-            rt = self.rt_bases[i]
             pts, w = triangle_points(coords, deg)
-            F = rt.eval(pts)
+            F = self.rt_bases[i].eval(pts)
             mono = self.scalar_basis.eval(pts)
             gm = self.scalar_basis.grad(pts)
             m_tri = np.einsum("q,qid,qjd->ij", w, F, F)
@@ -432,10 +404,7 @@ class LocalCellOperators:
             mass_lambda += Vi.T @ m_tri @ Vi
             mass_scalar += s_tri
             grad_mass += np.einsum("q,qid,qjd->ij", w, gm, gm)
-            T = monomial_change_of_frame(
-                k, rt.frame.center, rt.frame.scale, center, scale
-            )
-            b_int -= Vi.T @ (s_tri @ (T @ rt.div_coeff_matrix())).T
+            b_int -= Vi.T @ (s_tri @ lam.div_cell_frame[i]).T
         self.mass_lambda = mass_lambda
         self.mass_scalar = mass_scalar
         self.grad_mass = grad_mass
@@ -450,20 +419,18 @@ class LocalCellOperators:
 
         cyc = mesh.cells[cell]
         n_sides = len(cyc)
+        phi = edge_basis(k, deg)
         self._side_trace = []
         cols = [b_int]
         for s in range(n_sides):
-            eb = EdgeScalarBasis(mesh, mesh.cell_edges[cell][s], k)
-            a = mesh.vertices[cyc[s]]
-            b = mesh.vertices[cyc[(s + 1) % n_sides]]
-            pts, w = segment_points(a, b, deg)
-            n_out = mesh.side_normal(cell, s)
-            tri_i, _ = self.subtri.boundary_edge_map[s]
-            trace = self.rt_bases[tri_i].normal_trace(pts, n_out)
-            phi_b = eb.eval(pts)
+            va, vb = cyc[s], cyc[(s + 1) % n_sides]
+            pts, w = segment_points(mesh.vertices[va], mesh.vertices[vb], deg)
+            # A side run against canonical order sees s -> -s.
+            phi_b = phi if va < vb else phi * (-1.0) ** np.arange(k + 1)
+            tri_i, _ = lam.subtri.boundary_edge_map[s]
+            trace = self.rt_bases[tri_i].normal_trace(pts, mesh.side_normal(cell, s))
             cols.append(V[tri_i].T @ np.einsum("q,qa,qm->am", w, trace, phi_b))
-            phi_0 = self.scalar_basis.eval(pts)
-            self._side_trace.append((w, phi_0, phi_b))
+            self._side_trace.append((w, self.scalar_basis.eval(pts), phi_b))
         self.moments = np.hstack(cols)
 
         self._cho_lambda = cho_factor(mass_lambda)
@@ -471,6 +438,11 @@ class LocalCellOperators:
         self.weak_gradient = cho_solve(self._cho_lambda, self.moments)
         K = self.weak_gradient.T @ self.moments
         self.stiffness = 0.5 * (K + K.T)
+
+    @property
+    def subtri(self) -> SubTriangulation:
+        """Fan triangulation of ``cell``; the built cell's is lambda_basis.subtri."""
+        return triangulate_cell(self.mesh, self.cell)
 
     @property
     def n_local(self) -> int:
@@ -525,8 +497,8 @@ class LocalCellOperators:
     def project_interior(self, func, degree: int | None = None,
                          offsets: np.ndarray | None = None) -> np.ndarray:
         """L2 projection onto the interior P_k basis."""
-        mom = self.interior_moments(func, _as_offsets(offsets), degree)
-        coeffs = cho_solve(self._cho_scalar, mom.T).T
+        batch = self.offset[None] if offsets is None else offsets
+        coeffs = cho_solve(self._cho_scalar, self.interior_moments(func, batch, degree).T).T
         return coeffs[0] if offsets is None else coeffs
 
     def project_lambda_field(self, func, degree: int | None = None,
@@ -537,7 +509,7 @@ class LocalCellOperators:
         """
         pts, w = self.data_points(degree)
         nt = len(self.rt_bases)
-        vals = self._sample(func, pts, _as_offsets(offsets))
+        vals = self._sample(func, pts, self.offset[None] if offsets is None else offsets)
         vals = vals.reshape(vals.shape[0], nt, -1)
         pts, w = pts.reshape(nt, -1, 2), w.reshape(nt, -1)
         mom = 0.0
@@ -550,61 +522,16 @@ class LocalCellOperators:
         return coeffs[0] if offsets is None else coeffs
 
     def interior_values(self, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        return self.scalar_basis.eval(pts) @ coeffs
+        """Point values of an interior polynomial on ``cell``."""
+        return self.scalar_basis.eval(np.asarray(pts) - self.offset) @ coeffs
 
     def lambda_values(self, coeffs: np.ndarray, pts: np.ndarray, tri_index: int
                       ) -> np.ndarray:
-        """Point values of a weak-gradient-space field on one sub-triangle."""
-        F = self.rt_bases[tri_index].eval(pts)
+        """Point values of a weak-gradient-space field on one sub-triangle of
+        ``cell``."""
+        F = self.rt_bases[tri_index].eval(np.asarray(pts) - self.offset)
         rt = self._blocks[tri_index] @ coeffs
         return np.einsum("qad,a->qd", F, rt)
-
-
-def _as_offsets(offsets: np.ndarray | None) -> np.ndarray:
-    return np.zeros((1, 2)) if offsets is None else np.asarray(offsets, dtype=float)
-
-
-class CellOperators:
-    """The operators of one cell: those of its shape class, moved by offset.
-
-    Matrices and norms are the class's own; every function of position is
-    evaluated at the class's points shifted by the offset.
-    """
-
-    __slots__ = ("ops", "cell", "offset")
-    _SHARED = frozenset({
-        "k", "diameter", "n_local", "n_lambda", "stiffness", "weak_gradient",
-        "moments", "mass_lambda", "mass_scalar", "grad_mass",
-        "apply_weak_gradient", "lambda_norm_sq", "scalar_norm_sq",
-        "grad_seminorm_sq", "side_mismatch_sq",
-    })
-
-    def __init__(self, ops: LocalCellOperators, cell: int, offset: np.ndarray):
-        self.ops = ops
-        self.cell = cell
-        self.offset = offset
-
-    def __getattr__(self, name):
-        if name in CellOperators._SHARED:
-            return getattr(self.ops, name)
-        raise AttributeError(f"'CellOperators' has no attribute '{name}'")
-
-    @property
-    def subtri(self) -> SubTriangulation:
-        return triangulate_cell(self.ops.mesh, self.cell)
-
-    def project_interior(self, func, degree: int | None = None) -> np.ndarray:
-        return self.ops.project_interior(func, degree, self.offset[None])[0]
-
-    def project_lambda_field(self, func, degree: int | None = None) -> np.ndarray:
-        return self.ops.project_lambda_field(func, degree, self.offset[None])[0]
-
-    def interior_values(self, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        return self.ops.interior_values(coeffs, np.asarray(pts) - self.offset)
-
-    def lambda_values(self, coeffs: np.ndarray, pts: np.ndarray, tri_index: int
-                      ) -> np.ndarray:
-        return self.ops.lambda_values(coeffs, np.asarray(pts) - self.offset, tri_index)
 
 
 class OperatorCache:
@@ -616,7 +543,7 @@ class OperatorCache:
     each side runs canonical low -> high, which fixes the sign of the odd
     edge basis functions).  Every operator matrix depends only on these, so
     one LocalCellOperators, built lazily from the class's first cell, serves
-    all its members.
+    all its members.  ``dofmap`` is the mesh's global DOF layout at degree k.
     """
 
     def __init__(self, mesh: PolyMesh, k: int):
@@ -648,6 +575,12 @@ class OperatorCache:
     def n_classes(self) -> int:
         return len(self._members)
 
+    @cached_property
+    def dofmap(self):
+        from .wgsolve import build_dof_map  # wgsolve imports this module
+
+        return build_dof_map(self.mesh, self.k)
+
     def _class_ops(self, i: int) -> LocalCellOperators:
         ops = self._ops[i]
         if ops is None:
@@ -655,8 +588,12 @@ class OperatorCache:
             self._ops[i] = ops
         return ops
 
-    def get(self, cell: int) -> CellOperators:
-        return CellOperators(self._class_ops(self._class_of[cell]), cell, self._offset[cell])
+    def get(self, cell: int) -> LocalCellOperators:
+        """The operators of ``cell``: a shallow copy of its class's, moved by
+        its offset from the class's first cell.  The class's stay unchanged."""
+        ops = copy.copy(self._class_ops(self._class_of[cell]))
+        ops.cell, ops.offset = cell, self._offset[cell]
+        return ops
 
     def batches(self):
         """Yield (class operators, member cells, their offsets) per shape
@@ -669,16 +606,31 @@ class OperatorCache:
                 yield ops, cells, self._offset[cells]
 
 
-def project_qb(mesh: PolyMesh, edge: int, k: int, func, degree: int | None = None
+def project_qb(mesh: PolyMesh, edge, k: int, func, degree: int | None = None
                ) -> np.ndarray:
-    """L2 projection onto the P_k edge basis of one edge."""
+    """L2 projection onto the P_k edge basis of one edge, shape (k + 1,), or
+    of every edge in an index array, shape (n, k + 1), in one pass."""
     _check_degree(k)
     if degree is None:
         degree = data_degree(k)
-    eb = EdgeScalarBasis(mesh, edge, k)
-    va, vb = mesh.edges[edge]
-    pts, w = segment_points(mesh.vertices[va], mesh.vertices[vb], max(degree, 2 * k + 2))
-    phi = eb.eval(pts)
-    mass = phi.T @ (w[:, None] * phi)
-    vals = np.asarray(func(pts[:, 0], pts[:, 1]), dtype=float)
-    return np.linalg.solve(mass, (w * vals) @ phi)
+    degree = max(degree, 2 * k + 2)
+    edges = np.atleast_1d(edge)
+    rule = segment_rule(degree)
+    a, b = mesh.vertices[mesh.edges[edges]].transpose(1, 0, 2)
+    pts = a[:, None] + rule.points[:, None] * (b - a)[:, None]
+    vals = np.asarray(func(pts[..., 0].ravel(), pts[..., 1].ravel()), dtype=float)
+    vals = vals.reshape(edges.size, -1)
+    bad = np.argwhere(~np.isfinite(vals))
+    if bad.size:
+        i, q = bad[0]
+        raise DataError(
+            f"edge data non-finite at quadrature point ({pts[i, q, 0]}, {pts[i, q, 1]}) "
+            f"on edge {edges[i]}"
+        )
+    # Each edge's mass matrix and moments are its length times those on the
+    # reference segment, so the length cancels.  The sum runs edge by edge,
+    # so an edge's coefficients do not depend on the batch it comes in.
+    phi = edge_basis(k, degree)
+    w_phi = rule.weights[:, None] * phi
+    coeffs = (vals[:, None, :] * np.linalg.solve(phi.T @ w_phi, w_phi.T)).sum(axis=-1)
+    return coeffs if np.ndim(edge) else coeffs[0]

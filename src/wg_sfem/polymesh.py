@@ -105,25 +105,12 @@ class PolyMesh:
         diff = coords[:, None, :] - coords[None, :, :]
         return float(np.sqrt((diff**2).sum(axis=2).max()))
 
-    def mesh_size(self) -> float:
-        return max(self.cell_diameter(c) for c in range(self.n_cells))
-
     def edge_vertices(self, e: int) -> np.ndarray:
         return self.vertices[self.edges[e]]
-
-    def edge_length(self, e: int) -> float:
-        a, b = self.edge_vertices(e)
-        return float(np.linalg.norm(b - a))
 
     def edge_midpoint(self, e: int) -> np.ndarray:
         a, b = self.edge_vertices(e)
         return 0.5 * (a + b)
-
-    def edge_tangent(self, e: int) -> np.ndarray:
-        """Unit tangent along the canonical (low -> high vertex) direction."""
-        a, b = self.edge_vertices(e)
-        t = b - a
-        return t / np.linalg.norm(t)
 
     def side_normal(self, c: int, side: int) -> np.ndarray:
         """Outward unit normal of cell c on its given side."""

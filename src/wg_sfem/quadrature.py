@@ -118,25 +118,3 @@ def segment_points(a: np.ndarray, b: np.ndarray, degree: int) -> tuple[np.ndarra
     pts = a + np.outer(rule.points, b - a)
     return pts, rule.weights * float(np.linalg.norm(b - a))
 
-
-def integrate_cell(mesh, subtri, f, degree: int):
-    """Integrate a scalar or vector field over a cell via its sub-triangulation.
-
-    f is called as f(x, y) with coordinate arrays and must return shape (n,)
-    for scalar fields or (n, 2) for vector fields.
-    """
-    total = None
-    for tri in subtri.triangles:
-        pts, w = triangle_points(mesh.vertices[list(tri)], degree)
-        vals = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-        contrib = w @ vals
-        total = contrib if total is None else total + contrib
-    return total
-
-
-def integrate_edge(mesh, edge: int, f, degree: int):
-    """Integrate a field along a mesh edge with arc-length weighting."""
-    va, vb = mesh.edges[edge]
-    pts, w = segment_points(mesh.vertices[va], mesh.vertices[vb], degree)
-    vals = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-    return w @ vals

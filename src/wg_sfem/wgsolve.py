@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from .localspaces import OperatorCache, dim_pk, project_qb
+from .localspaces import DataError, OperatorCache, dim_pk, project_qb
 from .polymesh import PolyMesh
 
 DIRECT_LIMIT = 5000
@@ -35,10 +35,6 @@ class SolverConvergenceError(SolverError):
 
 class SolverStructureError(SolverError):
     """Matrix is not positive definite; signals an assembly bug."""
-
-
-class DataError(ValueError):
-    """Non-finite samples in user-supplied field data."""
 
 
 @dataclass(frozen=True)
@@ -72,20 +68,9 @@ class DofMap:
     def n_free(self) -> int:
         return self.free_dofs.size
 
-    def cell_interior(self, c: int) -> np.ndarray:
-        n0 = self.n_interior_per_cell
-        return np.arange(c * n0, (c + 1) * n0)
-
-    def edge_dofs(self, e: int) -> np.ndarray:
-        nb = self.n_per_edge
-        return self.edge_base + np.arange(e * nb, (e + 1) * nb)
-
-    def cell_dofs(self, mesh: PolyMesh, c: int) -> np.ndarray:
-        """Global indices in local operator order: interior, then sides."""
-        return self.cell_dof_array(mesh, [c])[0]
-
     def cell_dof_array(self, mesh: PolyMesh, cells) -> np.ndarray:
-        """cell_dofs of cells with equal side counts, shape (n_cells, n_local)."""
+        """Global indices in local operator order (interior, then sides) of
+        cells with equal side counts, shape (n_cells, n_local)."""
         cells = np.asarray(cells)
         n0, nb = self.n_interior_per_cell, self.n_per_edge
         interior = cells[:, None] * n0 + np.arange(n0)
@@ -107,16 +92,10 @@ def gather(vec: np.ndarray, gdofs: np.ndarray) -> np.ndarray:
 def build_dof_map(mesh: PolyMesh, k: int) -> DofMap:
     n0 = dim_pk(k)
     nb = k + 1
-    n_dofs = mesh.n_cells * n0 + mesh.n_edges * nb
     edge_base = mesh.n_cells * n0
-    constrained = np.concatenate(
-        [
-            edge_base + np.arange(e * nb, (e + 1) * nb)
-            for e in range(mesh.n_edges)
-            if mesh.boundary_edges[e]
-        ]
-    ) if mesh.boundary_edges.any() else np.empty(0, dtype=int)
-    mask = np.ones(n_dofs, dtype=bool)
+    boundary = np.flatnonzero(mesh.boundary_edges)
+    constrained = (edge_base + boundary[:, None] * nb + np.arange(nb)).ravel()
+    mask = np.ones(edge_base + mesh.n_edges * nb, dtype=bool)
     mask[constrained] = False
     return DofMap(
         k=k,
@@ -163,7 +142,7 @@ def assemble(mesh: PolyMesh, k: int, f, g=None, cache: OperatorCache | None = No
     """
     if cache is None:
         cache = OperatorCache(mesh, k)
-    dofmap = build_dof_map(mesh, k)
+    dofmap = cache.dofmap
     n_dofs = dofmap.n_dofs
 
     rows, cols, vals = [], [], []
@@ -198,12 +177,7 @@ def assemble(mesh: PolyMesh, k: int, f, g=None, cache: OperatorCache | None = No
 
     x_c = np.zeros(dofmap.constrained_dofs.size)
     if g is not None and x_c.size:
-        nb = dofmap.n_per_edge
-        pos = 0
-        for e in range(mesh.n_edges):
-            if mesh.boundary_edges[e]:
-                x_c[pos : pos + nb] = project_qb(mesh, e, k, g)
-                pos += nb
+        x_c = project_qb(mesh, np.flatnonzero(mesh.boundary_edges), k, g).ravel()
 
     free = dofmap.free_dofs
     cons = dofmap.constrained_dofs
@@ -316,7 +290,7 @@ def triple_bar_norm(mesh: PolyMesh, k: int, vec: np.ndarray,
     """
     if cache is None:
         cache = OperatorCache(mesh, k)
-    dofmap = build_dof_map(mesh, k)
+    dofmap = cache.dofmap
     acc = 0.0
     for ops, cells, _ in cache.batches():
         local = gather(vec, dofmap.cell_dof_array(mesh, cells))
@@ -331,7 +305,7 @@ def discrete_h1_norm(mesh: PolyMesh, k: int, vec: np.ndarray,
     interior/edge trace mismatch."""
     if cache is None:
         cache = OperatorCache(mesh, k)
-    dofmap = build_dof_map(mesh, k)
+    dofmap = cache.dofmap
     n0 = dim_pk(k)
     nb = k + 1
     acc = 0.0

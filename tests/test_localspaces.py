@@ -68,7 +68,9 @@ def test_rt_dimension_formula(k):
 def test_rt2_gram_matrix_full_rank():
     sub = triangulate_cell(UNIT_SQUARE, 0)
     rt = TriangleRTBasis(UNIT_SQUARE, sub, 1, 2)
-    gram = rt.mass()
+    pts, w = triangle_points(UNIT_SQUARE.vertices[list(sub.triangles[1])], 8)
+    F = rt.eval(pts)
+    gram = np.einsum("q,qid,qjd->ij", w, F, F)
     assert gram.shape == (15, 15)
     sv = np.linalg.svd(gram, compute_uv=False)
     assert sv[-1] > 0
@@ -352,6 +354,37 @@ def test_qb_constant_projection():
             assert np.allclose(coeffs, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("family", ["quad", "hex"])
+@pytest.mark.parametrize("k", range(4))
+def test_batched_qb_reproduces_polynomials_on_every_edge(family, k):
+    mesh = GENERATORS[family](3)
+    p, _ = random_polynomial(k, seed=50 + k)
+    coeffs = project_qb(mesh, np.arange(mesh.n_edges), k, p)
+    assert coeffs.shape == (mesh.n_edges, k + 1)
+    # Evaluate each edge's expansion at its ends and an interior point,
+    # s = -1, 1 and 0.3 along the canonical direction.
+    a, b = mesh.vertices[mesh.edges].transpose(1, 0, 2)
+    for s in (-1.0, 1.0, 0.3):
+        pts = a + 0.5 * (s + 1.0) * (b - a)
+        got = coeffs @ s ** np.arange(k + 1)
+        assert np.max(np.abs(got - p(pts[:, 0], pts[:, 1]))) < 1e-12
+
+
+def test_qb_of_sine_matches_dense_least_squares_fit():
+    mesh = generate_hex_grid(2)
+    k = 3
+    coeffs = project_qb(mesh, np.arange(mesh.n_edges), k, _sin_sin)
+    for e in range(mesh.n_edges):
+        a, b = mesh.vertices[mesh.edges[e]]
+        pts, w = segment_points(a, b, 30)
+        s = 2.0 * np.linalg.norm(pts - a, axis=1) / np.linalg.norm(b - a) - 1.0
+        sw = np.sqrt(w)
+        basis = sw[:, None] * s[:, None] ** np.arange(k + 1)
+        dense, *_ = np.linalg.lstsq(basis, sw * _sin_sin(pts[:, 0], pts[:, 1]), rcond=None)
+        assert np.max(np.abs(coeffs[e] - dense)) < 1e-12
+        assert np.array_equal(project_qb(mesh, e, k, _sin_sin), coeffs[e])
+
+
 def test_project_lambda_constant_and_gradient_fields():
     mesh = generate_quad_grid(2)
     ops = LocalCellOperators(mesh, 0, 1)
@@ -524,7 +557,7 @@ def _assert_view_matches_fresh(mesh, cache, c):
     view = cache.get(c)
     fresh = LocalCellOperators(mesh, c, cache.k)
     # Rotate the fresh build's weak-gradient basis onto the view's.
-    R = view.ops.lambda_basis.coeffs.T @ fresh.lambda_basis.coeffs
+    R = view.lambda_basis.coeffs.T @ fresh.lambda_basis.coeffs
     _assert_rel_close(view.stiffness, fresh.stiffness, (c, "stiffness"))
     _assert_rel_close(view.project_interior(_sin_sin), fresh.project_interior(_sin_sin),
                       (c, "project_interior"))
@@ -534,6 +567,31 @@ def _assert_view_matches_fresh(mesh, cache, c):
                       BASIS_MATRIX_RTOL)
     _assert_rel_close(view.mass_lambda, R @ fresh.mass_lambda @ R.T, (c, "mass_lambda"),
                       BASIS_MATRIX_RTOL)
+
+
+def test_cached_operators_expose_the_fresh_attributes_and_own_triangulation():
+    mesh = generate_hex_grid(3)
+    cache = OperatorCache(mesh, 1)
+    for c in (0, 7, mesh.n_cells - 1):
+        view, fresh = cache.get(c), LocalCellOperators(mesh, c, 1)
+        public = {name for name in dir(fresh) if not name.startswith("_")}
+        assert public <= set(dir(view))
+        assert view.cell == c
+        assert view.subtri == triangulate_cell(mesh, c)
+
+
+def test_interleaved_gets_do_not_alias_the_class_operators():
+    mesh = generate_quad_grid(4)
+    cache = OperatorCache(mesh, 2)
+    class_ops, cells, _ = next(cache.batches())
+    a, b = int(cells[1]), int(cells[2])
+    v1 = cache.get(a)
+    v2 = cache.get(b)
+    assert (v1.cell, v2.cell) == (a, b)
+    fresh = LocalCellOperators(mesh, a, 2)
+    _assert_rel_close(v1.project_interior(_sin_sin), fresh.project_interior(_sin_sin),
+                      "project_interior")
+    assert class_ops.cell == cells[0] and not class_ops.offset.any()
 
 
 @pytest.mark.parametrize("family,level", [("hex", 4), ("quad", 5)])

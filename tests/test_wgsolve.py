@@ -5,8 +5,8 @@ import scipy.sparse as sp
 from wg_sfem.analysis import get_case
 from wg_sfem.localspaces import OperatorCache, project_qb
 from wg_sfem.polymesh import GENERATORS, generate_hex_grid, generate_square_grid
-from wg_sfem.quadrature import integrate_cell
 from wg_sfem.polymesh import triangulate_cell
+from wg_sfem.quadrature import triangle_points
 from wg_sfem.wgsolve import (
     DataError,
     SolverStructureError,
@@ -50,7 +50,7 @@ def test_cell_dofs_are_disjoint_and_cover():
     dofmap = build_dof_map(mesh, 1)
     seen = set()
     for c in range(mesh.n_cells):
-        gdofs = dofmap.cell_dofs(mesh, c)
+        gdofs = dofmap.cell_dof_array(mesh, [c])[0]
         assert len(set(gdofs.tolist())) == gdofs.size
         seen.update(gdofs.tolist())
     assert seen == set(range(dofmap.n_dofs))
@@ -107,6 +107,25 @@ def test_nonfinite_source_rejected_with_point():
         assemble(mesh, 0, bad, None)
 
 
+def test_nonfinite_boundary_data_rejected_with_edge_and_point():
+    mesh = generate_square_grid(2)
+
+    def bad(x, y):
+        vals = np.ones_like(x)
+        vals[x > 0.5] = np.inf
+        return vals
+
+    with pytest.raises(DataError, match="quadrature point") as exc:
+        assemble(mesh, 0, zero, bad)
+    msg = str(exc.value)
+    e = int(msg.rsplit("edge ", 1)[1])
+    x, y = (float(v) for v in msg.split("(")[1].split(")")[0].split(","))
+    assert mesh.boundary_edges[e]
+    a, b = mesh.vertices[mesh.edges[e]]
+    assert x > 0.5
+    assert abs((b - a)[0] * (y - a[1]) - (b - a)[1] * (x - a[0])) < 1e-14
+
+
 def test_boundary_values_are_edge_projections():
     mesh = GENERATORS["quad"](2)
     k = 1
@@ -161,8 +180,8 @@ def test_single_cell_dense_oracle():
     system = assemble(mesh, 0, lambda x, y: np.ones_like(x), None, cache=cache)
     sol = solve(system)
     ops = cache.get(0)
-    load = integrate_cell(mesh, triangulate_cell(mesh, 0),
-                          lambda x, y: np.ones_like(x), 4)
+    _, w = triangle_points(mesh.vertices[np.array(triangulate_cell(mesh, 0).triangles)], 4)
+    load = w.sum()
     assert sol.u0[0, 0] == pytest.approx(load / ops.stiffness[0, 0], rel=1e-13)
 
 
@@ -220,9 +239,10 @@ def test_h1_norm_of_interpolated_linear():
     vec = np.zeros(dofmap.n_dofs)
     g = lambda x, y: 2 * x
     for c in range(mesh.n_cells):
-        vec[dofmap.cell_interior(c)] = cache.get(c).project_interior(g)
-    for e in range(mesh.n_edges):
-        vec[dofmap.edge_dofs(e)] = project_qb(mesh, e, k, g)
+        vec[dofmap.cell_dof_array(mesh, [c])[0]] = np.concatenate(
+            [cache.get(c).project_interior(g)]
+            + [project_qb(mesh, e, k, g) for e in mesh.cell_edges[c]]
+        )
     assert discrete_h1_norm(mesh, k, vec, cache) == pytest.approx(2.0, rel=1e-12)
     assert triple_bar_norm(mesh, k, vec, cache) == pytest.approx(2.0, rel=1e-12)
 
