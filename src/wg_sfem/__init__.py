@@ -24,6 +24,7 @@ from .localspaces import (
     LambdaBasis,
     LocalCellOperators,
     OperatorCache,
+    OperatorStack,
     build_lambda_basis,
     dim_pk,
     expected_lambda_dim,

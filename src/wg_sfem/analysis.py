@@ -21,7 +21,6 @@ from .wgsolve import (
     SolverError,
     WGSolution,
     assemble,
-    gather,
     solve,
     triple_bar_norm,
 )
@@ -125,9 +124,9 @@ def l2_projection_error(mesh: PolyMesh, k: int, u, solution: WGSolution,
     if cache is None:
         cache = OperatorCache(mesh, k)
     acc = 0.0
-    for ops, cells, offsets in cache.batches():
-        delta = ops.project_interior(u, offsets=offsets) - solution.u0[cells]
-        acc += float(ops.scalar_norm_sq(delta.T).sum())
+    for ops, cls, cells, offsets in cache.batches():
+        delta = ops.project_interior(u, cls, offsets) - solution.u0[cells]
+        acc += float(ops.scalar_norm_sq(delta, cls).sum())
     return math.sqrt(acc)
 
 
@@ -143,10 +142,10 @@ def energy_error(mesh: PolyMesh, k: int, u, grad_u, solution: WGSolution,
     dofmap = cache.dofmap
     full = solution.full_vector(dofmap)
     acc = 0.0
-    for ops, cells, offsets in cache.batches():
-        exact = ops.project_lambda_field(grad_u, offsets=offsets).T
-        discrete = ops.apply_weak_gradient(gather(full, dofmap.cell_dof_array(mesh, cells)))
-        acc += float(ops.lambda_norm_sq(exact - discrete).sum())
+    for ops, cls, cells, offsets in cache.batches():
+        exact = ops.project_lambda_field(grad_u, cls, offsets)
+        discrete = ops.apply_weak_gradient(full[dofmap.cell_dof_array(mesh, cells)], cls)
+        acc += float(ops.lambda_norm_sq(exact - discrete, cls).sum())
     return math.sqrt(acc)
 
 
@@ -158,8 +157,8 @@ def energy_error_via_projection(mesh: PolyMesh, k: int, u, solution: WGSolution,
     if cache is None:
         cache = OperatorCache(mesh, k)
     u0 = np.empty_like(solution.u0)
-    for ops, cells, offsets in cache.batches():
-        u0[cells] = ops.project_interior(u, offsets=offsets)
+    for ops, cls, cells, offsets in cache.batches():
+        u0[cells] = ops.project_interior(u, cls, offsets)
     ub = project_qb(mesh, np.arange(mesh.n_edges), k, u)
     exact = np.concatenate([u0.ravel(), ub.ravel()])
     return float(triple_bar_norm(mesh, k, exact - solution.full_vector(cache.dofmap), cache))

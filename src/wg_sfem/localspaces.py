@@ -15,27 +15,36 @@ The weak-gradient space of a cell is the nullspace of the constraint system
 (normal-jump moments on fan chords; divergence-coefficient mismatch between
 sub-triangles), extracted by SVD with a hard expected-dimension check.
 
-OperatorCache builds these operators once per shape class (cells equal up
-to translation), hands each cell a copy of them moved to its position, and
-evaluates data for all cells of a class in one batch.
+Everything is built for a stack of cells with one vertex count at once
+(OperatorStack): each array carries the cell of the stack on its leading
+axis, and the eigen-, singular-value and linear solves run batched.  A single
+cell is a stack of one.  OperatorCache builds the operators once per shape
+class (cells equal up to translation), in stacks of at most BATCH_CELLS
+classes, and evaluates data for batches of cells that may mix the classes of
+one stack.
 """
 
 from __future__ import annotations
 
-import copy
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .polymesh import PolyMesh, SubTriangulation, triangulate_cell
+from .polymesh import (
+    PolyMesh,
+    SubTriangulation,
+    fan_triangles,
+    polygon_area,
+    polygon_centroid,
+    polygon_diameter,
+    triangulate_cell,
+)
 from .quadrature import (
     assembly_degree,
     data_degree,
-    segment_points,
     segment_rule,
     triangle_points,
 )
@@ -46,7 +55,8 @@ CONDITION_WARN = 1e12
 # Shape-class keys round the vertex offsets, in units of the cell diameter,
 # and the log of the diameter to this many decimals.
 KEY_DECIMALS = 12
-# Cells per batch of OperatorCache.batches.
+# Shape classes per stacked build, and cells per batch of
+# OperatorCache.batches.
 BATCH_CELLS = 256
 
 
@@ -86,15 +96,30 @@ def expected_lambda_dim(n_v: int, k: int) -> int:
     return (n_v - 2) * (k + 1) * (k + 3) - (n_v - 3) * ((k + 1) + dim_pk(k))
 
 
-class CellScalarBasis:
-    """Centered, scaled monomial basis of P_k on a cell or sub-triangle."""
+def _frame_powers(pts: np.ndarray, center: np.ndarray, scale: np.ndarray, k: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Powers 0..k of the centered, scaled coordinates xi and eta of points
+    (..., npts, 2) in frames with centers (..., 2) and scales (...), each of
+    shape (..., npts, k + 1)."""
+    local = (np.asarray(pts, dtype=float) - center[..., None, :]) / scale[..., None, None]
+    powers = np.ones(local.shape + (k + 1,))
+    for m in range(1, k + 1):
+        powers[..., m] = powers[..., m - 1] * local
+    return powers[..., 0, :], powers[..., 1, :]
 
-    def __init__(self, cell: int, k: int, center: np.ndarray, scale: float):
+
+class CellScalarBasis:
+    """Centered, scaled monomial basis of P_k in one frame or a stack of them.
+
+    center (..., 2) and scale (...) give one frame per leading index; points
+    come as (..., npts, 2) with the same leading axes.
+    """
+
+    def __init__(self, k: int, center: np.ndarray, scale):
         _check_degree(k)
-        self.cell = cell
         self.k = k
         self.center = np.asarray(center, dtype=float)
-        self.scale = float(scale)
+        self.scale = np.asarray(scale, dtype=float)
         exps = monomial_exponents(k)
         self.exponents = exps
         self._ax = np.array([a for a, _ in exps])
@@ -104,27 +129,18 @@ class CellScalarBasis:
     def dim(self) -> int:
         return len(self.exponents)
 
-    def _local(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pts = np.asarray(pts, dtype=float)
-        xi = (pts[:, 0] - self.center[0]) / self.scale
-        eta = (pts[:, 1] - self.center[1]) / self.scale
-        return xi, eta
-
     def eval(self, pts: np.ndarray) -> np.ndarray:
-        """Basis values, shape (npts, dim)."""
-        xi, eta = self._local(pts)
-        return xi[:, None] ** self._ax[None, :] * eta[:, None] ** self._ay[None, :]
+        """Basis values, shape (..., npts, dim)."""
+        px, py = _frame_powers(pts, self.center, self.scale, self.k)
+        return px[..., self._ax] * py[..., self._ay]
 
     def grad(self, pts: np.ndarray) -> np.ndarray:
-        """Physical gradients, shape (npts, dim, 2)."""
-        xi, eta = self._local(pts)
+        """Physical gradients, shape (..., npts, dim, 2)."""
+        px, py = _frame_powers(pts, self.center, self.scale, self.k)
         ax, ay = self._ax, self._ay
-        xpow = xi[:, None] ** np.maximum(ax - 1, 0)[None, :]
-        ypow = eta[:, None] ** np.maximum(ay - 1, 0)[None, :]
-        xfull = xi[:, None] ** ax[None, :]
-        yfull = eta[:, None] ** ay[None, :]
-        gx = ax[None, :] * xpow * yfull / self.scale
-        gy = ay[None, :] * xfull * ypow / self.scale
+        scale = self.scale[..., None, None]
+        gx = ax * px[..., np.maximum(ax - 1, 0)] * py[..., ay] / scale
+        gy = ay * px[..., ax] * py[..., np.maximum(ay - 1, 0)] / scale
         return np.stack([gx, gy], axis=-1)
 
 
@@ -137,17 +153,18 @@ def edge_basis(k: int, degree: int) -> np.ndarray:
 
 
 class RTFrame:
-    """Vector monomial fields spanning RT_k in one centered, scaled frame.
+    """Vector monomial fields spanning RT_k in one centered, scaled frame or a
+    stack of them (center and scale as in CellScalarBasis).
 
     Fields: (m, 0) and (0, m) for all P_k monomials m, then (xi, eta) * m_h
     for the k+1 homogeneous degree-k monomials m_h.  Count: (k+1)(k+3).
     """
 
-    def __init__(self, k: int, center: np.ndarray, scale: float):
+    def __init__(self, k: int, center: np.ndarray, scale):
         _check_degree(k)
         self.k = k
         self.center = np.asarray(center, dtype=float)
-        self.scale = float(scale)
+        self.scale = np.asarray(scale, dtype=float)
         self.exponents = monomial_exponents(k)
         self.n_scalar = len(self.exponents)
         self.homo = [(a, b) for a, b in self.exponents if a + b == k]
@@ -157,291 +174,437 @@ class RTFrame:
         self._ay = np.array([b for _, b in self.exponents])
 
     def eval(self, pts: np.ndarray) -> np.ndarray:
-        """Field values, shape (npts, n_fields, 2)."""
-        pts = np.asarray(pts, dtype=float)
-        xi = (pts[:, 0] - self.center[0]) / self.scale
-        eta = (pts[:, 1] - self.center[1]) / self.scale
-        mono = xi[:, None] ** self._ax[None, :] * eta[:, None] ** self._ay[None, :]
+        """Field values, shape (..., npts, n_fields, 2)."""
+        px, py = _frame_powers(pts, self.center, self.scale, self.k + 1)
+        mono = px[..., self._ax] * py[..., self._ay]
         n0 = self.n_scalar
-        V = np.zeros((pts.shape[0], self.n_fields, 2))
-        V[:, :n0, 0] = mono
-        V[:, n0 : 2 * n0, 1] = mono
-        homo = mono[:, n0 - len(self.homo) :]
-        V[:, 2 * n0 :, 0] = xi[:, None] * homo
-        V[:, 2 * n0 :, 1] = eta[:, None] * homo
+        V = np.zeros(mono.shape[:-1] + (self.n_fields, 2))
+        V[..., :n0, 0] = mono
+        V[..., n0 : 2 * n0, 1] = mono
+        homo = mono[..., n0 - len(self.homo) :]
+        V[..., 2 * n0 :, 0] = px[..., 1:2] * homo
+        V[..., 2 * n0 :, 1] = py[..., 1:2] * homo
         return V
 
     def div_coeff_matrix(self) -> np.ndarray:
-        """Exact divergence expansion over this frame's scalar monomials.
+        """Exact divergence expansion over each frame's scalar monomials.
 
-        Returns D with div(field_j) = sum_c D[c, j] * m_c; entries carry the
-        1/scale chain factor of the frame.
+        Returns D, shape (..., dim P_k, n_fields), with div(field_j) =
+        sum_c D[c, j] * m_c; entries carry the 1/scale chain factor.
         """
         n0 = self.n_scalar
         D = np.zeros((n0, self.n_fields))
         for j, (a, b) in enumerate(self.exponents):
             if a > 0:
-                D[self._index[(a - 1, b)], j] = a / self.scale
+                D[self._index[(a - 1, b)], j] = a
             if b > 0:
-                D[self._index[(a, b - 1)], n0 + j] = b / self.scale
+                D[self._index[(a, b - 1)], n0 + j] = b
         for j, (a, b) in enumerate(self.homo):
-            D[self._index[(a, b)], 2 * n0 + j] = (a + b + 2) / self.scale
-        return D
+            D[self._index[(a, b)], 2 * n0 + j] = a + b + 2
+        return D / self.scale[..., None, None]
 
 
-def monomial_change_of_frame(k: int, source_center: np.ndarray, source_scale: float,
-                             target_center: np.ndarray, target_scale: float
-                             ) -> np.ndarray:
-    """Exact coefficient map between centered-scaled monomial bases of P_k.
+def monomial_change_of_frame(k: int, source_center: np.ndarray, source_scale,
+                             target_center: np.ndarray, target_scale) -> np.ndarray:
+    """Exact coefficient map between centered-scaled monomial bases of P_k,
+    for one pair of frames or stacks of them (centers (..., 2), scales (...)).
 
-    Returns T with  m_src_j = sum_i T[i, j] * m_tgt_i, from the binomial
-    expansion of the affine substitution xi_src = alpha*xi_tgt + beta.
+    Returns T, shape (..., dim, dim), with  m_src_j = sum_i T[i, j] * m_tgt_i,
+    from the binomial expansion of the affine substitution
+    xi_src = alpha*xi_tgt + beta.
     """
     exps = monomial_exponents(k)
-    index = {e: i for i, e in enumerate(exps)}
-    alpha = target_scale / source_scale
-    bx = (target_center[0] - source_center[0]) / source_scale
-    by = (target_center[1] - source_center[1]) / source_scale
-    T = np.zeros((len(exps), len(exps)))
-    for j, (a, b) in enumerate(exps):
-        for p in range(a + 1):
-            for q in range(b + 1):
-                coeff = (
-                    comb(a, p) * alpha**p * bx ** (a - p)
-                    * comb(b, q) * alpha**q * by ** (b - q)
-                )
-                T[index[(p, q)], j] += coeff
-    return T
+    # Row i = target exponent (p, q), column j = source exponent (a, b).
+    p = np.array([e[0] for e in exps])[:, None]
+    q = np.array([e[1] for e in exps])[:, None]
+    a, b = p.T, q.T
+    comb_a = np.array([[comb(aj, pi) for aj in a[0]] for pi in p[:, 0]], dtype=float)
+    comb_b = np.array([[comb(bj, qi) for bj in b[0]] for qi in q[:, 0]], dtype=float)
+    source_center = np.asarray(source_center, dtype=float)
+    target_center = np.asarray(target_center, dtype=float)
+    source_scale = np.asarray(source_scale, dtype=float)[..., None, None]
+    alpha = np.asarray(target_scale, dtype=float)[..., None, None] / source_scale
+    bx = (target_center[..., 0] - source_center[..., 0])[..., None, None] / source_scale
+    by = (target_center[..., 1] - source_center[..., 1])[..., None, None] / source_scale
+    # comb is zero where p > a or q > b; the clipped powers keep those finite.
+    return (comb_a * alpha**p * bx ** np.maximum(a - p, 0)
+            * comb_b * alpha**q * by ** np.maximum(b - q, 0))
 
 
-class TriangleRTBasis:
-    """One sub-triangle's RT_k basis: L2-orthonormalized combinations of the
-    frame's vector monomials.
+def _weighted_gram(w: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum_q w_q f[q, i] . g[q, j] for stacks: w (..., npts), f (..., npts,
+    m, d), g (..., npts, n, d) -> (..., m, n)."""
+    lead = w.shape[:-1]
+    fw = (w[..., None, None] * f).swapaxes(-3, -2).reshape(*lead, f.shape[-2], -1)
+    gt = g.swapaxes(-3, -2).reshape(*lead, g.shape[-2], -1)
+    return fw @ gt.swapaxes(-1, -2)
 
-    The raw monomial generating set has Gram condition up to 1e9 at k = 3-4;
-    symmetric orthonormalization against the triangle's own Gram keeps every
-    downstream solve well conditioned while spanning the same space.
-    """
 
-    def __init__(self, mesh: PolyMesh, subtri: SubTriangulation, tri_index: int, k: int):
-        _check_degree(k)
-        tri = subtri.triangles[tri_index]
-        coords = mesh.vertices[list(tri)]
-        e1, e2 = coords[1] - coords[0], coords[2] - coords[0]
-        area = 0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0])
-        if area < 1e-14:
-            raise GeometryError(
-                f"sub-triangle {tri} of cell {subtri.cell} is degenerate "
-                f"(area {area:.3e})"
-            )
-        center = coords.mean(axis=0)
-        diff = coords[:, None, :] - coords[None, :, :]
-        scale = float(np.sqrt((diff**2).sum(axis=2).max()))
-        self.frame = RTFrame(k, center, scale)
-        self.k = k
-
-        pts, w = triangle_points(coords, 2 * k + 2)
-        F = self.frame.eval(pts)
-        gram = np.einsum("q,qid,qjd->ij", w, F, F)
-        lam, Q = np.linalg.eigh(gram)
-        if lam[0] <= 0.0:
-            raise GeometryError(
-                f"sub-triangle {tri} of cell {subtri.cell}: singular RT Gram "
-                f"(eigenvalue {lam[0]:.3e})"
-            )
-        self._orth = (Q / np.sqrt(lam)) @ Q.T
-
-    @property
-    def n_fields(self) -> int:
-        return self.frame.n_fields
-
-    def eval(self, pts: np.ndarray) -> np.ndarray:
-        """Field values, shape (npts, n_fields, 2)."""
-        return np.einsum("qfd,fg->qgd", self.frame.eval(pts), self._orth)
-
-    def div_coeff_matrix(self) -> np.ndarray:
-        """Divergence expansion over the frame's scalar monomials."""
-        return self.frame.div_coeff_matrix() @ self._orth
-
-    def normal_trace(self, pts: np.ndarray, normal: np.ndarray) -> np.ndarray:
-        """Normal component of each field at points on a line, shape (npts, n_fields)."""
-        F = self.eval(pts)
-        return F[:, :, 0] * normal[0] + F[:, :, 1] * normal[1]
+def _combine(F: np.ndarray, orth: np.ndarray) -> np.ndarray:
+    """Field values F (..., npts, n_fields, 2) recombined by orth (...,
+    n_fields, n_fields), as F @ orth per point and component."""
+    return (F.swapaxes(-1, -2) @ orth[..., None, :, :]).swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
 class LambdaBasis:
-    """Orthonormal coefficient basis of the weak-gradient space of one cell,
-    with the cell frame it was built in.
+    """Orthonormal coefficient bases of the weak-gradient spaces of a stack
+    of cells with one vertex count, with the frames they were built in.
+    Every array carries the cell of the stack on its leading axis.
 
-    coeffs: (n_triangles * n_fields, n_lambda); each column is one basis
-    field over the per-sub-triangle RT blocks (one TriangleRTBasis each).
-    center, diameter: the cell frame of the scalar bases.
-    div_cell_frame: (n_triangles, dim P_k, n_fields); the divergence of each
-    sub-triangle's RT fields expanded over the cell-frame monomials.
+    tri_coords: (S, n_triangles, 3, 2) fan triangle vertices.
+    frames: one centered, scaled RT frame per fan triangle, stack shape
+        (S, n_triangles).
+    orth: (S, n_triangles, n_fields, n_fields); triangle t's frame fields
+        times orth[:, t] are L2-orthonormal on it.
+    coeffs: (S, n_triangles * n_fields, n_lambda); each column is one basis
+        field over the per-triangle blocks of orthonormalized RT fields.
+    constraint_residual: (S,) Frobenius norm of the constraint matrix times
+        coeffs.
+    center, diameter: (S, 2) and (S,), the cell frames of the scalar bases.
+    div_cell_frame: (S, n_triangles, dim P_k, n_fields); the divergence of
+        each triangle's orthonormalized RT fields over the cell-frame
+        monomials.
     """
 
-    cell: int
+    cells: np.ndarray
     k: int
-    subtri: SubTriangulation
-    rt_bases: tuple[TriangleRTBasis, ...]
+    tri_coords: np.ndarray
+    frames: RTFrame
+    orth: np.ndarray
     coeffs: np.ndarray
-    n_lambda: int
-    constraint_residual: float
+    constraint_residual: np.ndarray
     center: np.ndarray
-    diameter: float
+    diameter: np.ndarray
     div_cell_frame: np.ndarray
 
+    @property
+    def n_lambda(self) -> int:
+        return self.coeffs.shape[-1]
 
-def build_lambda_basis(mesh: PolyMesh, cell: int, k: int) -> LambdaBasis:
-    """Assemble the constraint system over stacked RT coefficients and return
-    an orthonormal nullspace basis.
+
+def build_lambda_basis(mesh: PolyMesh, cells, k: int) -> LambdaBasis:
+    """Assemble the constraint systems of a stack of cells with one vertex
+    count (one cell index or an array of them) and return orthonormal
+    nullspace bases.
 
     Constraints: (a) on each fan chord, the normal-component jump tested
     against the k+1 edge-parameter moments; (b) for each sub-triangle beyond
     the first, the divergence coefficient mismatch in a shared cell-frame
     monomial basis.  Parent polygon sides coincide with single sub-triangle
-    edges, so boundary traces are single-piece automatically.
+    edges, so boundary traces are single-piece automatically.  Geometry and
+    dimension errors name the offending cell.
     """
     _check_degree(k)
-    subtri = triangulate_cell(mesh, cell)
-    rt_bases = tuple(TriangleRTBasis(mesh, subtri, i, k) for i in range(subtri.n_triangles))
-    center = mesh.cell_centroid(cell)
-    diameter = mesh.cell_diameter(cell)
-    div = np.array([
-        monomial_change_of_frame(k, rt.frame.center, rt.frame.scale, center, diameter)
-        @ rt.div_coeff_matrix()
-        for rt in rt_bases
-    ])
+    cells = np.atleast_1d(np.asarray(cells))
+    tris = fan_triangles(mesh, cells)
+    coords = mesh.vertices[tris]
+    n_cells, nt = tris.shape[:2]
 
-    nt = subtri.n_triangles
-    nf = rt_bases[0].n_fields
-    n_expected = expected_lambda_dim(nt + 2, k)
+    area = polygon_area(coords)
+    bad = np.argwhere(area < 1e-14)
+    if bad.size:
+        s, t = bad[0]
+        raise GeometryError(
+            f"sub-triangle {tuple(tris[s, t].tolist())} of cell {cells[s]} is "
+            f"degenerate (area {area[s, t]:.3e})"
+        )
+    frames = RTFrame(k, coords.mean(axis=-2), polygon_diameter(coords))
+    nf = frames.n_fields
 
-    def basis(coeffs: np.ndarray, residual: float) -> LambdaBasis:
-        return LambdaBasis(cell, k, subtri, rt_bases, coeffs, coeffs.shape[1], residual,
+    pts, w = triangle_points(coords, 2 * k + 2)
+
+    def inverse_sqrt_gram(F: np.ndarray) -> np.ndarray:
+        lam, Q = np.linalg.eigh(_weighted_gram(w, F, F))
+        bad = np.argwhere(lam[..., 0] <= 0.0)
+        if bad.size:
+            s, t = bad[0]
+            raise GeometryError(
+                f"sub-triangle {tuple(tris[s, t].tolist())} of cell {cells[s]}: "
+                f"singular RT Gram (eigenvalue {lam[s, t, 0]:.3e})"
+            )
+        return (Q / np.sqrt(lam)[..., None, :]) @ Q.swapaxes(-1, -2)
+
+    # Symmetric orthonormalization against each triangle's Gram, in two
+    # passes: the second, on the Gram of the once-orthonormalized fields
+    # (the identity up to rounding), removes the error that the raw Gram's
+    # condition (up to 1e10 at k = 4) leaves in the first.
+    F = frames.eval(pts)
+    orth = inverse_sqrt_gram(F)
+    orth = orth @ inverse_sqrt_gram(_combine(F, orth))
+
+    X = mesh.vertices[mesh.cell_cycles(cells)]
+    center = polygon_centroid(X)
+    diameter = polygon_diameter(X)
+    div = monomial_change_of_frame(
+        k, frames.center, frames.scale, center[:, None], diameter[:, None]
+    ) @ (frames.div_coeff_matrix() @ orth)
+
+    def basis(coeffs: np.ndarray, residual: np.ndarray) -> LambdaBasis:
+        return LambdaBasis(cells, k, coords, frames, orth, coeffs, residual,
                            center, diameter, div)
 
     if nt == 1:
-        return basis(np.eye(nf), 0.0)
+        return basis(np.broadcast_to(np.eye(nf), (n_cells, nf, nf)), np.zeros(n_cells))
 
+    # Chord j joins the anchor to cycle vertex j + 2 and separates fan
+    # triangles j and j + 1.
     degree = 2 * k + 2
-    w_phi = segment_rule(degree).weights[:, None] * edge_basis(k, degree)
-    jumps = np.zeros((nt - 1, k + 1, nt, nf))
-    for j, ((va, vb), (ta, tb)) in enumerate(
-        zip(subtri.internal_edges, subtri.internal_adjacency)
-    ):
-        a, b = mesh.vertices[va], mesh.vertices[vb]
-        t = b - a
-        normal = np.array([t[1], -t[0]]) / np.linalg.norm(t)
-        pts, _ = segment_points(a, b, degree)
-        jumps[j, :, ta] = w_phi.T @ rt_bases[ta].normal_trace(pts, normal)
-        jumps[j, :, tb] = -(w_phi.T @ rt_bases[tb].normal_trace(pts, normal))
-    matches = np.zeros((nt - 1, div.shape[1], nt, nf))
-    matches[:, :, 0] = -diameter * div[0]
-    later = np.arange(1, nt)
-    matches[later - 1, :, later] = diameter * div[1:]
+    rule = segment_rule(degree)
+    w_phi = rule.weights[:, None] * edge_basis(k, degree)
+    a, b = X[:, :1], X[:, 2:-1]
+    t = b - a
+    normal = np.stack([t[..., 1], -t[..., 0]], axis=-1) / np.linalg.norm(t, axis=-1)[..., None]
+    chord_pts = a[:, :, None] + rule.points[:, None] * t[:, :, None]
 
-    C = np.concatenate([jumps.reshape(-1, nt * nf), matches.reshape(-1, nt * nf)])
+    def chord_moments(tri: slice) -> np.ndarray:
+        side = RTFrame(k, frames.center[:, tri], frames.scale[:, tri])
+        G = _combine(side.eval(chord_pts), orth[:, tri])
+        trace = G[..., 0] * normal[:, :, None, None, 0] + G[..., 1] * normal[:, :, None, None, 1]
+        return w_phi.T @ trace
+
+    left, right = chord_moments(slice(0, -1)), chord_moments(slice(1, None))
+    jumps = np.zeros((n_cells, nt - 1, k + 1, nt, nf))
+    matches = np.zeros((n_cells, nt - 1, div.shape[2], nt, nf))
+    matches[:, :, :, 0] = -diameter[:, None, None, None] * div[:, :1]
+    for j in range(nt - 1):
+        jumps[:, j, :, j] = left[:, j]
+        jumps[:, j, :, j + 1] = -right[:, j]
+        matches[:, j, :, j + 1] = diameter[:, None, None] * div[:, j + 1]
+
+    C = np.concatenate([jumps.reshape(n_cells, -1, nt * nf),
+                        matches.reshape(n_cells, -1, nt * nf)], axis=1)
     _, sv, Vh = np.linalg.svd(C, full_matrices=True)
-    rank = int(np.sum(sv > NULLSPACE_RTOL * sv[0]))
-    null = Vh[rank:].T
-    if null.shape[1] != n_expected:
+    n_null = nt * nf - np.sum(sv > NULLSPACE_RTOL * sv[:, :1], axis=1)
+    n_expected = expected_lambda_dim(nt + 2, k)
+    bad = np.flatnonzero(n_null != n_expected)
+    if bad.size:
+        s = bad[0]
         raise LambdaDimensionError(
-            f"cell {cell} (k={k}): nullspace dimension {null.shape[1]} != "
-            f"expected {n_expected}; constraint singular values {sv}"
+            f"cell {cells[s]} (k={k}): nullspace dimension {n_null[s]} != "
+            f"expected {n_expected}; constraint singular values {sv[s]}"
         )
-    return basis(null, float(np.linalg.norm(C @ null, ord=2)))
+    null = Vh[:, nt * nf - n_expected :].swapaxes(-1, -2)
+    return basis(null, np.linalg.norm(C @ null, axis=(-2, -1)))
 
 
-class LocalCellOperators:
-    """All discrete operators of one cell, built once and reused.
+def _sample(func, pts: np.ndarray) -> np.ndarray:
+    """func at points (..., 2), shape (...) + the shape of one value."""
+    vals = np.asarray(func(pts[..., 0].ravel(), pts[..., 1].ravel()), dtype=float)
+    return vals.reshape(pts.shape[:-1] + vals.shape[1:])
+
+
+def _rowwise(x: np.ndarray, A: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """x[i] @ A[inv[i]] for every row i: x (n, ..., p), A (u, ..., p, m) ->
+    (n, ..., m)."""
+    B = A[0] if len(A) == 1 else A[inv]
+    return (x[..., None, :] @ B)[..., 0, :]
+
+
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A[i] @ x[i] for every row i; x is (n, dim) or (n, dim, m)."""
+    return (A @ x.reshape(*x.shape[:2], -1)).reshape(A.shape[:2] + x.shape[2:])
+
+
+class OperatorStack:
+    """All discrete operators of a stack of cells with one vertex count,
+    built in one pass with the cell of the stack on every leading axis.
 
     Local DOF order: interior P_k coefficients first, then the k+1 edge
     coefficients of each cell side in cycle order.
 
-    The operators serve every translate of the cell they were built on.
-    ``cell`` and ``offset`` name the translate that the data methods act on
-    by default: the built cell itself, offset zero, unless OperatorCache.get
-    moved a copy.  Given ``offsets`` of shape (n, 2) instead, the data
-    methods act on n copies of the built cell translated by those offsets,
-    in one batch, and return one row per copy.
+    Row s serves every translate of cells[s].  The data methods act on n
+    cells at once: ``rows`` (n,) names the stack row of each and
+    ``offsets`` (n, 2) its translation from that row's cell.  Coefficient
+    arguments and results are (n, dim) or (n, dim, m) for m functions.
     """
 
-    def __init__(self, mesh: PolyMesh, cell: int, k: int):
-        _check_degree(k)
-        self.mesh = mesh
-        self.cell = cell
-        self.offset = np.zeros(2)
+    def __init__(self, mesh: PolyMesh, cells, k: int):
+        lam = self.lambda_basis = build_lambda_basis(mesh, cells, k)
         self.k = k
-        lam = self.lambda_basis = build_lambda_basis(mesh, cell, k)
-        self.rt_bases = lam.rt_bases
-        self.diameter = lam.diameter
-        self.scalar_basis = CellScalarBasis(cell, k, lam.center, lam.diameter)
-
-        nt = lam.subtri.n_triangles
-        nf = self.rt_bases[0].n_fields
-        n0 = self.scalar_basis.dim
+        self.cells = lam.cells
+        self.tri_coords = lam.tri_coords
+        self.center, self.diameter = lam.center, lam.diameter
+        n_cells, nt = self.tri_coords.shape[:2]
+        nf = lam.frames.n_fields
         nl = lam.n_lambda
-        V = lam.coeffs.reshape(nt, nf, nl)
-        self._blocks = V
+        V = lam.coeffs.reshape(n_cells, nt, nf, nl)
+        Vt = V.swapaxes(-1, -2)
+        # Lambda basis fields over each triangle's raw frame fields.
+        self.frame_coeffs = lam.orth @ V
 
         deg = assembly_degree(k)
-        self._tri_coords = mesh.vertices[np.array(lam.subtri.triangles)]
+        pts, w = triangle_points(self.tri_coords, deg)
+        F = _combine(lam.frames.eval(pts), lam.orth)
+        scalar = CellScalarBasis(k, self.center[:, None], self.diameter[:, None])
+        mono = scalar.eval(pts)[..., None]
+        gm = scalar.grad(pts)
+        s_tri = _weighted_gram(w, mono, mono)
+        self.mass_lambda = (Vt @ _weighted_gram(w, F, F) @ V).sum(axis=1)
+        self.mass_scalar = s_tri.sum(axis=1)
+        self.grad_mass = _weighted_gram(w, gm, gm).sum(axis=1)
+        b_int = -(Vt @ (s_tri @ lam.div_cell_frame).swapaxes(-1, -2)).sum(axis=1)
 
-        mass_lambda = np.zeros((nl, nl))
-        mass_scalar = np.zeros((n0, n0))
-        grad_mass = np.zeros((n0, n0))
-        b_int = np.zeros((nl, n0))
-        for i, coords in enumerate(self._tri_coords):
-            pts, w = triangle_points(coords, deg)
-            F = self.rt_bases[i].eval(pts)
-            mono = self.scalar_basis.eval(pts)
-            gm = self.scalar_basis.grad(pts)
-            m_tri = np.einsum("q,qid,qjd->ij", w, F, F)
-            s_tri = np.einsum("q,qi,qj->ij", w, mono, mono)
-            Vi = V[i]
-            mass_lambda += Vi.T @ m_tri @ Vi
-            mass_scalar += s_tri
-            grad_mass += np.einsum("q,qid,qjd->ij", w, gm, gm)
-            b_int -= Vi.T @ (s_tri @ lam.div_cell_frame[i]).T
-        self.mass_lambda = mass_lambda
-        self.mass_scalar = mass_scalar
-        self.grad_mass = grad_mass
-
-        cond = np.linalg.cond(mass_lambda)
-        if cond > CONDITION_WARN:
+        ev = np.linalg.eigvalsh(self.mass_lambda)
+        if np.any(ev[:, 0] <= 0.0):
+            s = np.flatnonzero(ev[:, 0] <= 0.0)[0]
+            raise np.linalg.LinAlgError(
+                f"cell {self.cells[s]}: weak-gradient mass matrix is not positive "
+                f"definite (eigenvalue {ev[s, 0]:.3e})"
+            )
+        cond = ev[:, -1] / ev[:, 0]
+        for s in np.flatnonzero(cond > CONDITION_WARN):
             warnings.warn(
-                f"cell {cell}: weak-gradient mass matrix condition {cond:.2e}",
+                f"cell {self.cells[s]}: weak-gradient mass matrix condition {cond[s]:.2e}",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
-        cyc = mesh.cells[cell]
-        n_sides = len(cyc)
-        phi = edge_basis(k, deg)
-        self._side_trace = []
-        cols = [b_int]
-        for s in range(n_sides):
-            va, vb = cyc[s], cyc[(s + 1) % n_sides]
-            pts, w = segment_points(mesh.vertices[va], mesh.vertices[vb], deg)
-            # A side run against canonical order sees s -> -s.
-            phi_b = phi if va < vb else phi * (-1.0) ** np.arange(k + 1)
-            tri_i, _ = lam.subtri.boundary_edge_map[s]
-            trace = self.rt_bases[tri_i].normal_trace(pts, mesh.side_normal(cell, s))
-            cols.append(V[tri_i].T @ np.einsum("q,qa,qm->am", w, trace, phi_b))
-            self._side_trace.append((w, self.scalar_basis.eval(pts), phi_b))
-        self.moments = np.hstack(cols)
+        # Side s lies on fan triangle 0, s - 1 or n_triangles - 1 (first,
+        # middle, last side).
+        cyc = mesh.cell_cycles(self.cells)
+        n_sides = cyc.shape[1]
+        nxt = (np.arange(n_sides) + 1) % n_sides
+        a, b = mesh.vertices[cyc], mesh.vertices[cyc[:, nxt]]
+        t = b - a
+        length = np.linalg.norm(t, axis=-1)
+        normal = np.stack([t[..., 1], -t[..., 0]], axis=-1) / length[..., None]
+        rule = segment_rule(deg)
+        side_pts = a[:, :, None] + rule.points[:, None] * t[:, :, None]
+        # A side run against canonical order sees s -> -s.
+        sign = np.where((cyc < cyc[:, nxt])[..., None], 1.0, (-1.0) ** np.arange(k + 1))
+        self._side_w = rule.weights * length[..., None]
+        self._side_phi0 = scalar.eval(side_pts)
+        self._side_phib = edge_basis(k, deg) * sign[:, :, None, :]
+        tri = np.clip(np.arange(n_sides) - 1, 0, nt - 1)
+        G = _combine(RTFrame(k, lam.frames.center[:, tri], lam.frames.scale[:, tri]).eval(side_pts),
+                     lam.orth[:, tri])
+        trace = G[..., 0] * normal[:, :, None, None, 0] + G[..., 1] * normal[:, :, None, None, 1]
+        side_mom = (self._side_w[..., None] * trace).swapaxes(-1, -2) @ self._side_phib
+        cols = V[:, tri].swapaxes(-1, -2) @ side_mom
+        self.moments = np.concatenate(
+            [b_int, cols.transpose(0, 2, 1, 3).reshape(n_cells, nl, -1)], axis=-1
+        )
+        self._mass_lambda_inv = np.linalg.inv(self.mass_lambda)
+        self._mass_scalar_inv = np.linalg.inv(self.mass_scalar)
+        self.weak_gradient = self._mass_lambda_inv @ self.moments
+        K = self.weak_gradient.swapaxes(-1, -2) @ self.moments
+        self.stiffness = 0.5 * (K + K.swapaxes(-1, -2))
 
-        self._cho_lambda = cho_factor(mass_lambda)
-        self._cho_scalar = cho_factor(mass_scalar)
-        self.weak_gradient = cho_solve(self._cho_lambda, self.moments)
-        K = self.weak_gradient.T @ self.moments
-        self.stiffness = 0.5 * (K + K.T)
+    @property
+    def n_sides(self) -> int:
+        return self._side_w.shape[1]
+
+    def apply_weak_gradient(self, local: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Weak-gradient coefficients of local functions, shape (n, n_lambda, ...)."""
+        return _matvec(self.weak_gradient[rows], local)
+
+    def lambda_norm_sq(self, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Squared L2 norms over the cells of weak-gradient-space fields."""
+        return np.sum(coeffs * _matvec(self.mass_lambda[rows], coeffs), axis=1)
+
+    def scalar_norm_sq(self, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return np.sum(coeffs * _matvec(self.mass_scalar[rows], coeffs), axis=1)
+
+    def grad_seminorm_sq(self, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return np.sum(coeffs * _matvec(self.grad_mass[rows], coeffs), axis=1)
+
+    def side_mismatch_sq(self, side: int, u0: np.ndarray, ub: np.ndarray,
+                         rows: np.ndarray) -> np.ndarray:
+        """Integral over one side of (interior trace - edge value)^2."""
+        diff = _matvec(self._side_phi0[rows, side], u0) - _matvec(self._side_phib[rows, side], ub)
+        w = self._side_w[rows, side]
+        return np.sum(w.reshape(w.shape + (1,) * (diff.ndim - 2)) * diff * diff, axis=1)
+
+    def data_points(self, rows: np.ndarray, degree: int | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """Points and weights of a rule on the whole cells of the given rows
+        (data degree by default), stacked over the fan triangles, which get
+        equally many: shapes (n, npts, 2) and (n, npts)."""
+        if degree is None:
+            degree = data_degree(self.k)
+        pts, w = triangle_points(self.tri_coords[rows], degree)
+        return pts.reshape(len(rows), -1, 2), w.reshape(len(rows), -1)
+
+    def _weighted_samples(self, func, uniq, inv, offsets, degree):
+        """The data points of the distinct rows, and func at each cell's
+        points times the weights, shape (n, npts) + the shape of one value."""
+        pts, w = self.data_points(uniq, degree)
+        vals = _sample(func, pts[inv] + offsets[:, None])
+        return pts, vals * w[inv].reshape(w[inv].shape + (1,) * (vals.ndim - 2))
+
+    def interior_moments(self, func, rows: np.ndarray, offsets: np.ndarray,
+                         degree: int | None = None) -> np.ndarray:
+        """(func, m_j) for the interior basis on each cell, shape (n, dim P_k)."""
+        uniq, inv = np.unique(rows, return_inverse=True)
+        pts, vals = self._weighted_samples(func, uniq, inv, offsets, degree)
+        basis = CellScalarBasis(self.k, self.center[uniq], self.diameter[uniq])
+        return _rowwise(vals, basis.eval(pts), inv)
+
+    def project_interior(self, func, rows: np.ndarray, offsets: np.ndarray,
+                         degree: int | None = None) -> np.ndarray:
+        """L2 projections onto the interior P_k basis, shape (n, dim P_k)."""
+        uniq, inv = np.unique(rows, return_inverse=True)
+        mom = self.interior_moments(func, rows, offsets, degree)
+        return _rowwise(mom, self._mass_scalar_inv[uniq].swapaxes(-1, -2), inv)
+
+    def project_lambda_field(self, func, rows: np.ndarray, offsets: np.ndarray,
+                             degree: int | None = None) -> np.ndarray:
+        """L2 projections of a vector field onto the weak-gradient spaces,
+        shape (n, n_lambda).  func(x, y) must return shape (npts, 2)."""
+        uniq, inv = np.unique(rows, return_inverse=True)
+        pts, vals = self._weighted_samples(func, uniq, inv, offsets, degree)
+        nu, nt = len(uniq), self.tri_coords.shape[1]
+        frames = self.lambda_basis.frames
+        F = RTFrame(self.k, frames.center[uniq], frames.scale[uniq]).eval(
+            pts.reshape(nu, nt, -1, 2))
+        # Moments against each triangle's raw frame fields, shape
+        # (n, n_triangles, n_fields); the frame's orthonormalization, the
+        # lambda basis and the inverse mass matrix follow the contraction.
+        raw = _rowwise(vals.reshape(len(rows), nt, -1),
+                       F.swapaxes(-1, -2).reshape(nu, nt, -1, F.shape[-2]), inv)
+        to_coeffs = (self.frame_coeffs[uniq].reshape(nu, -1, self.lambda_basis.n_lambda)
+                     @ self._mass_lambda_inv[uniq].swapaxes(-1, -2))
+        return _rowwise(raw.reshape(len(rows), -1), to_coeffs, inv)
+
+
+def _stack_row(name: str, doc: str) -> property:
+    return property(lambda self: getattr(self.stack, name)[self.index], doc=doc)
+
+
+class LocalCellOperators:
+    """The discrete operators of one cell: row ``index`` of an OperatorStack,
+    acting on ``cell``, the translate of the row's cell by ``offset``.
+
+    ``LocalCellOperators(mesh, cell, k)`` builds a stack of one (offset
+    zero); OperatorCache.get hands out rows of shared stacks.  Local DOF
+    order as in OperatorStack.
+    """
+
+    stiffness = _stack_row("stiffness", "Local stiffness matrix (n_local, n_local).")
+    weak_gradient = _stack_row("weak_gradient", "Weak-gradient matrix (n_lambda, n_local).")
+    moments = _stack_row("moments", "Weak-gradient moments (n_lambda, n_local).")
+    mass_lambda = _stack_row("mass_lambda", "Weak-gradient-space mass matrix.")
+    mass_scalar = _stack_row("mass_scalar", "Interior P_k mass matrix.")
+
+    def __init__(self, mesh: PolyMesh, cell: int, k: int):
+        self._bind(mesh, OperatorStack(mesh, [cell], k), 0, cell, np.zeros(2))
+
+    @classmethod
+    def _row(cls, mesh: PolyMesh, stack: OperatorStack, index: int, cell: int,
+             offset: np.ndarray) -> LocalCellOperators:
+        ops = cls.__new__(cls)
+        ops._bind(mesh, stack, index, cell, offset)
+        return ops
+
+    def _bind(self, mesh, stack, index, cell, offset) -> None:
+        self.mesh, self.k = mesh, stack.k
+        self.stack, self.index = stack, index
+        self.cell, self.offset = cell, offset
+        self._rows = np.array([index])
 
     @property
     def subtri(self) -> SubTriangulation:
-        """Fan triangulation of ``cell``; the built cell's is lambda_basis.subtri."""
         return triangulate_cell(self.mesh, self.cell)
 
     @property
@@ -450,7 +613,7 @@ class LocalCellOperators:
 
     @property
     def n_lambda(self) -> int:
-        return self.lambda_basis.n_lambda
+        return self.stack.lambda_basis.n_lambda
 
     def apply_weak_gradient(self, local_dofs: np.ndarray) -> np.ndarray:
         """Weak-gradient coefficients of a local function, shape (n_lambda, ...)."""
@@ -460,78 +623,32 @@ class LocalCellOperators:
         """Squared L2 norm over the cell of a weak-gradient-space field."""
         return np.sum(coeffs * (self.mass_lambda @ coeffs), axis=0)
 
-    def scalar_norm_sq(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.sum(coeffs * (self.mass_scalar @ coeffs), axis=0)
-
-    def grad_seminorm_sq(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.sum(coeffs * (self.grad_mass @ coeffs), axis=0)
-
-    def side_mismatch_sq(self, side: int, u0: np.ndarray, ub: np.ndarray) -> np.ndarray:
-        """Integral over one side of (interior trace - edge value)^2."""
-        w, phi_0, phi_b = self._side_trace[side]
-        diff = phi_0 @ u0 - phi_b @ ub
-        return w @ (diff * diff)
-
-    def data_points(self, degree: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Points and weights of a rule on the whole cell (data degree by
-        default), stacked over the fan sub-triangles, which get equally many."""
-        if degree is None:
-            degree = data_degree(self.k)
-        pts, w = triangle_points(self._tri_coords, degree)
-        return pts.reshape(-1, 2), w.ravel()
-
-    @staticmethod
-    def _sample(func, pts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """func at pts moved by each offset, shape (n_offsets, npts, ...)."""
-        moved = offsets[:, None, :] + pts[None, :, :]
-        vals = np.asarray(func(moved[..., 0].ravel(), moved[..., 1].ravel()), dtype=float)
-        return vals.reshape(moved.shape[:2] + vals.shape[1:])
-
-    def interior_moments(self, func, offsets: np.ndarray, degree: int | None = None
-                         ) -> np.ndarray:
-        """(func, m_j) for the interior basis on each translated copy, shape
-        (n, dim)."""
-        pts, w = self.data_points(degree)
-        return self._sample(func, pts, offsets) @ (w[:, None] * self.scalar_basis.eval(pts))
-
-    def project_interior(self, func, degree: int | None = None,
-                         offsets: np.ndarray | None = None) -> np.ndarray:
+    def project_interior(self, func, degree: int | None = None) -> np.ndarray:
         """L2 projection onto the interior P_k basis."""
-        batch = self.offset[None] if offsets is None else offsets
-        coeffs = cho_solve(self._cho_scalar, self.interior_moments(func, batch, degree).T).T
-        return coeffs[0] if offsets is None else coeffs
+        return self.stack.project_interior(func, self._rows, self.offset[None], degree)[0]
 
-    def project_lambda_field(self, func, degree: int | None = None,
-                             offsets: np.ndarray | None = None) -> np.ndarray:
+    def project_lambda_field(self, func, degree: int | None = None) -> np.ndarray:
         """L2 projection of a vector field onto the weak-gradient space.
 
         func(x, y) must return shape (npts, 2).
         """
-        pts, w = self.data_points(degree)
-        nt = len(self.rt_bases)
-        vals = self._sample(func, pts, self.offset[None] if offsets is None else offsets)
-        vals = vals.reshape(vals.shape[0], nt, -1)
-        pts, w = pts.reshape(nt, -1, 2), w.reshape(nt, -1)
-        mom = 0.0
-        for i, (rt, V) in enumerate(zip(self.rt_bases, self._blocks)):
-            # Weighted frame fields, shape (npts * 2, n_fields); the frame's
-            # orthonormalization is applied after the contraction.
-            F = (w[i, :, None, None] * rt.frame.eval(pts[i])).transpose(0, 2, 1)
-            mom = mom + (vals[:, i] @ F.reshape(-1, V.shape[0])) @ (rt._orth @ V)
-        coeffs = cho_solve(self._cho_lambda, mom.T).T
-        return coeffs[0] if offsets is None else coeffs
+        return self.stack.project_lambda_field(func, self._rows, self.offset[None], degree)[0]
 
     def interior_values(self, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Point values of an interior polynomial on ``cell``."""
-        return self.scalar_basis.eval(np.asarray(pts) - self.offset) @ coeffs
+        """Point values of an interior polynomial on ``cell``; coeffs
+        (dim P_k, ...) give values (npts, ...)."""
+        s = self.index
+        basis = CellScalarBasis(self.k, self.stack.center[s], self.stack.diameter[s])
+        return basis.eval(np.asarray(pts) - self.offset) @ coeffs
 
     def lambda_values(self, coeffs: np.ndarray, pts: np.ndarray, tri_index: int
                       ) -> np.ndarray:
-        """Point values of a weak-gradient-space field on one sub-triangle of
-        ``cell``."""
-        F = self.rt_bases[tri_index].eval(np.asarray(pts) - self.offset)
-        rt = self._blocks[tri_index] @ coeffs
-        return np.einsum("qad,a->qd", F, rt)
+        """Point values of a weak-gradient-space field on one fan triangle of
+        ``cell``; coeffs (n_lambda, ...) give values (npts, ..., 2)."""
+        s, frames = self.index, self.stack.lambda_basis.frames
+        F = RTFrame(self.k, frames.center[s, tri_index], frames.scale[s, tri_index])
+        rt = self.stack.frame_coeffs[s, tri_index] @ coeffs
+        return np.einsum("qfd,f...->q...d", F.eval(np.asarray(pts) - self.offset), rt)
 
 
 class OperatorCache:
@@ -542,8 +659,10 @@ class OperatorCache:
     diameter (both to KEY_DECIMALS), and the same side orientations (whether
     each side runs canonical low -> high, which fixes the sign of the odd
     edge basis functions).  Every operator matrix depends only on these, so
-    one LocalCellOperators, built lazily from the class's first cell, serves
-    all its members.  ``dofmap`` is the mesh's global DOF layout at degree k.
+    one stack row, built from the class's first cell, serves all its
+    members.  Classes are built lazily, in OperatorStacks of at most
+    BATCH_CELLS classes of one vertex count.  ``dofmap`` is the mesh's global
+    DOF layout at degree k.
     """
 
     def __init__(self, mesh: PolyMesh, k: int):
@@ -555,25 +674,34 @@ class OperatorCache:
         keys: dict[tuple, int] = {}
         for n_v in sorted({len(cyc) for cyc in mesh.cells}):
             cells = [c for c, cyc in enumerate(mesh.cells) if len(cyc) == n_v]
-            cyc = np.array([mesh.cells[c] for c in cells])
+            cyc = mesh.cell_cycles(cells)
             coords = mesh.vertices[cyc]
-            diff = coords[:, :, None, :] - coords[:, None, :, :]
-            diam = np.sqrt((diff**2).sum(axis=3).max(axis=(1, 2)))
+            diam = polygon_diameter(coords)
             rel = (coords - coords[:, :1]).reshape(len(cells), -1) / diam[:, None]
             # + 0.0 folds -0.0 into 0.0
             shape = np.round(np.column_stack([rel, np.log(diam)]), KEY_DECIMALS) + 0.0
             forward = cyc < np.roll(cyc, -1, axis=1)
             for c, s, f in zip(cells, shape.tolist(), forward.tolist()):
                 class_of[c] = keys.setdefault((tuple(s), tuple(f)), len(keys))
-        order = np.argsort(class_of, kind="stable")
-        self._members = np.split(order, np.cumsum(np.bincount(class_of))[:-1])
+        # Members of each class are contiguous in _order, classes of one
+        # vertex count are numbered contiguously.
+        self._order = np.argsort(class_of, kind="stable")
+        self._starts = np.concatenate([[0], np.cumsum(np.bincount(class_of))])
+        self._first = self._order[self._starts[:-1]]
         self._class_of = class_of
-        self._offset = origin - origin[[m[0] for m in self._members]][class_of]
-        self._ops: list[LocalCellOperators | None] = [None] * len(self._members)
+        self._offset = origin - origin[self._first][class_of]
+        n_v = np.array([len(mesh.cells[c]) for c in self._first])
+        groups = [0, *(np.flatnonzero(np.diff(n_v)) + 1).tolist(), n_v.size]
+        self._ranges = [(lo, min(lo + BATCH_CELLS, end))
+                        for start, end in zip(groups, groups[1:])
+                        for lo in range(start, end, BATCH_CELLS)]
+        self._stack_of = np.repeat(np.arange(len(self._ranges)),
+                                   [hi - lo for lo, hi in self._ranges])
+        self._stacks: list[OperatorStack | None] = [None] * len(self._ranges)
 
     @property
     def n_classes(self) -> int:
-        return len(self._members)
+        return self._first.size
 
     @cached_property
     def dofmap(self):
@@ -581,29 +709,31 @@ class OperatorCache:
 
         return build_dof_map(self.mesh, self.k)
 
-    def _class_ops(self, i: int) -> LocalCellOperators:
-        ops = self._ops[i]
-        if ops is None:
-            ops = LocalCellOperators(self.mesh, int(self._members[i][0]), self.k)
-            self._ops[i] = ops
-        return ops
+    def _stack(self, j: int) -> OperatorStack:
+        stack = self._stacks[j]
+        if stack is None:
+            lo, hi = self._ranges[j]
+            stack = self._stacks[j] = OperatorStack(self.mesh, self._first[lo:hi], self.k)
+        return stack
 
     def get(self, cell: int) -> LocalCellOperators:
-        """The operators of ``cell``: a shallow copy of its class's, moved by
-        its offset from the class's first cell.  The class's stay unchanged."""
-        ops = copy.copy(self._class_ops(self._class_of[cell]))
-        ops.cell, ops.offset = cell, self._offset[cell]
-        return ops
+        """The operators of ``cell``: its class's stack row, moved by its
+        offset from the class's first cell."""
+        i = self._class_of[cell]
+        j = self._stack_of[i]
+        return LocalCellOperators._row(self.mesh, self._stack(j), int(i - self._ranges[j][0]),
+                                       cell, self._offset[cell])
 
     def batches(self):
-        """Yield (class operators, member cells, their offsets) per shape
-        class, at most BATCH_CELLS cells at a time so that data sampled over
-        a batch stays small."""
-        for i, members in enumerate(self._members):
-            ops = self._class_ops(i)
+        """Yield (stack, rows, cells, offsets): at most BATCH_CELLS cells,
+        whose classes may differ but share one OperatorStack, with each
+        cell's stack row and its offset from that row's cell."""
+        for j, (lo, hi) in enumerate(self._ranges):
+            stack = self._stack(j)
+            members = self._order[self._starts[lo] : self._starts[hi]]
             for start in range(0, members.size, BATCH_CELLS):
                 cells = members[start : start + BATCH_CELLS]
-                yield ops, cells, self._offset[cells]
+                yield stack, self._class_of[cells] - lo, cells, self._offset[cells]
 
 
 def project_qb(mesh: PolyMesh, edge, k: int, func, degree: int | None = None

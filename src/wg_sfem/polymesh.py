@@ -41,20 +41,36 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def polygon_area(coords: np.ndarray) -> float:
-    """Signed shoelace area of a polygon given as an (n, 2) vertex cycle."""
-    x, y = coords[:, 0], coords[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+def _next(n: int) -> np.ndarray:
+    """Index of each vertex's successor on an n-vertex cycle."""
+    return (np.arange(n) + 1) % n
+
+
+def polygon_area(coords: np.ndarray) -> np.ndarray:
+    """Signed shoelace areas of polygons given as vertex cycles, shape
+    (..., n, 2) -> (...)."""
+    x, y = coords[..., 0], coords[..., 1]
+    nxt = _next(x.shape[-1])
+    return 0.5 * np.sum(x * y[..., nxt] - x[..., nxt] * y, axis=-1)
 
 
 def polygon_centroid(coords: np.ndarray) -> np.ndarray:
-    x, y = coords[:, 0], coords[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    """Centroids of polygons given as vertex cycles, shape (..., n, 2) -> (..., 2)."""
+    x, y = coords[..., 0], coords[..., 1]
+    nxt = _next(x.shape[-1])
+    xn, yn = x[..., nxt], y[..., nxt]
     cross = x * yn - xn * y
-    area = 0.5 * float(np.sum(cross))
-    cx = float(np.sum((x + xn) * cross)) / (6.0 * area)
-    cy = float(np.sum((y + yn) * cross)) / (6.0 * area)
-    return np.array([cx, cy])
+    area = 0.5 * np.sum(cross, axis=-1)
+    cx = np.sum((x + xn) * cross, axis=-1) / (6.0 * area)
+    cy = np.sum((y + yn) * cross, axis=-1) / (6.0 * area)
+    return np.stack([cx, cy], axis=-1)
+
+
+def polygon_diameter(coords: np.ndarray) -> np.ndarray:
+    """Largest vertex-to-vertex distance of polygons given as vertex cycles,
+    shape (..., n, 2) -> (...)."""
+    diff = coords[..., :, None, :] - coords[..., None, :, :]
+    return np.sqrt((diff**2).sum(axis=-1).max(axis=(-2, -1)))
 
 
 @dataclass(frozen=True)
@@ -94,6 +110,10 @@ class PolyMesh:
     def cell_vertices(self, c: int) -> np.ndarray:
         return self.vertices[list(self.cells[c])]
 
+    def cell_cycles(self, cells) -> np.ndarray:
+        """Vertex cycles of cells with one vertex count, shape (n_cells, n_v)."""
+        return np.array([self.cells[c] for c in cells], dtype=int)
+
     def cell_area(self, c: int) -> float:
         return polygon_area(self.cell_vertices(c))
 
@@ -101,9 +121,7 @@ class PolyMesh:
         return polygon_centroid(self.cell_vertices(c))
 
     def cell_diameter(self, c: int) -> float:
-        coords = self.cell_vertices(c)
-        diff = coords[:, None, :] - coords[None, :, :]
-        return float(np.sqrt((diff**2).sum(axis=2).max()))
+        return float(polygon_diameter(self.cell_vertices(c)))
 
     def edge_vertices(self, e: int) -> np.ndarray:
         return self.vertices[self.edges[e]]
@@ -148,12 +166,18 @@ def build_mesh(vertices, cells) -> PolyMesh:
                 )
         if len(set(cyc)) != len(cyc):
             raise MeshFormatError(f"cell {ci} repeats a vertex")
-        if polygon_area(verts[list(cyc)]) <= 0.0:
-            raise MeshFormatError(
-                f"cell {ci} has clockwise or degenerate orientation; "
-                "cells must be counterclockwise"
-            )
         cell_tuples.append(cyc)
+    # Orientation, checked for all cells of one vertex count at once.
+    flipped = []
+    for n_v in {len(cyc) for cyc in cell_tuples}:
+        ids = np.array([ci for ci, cyc in enumerate(cell_tuples) if len(cyc) == n_v])
+        area = polygon_area(verts[np.array([cell_tuples[ci] for ci in ids])])
+        flipped.extend(ids[area <= 0.0].tolist())
+    if flipped:
+        raise MeshFormatError(
+            f"cell {min(flipped)} has clockwise or degenerate orientation; "
+            "cells must be counterclockwise"
+        )
 
     edge_index: dict[tuple[int, int], int] = {}
     edge_list: list[tuple[int, int]] = []
@@ -344,25 +368,34 @@ class SubTriangulation:
         return len(self.triangles)
 
 
+def fan_triangles(mesh: PolyMesh, cells) -> np.ndarray:
+    """Vertex indices of the fan triangles (anchor, v_i, v_{i+1}) of cells
+    with one vertex count, shape (n_cells, n_v - 2, 3).
+
+    Raises StarShapeError naming the first of the cells that is not
+    star-shaped with respect to its first cycle vertex.
+    """
+    cells = np.asarray(cells)
+    cyc = mesh.cell_cycles(cells)
+    i = np.arange(1, cyc.shape[1] - 1)
+    tris = cyc[:, np.stack([np.zeros_like(i), i, i + 1], axis=1)]
+    area = polygon_area(mesh.vertices[tris])
+    bad = np.argwhere(area <= 1e-12 * polygon_area(mesh.vertices[cyc])[:, None])
+    if bad.size:
+        s, t = bad[0]
+        raise StarShapeError(
+            f"cell {cells[s]} is not star-shaped with respect to its first "
+            f"vertex (fan triangle {tuple(tris[s, t].tolist())} has area "
+            f"{area[s, t]:.3e}); re-anchor the cell cycle at a different vertex"
+        )
+    return tris
+
+
 def triangulate_cell(mesh: PolyMesh, cell: int) -> SubTriangulation:
     """Fan-triangulate a cell from its first cycle vertex (no new vertices)."""
     cyc = mesh.cells[cell]
     n = len(cyc)
-    coords = mesh.cell_vertices(cell)
-    cell_area = polygon_area(coords)
-
-    triangles = []
-    for i in range(1, n - 1):
-        tri = (cyc[0], cyc[i], cyc[i + 1])
-        area = polygon_area(coords[[0, i, i + 1]])
-        if area <= 1e-12 * cell_area:
-            raise StarShapeError(
-                f"cell {cell} is not star-shaped with respect to its first "
-                f"vertex (fan triangle {tri} has area {area:.3e}); "
-                "re-anchor the cell cycle at a different vertex"
-            )
-        triangles.append(tri)
-
+    triangles = tuple(map(tuple, fan_triangles(mesh, [cell])[0].tolist()))
     internal_edges = tuple((cyc[0], cyc[i]) for i in range(2, n - 1))
     internal_adjacency = tuple((i - 2, i - 1) for i in range(2, n - 1))
 
@@ -377,7 +410,7 @@ def triangulate_cell(mesh: PolyMesh, cell: int) -> SubTriangulation:
 
     return SubTriangulation(
         cell=cell,
-        triangles=tuple(triangles),
+        triangles=triangles,
         internal_edges=internal_edges,
         internal_adjacency=internal_adjacency,
         boundary_edge_map=tuple(side_map),

@@ -79,16 +79,6 @@ class DofMap:
         return np.hstack([interior, sides.reshape(cells.size, -1)])
 
 
-def gather(vec: np.ndarray, gdofs: np.ndarray) -> np.ndarray:
-    """Local coefficients of several cells as columns.
-
-    vec is (n_dofs,) or (n_dofs, m); gdofs is a cell_dof_array.  Returns
-    shape (n_local, n_cells * m), cell-major within the columns.
-    """
-    local = vec.reshape(vec.shape[0], -1)[gdofs]
-    return local.transpose(1, 0, 2).reshape(gdofs.shape[1], -1)
-
-
 def build_dof_map(mesh: PolyMesh, k: int) -> DofMap:
     n0 = dim_pk(k)
     nb = k + 1
@@ -148,18 +138,18 @@ def assemble(mesh: PolyMesh, k: int, f, g=None, cache: OperatorCache | None = No
     rows, cols, vals = [], [], []
     b = np.zeros(n_dofs)
     n0 = dofmap.n_interior_per_cell
-    for ops, cells, offsets in cache.batches():
+    for ops, cls, cells, offsets in cache.batches():
         gdofs = dofmap.cell_dof_array(mesh, cells)
         n_loc = gdofs.shape[1]
         rows.append(np.repeat(gdofs, n_loc, axis=1).ravel())
         cols.append(np.tile(gdofs, n_loc).ravel())
-        vals.append(np.tile(ops.stiffness.ravel(), cells.size))
+        vals.append(ops.stiffness[cls].ravel())
 
-        mom = ops.interior_moments(f, offsets)
+        mom = ops.interior_moments(f, cls, offsets)
         bad = ~np.isfinite(mom).all(axis=1)
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
-            pts = ops.data_points()[0] + offsets[i]
+            pts = ops.data_points(cls[i : i + 1])[0][0] + offsets[i]
             fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
             q = int(np.flatnonzero(~np.isfinite(fv))[0])
             raise DataError(
@@ -291,11 +281,11 @@ def triple_bar_norm(mesh: PolyMesh, k: int, vec: np.ndarray,
     if cache is None:
         cache = OperatorCache(mesh, k)
     dofmap = cache.dofmap
+    cols = vec.reshape(vec.shape[0], -1)
     acc = 0.0
-    for ops, cells, _ in cache.batches():
-        local = gather(vec, dofmap.cell_dof_array(mesh, cells))
-        sq = ops.lambda_norm_sq(ops.apply_weak_gradient(local))
-        acc = acc + sq.reshape(cells.size, -1).sum(axis=0)
+    for ops, cls, cells, _ in cache.batches():
+        local = cols[dofmap.cell_dof_array(mesh, cells)]
+        acc = acc + ops.lambda_norm_sq(ops.apply_weak_gradient(local, cls), cls).sum(axis=0)
     return np.sqrt(acc.reshape(vec.shape[1:]))[()]
 
 
@@ -308,13 +298,14 @@ def discrete_h1_norm(mesh: PolyMesh, k: int, vec: np.ndarray,
     dofmap = cache.dofmap
     n0 = dim_pk(k)
     nb = k + 1
+    cols = vec.reshape(vec.shape[0], -1)
     acc = 0.0
-    for ops, cells, _ in cache.batches():
-        local = gather(vec, dofmap.cell_dof_array(mesh, cells))
-        u0 = local[:n0]
-        sq = ops.grad_seminorm_sq(u0)
-        for s in range(len(mesh.cells[cells[0]])):
-            ub = local[n0 + s * nb : n0 + (s + 1) * nb]
-            sq = sq + ops.side_mismatch_sq(s, u0, ub) / ops.diameter
-        acc = acc + sq.reshape(cells.size, -1).sum(axis=0)
+    for ops, cls, cells, _ in cache.batches():
+        local = cols[dofmap.cell_dof_array(mesh, cells)]
+        u0 = local[:, :n0]
+        sq = ops.grad_seminorm_sq(u0, cls)
+        for s in range(ops.n_sides):
+            ub = local[:, n0 + s * nb : n0 + (s + 1) * nb]
+            sq = sq + ops.side_mismatch_sq(s, u0, ub, cls) / ops.diameter[cls, None]
+        acc = acc + sq.sum(axis=0)
     return np.sqrt(acc.reshape(vec.shape[1:]))[()]

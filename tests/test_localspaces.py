@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import wg_sfem.localspaces as localspaces
 from wg_sfem.localspaces import (
     DegreeError,
     GeometryError,
+    LambdaDimensionError,
     LocalCellOperators,
     OperatorCache,
-    TriangleRTBasis,
+    RTFrame,
     build_lambda_basis,
     dim_pk,
     expected_lambda_dim,
@@ -15,6 +17,7 @@ from wg_sfem.localspaces import (
 )
 from wg_sfem.polymesh import (
     GENERATORS,
+    StarShapeError,
     build_mesh,
     generate_hex_grid,
     generate_quad_grid,
@@ -23,6 +26,24 @@ from wg_sfem.polymesh import (
 from wg_sfem.quadrature import segment_points, triangle_points
 
 UNIT_SQUARE = build_mesh([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2, 3)])
+
+
+def rt_fields(lam, tri, pts):
+    """Orthonormalized RT fields of fan triangle ``tri`` of the first cell of
+    a stacked lambda basis, shape (npts, n_fields, 2)."""
+    frame = RTFrame(lam.k, lam.frames.center[0, tri], lam.frames.scale[0, tri])
+    return np.einsum("qfd,fg->qgd", frame.eval(pts), lam.orth[0, tri])
+
+
+def normal_trace(lam, tri, pts, normal):
+    F = rt_fields(lam, tri, pts)
+    return F[:, :, 0] * normal[0] + F[:, :, 1] * normal[1]
+
+
+def basis_values(ops, pts, tri):
+    """Values of every weak-gradient basis field on one fan triangle, shape
+    (npts, n_lambda, 2)."""
+    return ops.lambda_values(np.eye(ops.n_lambda), pts, tri)
 
 
 def random_polynomial(k, seed):
@@ -47,29 +68,29 @@ def random_polynomial(k, seed):
 
 def test_rt0_has_three_fields_with_constant_edge_traces():
     sub = triangulate_cell(UNIT_SQUARE, 0)
-    rt = TriangleRTBasis(UNIT_SQUARE, sub, 0, 0)
+    lam = build_lambda_basis(UNIT_SQUARE, 0, 0)
+    rt = lam.frames
     assert rt.n_fields == 3
     tri = UNIT_SQUARE.vertices[list(sub.triangles[0])]
     for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
         t = (b - a) / np.linalg.norm(b - a)
         normal = np.array([t[1], -t[0]])
         pts, _ = segment_points(a, b, 4)
-        trace = rt.normal_trace(pts, normal)
+        trace = normal_trace(lam, 0, pts, normal)
         assert np.allclose(trace, trace[0], atol=1e-13)
 
 
 @pytest.mark.parametrize("k", range(5))
 def test_rt_dimension_formula(k):
-    sub = triangulate_cell(UNIT_SQUARE, 0)
-    rt = TriangleRTBasis(UNIT_SQUARE, sub, 0, k)
+    rt = build_lambda_basis(UNIT_SQUARE, 0, k).frames
     assert rt.n_fields == (k + 1) * (k + 3)
 
 
 def test_rt2_gram_matrix_full_rank():
     sub = triangulate_cell(UNIT_SQUARE, 0)
-    rt = TriangleRTBasis(UNIT_SQUARE, sub, 1, 2)
+    lam = build_lambda_basis(UNIT_SQUARE, 0, 2)
     pts, w = triangle_points(UNIT_SQUARE.vertices[list(sub.triangles[1])], 8)
-    F = rt.eval(pts)
+    F = rt_fields(lam, 1, pts)
     gram = np.einsum("q,qid,qjd->ij", w, F, F)
     assert gram.shape == (15, 15)
     sv = np.linalg.svd(gram, compute_uv=False)
@@ -78,18 +99,12 @@ def test_rt2_gram_matrix_full_rank():
 
 
 def test_rt_degenerate_triangle_rejected():
+    # Star-shaped, but both fan triangles have area 5e-15.
     mesh = build_mesh(
-        [(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2, 3)]
+        1e-7 * np.array([(0, 0), (1, 0), (1, 1), (0, 1)]), [(0, 1, 2, 3)]
     )
-    sub = triangulate_cell(mesh, 0)
-
-    class Degenerate:
-        triangles = ((0, 1, 1),)
-        cell = 0
-
-    deg = Degenerate()
     with pytest.raises(GeometryError):
-        TriangleRTBasis(mesh, deg, 0, 1)
+        build_lambda_basis(mesh, 0, 1)
 
 
 def test_degree_cap():
@@ -113,7 +128,7 @@ def test_lambda_unit_square_k0_brute_force_oracle():
     lam = build_lambda_basis(UNIT_SQUARE, 0, 0)
     assert lam.n_lambda == 4
 
-    sub = lam.subtri
+    sub = triangulate_cell(UNIT_SQUARE, 0)
     # jump row across the diagonal, tested against the constant moment
     va, vb = sub.internal_edges[0]
     a, b = UNIT_SQUARE.vertices[va], UNIT_SQUARE.vertices[vb]
@@ -121,8 +136,8 @@ def test_lambda_unit_square_k0_brute_force_oracle():
     tang = (b - a) / length
     normal = np.array([tang[1], -tang[0]])
     pts, w = segment_points(a, b, 4)
-    mom_a = (w @ lam.rt_bases[0].normal_trace(pts, normal)) / length
-    mom_b = (w @ lam.rt_bases[1].normal_trace(pts, normal)) / length
+    mom_a = (w @ normal_trace(lam, 0, pts, normal)) / length
+    mom_b = (w @ normal_trace(lam, 1, pts, normal)) / length
     row_jump = np.concatenate([mom_a, -mom_b])
     # divergence match row: coefficient of the constant cell-frame monomial
     from wg_sfem.localspaces import monomial_change_of_frame
@@ -130,16 +145,17 @@ def test_lambda_unit_square_k0_brute_force_oracle():
     center = UNIT_SQUARE.cell_centroid(0)
     scale = UNIT_SQUARE.cell_diameter(0)
     divs = []
-    for rt in lam.rt_bases:
-        T = monomial_change_of_frame(0, rt.frame.center, rt.frame.scale, center, scale)
-        divs.append(scale * (T @ rt.div_coeff_matrix())[0])
+    for t in range(2):
+        frame = RTFrame(0, lam.frames.center[0, t], lam.frames.scale[0, t])
+        T = monomial_change_of_frame(0, frame.center, frame.scale, center, scale)
+        divs.append(scale * (T @ frame.div_coeff_matrix() @ lam.orth[0, t])[0])
     row_div = np.concatenate([divs[0], -divs[1]])
     C = np.vstack([row_jump, row_div])
     assert C.shape == (2, 6)
     assert np.linalg.matrix_rank(C, tol=1e-12) == 2
     null_dim = 6 - np.linalg.matrix_rank(C, tol=1e-12)
     assert null_dim == lam.n_lambda
-    assert np.max(np.abs(C @ lam.coeffs)) < 1e-12
+    assert np.max(np.abs(C @ lam.coeffs[0])) < 1e-12
 
 
 def test_lambda_regular_hexagon_k1_dimension():
@@ -161,7 +177,7 @@ def test_lambda_dimension_law_on_generated_cells(family, k):
 
 def test_lambda_columns_orthonormal():
     lam = build_lambda_basis(generate_hex_grid(1), 0, 2)
-    gram = lam.coeffs.T @ lam.coeffs
+    gram = lam.coeffs[0].T @ lam.coeffs[0]
     assert np.allclose(gram, np.eye(lam.n_lambda), atol=1e-12)
 
 
@@ -172,22 +188,16 @@ def test_lambda_membership_residuals(k):
     mesh = generate_hex_grid(1)
     cell = next(c for c in range(mesh.n_cells) if len(mesh.cells[c]) == 6)
     ops = LocalCellOperators(mesh, cell, k)
-    lam = ops.lambda_basis
-    nf = lam.rt_bases[0].n_fields
-    blocks = lam.coeffs.reshape(-1, nf, lam.n_lambda)
+    lam = ops.stack.lambda_basis
+    sub = ops.subtri
     scale_ref = np.max(np.abs(lam.coeffs))
 
-    for (va, vb), (ta, tb) in zip(
-        lam.subtri.internal_edges, lam.subtri.internal_adjacency
-    ):
+    for (va, vb), (ta, tb) in zip(sub.internal_edges, sub.internal_adjacency):
         a, b = mesh.vertices[va], mesh.vertices[vb]
         tang = (b - a) / np.linalg.norm(b - a)
         normal = np.array([tang[1], -tang[0]])
         pts, w = segment_points(a, b, 2 * k + 6)
-        jump = (
-            lam.rt_bases[ta].normal_trace(pts, normal) @ blocks[ta]
-            - lam.rt_bases[tb].normal_trace(pts, normal) @ blocks[tb]
-        )
+        jump = (basis_values(ops, pts, ta) - basis_values(ops, pts, tb)) @ normal
         assert np.max(np.abs(jump)) < 1e-10 * scale_ref
 
     # divergence of each column identical across triangles: compare in the
@@ -197,9 +207,10 @@ def test_lambda_membership_residuals(k):
     center = mesh.cell_centroid(cell)
     scale = mesh.cell_diameter(cell)
     div_coeffs = []
-    for i, rt in enumerate(lam.rt_bases):
-        T = monomial_change_of_frame(k, rt.frame.center, rt.frame.scale, center, scale)
-        div_coeffs.append(T @ rt.div_coeff_matrix() @ blocks[i])
+    for i in range(sub.n_triangles):
+        frame = RTFrame(k, lam.frames.center[0, i], lam.frames.scale[0, i])
+        T = monomial_change_of_frame(k, frame.center, frame.scale, center, scale)
+        div_coeffs.append(T @ frame.div_coeff_matrix() @ ops.stack.frame_coeffs[0, i])
     for i in range(1, len(div_coeffs)):
         assert np.max(np.abs(div_coeffs[i] - div_coeffs[0])) < (
             1e-10 * (np.max(np.abs(div_coeffs[0])) + 1.0)
@@ -280,9 +291,7 @@ def test_weak_gradient_single_edge_k0_dense_oracle():
     n_out = UNIT_SQUARE.side_normal(0, side)
     pts, w = segment_points(a, b, 6)
     tri_i, _ = ops.subtri.boundary_edge_map[side]
-    frame_vals = ops.rt_bases[tri_i].eval(pts)
-    blocks = ops.lambda_basis.coeffs.reshape(-1, ops.rt_bases[0].n_fields, 4)
-    fields = np.einsum("qfd,fl->qld", frame_vals, blocks[tri_i])
+    fields = basis_values(ops, pts, tri_i)
     rhs = np.einsum("q,qld,d->l", w, fields, n_out)
     dense = np.linalg.solve(ops.mass_lambda, rhs)
     assert np.allclose(gw, dense, atol=1e-13)
@@ -416,9 +425,7 @@ def test_project_lambda_dense_least_squares_oracle():
     rows, rhs = [], []
     for i, tri in enumerate(ops.subtri.triangles):
         pts, w = triangle_points(UNIT_SQUARE.vertices[list(tri)], 10)
-        F = ops.rt_bases[i].eval(pts)
-        blocks = ops.lambda_basis.coeffs.reshape(-1, ops.rt_bases[0].n_fields, 4)
-        basis_vals = np.einsum("qfd,fl->qld", F, blocks[i])
+        basis_vals = basis_values(ops, pts, i)
         sw = np.sqrt(w)
         exact = field(pts[:, 0], pts[:, 1])
         for d in (0, 1):
@@ -482,11 +489,13 @@ def test_projection_orthogonality_residuals():
         return np.sin(x) * np.cosh(y)
 
     coeffs = ops.project_interior(u)
-    mom = np.zeros(ops.scalar_basis.dim)
-    for coords in ops._tri_coords:
+    n0 = dim_pk(k)
+    tri_coords = ops.stack.tri_coords[ops.index]
+    mom = np.zeros(n0)
+    for coords in tri_coords:
         pts, w = triangle_points(coords, 20)
         resid = u(pts[:, 0], pts[:, 1]) - ops.interior_values(coeffs, pts)
-        mom += (w * resid) @ ops.scalar_basis.eval(pts)
+        mom += (w * resid) @ ops.interior_values(np.eye(n0), pts)
     scale = np.linalg.norm(ops.mass_scalar @ coeffs)
     assert np.linalg.norm(mom) <= 1e-12 * scale
 
@@ -495,11 +504,10 @@ def test_projection_orthogonality_residuals():
 
     lam_coeffs = ops.project_lambda_field(field)
     lmom = np.zeros(ops.n_lambda)
-    for i, coords in enumerate(ops._tri_coords):
+    for i, coords in enumerate(tri_coords):
         pts, w = triangle_points(coords, 20)
         resid = field(pts[:, 0], pts[:, 1]) - ops.lambda_values(lam_coeffs, pts, i)
-        F = ops.rt_bases[i].eval(pts)
-        lmom += ops._blocks[i].T @ np.einsum("q,qad,qd->a", w, F, resid)
+        lmom += np.einsum("q,qad,qd->a", w, basis_values(ops, pts, i), resid)
     lscale = np.linalg.norm(ops.mass_lambda @ lam_coeffs)
     assert np.linalg.norm(lmom) <= 1e-11 * lscale
 
@@ -553,11 +561,16 @@ def _assert_rel_close(got, want, what, rtol=1e-12):
     assert np.max(np.abs(got - want)) <= rtol * scale, what
 
 
+def _lambda_coeffs(ops):
+    return ops.stack.lambda_basis.coeffs[ops.index]
+
+
 def _assert_view_matches_fresh(mesh, cache, c):
+    """Returns the fresh build and the rotation onto the view's basis."""
     view = cache.get(c)
     fresh = LocalCellOperators(mesh, c, cache.k)
     # Rotate the fresh build's weak-gradient basis onto the view's.
-    R = view.lambda_basis.coeffs.T @ fresh.lambda_basis.coeffs
+    R = _lambda_coeffs(view).T @ _lambda_coeffs(fresh)
     _assert_rel_close(view.stiffness, fresh.stiffness, (c, "stiffness"))
     _assert_rel_close(view.project_interior(_sin_sin), fresh.project_interior(_sin_sin),
                       (c, "project_interior"))
@@ -567,6 +580,7 @@ def _assert_view_matches_fresh(mesh, cache, c):
                       BASIS_MATRIX_RTOL)
     _assert_rel_close(view.mass_lambda, R @ fresh.mass_lambda @ R.T, (c, "mass_lambda"),
                       BASIS_MATRIX_RTOL)
+    return fresh, R
 
 
 def test_cached_operators_expose_the_fresh_attributes_and_own_triangulation():
@@ -583,7 +597,7 @@ def test_cached_operators_expose_the_fresh_attributes_and_own_triangulation():
 def test_interleaved_gets_do_not_alias_the_class_operators():
     mesh = generate_quad_grid(4)
     cache = OperatorCache(mesh, 2)
-    class_ops, cells, _ = next(cache.batches())
+    stack, rows, cells, offsets = next(cache.batches())
     a, b = int(cells[1]), int(cells[2])
     v1 = cache.get(a)
     v2 = cache.get(b)
@@ -591,7 +605,7 @@ def test_interleaved_gets_do_not_alias_the_class_operators():
     fresh = LocalCellOperators(mesh, a, 2)
     _assert_rel_close(v1.project_interior(_sin_sin), fresh.project_interior(_sin_sin),
                       "project_interior")
-    assert class_ops.cell == cells[0] and not class_ops.offset.any()
+    assert stack.cells[rows[0]] == cells[0] and not offsets[0].any()
 
 
 @pytest.mark.parametrize("family,level", [("hex", 4), ("quad", 5)])
@@ -628,16 +642,21 @@ def test_shape_class_census_on_generated_meshes(family, n_classes, bench_workloa
     cache = OperatorCache(mesh, 1)
     assert cache.n_classes == n_classes
     assert cache.n_classes == bench_workloads.count_shape_classes(mesh.vertices, mesh.cells)
-    cells = np.concatenate([cells for _, cells, _ in cache.batches()])
+    cells = np.concatenate([cells for _, _, cells, _ in cache.batches()])
     assert sorted(cells.tolist()) == list(range(mesh.n_cells))
 
 
-def test_jittered_cells_are_never_merged():
+def _jittered_square_mesh():
+    """Square level 4 with every vertex moved by up to 0.2 h: 64 classes."""
     base = GENERATORS["square"](4)
     rng = np.random.default_rng(5)
     h = 1.0 / 8
     verts = base.vertices + rng.uniform(-0.2 * h, 0.2 * h, base.vertices.shape)
-    mesh = build_mesh(verts, base.cells)
+    return build_mesh(verts, base.cells)
+
+
+def test_jittered_cells_are_never_merged():
+    mesh = _jittered_square_mesh()
     cache = OperatorCache(mesh, 1)
     assert cache.n_classes == mesh.n_cells
     for c in (0, 17, mesh.n_cells - 1):
@@ -671,7 +690,65 @@ def test_condition_warning_fires_once_per_class_naming_its_first_cell(monkeypatc
             cache.get(c)
     named = sorted(int(str(w.message).split(":")[0].split()[1]) for w in caught)
     firsts = {}
-    for ops, cells, _ in cache.batches():
-        firsts.setdefault(id(ops), int(cells.min()))
+    for stack, rows, cells, _ in cache.batches():
+        for row, c in zip(rows.tolist(), cells.tolist()):
+            key = (id(stack), row)
+            firsts[key] = min(firsts.get(key, c), c)
     assert cache.n_classes == 4
     assert named == sorted(firsts.values())
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_operators_do_not_depend_on_the_stack(k):
+    """Each cell of a jittered mesh gets the same operators built alone as in
+    a stack of 64 classes, and the batched data terms of a mixed-class batch
+    match the single-cell ones."""
+    mesh = _jittered_square_mesh()
+    cache = OperatorCache(mesh, k)
+    for stack, rows, cells, offsets in cache.batches():
+        assert np.unique(rows).size == cells.size > 1
+        interior = stack.project_interior(_sin_sin, rows, offsets)
+        field = stack.project_lambda_field(_sin_sin_grad, rows, offsets)
+        for i, c in enumerate(cells):
+            fresh, R = _assert_view_matches_fresh(mesh, cache, c)
+            _assert_rel_close(interior[i], fresh.project_interior(_sin_sin),
+                              (c, "batched project_interior"))
+            _assert_rel_close(field[i], R @ fresh.project_lambda_field(_sin_sin_grad),
+                              (c, "batched project_lambda_field"))
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_mass_lambda_is_the_identity(k):
+    """Orthonormal RT frames and an orthonormal nullspace basis make the
+    weak-gradient mass matrix the identity, up to rounding."""
+    meshes = [GENERATORS["square"](2), GENERATORS["quad"](3), GENERATORS["hex"](3),
+              _jittered_square_mesh()]
+    for mesh in meshes:
+        for stack, *_ in OperatorCache(mesh, k).batches():
+            eye = np.eye(stack.lambda_basis.n_lambda)
+            assert np.max(np.abs(stack.mass_lambda - eye)) < 1e-8
+
+
+SQUARE = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+
+
+@pytest.mark.parametrize("middle,error,rtol", [
+    # A dart anchored next to its reflex vertex.
+    ([(1.0, 0.0), (0.2, 0.2), (0.0, 1.0), (0.0, 0.0)], StarShapeError, None),
+    # Star-shaped, but both fan triangles have area 5e-15.
+    (1e-7 * SQUARE, GeometryError, None),
+    # Aspect 50: at this rtol the squares still pass the dimension law.
+    ([(0.0, 0.0), (1.0, 0.0), (1.0, 0.02), (0.0, 0.02)], LambdaDimensionError, 1e-3),
+], ids=["non-star", "degenerate-triangle", "dimension-law"])
+def test_stacked_build_names_the_offending_cell(middle, error, rtol, monkeypatch):
+    """Cell 2 of five disjoint quads of different sizes is bad; all five
+    classes are built in one stack, and the error names cell 2."""
+    if rtol is not None:
+        monkeypatch.setattr(localspaces, "NULLSPACE_RTOL", rtol)
+    quads = [1.0 * SQUARE, 1.1 * SQUARE, np.asarray(middle), 1.2 * SQUARE, 1.3 * SQUARE]
+    verts = np.vstack([q + (3.0 * i, 0.0) for i, q in enumerate(quads)])
+    mesh = build_mesh(verts, [tuple(range(4 * i, 4 * i + 4)) for i in range(5)])
+    cache = OperatorCache(mesh, 1)
+    assert cache.n_classes == 5
+    with pytest.raises(error, match=r"\bcell 2\b"):
+        cache.get(4)
