@@ -1,0 +1,76 @@
+#!/usr/bin/env python3
+"""Collect the parent and change benchmark records of a change into one file.
+
+perfbench/run.py writes a run record per workload, seed and trace setting to
+``.perfbench-runs/`` of the checkout it runs in.  Run it in a checkout of the
+parent commit and in one of the change, for every workload listed in
+BENCHMARK.json, with ``--trace 0`` and ``--trace 1``; then
+
+    python3 scripts/collect_bench.py --parent ../parent --change . \\
+        --seed 3 --out BENCH_6.json
+
+keeps, of each record, the workload, seed, budget, trace setting,
+environment, end-to-end metrics, per-layer metrics and failure fraction,
+and drops the spans and the per-pass solve lists.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+KEPT = ("workload", "seed", "seconds", "trace", "environment", "end_to_end",
+        "per_layer", "fail_frac")
+
+
+def commit_of(checkout: Path) -> str | None:
+    """The checkout's commit, with "-dirty" if its tracked files differ."""
+    out = subprocess.run(["git", "-C", str(checkout), "describe", "--always", "--dirty"],
+                         capture_output=True, text=True)
+    return out.stdout.strip() or None
+
+
+def collect(checkout: Path, workloads: list[str], seed: int) -> dict:
+    records = []
+    for workload in workloads:
+        for trace in (0, 1):
+            path = checkout / ".perfbench-runs" / f"{workload}-seed{seed}-trace{trace}.json"
+            if not path.is_file():
+                raise FileNotFoundError(f"no run record {path}")
+            record = json.loads(path.read_text(encoding="utf-8"))
+            records.append({key: record[key] for key in KEPT})
+    return {"commit": commit_of(checkout), "records": records}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--parent", type=Path, required=True,
+                        help="checkout of the parent commit, with its run records")
+    parser.add_argument("--change", type=Path, default=ROOT,
+                        help="checkout of the change (default: this one)")
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    try:
+        payload = {
+            "workloads": workloads,
+            "parent": collect(args.parent, workloads, args.seed),
+            "change": collect(args.change, workloads, args.seed),
+        }
+    except FileNotFoundError as exc:
+        print(f"collect_bench: {exc}", file=sys.stderr)
+        return 2
+    args.out.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

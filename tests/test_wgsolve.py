@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
-from wg_sfem.analysis import get_case
+import wg_sfem.wgsolve as wgsolve
+from wg_sfem.analysis import energy_error, get_case, l2_projection_error
 from wg_sfem.localspaces import OperatorCache, project_qb
-from wg_sfem.polymesh import GENERATORS, generate_hex_grid, generate_square_grid
+from wg_sfem.polymesh import GENERATORS, build_mesh, generate_hex_grid, generate_square_grid
 from wg_sfem.polymesh import triangulate_cell
 from wg_sfem.quadrature import triangle_points
 from wg_sfem.wgsolve import (
@@ -195,6 +197,38 @@ def test_pcg_contract_on_random_spd_system():
     assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b) * (1 + 1e-9)
 
 
+class _CountingMatrix:
+    """A sparse matrix that counts its products with vectors."""
+
+    def __init__(self, A):
+        self.A, self.products = A, 0
+
+    def diagonal(self):
+        return self.A.diagonal()
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.A @ x
+
+
+def test_pcg_confirms_convergence_on_the_true_residual():
+    """b = A x for a smooth x on a 1D Laplacian: b is O(h^2) against A x's
+    O(1) terms, so the recurrence residual drifts from ||b - A x|| / ||b||
+    near 1e-12.  PCG must restart and return the true value."""
+    n = 200
+    t = np.arange(1, n + 1) / (n + 1)
+    A = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
+                 offsets=[-1, 0, 1], format="csr")
+    b = A @ (t * (1 - t) * np.exp(t))
+    counted = _CountingMatrix(A)
+    x, iters, res = _pcg(counted, b, 1e-12)
+    # One product for the initial residual, one per iteration, one per
+    # confirmation: more than two confirmations means a restart.
+    assert counted.products > iters + 2
+    assert res == np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+    assert res <= 1e-12
+
+
 def test_pcg_detects_indefinite_matrix():
     A = sp.csr_matrix(np.diag([1.0, 1.0, -1.0]))
     with pytest.raises(SolverStructureError):
@@ -292,3 +326,171 @@ def test_assembled_matrix_symmetric_without_symmetrizing(family, level, k):
     system = assemble(GENERATORS[family](level), k, zero, None)
     A = system.full_matrix
     assert abs(A - A.T).max() == 0
+
+
+# ---------------------------------------------------------------- condensed solve
+
+
+def _jittered_square_mesh():
+    """Square level 4 with every vertex moved by up to 0.2 h."""
+    base = GENERATORS["square"](4)
+    rng = np.random.default_rng(7)
+    h = 1.0 / 8
+    return build_mesh(base.vertices + rng.uniform(-0.2 * h, 0.2 * h, base.vertices.shape),
+                      base.cells)
+
+
+ORACLE_MESHES = {
+    "square": lambda: GENERATORS["square"](3),
+    "quad": lambda: GENERATORS["quad"](3),
+    "hex": lambda: GENERATORS["hex"](2),
+    "jitter": _jittered_square_mesh,
+}
+
+
+def _uncondensed_solve(system):
+    """Oracle: the uncondensed eliminated system, solved directly; returns
+    the full DOF vector."""
+    dofmap = system.dofmap
+    x = np.zeros(dofmap.n_dofs)
+    x[dofmap.free_dofs] = spsolve(system.matrix.tocsc(), system.rhs)
+    x[dofmap.constrained_dofs] = system.constrained_values
+    return x
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
+def test_condensed_solve_matches_uncondensed_oracle(name, k, monkeypatch):
+    """Both solver paths, with nonzero boundary data, against a direct solve
+    of the uncondensed system."""
+    mesh = ORACLE_MESHES[name]()
+    system = assemble(mesh, k, get_case("sin2d").f, lambda x, y: np.exp(x) * np.cos(2 * y))
+    x = _uncondensed_solve(system)
+    base = system.dofmap.edge_base
+    direct = solve(system)
+    monkeypatch.setattr(wgsolve, "DIRECT_LIMIT", 0)
+    iterative = solve(system)
+    assert (direct.method, iterative.method) == ("direct", "pcg")
+    for sol in (direct, iterative):
+        assert sol.residual <= 1e-12
+        assert _rel(sol.u0.ravel(), x[:base]) <= 1e-10
+        assert _rel(sol.ub.ravel(), x[base:]) <= 1e-10
+
+
+@pytest.mark.parametrize("family", sorted(GENERATORS))
+@pytest.mark.parametrize("label,k", [("patch-linear", 0), ("patch-linear", 2),
+                                     ("patch-quadratic", 1), ("patch-quadratic", 3)])
+def test_condensed_pcg_keeps_patch_cases_exact(family, label, k, monkeypatch):
+    monkeypatch.setattr(wgsolve, "DIRECT_LIMIT", 0)
+    mesh = GENERATORS[family](3)
+    case = get_case(label)
+    cache = OperatorCache(mesh, k)
+    sol = solve(assemble(mesh, k, case.f, case.g, cache=cache))
+    assert sol.method == "pcg"
+    assert l2_projection_error(mesh, k, case.u, sol, cache) <= 1e-8
+    assert energy_error(mesh, k, case.u, case.grad_u, sol, cache) <= 1e-8
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_condensation_maps_constants_to_constants(k):
+    """K annihilates the constant function, so X sends the constant edge
+    values to minus the constant interior values, and S annihilates them."""
+    for family in ("quad", "hex"):
+        for stack, *_ in OperatorCache(GENERATORS[family](3), k).batches():
+            K00_inv, X, S = stack.condensed
+            n0 = K00_inv.shape[-1]
+            ones_b = np.tile(np.eye(k + 1)[0], stack.n_sides)
+            assert np.allclose(X @ ones_b, -np.eye(n0)[0], atol=1e-10)
+            assert np.abs(S @ ones_b).max() <= 1e-11 * np.abs(S).max()
+            assert np.array_equal(S, S.swapaxes(-1, -2))
+
+
+def test_timed_path_reports_the_true_residual_and_builds_no_full_matrix():
+    """Quad level 6, k = 1 has 7 040 free DOFs, so solve takes the PCG
+    path; neither assemble nor solve may build the uncondensed matrices.
+
+    Near 1e-12 the residual of this problem is at its rounding floor, where
+    evaluations in different orders differ by up to a third; at tol 1e-8 the
+    reported value must match the recomputed one to rounding."""
+    mesh = GENERATORS["quad"](6)
+    case = get_case("sin2d")
+    system = assemble(mesh, 1, case.f, case.g)
+    assert system.dofmap.n_free > wgsolve.DIRECT_LIMIT
+    sols = [solve(system, tol=tol) for tol in (1e-12, 1e-8)]
+    assert "matrix" not in system.__dict__
+    assert "full_matrix" not in system.__dict__
+    A, b = system.matrix, system.rhs
+    bnorm = np.linalg.norm(b)
+    for sol, tol in zip(sols, (1e-12, 1e-8)):
+        assert sol.method == "pcg"
+        assert sol.residual <= tol
+        x = sol.full_vector(system.dofmap)[system.dofmap.free_dofs]
+        recomputed = np.linalg.norm(b - A @ x) / bnorm
+        rounding = np.finfo(float).eps * np.linalg.norm(abs(A) @ abs(x) + abs(b)) / bnorm
+        assert abs(sol.residual - recomputed) <= rounding
+    assert sols[1].residual > 1e3 * rounding
+
+
+def test_lazy_matrices_match_each_other():
+    system = assemble(GENERATORS["hex"](2), 2, zero, None)
+    free = system.dofmap.free_dofs
+    assert (system.matrix != system.full_matrix[free][:, free]).nnz == 0
+
+
+def test_direct_solve_below_tol_falls_back_to_cg(monkeypatch):
+    """A direct edge solve that leaves the full residual above tol is
+    refined by PCG from its solution, and reported as direct+cg."""
+    real = wgsolve.spsolve
+    monkeypatch.setattr(wgsolve, "spsolve", lambda A, b: real(A, b) * (1 + 1e-6))
+    system = assemble(generate_square_grid(4), 1, get_case("sin2d").f, None)
+    sol = solve(system)
+    assert sol.method == "direct+cg"
+    assert 0 < sol.iterations
+    assert sol.residual <= 1e-12
+    assert _rel(sol.full_vector(system.dofmap), _uncondensed_solve(system)) <= 1e-10
+
+
+def test_loose_edge_solve_is_continued_with_a_tighter_tolerance(monkeypatch):
+    real = wgsolve._pcg
+    tols = []
+
+    def loose_first(A, b, tol, x0=None):
+        tols.append(tol if tols else tol * 1e6)
+        return real(A, b, tols[-1], x0)
+
+    monkeypatch.setattr(wgsolve, "_pcg", loose_first)
+    monkeypatch.setattr(wgsolve, "DIRECT_LIMIT", 0)
+    system = assemble(_jittered_square_mesh(), 1, get_case("sin2d").f, None)
+    sol = solve(system)
+    assert sol.method == "pcg"
+    assert len(tols) == 2 and tols[1] < tols[0]
+    assert sol.residual <= 1e-12
+
+
+@pytest.mark.parametrize("limit,method", [(wgsolve.DIRECT_LIMIT, "direct+cg"), (0, "pcg")])
+def test_tolerance_below_the_rounding_floor_reports_the_true_residual(limit, method,
+                                                                      monkeypatch):
+    """No double-precision x has a relative residual of 1e-17: solve stops
+    when a continuation stops halving it, and reports the value reached."""
+    monkeypatch.setattr(wgsolve, "DIRECT_LIMIT", limit)
+    system = assemble(generate_square_grid(4), 1, get_case("sin2d").f, None)
+    sol = solve(system, tol=1e-17)
+    assert sol.method == method
+    assert 1e-17 < sol.residual < 1e-13
+    assert _rel(sol.full_vector(system.dofmap), _uncondensed_solve(system)) <= 1e-10
+
+
+def test_pcg_stops_at_the_rounding_floor():
+    """The system of the drift test, whose true residual floors near 3e-13."""
+    n = 200
+    t = np.arange(1, n + 1) / (n + 1)
+    A = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
+                 offsets=[-1, 0, 1], format="csr")
+    b = A @ (t * (1 - t) * np.exp(t))
+    x, iters, res = _pcg(A, b, 1e-13)
+    assert iters < 20 * int(np.ceil(np.sqrt(n)))
+    assert 1e-13 < res == np.linalg.norm(b - A @ x) / np.linalg.norm(b) < 1e-12
