@@ -37,25 +37,6 @@ class ManufacturedCase:
     f: object
     g: object
 
-    def consistency_residual(self, n: int = 20, seed: int = 1234,
-                             step: float = 1e-5) -> float:
-        """Max |f + Laplace(u)| over random interior points, by central
-        differences.
-
-        Evaluated in extended precision: double-precision cancellation noise
-        at step 1e-5 (~1e-5) would otherwise swamp the truncation error.
-        """
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(0.2, 0.8, size=(n, 2)).astype(np.longdouble)
-        x, y = pts[:, 0], pts[:, 1]
-        h = np.longdouble(step)
-        lap = (
-            self.u(x + h, y) + self.u(x - h, y)
-            + self.u(x, y + h) + self.u(x, y - h)
-            - 4.0 * self.u(x, y)
-        ) / h**2
-        return float(np.max(np.abs(self.f(x, y) + lap)))
-
 
 def _sin2d() -> ManufacturedCase:
     def u(x, y):
@@ -139,12 +120,11 @@ def energy_error(mesh: PolyMesh, k: int, u, grad_u, solution: WGSolution,
     """
     if cache is None:
         cache = OperatorCache(mesh, k)
-    dofmap = cache.dofmap
-    full = solution.full_vector(dofmap)
+    full = solution.full_vector(cache.dofmap)
     acc = 0.0
-    for ops, cls, cells, offsets in cache.batches():
+    for (ops, cls, _, offsets), gdofs in zip(cache.batches(), cache.batch_dofs):
         exact = ops.project_lambda_field(grad_u, cls, offsets)
-        discrete = ops.apply_weak_gradient(full[dofmap.cell_dof_array(mesh, cells)], cls)
+        discrete = ops.apply_weak_gradient(full[gdofs], cls)
         acc += float(ops.lambda_norm_sq(exact - discrete, cls).sum())
     return math.sqrt(acc)
 

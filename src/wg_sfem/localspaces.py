@@ -13,15 +13,18 @@ constraint needs no quadrature.
 
 The weak-gradient space of a cell is the nullspace of the constraint system
 (normal-jump moments on fan chords; divergence-coefficient mismatch between
-sub-triangles), extracted by SVD with a hard expected-dimension check.
+sub-triangles), extracted by a complete QR factorization, with a hard
+expected-dimension check on the constraint singular values.
 
 Everything is built for a stack of cells with one vertex count at once
 (OperatorStack): each array carries the cell of the stack on its leading
-axis, and the eigen-, singular-value and linear solves run batched.  A single
-cell is a stack of one.  OperatorCache builds the operators once per shape
-class (cells equal up to translation), in stacks of at most BATCH_CELLS
-classes, and evaluates data for batches of cells that may mix the classes of
-one stack.
+axis, and the Cholesky, QR, singular-value and linear solves run batched.
+Each triangle's RT fields are orthonormalized (CholeskyQR2) and the nullspace
+basis is orthonormal, so the weak-gradient mass matrix is the identity and
+is never formed.  A single cell is a stack of one.  OperatorCache builds the
+operators once per shape class (cells equal up to translation), in stacks of
+at most BATCH_CELLS classes, and evaluates data for batches of cells that may
+mix the classes of one stack.
 """
 
 from __future__ import annotations
@@ -35,12 +38,10 @@ import numpy as np
 
 from .polymesh import (
     PolyMesh,
-    SubTriangulation,
     fan_triangles,
     polygon_area,
     polygon_centroid,
     polygon_diameter,
-    triangulate_cell,
 )
 from .quadrature import (
     assembly_degree,
@@ -51,6 +52,7 @@ from .quadrature import (
 
 MAX_DEGREE = 4
 NULLSPACE_RTOL = 1e-10
+# Cells whose raw RT Gram condition is at least this (by a lower bound) warn.
 CONDITION_WARN = 1e12
 # Shape-class keys round the vertex offsets, in units of the cell diameter,
 # and the log of the diameter to this many decimals.
@@ -97,15 +99,27 @@ def expected_lambda_dim(n_v: int, k: int) -> int:
 
 
 def _frame_powers(pts: np.ndarray, center: np.ndarray, scale: np.ndarray, k: int
-                  ) -> tuple[np.ndarray, np.ndarray]:
+                  ) -> list[np.ndarray]:
     """Powers 0..k of the centered, scaled coordinates xi and eta of points
     (..., npts, 2) in frames with centers (..., 2) and scales (...), each of
-    shape (..., npts, k + 1)."""
-    local = (np.asarray(pts, dtype=float) - center[..., None, :]) / scale[..., None, None]
-    powers = np.ones(local.shape + (k + 1,))
-    for m in range(1, k + 1):
-        powers[..., m] = powers[..., m - 1] * local
-    return powers[..., 0, :], powers[..., 1, :]
+    shape (k + 1, ..., npts): the power leads, so that every step and every
+    gather of monomials runs over whole contiguous blocks."""
+    pts = np.asarray(pts, dtype=float)
+    out = []
+    for d in range(2):
+        local = (pts[..., d] - center[..., None, d]) / scale[..., None]
+        powers = np.empty((k + 1,) + local.shape)
+        powers[0] = 1.0
+        for m in range(1, k + 1):
+            powers[m] = powers[m - 1] * local
+        out.append(powers)
+    return out
+
+
+def _monomials(px: np.ndarray, py: np.ndarray, ax, ay, coeff=None) -> np.ndarray:
+    """coeff * xi^ax * eta^ay from _frame_powers, shape (..., npts, len(ax))."""
+    mono = px[ax] * py[ay] if coeff is None else coeff * px[ax] * py[ay]
+    return np.moveaxis(mono, 0, -1)
 
 
 class CellScalarBasis:
@@ -132,15 +146,16 @@ class CellScalarBasis:
     def eval(self, pts: np.ndarray) -> np.ndarray:
         """Basis values, shape (..., npts, dim)."""
         px, py = _frame_powers(pts, self.center, self.scale, self.k)
-        return px[..., self._ax] * py[..., self._ay]
+        return _monomials(px, py, self._ax, self._ay)
 
     def grad(self, pts: np.ndarray) -> np.ndarray:
         """Physical gradients, shape (..., npts, dim, 2)."""
         px, py = _frame_powers(pts, self.center, self.scale, self.k)
         ax, ay = self._ax, self._ay
+        lead = (-1,) + (1,) * (px.ndim - 1)
         scale = self.scale[..., None, None]
-        gx = ax * px[..., np.maximum(ax - 1, 0)] * py[..., ay] / scale
-        gy = ay * px[..., ax] * py[..., np.maximum(ay - 1, 0)] / scale
+        gx = _monomials(px, py, np.maximum(ax - 1, 0), ay, ax.reshape(lead)) / scale
+        gy = _monomials(px, py, ax, np.maximum(ay - 1, 0), ay.reshape(lead)) / scale
         return np.stack([gx, gy], axis=-1)
 
 
@@ -176,15 +191,32 @@ class RTFrame:
     def eval(self, pts: np.ndarray) -> np.ndarray:
         """Field values, shape (..., npts, n_fields, 2)."""
         px, py = _frame_powers(pts, self.center, self.scale, self.k + 1)
-        mono = px[..., self._ax] * py[..., self._ay]
+        mono = _monomials(px, py, self._ax, self._ay)
         n0 = self.n_scalar
         V = np.zeros(mono.shape[:-1] + (self.n_fields, 2))
         V[..., :n0, 0] = mono
         V[..., n0 : 2 * n0, 1] = mono
         homo = mono[..., n0 - len(self.homo) :]
-        V[..., 2 * n0 :, 0] = px[..., 1:2] * homo
-        V[..., 2 * n0 :, 1] = py[..., 1:2] * homo
+        V[..., 2 * n0 :, 0] = px[1][..., None] * homo
+        V[..., 2 * n0 :, 1] = py[1][..., None] * homo
         return V
+
+    def moments(self, pts: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Moments sum_q g[..., i, q] . field_j(pts[..., q]) of n_g weighted
+        vector samples per frame: pts (..., npts, 2), g (..., n_g, npts, 2)
+        -> (..., n_g, n_fields); leading axes broadcast.
+
+        The fields are (m, 0), (0, m) and (xi, eta) * m_h, so the moments
+        are the rows g_x, g_y and g_x xi + g_y eta times the scalar
+        monomials, one small matmul.
+        """
+        px, py = _frame_powers(pts, self.center, self.scale, self.k + 1)
+        mono = _monomials(px, py, self._ax, self._ay)
+        gx, gy = g[..., 0], g[..., 1]
+        rows = np.stack([gx, gy, gx * px[1][..., None, :] + gy * py[1][..., None, :]], axis=-2)
+        r = rows @ mono[..., None, :, :]
+        n0, nh = self.n_scalar, len(self.homo)
+        return np.concatenate([r[..., 0, :], r[..., 1, :], r[..., 2, n0 - nh :]], axis=-1)
 
     def div_coeff_matrix(self) -> np.ndarray:
         """Exact divergence expansion over each frame's scalar monomials.
@@ -240,10 +272,15 @@ def _weighted_gram(w: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return fw @ gt.swapaxes(-1, -2)
 
 
-def _combine(F: np.ndarray, orth: np.ndarray) -> np.ndarray:
-    """Field values F (..., npts, n_fields, 2) recombined by orth (...,
-    n_fields, n_fields), as F @ orth per point and component."""
-    return (F.swapaxes(-1, -2) @ orth[..., None, :, :]).swapaxes(-1, -2)
+def _inverse_lower(L: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of lower triangular matrices, by forward
+    substitution one row at a time over the whole stack."""
+    X = np.zeros_like(L)
+    for i in range(L.shape[-1]):
+        X[..., i, i] = 1.0
+        X[..., i, :i] = -np.einsum("...j,...jk->...k", L[..., i, :i], X[..., :i, :i])
+        X[..., i, : i + 1] /= L[..., i, i, None]
+    return X
 
 
 @dataclass(frozen=True)
@@ -294,6 +331,10 @@ def build_lambda_basis(mesh: PolyMesh, cells, k: int) -> LambdaBasis:
     monomial basis.  Parent polygon sides coincide with single sub-triangle
     edges, so boundary traces are single-piece automatically.  Geometry and
     dimension errors name the offending cell.
+
+    A RuntimeWarning names each cell where (max L_ii / min L_ii)^2 of a fan
+    triangle's Gram factor L exceeds CONDITION_WARN.  That is a lower bound
+    on the raw RT Gram's condition number, which may be larger.
     """
     _check_degree(k)
     cells = np.atleast_1d(np.asarray(cells))
@@ -312,26 +353,42 @@ def build_lambda_basis(mesh: PolyMesh, cells, k: int) -> LambdaBasis:
     frames = RTFrame(k, coords.mean(axis=-2), polygon_diameter(coords))
     nf = frames.n_fields
 
+    def cholesky(fields: np.ndarray) -> np.ndarray:
+        """Lower Cholesky factors of the Grams of weighted field samples
+        (S, n_triangles, samples, n_fields), naming the cell of a singular
+        one."""
+        gram = fields.swapaxes(-1, -2) @ fields
+        try:
+            return np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            for s, t in np.ndindex(gram.shape[:2]):
+                try:
+                    np.linalg.cholesky(gram[s, t])
+                except np.linalg.LinAlgError:
+                    raise GeometryError(
+                        f"sub-triangle {tuple(tris[s, t].tolist())} of cell {cells[s]}: "
+                        "singular RT Gram (not positive definite)"
+                    ) from None
+            raise
+
+    # CholeskyQR2: orthonormalize each triangle's frame fields against their
+    # Gram, G = L L^T and orth = L^-T, in two passes.  The second, on the
+    # Gram of the once-orthonormalized fields, removes the error that the
+    # raw Gram's condition (up to 1e10 at k = 4) leaves in the first.
     pts, w = triangle_points(coords, 2 * k + 2)
-
-    def inverse_sqrt_gram(F: np.ndarray) -> np.ndarray:
-        lam, Q = np.linalg.eigh(_weighted_gram(w, F, F))
-        bad = np.argwhere(lam[..., 0] <= 0.0)
-        if bad.size:
-            s, t = bad[0]
-            raise GeometryError(
-                f"sub-triangle {tuple(tris[s, t].tolist())} of cell {cells[s]}: "
-                f"singular RT Gram (eigenvalue {lam[s, t, 0]:.3e})"
-            )
-        return (Q / np.sqrt(lam)[..., None, :]) @ Q.swapaxes(-1, -2)
-
-    # Symmetric orthonormalization against each triangle's Gram, in two
-    # passes: the second, on the Gram of the once-orthonormalized fields
-    # (the identity up to rounding), removes the error that the raw Gram's
-    # condition (up to 1e10 at k = 4) leaves in the first.
-    F = frames.eval(pts)
-    orth = inverse_sqrt_gram(F)
-    orth = orth @ inverse_sqrt_gram(_combine(F, orth))
+    A = (np.sqrt(w)[..., None, None] * frames.eval(pts)).swapaxes(-1, -2)
+    A = A.reshape(n_cells, nt, -1, nf)
+    L = cholesky(A)
+    diag = np.diagonal(L, axis1=-2, axis2=-1)
+    cond = np.max(diag.max(axis=-1) / diag.min(axis=-1), axis=1) ** 2
+    for s in np.flatnonzero(cond > CONDITION_WARN):
+        warnings.warn(
+            f"cell {cells[s]}: RT frame mass matrix condition {cond[s]:.2e} (lower bound)",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+    orth = _inverse_lower(L).swapaxes(-1, -2)
+    orth = orth @ _inverse_lower(cholesky(A @ orth)).swapaxes(-1, -2)
 
     X = mesh.vertices[mesh.cell_cycles(cells)]
     center = polygon_centroid(X)
@@ -359,9 +416,8 @@ def build_lambda_basis(mesh: PolyMesh, cells, k: int) -> LambdaBasis:
 
     def chord_moments(tri: slice) -> np.ndarray:
         side = RTFrame(k, frames.center[:, tri], frames.scale[:, tri])
-        G = _combine(side.eval(chord_pts), orth[:, tri])
-        trace = G[..., 0] * normal[:, :, None, None, 0] + G[..., 1] * normal[:, :, None, None, 1]
-        return w_phi.T @ trace
+        g = w_phi.T[:, :, None] * normal[:, :, None, None, :]
+        return side.moments(chord_pts, g) @ orth[:, tri]
 
     left, right = chord_moments(slice(0, -1)), chord_moments(slice(1, None))
     jumps = np.zeros((n_cells, nt - 1, k + 1, nt, nf))
@@ -374,7 +430,12 @@ def build_lambda_basis(mesh: PolyMesh, cells, k: int) -> LambdaBasis:
 
     C = np.concatenate([jumps.reshape(n_cells, -1, nt * nf),
                         matches.reshape(n_cells, -1, nt * nf)], axis=1)
-    _, sv, Vh = np.linalg.svd(C, full_matrices=True)
+    # The constraint rows are independent exactly when the dimension law
+    # holds; the last columns of a complete QR of C^T then span the
+    # nullspace, and C's singular values are those of the triangular factor.
+    n_rows = C.shape[1]
+    Q, R = np.linalg.qr(C.swapaxes(-1, -2), mode="complete")
+    sv = np.linalg.svd(R[:, :n_rows], compute_uv=False)
     n_null = nt * nf - np.sum(sv > NULLSPACE_RTOL * sv[:, :1], axis=1)
     n_expected = expected_lambda_dim(nt + 2, k)
     bad = np.flatnonzero(n_null != n_expected)
@@ -384,14 +445,8 @@ def build_lambda_basis(mesh: PolyMesh, cells, k: int) -> LambdaBasis:
             f"cell {cells[s]} (k={k}): nullspace dimension {n_null[s]} != "
             f"expected {n_expected}; constraint singular values {sv[s]}"
         )
-    null = Vh[:, nt * nf - n_expected :].swapaxes(-1, -2)
+    null = Q[:, :, n_rows:]
     return basis(null, np.linalg.norm(C @ null, axis=(-2, -1)))
-
-
-def _sample(func, pts: np.ndarray) -> np.ndarray:
-    """func at points (..., 2), shape (...) + the shape of one value."""
-    vals = np.asarray(func(pts[..., 0].ravel(), pts[..., 1].ravel()), dtype=float)
-    return vals.reshape(pts.shape[:-1] + vals.shape[1:])
 
 
 def _rowwise(x: np.ndarray, A: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -429,36 +484,18 @@ class OperatorStack:
         nf = lam.frames.n_fields
         nl = lam.n_lambda
         V = lam.coeffs.reshape(n_cells, nt, nf, nl)
-        Vt = V.swapaxes(-1, -2)
         # Lambda basis fields over each triangle's raw frame fields.
         self.frame_coeffs = lam.orth @ V
 
         deg = assembly_degree(k)
         pts, w = triangle_points(self.tri_coords, deg)
-        F = _combine(lam.frames.eval(pts), lam.orth)
         scalar = CellScalarBasis(k, self.center[:, None], self.diameter[:, None])
         mono = scalar.eval(pts)[..., None]
         gm = scalar.grad(pts)
         s_tri = _weighted_gram(w, mono, mono)
-        self.mass_lambda = (Vt @ _weighted_gram(w, F, F) @ V).sum(axis=1)
         self.mass_scalar = s_tri.sum(axis=1)
         self.grad_mass = _weighted_gram(w, gm, gm).sum(axis=1)
-        b_int = -(Vt @ (s_tri @ lam.div_cell_frame).swapaxes(-1, -2)).sum(axis=1)
-
-        ev = np.linalg.eigvalsh(self.mass_lambda)
-        if np.any(ev[:, 0] <= 0.0):
-            s = np.flatnonzero(ev[:, 0] <= 0.0)[0]
-            raise np.linalg.LinAlgError(
-                f"cell {self.cells[s]}: weak-gradient mass matrix is not positive "
-                f"definite (eigenvalue {ev[s, 0]:.3e})"
-            )
-        cond = ev[:, -1] / ev[:, 0]
-        for s in np.flatnonzero(cond > CONDITION_WARN):
-            warnings.warn(
-                f"cell {self.cells[s]}: weak-gradient mass matrix condition {cond[s]:.2e}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
+        b_int = -(V.swapaxes(-1, -2) @ (s_tri @ lam.div_cell_frame).swapaxes(-1, -2)).sum(axis=1)
 
         # Side s lies on fan triangle 0, s - 1 or n_triangles - 1 (first,
         # middle, last side).
@@ -477,19 +514,19 @@ class OperatorStack:
         self._side_phi0 = scalar.eval(side_pts)
         self._side_phib = edge_basis(k, deg) * sign[:, :, None, :]
         tri = np.clip(np.arange(n_sides) - 1, 0, nt - 1)
-        G = _combine(RTFrame(k, lam.frames.center[:, tri], lam.frames.scale[:, tri]).eval(side_pts),
-                     lam.orth[:, tri])
-        trace = G[..., 0] * normal[:, :, None, None, 0] + G[..., 1] * normal[:, :, None, None, 1]
-        side_mom = (self._side_w[..., None] * trace).swapaxes(-1, -2) @ self._side_phib
-        cols = V[:, tri].swapaxes(-1, -2) @ side_mom
+        w_phi = (self._side_w[..., None] * self._side_phib).swapaxes(-1, -2)
+        side = RTFrame(k, lam.frames.center[:, tri], lam.frames.scale[:, tri])
+        cols = side.moments(side_pts, w_phi[..., None] * normal[:, :, None, None, :]) @ (
+            self.frame_coeffs[:, tri])
         self.moments = np.concatenate(
-            [b_int, cols.transpose(0, 2, 1, 3).reshape(n_cells, nl, -1)], axis=-1
+            [b_int, cols.transpose(0, 3, 1, 2).reshape(n_cells, nl, -1)], axis=-1
         )
-        self._mass_lambda_inv = np.linalg.inv(self.mass_lambda)
         self._mass_scalar_inv = np.linalg.inv(self.mass_scalar)
-        self.weak_gradient = self._mass_lambda_inv @ self.moments
-        K = self.weak_gradient.swapaxes(-1, -2) @ self.moments
-        self.stiffness = 0.5 * (K + K.swapaxes(-1, -2))
+        # The Lambda basis is L2-orthonormal, so its mass matrix is the
+        # identity: the weak gradient's coefficients are its moments, and
+        # the stiffness is their Gram, exactly symmetric.
+        self.weak_gradient = self.moments
+        self.stiffness = self.moments.swapaxes(-1, -2) @ self.moments
 
     @property
     def n_sides(self) -> int:
@@ -516,8 +553,9 @@ class OperatorStack:
         return _matvec(self.weak_gradient[rows], local)
 
     def lambda_norm_sq(self, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Squared L2 norms over the cells of weak-gradient-space fields."""
-        return np.sum(coeffs * _matvec(self.mass_lambda[rows], coeffs), axis=1)
+        """Squared L2 norms over the cells of weak-gradient-space fields; the
+        basis is orthonormal."""
+        return np.sum(coeffs * coeffs, axis=1)
 
     def scalar_norm_sq(self, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return np.sum(coeffs * _matvec(self.mass_scalar[rows], coeffs), axis=1)
@@ -546,7 +584,11 @@ class OperatorStack:
         """The data points of the distinct rows, and func at each cell's
         points times the weights, shape (n, npts) + the shape of one value."""
         pts, w = self.data_points(uniq, degree)
-        vals = _sample(func, pts[inv] + offsets[:, None])
+        # Each coordinate gathered and shifted on its own: numpy loops over
+        # an innermost axis of length 2 several times slower.
+        x, y = (pts[inv, :, d] + offsets[:, d, None] for d in range(2))
+        vals = np.asarray(func(x.ravel(), y.ravel()), dtype=float)
+        vals = vals.reshape(x.shape + vals.shape[1:])
         return pts, vals * w[inv].reshape(w[inv].shape + (1,) * (vals.ndim - 2))
 
     def interior_moments(self, func, rows: np.ndarray, offsets: np.ndarray,
@@ -570,18 +612,18 @@ class OperatorStack:
         shape (n, n_lambda).  func(x, y) must return shape (npts, 2)."""
         uniq, inv = np.unique(rows, return_inverse=True)
         pts, vals = self._weighted_samples(func, uniq, inv, offsets, degree)
-        nu, nt = len(uniq), self.tri_coords.shape[1]
-        frames = self.lambda_basis.frames
-        F = RTFrame(self.k, frames.center[uniq], frames.scale[uniq]).eval(
-            pts.reshape(nu, nt, -1, 2))
-        # Moments against each triangle's raw frame fields, shape
-        # (n, n_triangles, n_fields); the frame's orthonormalization, the
-        # lambda basis and the inverse mass matrix follow the contraction.
-        raw = _rowwise(vals.reshape(len(rows), nt, -1),
-                       F.swapaxes(-1, -2).reshape(nu, nt, -1, F.shape[-2]), inv)
-        to_coeffs = (self.frame_coeffs[uniq].reshape(nu, -1, self.lambda_basis.n_lambda)
-                     @ self._mass_lambda_inv[uniq].swapaxes(-1, -2))
-        return _rowwise(raw.reshape(len(rows), -1), to_coeffs, inv)
+        n, nu, nt = len(rows), len(uniq), self.tri_coords.shape[1]
+        # Moments against each triangle's raw frame fields, in the frames of
+        # each cell's row (of the one row, if all share it), shape
+        # (n, n_triangles, 1, n_fields); the basis is orthonormal, so
+        # contracting them with frame_coeffs gives the projection.
+        sel = uniq if nu == 1 else rows
+        frames = RTFrame(self.k, self.lambda_basis.frames.center[sel],
+                         self.lambda_basis.frames.scale[sel])
+        raw = frames.moments((pts if nu == 1 else pts[inv]).reshape(len(sel), nt, -1, 2),
+                             vals.reshape(n, nt, 1, -1, 2))
+        return _rowwise(raw.reshape(n, -1),
+                        self.frame_coeffs[uniq].reshape(nu, -1, self.lambda_basis.n_lambda), inv)
 
 
 def _stack_row(name: str, doc: str) -> property:
@@ -600,7 +642,6 @@ class LocalCellOperators:
     stiffness = _stack_row("stiffness", "Local stiffness matrix (n_local, n_local).")
     weak_gradient = _stack_row("weak_gradient", "Weak-gradient matrix (n_lambda, n_local).")
     moments = _stack_row("moments", "Weak-gradient moments (n_lambda, n_local).")
-    mass_lambda = _stack_row("mass_lambda", "Weak-gradient-space mass matrix.")
     mass_scalar = _stack_row("mass_scalar", "Interior P_k mass matrix.")
 
     def __init__(self, mesh: PolyMesh, cell: int, k: int):
@@ -620,10 +661,6 @@ class LocalCellOperators:
         self._rows = np.array([index])
 
     @property
-    def subtri(self) -> SubTriangulation:
-        return triangulate_cell(self.mesh, self.cell)
-
-    @property
     def n_local(self) -> int:
         return self.moments.shape[1]
 
@@ -637,7 +674,7 @@ class LocalCellOperators:
 
     def lambda_norm_sq(self, coeffs: np.ndarray) -> np.ndarray:
         """Squared L2 norm over the cell of a weak-gradient-space field."""
-        return np.sum(coeffs * (self.mass_lambda @ coeffs), axis=0)
+        return np.sum(coeffs * coeffs, axis=0)
 
     def project_interior(self, func, degree: int | None = None) -> np.ndarray:
         """L2 projection onto the interior P_k basis."""
@@ -649,22 +686,6 @@ class LocalCellOperators:
         func(x, y) must return shape (npts, 2).
         """
         return self.stack.project_lambda_field(func, self._rows, self.offset[None], degree)[0]
-
-    def interior_values(self, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Point values of an interior polynomial on ``cell``; coeffs
-        (dim P_k, ...) give values (npts, ...)."""
-        s = self.index
-        basis = CellScalarBasis(self.k, self.stack.center[s], self.stack.diameter[s])
-        return basis.eval(np.asarray(pts) - self.offset) @ coeffs
-
-    def lambda_values(self, coeffs: np.ndarray, pts: np.ndarray, tri_index: int
-                      ) -> np.ndarray:
-        """Point values of a weak-gradient-space field on one fan triangle of
-        ``cell``; coeffs (n_lambda, ...) give values (npts, ..., 2)."""
-        s, frames = self.index, self.stack.lambda_basis.frames
-        F = RTFrame(self.k, frames.center[s, tri_index], frames.scale[s, tri_index])
-        rt = self.stack.frame_coeffs[s, tri_index] @ coeffs
-        return np.einsum("qfd,f...->q...d", F.eval(np.asarray(pts) - self.offset), rt)
 
 
 class OperatorCache:
@@ -740,16 +761,31 @@ class OperatorCache:
         return LocalCellOperators._row(self.mesh, self._stack(j), int(i - self._ranges[j][0]),
                                        cell, self._offset[cell])
 
+    def _members(self, j: int) -> np.ndarray:
+        """The cells of stack j's classes, each class's members together."""
+        lo, hi = self._ranges[j]
+        return self._order[self._starts[lo] : self._starts[hi]]
+
     def batches(self):
         """Yield (stack, rows, cells, offsets): at most BATCH_CELLS cells,
         whose classes may differ but share one OperatorStack, with each
         cell's stack row and its offset from that row's cell."""
-        for j, (lo, hi) in enumerate(self._ranges):
-            stack = self._stack(j)
-            members = self._order[self._starts[lo] : self._starts[hi]]
+        for j, (lo, _) in enumerate(self._ranges):
+            stack, members = self._stack(j), self._members(j)
             for start in range(0, members.size, BATCH_CELLS):
                 cells = members[start : start + BATCH_CELLS]
                 yield stack, self._class_of[cells] - lo, cells, self._offset[cells]
+
+    @cached_property
+    def batch_dofs(self) -> list[np.ndarray]:
+        """The global DOF indices of the cells of each batch, in the order
+        of batches(): DofMap.cell_dof_array of its cells, as views of one
+        array per stack."""
+        out = []
+        for j in range(len(self._ranges)):
+            dofs = self.dofmap.cell_dof_array(self.mesh, self._members(j))
+            out += [dofs[start : start + BATCH_CELLS] for start in range(0, len(dofs), BATCH_CELLS)]
+        return out
 
 
 def project_qb(mesh: PolyMesh, edge, k: int, func, degree: int | None = None

@@ -114,21 +114,8 @@ class PolyMesh:
         """Vertex cycles of cells with one vertex count, shape (n_cells, n_v)."""
         return np.array([self.cells[c] for c in cells], dtype=int)
 
-    def cell_area(self, c: int) -> float:
-        return polygon_area(self.cell_vertices(c))
-
-    def cell_centroid(self, c: int) -> np.ndarray:
-        return polygon_centroid(self.cell_vertices(c))
-
-    def cell_diameter(self, c: int) -> float:
-        return float(polygon_diameter(self.cell_vertices(c)))
-
     def edge_vertices(self, e: int) -> np.ndarray:
         return self.vertices[self.edges[e]]
-
-    def edge_midpoint(self, e: int) -> np.ndarray:
-        a, b = self.edge_vertices(e)
-        return 0.5 * (a + b)
 
     def side_normal(self, c: int, side: int) -> np.ndarray:
         """Outward unit normal of cell c on its given side."""
@@ -138,13 +125,6 @@ class PolyMesh:
         t = b - a
         n = np.array([t[1], -t[0]])
         return n / np.linalg.norm(n)
-
-    def edge_normal(self, e: int) -> np.ndarray:
-        """Unit normal pointing from the lower- to the higher-index adjacent
-        cell; outward on boundary edges."""
-        c = int(self.edge_cells[e, 0])
-        side = self.cell_edges[c].index(e)
-        return self.side_normal(c, side)
 
 
 def build_mesh(vertices, cells) -> PolyMesh:
@@ -329,13 +309,6 @@ def generate_hex_grid(level: int) -> PolyMesh:
                 (vid(w_cols - 1, j), vid(w_cols, j), vid(w_cols, j + 1), vid(w_cols - 1, j + 1))
             )
     return build_mesh(verts, cells)
-
-
-def hex_grid_cell_count(level: int) -> int:
-    """Closed-form cell count of the brick pattern: rows alternate between
-    2^level bricks and (2 quads + 2^level - 1 bricks)."""
-    m = 2**level
-    return (m // 2) * (2 * m + 1)
 
 
 GENERATORS = {

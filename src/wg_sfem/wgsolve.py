@@ -143,9 +143,8 @@ class SparseSymSystem:
     cache: OperatorCache
 
     def _stiffness_blocks(self, index: np.ndarray) -> list:
-        mesh, dofmap = self.cache.mesh, self.dofmap
-        return [(ops.stiffness[cls], index[dofmap.cell_dof_array(mesh, cells)])
-                for ops, cls, cells, _ in self.cache.batches()]
+        return [(ops.stiffness[cls], index[gdofs]) for (ops, cls, _, _), gdofs
+                in zip(self.cache.batches(), self.cache.batch_dofs)]
 
     @cached_property
     def full_matrix(self) -> sp.csr_matrix:
@@ -217,8 +216,7 @@ def assemble(mesh: PolyMesh, k: int, f, g=None, cache: OperatorCache | None = No
     Ax = np.zeros(n_dofs)
     edge_b = np.zeros(n_dofs - base)
     blocks = []
-    for ops, cls, cells, offsets in cache.batches():
-        gdofs = dofmap.cell_dof_array(mesh, cells)
+    for (ops, cls, cells, offsets), gdofs in zip(cache.batches(), cache.batch_dofs):
         mom = ops.interior_moments(f, cls, offsets)
         bad = ~np.isfinite(mom).all(axis=1)
         if bad.any():
@@ -327,8 +325,7 @@ def _recover(system: SparseSymSystem, x_edge: np.ndarray) -> tuple[np.ndarray, f
     x[dofmap.free_dofs[base:]] = x_edge
     x[dofmap.constrained_dofs] = system.constrained_values
     Ax = np.zeros(dofmap.n_dofs)
-    for ops, cls, cells, _ in cache.batches():
-        gdofs = dofmap.cell_dof_array(cache.mesh, cells)
+    for (ops, cls, cells, _), gdofs in zip(cache.batches(), cache.batch_dofs):
         K00_inv, X, _ = ops.condensed
         x[gdofs[:, :n0]] = (_matvec(K00_inv[cls], system.load[cells])
                             - _matvec(X[cls], x[gdofs[:, n0:]]))
@@ -417,11 +414,10 @@ def triple_bar_norm(mesh: PolyMesh, k: int, vec: np.ndarray,
     """
     if cache is None:
         cache = OperatorCache(mesh, k)
-    dofmap = cache.dofmap
     cols = vec.reshape(vec.shape[0], -1)
     acc = 0.0
-    for ops, cls, cells, _ in cache.batches():
-        local = cols[dofmap.cell_dof_array(mesh, cells)]
+    for (ops, cls, _, _), gdofs in zip(cache.batches(), cache.batch_dofs):
+        local = cols[gdofs]
         acc = acc + ops.lambda_norm_sq(ops.apply_weak_gradient(local, cls), cls).sum(axis=0)
     return np.sqrt(acc.reshape(vec.shape[1:]))[()]
 
@@ -432,13 +428,12 @@ def discrete_h1_norm(mesh: PolyMesh, k: int, vec: np.ndarray,
     interior/edge trace mismatch."""
     if cache is None:
         cache = OperatorCache(mesh, k)
-    dofmap = cache.dofmap
     n0 = dim_pk(k)
     nb = k + 1
     cols = vec.reshape(vec.shape[0], -1)
     acc = 0.0
-    for ops, cls, cells, _ in cache.batches():
-        local = cols[dofmap.cell_dof_array(mesh, cells)]
+    for (ops, cls, _, _), gdofs in zip(cache.batches(), cache.batch_dofs):
+        local = cols[gdofs]
         u0 = local[:, :n0]
         sq = ops.grad_seminorm_sq(u0, cls)
         for s in range(ops.n_sides):

@@ -23,7 +23,17 @@ from wg_sfem.polymesh import (
     generate_quad_grid,
     triangulate_cell,
 )
-from wg_sfem.quadrature import segment_points, triangle_points
+from wg_sfem.quadrature import data_degree, segment_points, triangle_points
+
+from helpers import (
+    cell_centroid,
+    cell_diameter,
+    cell_lambda_mass,
+    interior_values,
+    lambda_mass,
+    lambda_values,
+    subtri,
+)
 
 UNIT_SQUARE = build_mesh([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2, 3)])
 
@@ -43,7 +53,7 @@ def normal_trace(lam, tri, pts, normal):
 def basis_values(ops, pts, tri):
     """Values of every weak-gradient basis field on one fan triangle, shape
     (npts, n_lambda, 2)."""
-    return ops.lambda_values(np.eye(ops.n_lambda), pts, tri)
+    return lambda_values(ops, np.eye(ops.n_lambda), pts, tri)
 
 
 def random_polynomial(k, seed):
@@ -142,8 +152,8 @@ def test_lambda_unit_square_k0_brute_force_oracle():
     # divergence match row: coefficient of the constant cell-frame monomial
     from wg_sfem.localspaces import monomial_change_of_frame
 
-    center = UNIT_SQUARE.cell_centroid(0)
-    scale = UNIT_SQUARE.cell_diameter(0)
+    center = cell_centroid(UNIT_SQUARE, 0)
+    scale = cell_diameter(UNIT_SQUARE, 0)
     divs = []
     for t in range(2):
         frame = RTFrame(0, lam.frames.center[0, t], lam.frames.scale[0, t])
@@ -189,7 +199,7 @@ def test_lambda_membership_residuals(k):
     cell = next(c for c in range(mesh.n_cells) if len(mesh.cells[c]) == 6)
     ops = LocalCellOperators(mesh, cell, k)
     lam = ops.stack.lambda_basis
-    sub = ops.subtri
+    sub = subtri(ops)
     scale_ref = np.max(np.abs(lam.coeffs))
 
     for (va, vb), (ta, tb) in zip(sub.internal_edges, sub.internal_adjacency):
@@ -204,8 +214,8 @@ def test_lambda_membership_residuals(k):
     # shared cell frame via exact re-expansion
     from wg_sfem.localspaces import monomial_change_of_frame
 
-    center = mesh.cell_centroid(cell)
-    scale = mesh.cell_diameter(cell)
+    center = cell_centroid(mesh, cell)
+    scale = cell_diameter(mesh, cell)
     div_coeffs = []
     for i in range(sub.n_triangles):
         frame = RTFrame(k, lam.frames.center[0, i], lam.frames.scale[0, i])
@@ -222,7 +232,7 @@ def test_lambda_contains_vector_polynomials(k):
     """Each [P_k]^2 monomial field is reproduced by its Lambda projection."""
     mesh = generate_quad_grid(2)
     ops = LocalCellOperators(mesh, 1, k)
-    sub = ops.subtri
+    sub = subtri(ops)
     for a, b in monomial_exponents(k):
         for comp in (0, 1):
 
@@ -237,7 +247,7 @@ def test_lambda_contains_vector_polynomials(k):
             ref = 0.0
             for i, tri in enumerate(sub.triangles):
                 pts, w = triangle_points(mesh.vertices[list(tri)], 2 * k + 4)
-                vals = ops.lambda_values(coeffs, pts, i)
+                vals = lambda_values(ops, coeffs, pts, i)
                 exact = field(pts[:, 0], pts[:, 1])
                 err += w @ np.sum((vals - exact) ** 2, axis=1)
                 ref += w @ np.sum(exact**2, axis=1)
@@ -290,16 +300,16 @@ def test_weak_gradient_single_edge_k0_dense_oracle():
     b = UNIT_SQUARE.vertices[cyc[(side + 1) % 4]]
     n_out = UNIT_SQUARE.side_normal(0, side)
     pts, w = segment_points(a, b, 6)
-    tri_i, _ = ops.subtri.boundary_edge_map[side]
+    tri_i, _ = subtri(ops).boundary_edge_map[side]
     fields = basis_values(ops, pts, tri_i)
     rhs = np.einsum("q,qld,d->l", w, fields, n_out)
-    dense = np.linalg.solve(ops.mass_lambda, rhs)
+    dense = np.linalg.solve(cell_lambda_mass(ops), rhs)
     assert np.allclose(gw, dense, atol=1e-13)
 
 
 def test_weak_gradient_operator_consistency():
     op = LocalCellOperators(generate_quad_grid(2), 2, 1)
-    lhs = op.mass_lambda @ op.weak_gradient
+    lhs = cell_lambda_mass(op) @ op.weak_gradient
     scale = np.max(np.abs(op.moments))
     assert np.max(np.abs(lhs - op.moments)) < 1e-11 * scale
 
@@ -311,7 +321,7 @@ def test_local_stiffness_kernel_is_constants():
             for k in (0, 1, 2):
                 ops = LocalCellOperators(mesh, c, k)
                 K = ops.stiffness
-                assert np.allclose(K, K.T, atol=0)
+                assert np.array_equal(K, K.T)
                 vals, vecs = np.linalg.eigh(K)
                 lam_max = vals[-1]
                 n_null = int(np.sum(vals < 1e-11 * lam_max))
@@ -333,10 +343,10 @@ def test_q0_idempotent_on_pk(k):
     p, _ = random_polynomial(k, seed=k + 10)
     ops = LocalCellOperators(mesh, 2, k)
     coeffs = ops.project_interior(p)
-    pts = mesh.cell_centroid(2)[None, :] + np.array(
+    pts = cell_centroid(mesh, 2)[None, :] + np.array(
         [[0.01, 0.02], [-0.07, 0.05], [0.06, -0.04]]
     )
-    assert np.allclose(ops.interior_values(coeffs, pts), p(pts[:, 0], pts[:, 1]),
+    assert np.allclose(interior_values(ops, coeffs, pts), p(pts[:, 0], pts[:, 1]),
                        atol=1e-12)
 
 
@@ -400,16 +410,16 @@ def test_project_lambda_constant_and_gradient_fields():
     const = ops.project_lambda_field(
         lambda x, y: np.stack([np.full_like(x, 2.0), np.full_like(y, -1.0)], axis=-1)
     )
-    pts = mesh.cell_centroid(0)[None, :] + np.array([[0.03, -0.02], [-0.05, 0.04]])
-    for i in range(ops.subtri.n_triangles):
-        vals = ops.lambda_values(const, pts, i)
+    pts = cell_centroid(mesh, 0)[None, :] + np.array([[0.03, -0.02], [-0.05, 0.04]])
+    for i in range(subtri(ops).n_triangles):
+        vals = lambda_values(ops, const, pts, i)
         assert np.allclose(vals, [2.0, -1.0], atol=1e-12)
     # gradient of a P_{k+1} polynomial is reproduced ([P_k]^2 containment)
     p, grad = random_polynomial(2, seed=3)
     coeffs = ops.project_lambda_field(grad)
-    for i, tri in enumerate(ops.subtri.triangles):
+    for i, tri in enumerate(subtri(ops).triangles):
         tpts, w = triangle_points(mesh.vertices[list(tri)], 8)
-        vals = ops.lambda_values(coeffs, tpts, i)
+        vals = lambda_values(ops, coeffs, tpts, i)
         assert np.allclose(vals, grad(tpts[:, 0], tpts[:, 1]), atol=1e-11)
 
 
@@ -423,7 +433,7 @@ def test_project_lambda_dense_least_squares_oracle():
     coeffs = ops.project_lambda_field(field)
 
     rows, rhs = [], []
-    for i, tri in enumerate(ops.subtri.triangles):
+    for i, tri in enumerate(subtri(ops).triangles):
         pts, w = triangle_points(UNIT_SQUARE.vertices[list(tri)], 10)
         basis_vals = basis_values(ops, pts, i)
         sw = np.sqrt(w)
@@ -494,8 +504,8 @@ def test_projection_orthogonality_residuals():
     mom = np.zeros(n0)
     for coords in tri_coords:
         pts, w = triangle_points(coords, 20)
-        resid = u(pts[:, 0], pts[:, 1]) - ops.interior_values(coeffs, pts)
-        mom += (w * resid) @ ops.interior_values(np.eye(n0), pts)
+        resid = u(pts[:, 0], pts[:, 1]) - interior_values(ops, coeffs, pts)
+        mom += (w * resid) @ interior_values(ops, np.eye(n0), pts)
     scale = np.linalg.norm(ops.mass_scalar @ coeffs)
     assert np.linalg.norm(mom) <= 1e-12 * scale
 
@@ -506,9 +516,9 @@ def test_projection_orthogonality_residuals():
     lmom = np.zeros(ops.n_lambda)
     for i, coords in enumerate(tri_coords):
         pts, w = triangle_points(coords, 20)
-        resid = field(pts[:, 0], pts[:, 1]) - ops.lambda_values(lam_coeffs, pts, i)
+        resid = field(pts[:, 0], pts[:, 1]) - lambda_values(ops, lam_coeffs, pts, i)
         lmom += np.einsum("q,qad,qd->a", w, basis_values(ops, pts, i), resid)
-    lscale = np.linalg.norm(ops.mass_lambda @ lam_coeffs)
+    lscale = np.linalg.norm(cell_lambda_mass(ops) @ lam_coeffs)
     assert np.linalg.norm(lmom) <= 1e-11 * lscale
 
 
@@ -525,9 +535,9 @@ def test_weak_gradient_exact_for_degree_kp1_polynomials(k):
         u0 = ops.project_interior(p)
         ubs = [project_qb(mesh, e, k, p) for e in mesh.cell_edges[c]]
         gw = ops.apply_weak_gradient(np.concatenate([u0] + ubs))
-        for i, tri in enumerate(ops.subtri.triangles):
+        for i, tri in enumerate(subtri(ops).triangles):
             pts, _ = triangle_points(mesh.vertices[list(tri)], 6)
-            vals = ops.lambda_values(gw, pts, i)
+            vals = lambda_values(ops, gw, pts, i)
             exact = grad(pts[:, 0], pts[:, 1])
             assert np.max(np.abs(vals - exact)) < 1e-10 * (np.max(np.abs(exact)) + 1)
 
@@ -546,14 +556,11 @@ def _sin_sin_grad(x, y):
     )
 
 
-# The weak-gradient basis is an SVD nullspace, fixed only up to a rotation,
-# and the matrices expressed in it carry the rounding of the per-triangle RT
-# orthonormalization (raw Gram condition up to 1e9 at k = 3): two fresh
-# builds of congruent cells at different positions differ by up to 1.2e-11
-# (mass_lambda) and 1.8e-12 (weak_gradient) at k = 3 on hex L4, even in a
-# common basis.  Those two are held to BASIS_MATRIX_RTOL; everything that
-# does not depend on the basis, and the projection, to 1e-12.
-BASIS_MATRIX_RTOL = 3e-11
+# The weak-gradient basis (Cholesky-orthonormalized RT frames, QR nullspace)
+# depends on a cell's position only through rounding: two builds of
+# congruent cells at different positions differ by up to 1.4e-13
+# (weak_gradient) and 3.4e-14 (mass_lambda) for k <= 3 on these meshes once
+# rotated onto one basis, so everything is held to 1e-12.
 
 
 def _assert_rel_close(got, want, what, rtol=1e-12):
@@ -576,10 +583,9 @@ def _assert_view_matches_fresh(mesh, cache, c):
                       (c, "project_interior"))
     _assert_rel_close(view.project_lambda_field(_sin_sin_grad),
                       R @ fresh.project_lambda_field(_sin_sin_grad), (c, "project_lambda_field"))
-    _assert_rel_close(view.weak_gradient, R @ fresh.weak_gradient, (c, "weak_gradient"),
-                      BASIS_MATRIX_RTOL)
-    _assert_rel_close(view.mass_lambda, R @ fresh.mass_lambda @ R.T, (c, "mass_lambda"),
-                      BASIS_MATRIX_RTOL)
+    _assert_rel_close(view.weak_gradient, R @ fresh.weak_gradient, (c, "weak_gradient"))
+    _assert_rel_close(cell_lambda_mass(view), R @ cell_lambda_mass(fresh) @ R.T,
+                      (c, "mass_lambda"))
     return fresh, R
 
 
@@ -591,7 +597,7 @@ def test_cached_operators_expose_the_fresh_attributes_and_own_triangulation():
         public = {name for name in dir(fresh) if not name.startswith("_")}
         assert public <= set(dir(view))
         assert view.cell == c
-        assert view.subtri == triangulate_cell(mesh, c)
+        assert subtri(view) == triangulate_cell(mesh, c)
 
 
 def test_interleaved_gets_do_not_alias_the_class_operators():
@@ -646,11 +652,24 @@ def test_shape_class_census_on_generated_meshes(family, n_classes, bench_workloa
     assert sorted(cells.tolist()) == list(range(mesh.n_cells))
 
 
-def _jittered_square_mesh():
-    """Square level 4 with every vertex moved by up to 0.2 h: 64 classes."""
-    base = GENERATORS["square"](4)
+@pytest.mark.parametrize("family,level", [("square", 6), ("hex", 3)])
+def test_batch_dofs_are_the_dof_map_arrays_of_each_batch(family, level):
+    """Square level 6 has one stack cut into four batches, hex level 3 two
+    stacks of one batch each."""
+    mesh = GENERATORS[family](level)
+    cache = OperatorCache(mesh, 2)
+    batches = list(cache.batches())
+    assert len(cache.batch_dofs) == len(batches)
+    for (_, _, cells, _), dofs in zip(batches, cache.batch_dofs):
+        assert np.array_equal(dofs, cache.dofmap.cell_dof_array(mesh, cells))
+
+
+def _jittered_square_mesh(level=4):
+    """A square-grid level (64 classes at level 4) with every vertex moved
+    by up to 0.2 h."""
+    base = GENERATORS["square"](level)
     rng = np.random.default_rng(5)
-    h = 1.0 / 8
+    h = 1.0 / 2 ** (level - 1)
     verts = base.vertices + rng.uniform(-0.2 * h, 0.2 * h, base.vertices.shape)
     return build_mesh(verts, base.cells)
 
@@ -688,6 +707,7 @@ def test_condition_warning_fires_once_per_class_naming_its_first_cell(monkeypatc
     with pytest.warns(RuntimeWarning) as caught:
         for c in range(mesh.n_cells):
             cache.get(c)
+    assert all("RT frame mass matrix condition" in str(w.message) for w in caught)
     named = sorted(int(str(w.message).split(":")[0].split()[1]) for w in caught)
     firsts = {}
     for stack, rows, cells, _ in cache.batches():
@@ -696,6 +716,51 @@ def test_condition_warning_fires_once_per_class_naming_its_first_cell(monkeypatc
             firsts[key] = min(firsts.get(key, c), c)
     assert cache.n_classes == 4
     assert named == sorted(firsts.values())
+
+
+def test_condition_warning_reads_a_lower_bound_of_the_raw_gram_condition(monkeypatch):
+    monkeypatch.setattr(localspaces, "CONDITION_WARN", 0.0)
+    mesh, k = generate_hex_grid(2), 4
+    cache = OperatorCache(mesh, k)
+    with pytest.warns(RuntimeWarning) as caught:
+        for c in range(mesh.n_cells):
+            cache.get(c)
+    for w in caught:
+        c = int(str(w.message).split(":")[0].split()[1])
+        bound = float(str(w.message).split("condition ")[1].split()[0])
+        ops = cache.get(c)
+        frames, s = ops.stack.lambda_basis.frames, ops.index
+        pts, wts = triangle_points(ops.stack.tri_coords[s], 2 * k + 2)
+        F = RTFrame(k, frames.center[s], frames.scale[s]).eval(pts)
+        gram = np.einsum("tq,tqid,tqjd->tij", wts, F, F)
+        cond = max(np.linalg.cond(g) for g in gram)
+        assert 1.0 <= bound <= 1.01 * cond, (c, bound, cond)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_project_lambda_field_matches_a_dense_fit_of_the_basis_fields(k):
+    """On every cell of a jittered level-3 mesh, and on a hex level-3 batch
+    whose rows repeat, the moment kernel gives the weighted least-squares
+    fit of the weak-gradient basis fields, evaluated through RTFrame.eval at
+    the same points."""
+    hex_batch = next(OperatorCache(generate_hex_grid(3), k).batches())
+    assert np.unique(hex_batch[1]).size < hex_batch[1].size
+    for stack, rows, cells, offsets in [*OperatorCache(_jittered_square_mesh(3), k).batches(),
+                                        hex_batch]:
+        got = stack.project_lambda_field(_sin_sin_grad, rows, offsets)
+        frames = stack.lambda_basis.frames
+        for i, (row, off) in enumerate(zip(rows, offsets)):
+            A, b = [], []
+            for t, coords in enumerate(stack.tri_coords[row]):
+                pts, w = triangle_points(coords + off, data_degree(k))
+                frame = RTFrame(k, frames.center[row, t], frames.scale[row, t])
+                basis = np.einsum("qfd,fl->qdl", frame.eval(pts - off),
+                                  stack.frame_coeffs[row, t])
+                sw = np.sqrt(w)[:, None]
+                A.append((sw[..., None] * basis).reshape(-1, basis.shape[-1]))
+                b.append((sw * _sin_sin_grad(pts[:, 0], pts[:, 1])).ravel())
+            dense = np.linalg.lstsq(np.vstack(A), np.concatenate(b), rcond=None)[0]
+            _assert_rel_close(got[i], dense, (cells[i], "project_lambda_field"))
 
 
 @pytest.mark.parametrize("k", range(4))
@@ -726,25 +791,38 @@ def test_mass_lambda_is_the_identity(k):
     for mesh in meshes:
         for stack, *_ in OperatorCache(mesh, k).batches():
             eye = np.eye(stack.lambda_basis.n_lambda)
-            assert np.max(np.abs(stack.mass_lambda - eye)) < 1e-8
+            assert np.max(np.abs(lambda_mass(stack) - eye)) < 1e-8
 
 
 SQUARE = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
 
 
-@pytest.mark.parametrize("middle,error,rtol", [
+@pytest.mark.parametrize("middle,error,rtol,singular", [
     # A dart anchored next to its reflex vertex.
-    ([(1.0, 0.0), (0.2, 0.2), (0.0, 1.0), (0.0, 0.0)], StarShapeError, None),
+    ([(1.0, 0.0), (0.2, 0.2), (0.0, 1.0), (0.0, 0.0)], StarShapeError, None, False),
     # Star-shaped, but both fan triangles have area 5e-15.
-    (1e-7 * SQUARE, GeometryError, None),
+    (1e-7 * SQUARE, GeometryError, None, False),
     # Aspect 50: at this rtol the squares still pass the dimension law.
-    ([(0.0, 0.0), (1.0, 0.0), (1.0, 0.02), (0.0, 0.02)], LambdaDimensionError, 1e-3),
-], ids=["non-star", "degenerate-triangle", "dimension-law"])
-def test_stacked_build_names_the_offending_cell(middle, error, rtol, monkeypatch):
+    ([(0.0, 0.0), (1.0, 0.0), (1.0, 0.02), (0.0, 0.02)], LambdaDimensionError, 1e-3, False),
+    # A sound square whose first fan triangle's RT fields read zero, so its
+    # Gram is singular and the batched Cholesky fails for the whole stack.
+    (1.15 * SQUARE, GeometryError, None, True),
+], ids=["non-star", "degenerate-triangle", "dimension-law", "singular-Gram"])
+def test_stacked_build_names_the_offending_cell(middle, error, rtol, singular, monkeypatch):
     """Cell 2 of five disjoint quads of different sizes is bad; all five
     classes are built in one stack, and the error names cell 2."""
     if rtol is not None:
         monkeypatch.setattr(localspaces, "NULLSPACE_RTOL", rtol)
+    if singular:
+        eval_fields = RTFrame.eval
+
+        def eval_zeroing_cell_2(frame, pts):
+            F = eval_fields(frame, pts)
+            if F.ndim == 5 and len(F) == 5:
+                F[2, 0] = 0.0
+            return F
+
+        monkeypatch.setattr(RTFrame, "eval", eval_zeroing_cell_2)
     quads = [1.0 * SQUARE, 1.1 * SQUARE, np.asarray(middle), 1.2 * SQUARE, 1.3 * SQUARE]
     verts = np.vstack([q + (3.0 * i, 0.0) for i, q in enumerate(quads)])
     mesh = build_mesh(verts, [tuple(range(4 * i, 4 * i + 4)) for i in range(5)])

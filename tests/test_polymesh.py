@@ -14,11 +14,18 @@ from wg_sfem.polymesh import (
     generate_hex_grid,
     generate_quad_grid,
     generate_square_grid,
-    hex_grid_cell_count,
     polygon_area,
     read_mesh,
     triangulate_cell,
     write_mesh,
+)
+
+from helpers import (
+    cell_area,
+    cell_centroid,
+    edge_midpoint,
+    edge_normal,
+    hex_grid_cell_count,
 )
 
 
@@ -58,7 +65,7 @@ def test_square_level_2_counts():
 def test_square_level_6_is_32_by_32():
     mesh = generate_square_grid(6)
     assert mesh.n_cells == 32 * 32
-    assert all(mesh.cell_area(c) == pytest.approx(1 / 1024, rel=1e-14)
+    assert all(cell_area(mesh, c) == pytest.approx(1 / 1024, rel=1e-14)
                for c in (0, 500, 1023))
 
 
@@ -86,7 +93,7 @@ def test_quad_level_2_congruent_trapezoids_quarter_area():
     assert mesh.n_cells == 4
     base = interior_angles(mesh.cell_vertices(0))
     for c in range(4):
-        assert mesh.cell_area(c) == pytest.approx(0.25, abs=1e-14)
+        assert cell_area(mesh, c) == pytest.approx(0.25, abs=1e-14)
         angles = interior_angles(mesh.cell_vertices(c))
         # congruent up to reflection: same sorted angle multiset
         assert np.allclose(angles, base, atol=1e-12)
@@ -133,7 +140,7 @@ def test_hex_cell_count_formula(level):
 def test_hex_level_3_area_audit_by_point_location():
     """Independent audit: random points each land in exactly one cell."""
     mesh = generate_hex_grid(3)
-    assert sum(mesh.cell_area(c) for c in range(mesh.n_cells)) == pytest.approx(
+    assert sum(cell_area(mesh, c) for c in range(mesh.n_cells)) == pytest.approx(
         1.0, abs=1e-12
     )
 
@@ -168,7 +175,7 @@ def test_hex_level_3_area_audit_by_point_location():
 def test_partition_and_euler(family, levels):
     for level in levels:
         mesh = GENERATORS[family](level)
-        total = sum(mesh.cell_area(c) for c in range(mesh.n_cells))
+        total = sum(cell_area(mesh, c) for c in range(mesh.n_cells))
         assert total == pytest.approx(1.0, abs=1e-12), (family, level)
         assert mesh.n_vertices - mesh.n_edges + mesh.n_cells == 1, (family, level)
         counts = (mesh.edge_cells >= 0).sum(axis=1)
@@ -212,7 +219,7 @@ def test_fan_regular_hexagon():
     tri_area = sum(
         polygon_area(mesh.vertices[list(t)]) for t in sub.triangles
     )
-    assert tri_area == pytest.approx(mesh.cell_area(0), abs=1e-14)
+    assert tri_area == pytest.approx(cell_area(mesh, 0), abs=1e-14)
 
 
 @pytest.mark.parametrize("family", sorted(GENERATORS))
@@ -224,7 +231,7 @@ def test_fan_counts_and_area_conservation(family):
         assert len(sub.triangles) == n_v - 2
         assert len(sub.internal_edges) == n_v - 3
         tri_area = sum(polygon_area(mesh.vertices[list(t)]) for t in sub.triangles)
-        assert abs(tri_area - mesh.cell_area(c)) < 1e-13
+        assert abs(tri_area - cell_area(mesh, c)) < 1e-13
         # every parent side coincides with one sub-triangle side
         assert len(sub.boundary_edge_map) == n_v
 
@@ -293,16 +300,16 @@ def test_read_ignores_unknown_keys(tmp_path):
 def test_edge_normal_points_low_to_high_cell():
     mesh = generate_square_grid(2)
     for e in range(mesh.n_edges):
-        n = mesh.edge_normal(e)
+        n = edge_normal(mesh, e)
         lo = mesh.edge_cells[e, 0]
-        mid = mesh.edge_midpoint(e)
+        mid = edge_midpoint(mesh, e)
         if mesh.boundary_edges[e]:
             # outward: stepping along n leaves the domain
             p = mid + 1e-3 * n
             assert not (0 <= p[0] <= 1 and 0 <= p[1] <= 1)
         else:
             hi = mesh.edge_cells[e, 1]
-            assert np.dot(n, mesh.cell_centroid(hi) - mesh.cell_centroid(lo)) > 0
+            assert np.dot(n, cell_centroid(mesh, hi) - cell_centroid(mesh, lo)) > 0
 
 
 @settings(max_examples=12, deadline=None)
@@ -312,9 +319,9 @@ def test_edge_normal_points_low_to_high_cell():
 )
 def test_generator_invariants_property(family, level):
     mesh = GENERATORS[family](level)
-    assert sum(mesh.cell_area(c) for c in range(mesh.n_cells)) == pytest.approx(
+    assert sum(cell_area(mesh, c) for c in range(mesh.n_cells)) == pytest.approx(
         1.0, abs=1e-12
     )
     assert mesh.n_vertices - mesh.n_edges + mesh.n_cells == 1
     for c in range(mesh.n_cells):
-        assert mesh.cell_area(c) > 0
+        assert cell_area(mesh, c) > 0
