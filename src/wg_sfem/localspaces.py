@@ -39,6 +39,7 @@ import numpy as np
 from .polymesh import (
     PolyMesh,
     fan_triangles,
+    first_appearance_labels,
     polygon_area,
     polygon_centroid,
     polygon_diameter,
@@ -432,17 +433,24 @@ def build_lambda_basis(mesh: PolyMesh, cells, k: int) -> LambdaBasis:
                         matches.reshape(n_cells, -1, nt * nf)], axis=1)
     # The constraint rows are independent exactly when the dimension law
     # holds; the last columns of a complete QR of C^T then span the
-    # nullspace, and C's singular values are those of the triangular factor.
+    # nullspace, and C's singular values are those of the triangular factor
+    # R.  Cells with cond(R) <= |R|_F |R^-1|_F < 1/NULLSPACE_RTOL pass the
+    # rank test; only the others need singular values.
     n_rows = C.shape[1]
     Q, R = np.linalg.qr(C.swapaxes(-1, -2), mode="complete")
-    sv = np.linalg.svd(R[:, :n_rows], compute_uv=False)
+    R = R[:, :n_rows]
+    with np.errstate(all="ignore"):
+        bound = (np.linalg.norm(R, axis=(-2, -1))
+                 * np.linalg.norm(_inverse_lower(R.swapaxes(-1, -2)), axis=(-2, -1)))
+    check = np.flatnonzero(~(bound < 1.0 / NULLSPACE_RTOL))
+    sv = np.linalg.svd(R[check], compute_uv=False)
     n_null = nt * nf - np.sum(sv > NULLSPACE_RTOL * sv[:, :1], axis=1)
     n_expected = expected_lambda_dim(nt + 2, k)
     bad = np.flatnonzero(n_null != n_expected)
     if bad.size:
         s = bad[0]
         raise LambdaDimensionError(
-            f"cell {cells[s]} (k={k}): nullspace dimension {n_null[s]} != "
+            f"cell {cells[check[s]]} (k={k}): nullspace dimension {n_null[s]} != "
             f"expected {n_expected}; constraint singular values {sv[s]}"
         )
     null = Q[:, :, n_rows:]
@@ -658,7 +666,6 @@ class LocalCellOperators:
         self.mesh, self.k = mesh, stack.k
         self.stack, self.index = stack, index
         self.cell, self.offset = cell, offset
-        self._rows = np.array([index])
 
     @property
     def n_local(self) -> int:
@@ -678,14 +685,14 @@ class LocalCellOperators:
 
     def project_interior(self, func, degree: int | None = None) -> np.ndarray:
         """L2 projection onto the interior P_k basis."""
-        return self.stack.project_interior(func, self._rows, self.offset[None], degree)[0]
+        return self.stack.project_interior(func, [self.index], self.offset[None], degree)[0]
 
     def project_lambda_field(self, func, degree: int | None = None) -> np.ndarray:
         """L2 projection of a vector field onto the weak-gradient space.
 
         func(x, y) must return shape (npts, 2).
         """
-        return self.stack.project_lambda_field(func, self._rows, self.offset[None], degree)[0]
+        return self.stack.project_lambda_field(func, [self.index], self.offset[None], degree)[0]
 
 
 class OperatorCache:
@@ -706,11 +713,11 @@ class OperatorCache:
         _check_degree(k)
         self.mesh = mesh
         self.k = k
-        origin = mesh.vertices[[cyc[0] for cyc in mesh.cells]]
+        origin = mesh.vertices[mesh.cycles[mesh.offsets[:-1]]]
         class_of = np.empty(mesh.n_cells, dtype=int)
-        keys: dict[tuple, int] = {}
-        for n_v in sorted({len(cyc) for cyc in mesh.cells}):
-            cells = [c for c, cyc in enumerate(mesh.cells) if len(cyc) == n_v]
+        sizes, n_classes = np.diff(mesh.offsets), 0
+        for n_v in np.unique(sizes):
+            cells = np.flatnonzero(sizes == n_v)
             cyc = mesh.cell_cycles(cells)
             coords = mesh.vertices[cyc]
             diam = polygon_diameter(coords)
@@ -718,8 +725,9 @@ class OperatorCache:
             # + 0.0 folds -0.0 into 0.0
             shape = np.round(np.column_stack([rel, np.log(diam)]), KEY_DECIMALS) + 0.0
             forward = cyc < np.roll(cyc, -1, axis=1)
-            for c, s, f in zip(cells, shape.tolist(), forward.tolist()):
-                class_of[c] = keys.setdefault((tuple(s), tuple(f)), len(keys))
+            keys = np.column_stack([shape, forward])
+            class_of[cells] = n_classes + first_appearance_labels(keys)[0]
+            n_classes = class_of[cells].max() + 1
         # Members of each class are contiguous in _order, classes of one
         # vertex count are numbered contiguously.
         self._order = np.argsort(class_of, kind="stable")
@@ -727,7 +735,7 @@ class OperatorCache:
         self._first = self._order[self._starts[:-1]]
         self._class_of = class_of
         self._offset = origin - origin[self._first][class_of]
-        n_v = np.array([len(mesh.cells[c]) for c in self._first])
+        n_v = sizes[self._first]
         groups = [0, *(np.flatnonzero(np.diff(n_v)) + 1).tolist(), n_v.size]
         self._ranges = [(lo, min(lo + BATCH_CELLS, end))
                         for start, end in zip(groups, groups[1:])

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -73,24 +75,53 @@ def polygon_diameter(coords: np.ndarray) -> np.ndarray:
     return np.sqrt((diff**2).sum(axis=-1).max(axis=(-2, -1)))
 
 
+def _gather(flat: np.ndarray, offsets: np.ndarray, cells) -> np.ndarray:
+    """Rows of a per-side array for cells with one vertex count, shape
+    (n_cells, n_v)."""
+    cells = np.asarray(cells, dtype=int)
+    start = offsets[cells]
+    n_v = int(offsets[cells[0] + 1] - start[0]) if cells.size else 0
+    return flat[start[:, None] + np.arange(n_v)]
+
+
+def first_appearance_labels(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of keys (n, m) 0, 1, ... in order of first
+    appearance, as a dict filled row by row would.  Returns each row's
+    number and how many earlier rows share it."""
+    order = np.lexsort(keys.T)
+    sorted_keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
+    group = np.cumsum(new) - 1
+    start = np.flatnonzero(new)
+    # lexsort is stable: each group lists its rows in order of appearance.
+    rank = np.argsort(np.argsort(order[start]))
+    labels, use = np.empty((2, len(keys)), dtype=int)
+    labels[order] = rank[group]
+    use[order] = np.arange(len(keys)) - start[group]
+    return labels, use
+
+
 @dataclass(frozen=True)
 class PolyMesh:
-    """2D polytopal mesh with derived edge topology.
+    """2D polytopal mesh with derived edge topology, held as arrays.
 
     vertices: (nv, 2) float coordinates.
-    cells: per-cell counterclockwise vertex-index cycles.
+    cycles: all cells' counterclockwise vertex-index cycles, concatenated.
+    offsets: (n_cells + 1,) start of each cell's cycle in ``cycles``.
     edges: (ne, 2) undirected vertex pairs, (min, max) order, in deterministic
         first-encounter order over cells.
-    cell_edges: per cell, the edge index of each side (side i joins cycle
-        vertices i and i+1).
+    sides: the edge index of each cell side, aligned with ``cycles`` (side i
+        of a cell joins its cycle vertices i and i+1).
     edge_cells: (ne, 2) adjacent cell indices sorted ascending, -1 for none.
     boundary_edges: (ne,) bool mask.
     """
 
     vertices: np.ndarray
-    cells: tuple[tuple[int, ...], ...]
+    cycles: np.ndarray
+    offsets: np.ndarray
     edges: np.ndarray
-    cell_edges: tuple[tuple[int, ...], ...]
+    sides: np.ndarray
     edge_cells: np.ndarray
     boundary_edges: np.ndarray
     dim: int = 2
@@ -101,103 +132,110 @@ class PolyMesh:
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return self.offsets.size - 1
 
     @property
     def n_edges(self) -> int:
         return self.edges.shape[0]
 
+    @cached_property
+    def cells(self) -> tuple[tuple[int, ...], ...]:
+        """Per-cell vertex cycles as tuples, built on first access."""
+        items, bounds = self.cycles.tolist(), self.offsets.tolist()
+        return tuple(tuple(items[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    @cached_property
+    def cell_edges(self) -> tuple[tuple[int, ...], ...]:
+        """Per cell, the edge index of each side, as tuples."""
+        items, bounds = self.sides.tolist(), self.offsets.tolist()
+        return tuple(tuple(items[a:b]) for a, b in zip(bounds, bounds[1:]))
+
     def cell_vertices(self, c: int) -> np.ndarray:
-        return self.vertices[list(self.cells[c])]
+        return self.vertices[self.cycles[self.offsets[c] : self.offsets[c + 1]]]
 
     def cell_cycles(self, cells) -> np.ndarray:
         """Vertex cycles of cells with one vertex count, shape (n_cells, n_v)."""
-        return np.array([self.cells[c] for c in cells], dtype=int)
+        return _gather(self.cycles, self.offsets, cells)
+
+    def cell_sides(self, cells) -> np.ndarray:
+        """Side edge indices of cells with one vertex count, shape (n_cells, n_v)."""
+        return _gather(self.sides, self.offsets, cells)
 
     def edge_vertices(self, e: int) -> np.ndarray:
         return self.vertices[self.edges[e]]
 
     def side_normal(self, c: int, side: int) -> np.ndarray:
         """Outward unit normal of cell c on its given side."""
-        cyc = self.cells[c]
-        a = self.vertices[cyc[side]]
-        b = self.vertices[cyc[(side + 1) % len(cyc)]]
-        t = b - a
+        cyc = self.cell_cycles([c])[0]
+        t = self.vertices[cyc[(side + 1) % cyc.size]] - self.vertices[cyc[side]]
         n = np.array([t[1], -t[0]])
         return n / np.linalg.norm(n)
 
 
 def build_mesh(vertices, cells) -> PolyMesh:
-    """Assemble and validate a PolyMesh from raw vertices and cell cycles."""
+    """Assemble and validate a PolyMesh from raw vertices and cell cycles
+    (an (n_cells, n_v) array or a sequence of sequences).  The checks run on
+    whole arrays; an error names what a scan cell by cell, side by side,
+    would meet first, and edges are numbered by first encounter in it."""
     verts = np.array(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 2:
         raise MeshFormatError("vertices must be an (n, 2) array")
     nv = verts.shape[0]
+    if isinstance(cells, np.ndarray) and cells.ndim == 2:
+        cycles, sizes = cells.astype(int).ravel(), np.full(len(cells), cells.shape[1])
+    else:
+        sizes = np.fromiter(map(len, cells), dtype=int)
+        cycles = np.fromiter(chain.from_iterable(cells), dtype=int, count=int(sizes.sum()))
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    cell_of = np.repeat(np.arange(sizes.size), sizes)
 
-    cell_tuples = []
-    for ci, cyc in enumerate(cells):
-        cyc = tuple(int(v) for v in cyc)
-        if len(cyc) < 3:
+    # Cells that are short, leave 0..nv-1 or repeat a vertex (a repeat shows
+    # as equal neighbours among the sorted (cell, clipped vertex) keys).
+    outside = (cycles < 0) | (cycles >= nv)
+    key = np.sort(cell_of * (nv + 2) + np.clip(cycles, -1, nv) + 1)
+    repeats = key[1:][key[1:] == key[:-1]] // (nv + 2)
+    suspects = np.concatenate([np.flatnonzero(sizes < 3), cell_of[outside], repeats])
+    if suspects.size:
+        ci = int(suspects.min())
+        cyc = cycles[offsets[ci] : offsets[ci + 1]]
+        out = cyc[(cyc < 0) | (cyc >= nv)]
+        if cyc.size < 3:
             raise MeshFormatError(f"cell {ci} has fewer than 3 vertices")
-        for v in cyc:
-            if not 0 <= v < nv:
-                raise MeshFormatError(
-                    f"cell {ci} references vertex {v} outside 0..{nv - 1}"
-                )
-        if len(set(cyc)) != len(cyc):
-            raise MeshFormatError(f"cell {ci} repeats a vertex")
-        cell_tuples.append(cyc)
-    # Orientation, checked for all cells of one vertex count at once.
-    flipped = []
-    for n_v in {len(cyc) for cyc in cell_tuples}:
-        ids = np.array([ci for ci, cyc in enumerate(cell_tuples) if len(cyc) == n_v])
-        area = polygon_area(verts[np.array([cell_tuples[ci] for ci in ids])])
-        flipped.extend(ids[area <= 0.0].tolist())
-    if flipped:
+        if out.size:
+            raise MeshFormatError(f"cell {ci} references vertex {out[0]} outside 0..{nv - 1}")
+        raise MeshFormatError(f"cell {ci} repeats a vertex")
+    area = np.empty(sizes.size)
+    for n_v in np.unique(sizes):
+        ids = np.flatnonzero(sizes == n_v)
+        area[ids] = polygon_area(verts[_gather(cycles, offsets, ids)])
+    if np.any(area <= 0.0):
         raise MeshFormatError(
-            f"cell {min(flipped)} has clockwise or degenerate orientation; "
+            f"cell {np.argmax(area <= 0.0)} has clockwise or degenerate orientation; "
             "cells must be counterclockwise"
         )
 
-    edge_index: dict[tuple[int, int], int] = {}
-    edge_list: list[tuple[int, int]] = []
-    adjacency: list[list[int]] = []
-    cell_edges = []
-    for ci, cyc in enumerate(cell_tuples):
-        sides = []
-        for s in range(len(cyc)):
-            a, b = cyc[s], cyc[(s + 1) % len(cyc)]
-            key = (a, b) if a < b else (b, a)
-            e = edge_index.get(key)
-            if e is None:
-                e = len(edge_list)
-                edge_index[key] = e
-                edge_list.append(key)
-                adjacency.append([ci])
-            else:
-                if len(adjacency[e]) == 2:
-                    raise MeshFormatError(
-                        f"edge {key} shared by more than two cells (cell {ci})"
-                    )
-                adjacency[e].append(ci)
-            sides.append(e)
-        cell_edges.append(tuple(sides))
-
-    ne = len(edge_list)
-    edge_cells = np.full((ne, 2), -1, dtype=int)
-    boundary = np.zeros(ne, dtype=bool)
-    for e, adj in enumerate(adjacency):
-        adj_sorted = sorted(adj)
-        edge_cells[e, : len(adj_sorted)] = adj_sorted
-        boundary[e] = len(adj_sorted) == 1
+    nxt = np.arange(cycles.size) + 1
+    nxt[offsets[1:] - 1] = offsets[:-1]
+    pairs = np.sort(np.column_stack([cycles, cycles[nxt]]), axis=1)
+    sides, use = first_appearance_labels(pairs)
+    third = np.flatnonzero(use == 2)
+    if third.size:
+        p = third[0]
+        raise MeshFormatError(
+            f"edge {tuple(pairs[p].tolist())} shared by more than two cells (cell {cell_of[p]})"
+        )
+    # The scan meets an edge's cells in ascending order.
+    edge_cells = np.full((np.count_nonzero(use == 0), 2), -1, dtype=int)
+    edge_cells[sides, use] = cell_of
 
     return PolyMesh(
         vertices=_readonly(verts),
-        cells=tuple(cell_tuples),
-        edges=_readonly(np.array(edge_list, dtype=int)),
-        cell_edges=tuple(cell_edges),
+        cycles=_readonly(cycles),
+        offsets=_readonly(offsets),
+        edges=_readonly(pairs[use == 0]),
+        sides=_readonly(sides),
         edge_cells=_readonly(edge_cells),
-        boundary_edges=_readonly(boundary),
+        boundary_edges=_readonly(edge_cells[:, 1] < 0),
     )
 
 
@@ -208,22 +246,23 @@ def _check_level(level: int) -> None:
         raise ValueError(f"level {level} exceeds the resource guard ({MAX_LEVEL})")
 
 
-def generate_square_grid(level: int) -> PolyMesh:
-    """Uniform grid of 2^(level-1) x 2^(level-1) square cells on (0,1)^2."""
+def _grid(level: int, dy: float) -> PolyMesh:
+    """The 2^(level-1) x 2^(level-1) grid of squares on (0,1)^2 with the
+    vertices of odd interior rows moved by +dy*h (even columns) and -dy*h
+    (odd columns) in y."""
     _check_level(level)
     m = 2 ** (level - 1)
     h = 1.0 / m
-    verts = [(i * h, j * h) for j in range(m + 1) for i in range(m + 1)]
+    i, j = np.meshgrid(np.arange(m + 1), np.arange(m + 1))
+    shift = np.where((j % 2 == 1) & (0 < j) & (j < m), np.where(i % 2 == 0, dy * h, -dy * h), 0.0)
+    verts = np.stack([i * h, j * h + shift], axis=-1).reshape(-1, 2)
+    corner = (np.arange(m)[:, None] * (m + 1) + np.arange(m)).reshape(-1, 1)
+    return build_mesh(verts, corner + [0, 1, m + 2, m + 1])
 
-    def vid(i, j):
-        return j * (m + 1) + i
 
-    cells = [
-        (vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1))
-        for j in range(m)
-        for i in range(m)
-    ]
-    return build_mesh(verts, cells)
+def generate_square_grid(level: int) -> PolyMesh:
+    """Uniform grid of 2^(level-1) x 2^(level-1) square cells on (0,1)^2."""
+    return _grid(level, 0.0)
 
 
 def generate_quad_grid(level: int) -> PolyMesh:
@@ -234,26 +273,7 @@ def generate_quad_grid(level: int) -> PolyMesh:
     cell congruent (up to reflection) to one trapezoid with vertical parallel
     sides 0.8*h and 1.2*h; level 1 stays a single square.
     """
-    _check_level(level)
-    m = 2 ** (level - 1)
-    h = 1.0 / m
-    verts = []
-    for j in range(m + 1):
-        for i in range(m + 1):
-            y = j * h
-            if j % 2 == 1 and 0 < j < m:
-                y += 0.2 * h if i % 2 == 0 else -0.2 * h
-            verts.append((i * h, y))
-
-    def vid(i, j):
-        return j * (m + 1) + i
-
-    cells = [
-        (vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1))
-        for j in range(m)
-        for i in range(m)
-    ]
-    return build_mesh(verts, cells)
+    return _grid(level, 0.2)
 
 
 def generate_hex_grid(level: int) -> PolyMesh:
@@ -276,38 +296,21 @@ def generate_hex_grid(level: int) -> PolyMesh:
     m = 2**level
     w_cols = 2 * m
     h = 1.0 / m
-    wx = 1.0 / w_cols
-    verts = []
-    for j in range(m + 1):
-        for i in range(w_cols + 1):
-            y = j * h
-            if 0 < j < m and 0 < i < w_cols:
-                y += 0.16 * h if i % 2 == j % 2 else -0.1 * h
-            verts.append((i * wx, y))
+    i, j = np.meshgrid(np.arange(w_cols + 1), np.arange(m + 1))
+    inner = (0 < j) & (j < m) & (0 < i) & (i < w_cols)
+    y = j * h + np.where(inner, np.where(i % 2 == j % 2, 0.16 * h, -0.1 * h), 0.0)
+    verts = np.stack([i * (1.0 / w_cols), y], axis=-1).reshape(-1, 2)
 
-    def vid(i, j):
-        return j * (w_cols + 1) + i
-
+    # Vertex (i, j) is j * r + i; cells are offsets from their lower left.
+    r = w_cols + 1
+    quad = np.array([0, 1, r + 1, r])
     cells = []
     for j in range(m):
-        offset = j % 2
-        if offset == 1:
-            cells.append((vid(0, j), vid(1, j), vid(1, j + 1), vid(0, j + 1)))
-        for a in range(offset, w_cols - offset, 2):
-            cells.append(
-                (
-                    vid(a + 1, j),
-                    vid(a + 2, j),
-                    vid(a + 2, j + 1),
-                    vid(a + 1, j + 1),
-                    vid(a, j + 1),
-                    vid(a, j),
-                )
-            )
-        if offset == 1:
-            cells.append(
-                (vid(w_cols - 1, j), vid(w_cols, j), vid(w_cols, j + 1), vid(w_cols - 1, j + 1))
-            )
+        bricks = (j * r + np.arange(j % 2, w_cols - j % 2, 2)[:, None]
+                  + [1, 2, r + 2, r + 1, r, 0]).tolist()
+        if j % 2:
+            bricks = [(j * r + quad).tolist(), *bricks, (j * r + w_cols - 1 + quad).tolist()]
+        cells += bricks
     return build_mesh(verts, cells)
 
 
@@ -366,7 +369,7 @@ def fan_triangles(mesh: PolyMesh, cells) -> np.ndarray:
 
 def triangulate_cell(mesh: PolyMesh, cell: int) -> SubTriangulation:
     """Fan-triangulate a cell from its first cycle vertex (no new vertices)."""
-    cyc = mesh.cells[cell]
+    cyc = mesh.cell_cycles([cell])[0].tolist()
     n = len(cyc)
     triangles = tuple(map(tuple, fan_triangles(mesh, [cell])[0].tolist()))
     internal_edges = tuple((cyc[0], cyc[i]) for i in range(2, n - 1))

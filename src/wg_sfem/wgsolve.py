@@ -26,7 +26,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
 
 from .localspaces import DataError, OperatorCache, _matvec, dim_pk, project_qb
 from .polymesh import PolyMesh
@@ -35,6 +34,12 @@ DIRECT_LIMIT = 5000
 # Tightened PCG passes on the edge system that solve may add to bring the
 # full-system residual under tol.
 MAX_REFINEMENTS = 3
+
+
+def spsolve(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
+    """scipy.sparse.linalg.spsolve, imported on the first direct solve."""
+    from scipy.sparse.linalg import spsolve as direct
+    return direct(A, b)
 
 
 class SolverError(RuntimeError):
@@ -97,7 +102,7 @@ class DofMap:
         cells = np.asarray(cells)
         n0, nb = self.n_interior_per_cell, self.n_per_edge
         interior = cells[:, None] * n0 + np.arange(n0)
-        edges = np.array([mesh.cell_edges[c] for c in cells])
+        edges = mesh.cell_sides(cells)
         sides = self.edge_base + edges[:, :, None] * nb + np.arange(nb)
         return np.hstack([interior, sides.reshape(cells.size, -1)])
 

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wg_sfem.localspaces as localspaces
 from wg_sfem.localspaces import (
     DegreeError,
     GeometryError,
     LambdaDimensionError,
+    MAX_DEGREE,
     LocalCellOperators,
     OperatorCache,
     RTFrame,
@@ -32,6 +35,9 @@ from helpers import (
     interior_values,
     lambda_mass,
     lambda_values,
+    loop_shape_classes,
+    mixed_input,
+    renumbered,
     subtri,
 )
 
@@ -830,3 +836,78 @@ def test_stacked_build_names_the_offending_cell(middle, error, rtol, singular, m
     assert cache.n_classes == 5
     with pytest.raises(error, match=r"\bcell 2\b"):
         cache.get(4)
+
+
+# ---------------------------------------------------------------- shape classes, rank test
+
+
+def _assert_classes_match_the_loop_oracle(mesh):
+    got, want = OperatorCache(mesh, 1)._class_of, loop_shape_classes(mesh)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("level", range(1, 8))
+@pytest.mark.parametrize("family", sorted(GENERATORS))
+def test_shape_classes_match_the_loop_oracle(family, level):
+    _assert_classes_match_the_loop_oracle(GENERATORS[family](level))
+
+
+@settings(max_examples=15, deadline=None)
+@given(family=st.sampled_from(sorted(GENERATORS)), level=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1), renumber=st.booleans())
+def test_shape_classes_of_jittered_renumbered_meshes_match_the_loop_oracle(family, level,
+                                                                           seed, renumber):
+    """A random subset of the vertices jittered, and optionally the cells,
+    vertices and cycle starts renumbered: classes merge and split in ways
+    the generated grids never show."""
+    base = GENERATORS[family](level)
+    rng = np.random.default_rng(seed)
+    step = 0.1 / 2 ** (level + 1)  # a tenth of the shortest edge of any family
+    verts = base.vertices + (rng.uniform(-step, step, base.vertices.shape)
+                             * (rng.random((base.n_vertices, 1)) < 0.3))
+    cells = base.cells
+    if renumber:
+        verts, cells = renumbered(verts, cells, rng)
+    _assert_classes_match_the_loop_oracle(build_mesh(verts, cells))
+
+
+def test_shape_classes_of_mixed_vertex_counts_match_the_loop_oracle():
+    vertices, cells = mixed_input()
+    _assert_classes_match_the_loop_oracle(build_mesh(vertices, cells))
+    _assert_classes_match_the_loop_oracle(build_mesh(vertices, cells[::-1]))
+
+
+def _spy_on_svd(monkeypatch) -> list:
+    """The number of matrices in each np.linalg.svd call from now on."""
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, *args, **kw: calls.append(len(a)) or svd(a, *args, **kw))
+    return calls
+
+
+def test_rank_test_of_generated_cells_needs_no_singular_values(monkeypatch):
+    """The Frobenius bound on cond(R) certifies every generated cell, so
+    the singular values are never computed."""
+    calls = _spy_on_svd(monkeypatch)
+    mesh = generate_hex_grid(2)
+    for k in range(MAX_DEGREE + 1):
+        for n_v in (4, 6):
+            build_lambda_basis(mesh, [c for c in range(mesh.n_cells)
+                                      if len(mesh.cells[c]) == n_v], k)
+    assert len(calls) == 2 * (MAX_DEGREE + 1) and not any(calls)
+
+
+def test_rank_deficient_cell_takes_the_svd_route_and_raises(monkeypatch):
+    """At rtol 1e-3 the aspect-50 rectangle fails the rank test; it alone
+    gets singular values, and the error names it and lists them."""
+    monkeypatch.setattr(localspaces, "NULLSPACE_RTOL", 1e-3)
+    square = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    quads = [square, 1.1 * square, square * (1.0, 0.02), 1.2 * square, 1.3 * square]
+    verts = np.vstack([q + (3.0 * i, 0.0) for i, q in enumerate(quads)])
+    mesh = build_mesh(verts, [tuple(range(4 * i, 4 * i + 4)) for i in range(5)])
+    calls = _spy_on_svd(monkeypatch)
+    with pytest.raises(LambdaDimensionError,
+                       match=r"^cell 2 \(k=1\): nullspace dimension 13 != expected 11; "
+                             r"constraint singular values \[6\.36"):
+        build_lambda_basis(mesh, range(5), 1)
+    assert calls == [1]

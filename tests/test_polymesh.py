@@ -26,6 +26,10 @@ from helpers import (
     edge_midpoint,
     edge_normal,
     hex_grid_cell_count,
+    loop_build_mesh,
+    loop_generator_input,
+    mixed_input,
+    renumbered,
 )
 
 
@@ -325,3 +329,110 @@ def test_generator_invariants_property(family, level):
     assert mesh.n_vertices - mesh.n_edges + mesh.n_cells == 1
     for c in range(mesh.n_cells):
         assert cell_area(mesh, c) > 0
+
+
+# ---------------------------------------------------------------- array topology
+
+
+MESH_FIELDS = ("vertices", "cells", "edges", "cell_edges", "edge_cells", "boundary_edges")
+
+
+def assert_matches_oracle(mesh, vertices, cells):
+    """Every topology field of mesh is bit for bit what the cell-by-cell
+    loop derives from the same input, tuples of Python ints included."""
+    ref = loop_build_mesh(vertices, cells)
+    for name in MESH_FIELDS:
+        got, want = getattr(mesh, name), ref[name]
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        else:
+            assert got == want, name
+            assert all(type(v) is int for cyc in got for v in cyc), name
+
+
+@pytest.mark.parametrize("level", range(1, 8))
+@pytest.mark.parametrize("family", sorted(GENERATORS))
+def test_generators_match_the_loop_oracle(family, level):
+    """The meshgrid generators give the loop generators' vertices, and the
+    array topology the loop topology, bit for bit."""
+    vertices, cells = loop_generator_input(family, level)
+    assert_matches_oracle(GENERATORS[family](level), vertices, cells)
+
+
+@settings(max_examples=15, deadline=None)
+@given(level=st.integers(min_value=1, max_value=4), seed=st.integers(0, 2**32 - 1),
+       renumber=st.booleans())
+def test_jittered_and_renumbered_meshes_match_the_loop_oracle(level, seed, renumber):
+    """Jittered square grids, optionally with cells, vertices and cycle
+    starts renumbered at random."""
+    base = generate_square_grid(level)
+    rng = np.random.default_rng(seed)
+    h = 1.0 / 2 ** (level - 1)
+    verts = base.vertices + rng.uniform(-0.2 * h, 0.2 * h, base.vertices.shape)
+    cells = base.cells
+    if renumber:
+        verts, cells = renumbered(verts, cells, rng)
+    assert_matches_oracle(build_mesh(verts, cells), verts, cells)
+
+
+def test_mixed_vertex_counts_match_the_loop_oracle():
+    vertices, cells = mixed_input()
+    mesh = build_mesh(vertices, cells)
+    assert {len(cyc) for cyc in mesh.cells} == {3, 4}
+    assert_matches_oracle(mesh, vertices, cells)
+    assert_matches_oracle(build_mesh(vertices, cells[::-1]), vertices, cells[::-1])
+
+
+def test_array_input_matches_list_input_and_is_not_frozen():
+    vertices, cells = loop_generator_input("quad", 3)
+    table = np.array(cells)
+    mesh = build_mesh(np.array(vertices), table)
+    assert_matches_oracle(mesh, vertices, cells)
+    table[0, 0] = 1  # the caller's array stays writeable and unshared
+    assert mesh.cells[0][0] == cells[0][0]
+
+
+# Three triangles on each of the edges (0, 1) and (5, 6): every one is
+# counterclockwise, so only the edge check fails.
+FANS = [(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.5, -1.0), (0.5, 2.0),
+        (3.0, 0.0), (4.0, 0.0), (3.5, 1.0), (3.5, -1.0), (3.5, 2.0)]
+SQUARES = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0),
+           (2.0, 0.0), (3.0, 0.0), (3.0, 1.0), (2.0, 1.0)]
+
+MALFORMED = {
+    "short-cell": (SQUARES, [(0, 1, 2, 3), (4, 5)]),
+    "empty-cell": (SQUARES, [(0, 1, 2, 3), ()]),
+    "index-too-large": (SQUARES, [(0, 1, 2, 3), (4, 5, 9, 7)]),
+    "negative-index": (SQUARES, [(0, 1, 2, 3), (4, 5, -1, 7)]),
+    "first-of-two-bad-indices": (SQUARES, [(0, 1, 2, 3), (4, 12, -3, 7)]),
+    "repeated-vertex": (SQUARES, [(0, 1, 2, 3), (4, 5, 5, 7)]),
+    "repeated-bad-index": (SQUARES, [(0, 1, 2, 3), (4, -2, -2, 7)]),
+    "clockwise": (SQUARES, [(0, 1, 2, 3), (4, 7, 6, 5)]),
+    "degenerate": ([(0, 0), (1, 0), (2, 0)], [(0, 1, 2)]),
+    "three-cell-edge": (FANS, [(0, 1, 2), (1, 0, 3), (0, 1, 4)]),
+    "first-third-use-in-scan-order": (FANS, [(0, 1, 2), (5, 6, 7), (6, 5, 8), (5, 6, 9),
+                                             (1, 0, 3), (0, 1, 4)]),
+    "earlier-cell-wins": (SQUARES, [(0, 1, 2, 3), (4, 5, 9, 7), (0, 1)]),
+    "short-before-bad-index": (SQUARES, [(0, 9)]),
+    "bad-index-before-repeat": (SQUARES, [(4, 4, 9, 7)]),
+    "format-before-orientation": (SQUARES, [(0, 3, 2, 1), (4, 5, 6, 6)]),
+    "orientation-before-edges": (FANS, [(0, 1, 2), (1, 0, 3), (0, 1, 4), (7, 6, 5)]),
+    "bad-vertex-array": ([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_raises_the_loop_oracle_error(name):
+    vertices, cells = MALFORMED[name]
+    with pytest.raises(MeshFormatError) as want:
+        loop_build_mesh(vertices, cells)
+    with pytest.raises(MeshFormatError) as got:
+        build_mesh(vertices, cells)
+    assert str(got.value) == str(want.value)
+
+
+def test_three_cell_edge_names_the_first_third_use():
+    with pytest.raises(MeshFormatError, match=r"^edge \(5, 6\) shared by more than two "
+                                              r"cells \(cell 3\)$"):
+        build_mesh(*MALFORMED["first-third-use-in-scan-order"])

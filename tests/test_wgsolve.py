@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -494,3 +498,26 @@ def test_pcg_stops_at_the_rounding_floor():
     x, iters, res = _pcg(A, b, 1e-13)
     assert iters < 20 * int(np.ceil(np.sqrt(n)))
     assert 1e-13 < res == np.linalg.norm(b - A @ x) / np.linalg.norm(b) < 1e-12
+
+
+def test_import_and_pcg_solve_leave_the_linalg_modules_unloaded():
+    """scipy.sparse.linalg, and the scipy.linalg it imports, load on the
+    first direct solve and not before."""
+    script = """
+import sys
+import wg_sfem
+from wg_sfem import wgsolve
+def loaded():
+    return [m for m in ("scipy.sparse.linalg", "scipy.linalg") if m in sys.modules]
+print(loaded())
+mesh, case = wg_sfem.generate_square_grid(3), wg_sfem.get_case("sin2d")
+wgsolve.DIRECT_LIMIT = 0
+print(wgsolve.solve(wgsolve.assemble(mesh, 1, case.f, case.g)).method, loaded())
+wgsolve.DIRECT_LIMIT = 5000
+print(wgsolve.solve(wgsolve.assemble(mesh, 1, case.f, case.g)).method, loaded())
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", script], env={"PYTHONPATH": str(src)},
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.splitlines() == [
+        "[]", "pcg []", "direct ['scipy.sparse.linalg', 'scipy.linalg']"]
