@@ -19,8 +19,6 @@ from .analysis import (
     run_convergence,
 )
 from .localspaces import (
-    CellScalarBasis,
-    RTFrame,
     LambdaBasis,
     LocalCellOperators,
     OperatorCache,
@@ -33,12 +31,10 @@ from .localspaces import (
 from .polymesh import (
     GENERATORS,
     PolyMesh,
-    SubTriangulation,
     generate_hex_grid,
     generate_quad_grid,
     generate_square_grid,
     read_mesh,
-    triangulate_cell,
     write_mesh,
 )
 from .quadrature import (

@@ -4,35 +4,42 @@ Scalar bases on cells are centroid-centered, diameter-scaled monomials
 ((x-x_T)/h_T)^a ((y-y_T)/h_T)^b; edge bases are the powers s^m of the
 reference-segment parameter s = 2t - 1, with t in [0, 1] running along the
 edge's canonical (low -> high vertex index) direction, so both adjacent cells
-see the same single-valued basis.  The vector basis on each sub-triangle
-spans [P_k]^2 plus the radial fields (xi, eta) * (homogeneous degree-k
-monomials) in the sub-triangle's own centered frame, which keeps Gram
-matrices well conditioned through k = 4; divergences are re-expanded into
-the shared cell frame by exact binomial shifts, so the one-piece-divergence
-constraint needs no quadrature.
+see the same single-valued basis.
+
+The vector basis on each fan sub-triangle is the contravariant Piola image
+B phi(F^-1 x) / det B, under its affine map x = F(xi) = v0 + B xi, of one
+RT_k basis phi that is orthonormal on the reference triangle.  RT_k is
+Piola-invariant, so every triangle integral is a table on the reference
+triangle, tabulated once per degree and rule (reference_tables, data_tables),
+contracted with a small per-triangle matrix (Rognes, Kirby & Logg, SIAM J.
+Sci. Comput. 31, 2009): the Gram with B^T B / det B, normal-flux moments on
+sides and chords are reference constants, and the scalar mass, gradient mass
+and interior divergence terms go through an exact affine change of monomial
+frame from the cell to the reference triangle.  The data passes evaluate
+only x = F(xi) and the user's function per point.
 
 The weak-gradient space of a cell is the nullspace of the constraint system
 (normal-jump moments on fan chords; divergence-coefficient mismatch between
-sub-triangles), extracted by a complete QR factorization, with a hard
+consecutive sub-triangles, in the reference frame of the second; each row
+scaled to unit norm), extracted by a complete QR factorization, with a hard
 expected-dimension check on the constraint singular values.
 
 Everything is built for a stack of cells with one vertex count at once
 (OperatorStack): each array carries the cell of the stack on its leading
 axis, and the Cholesky, QR, singular-value and linear solves run batched.
-Each triangle's RT fields are orthonormalized (CholeskyQR2) and the nullspace
-basis is orthonormal, so the weak-gradient mass matrix is the identity and
-is never formed.  A single cell is a stack of one.  OperatorCache builds the
-operators once per shape class (cells equal up to translation), in stacks of
-at most BATCH_CELLS classes, and evaluates data for batches of cells that may
-mix the classes of one stack.
+Each triangle's RT fields are orthonormalized by Cholesky against their Gram
+and the nullspace basis is orthonormal, so the weak-gradient mass matrix is
+the identity and is never formed.  A single cell is a stack of one.
+OperatorCache builds the operators once per shape class (cells equal up to
+translation), in stacks of at most BATCH_CELLS classes, and evaluates data
+for batches of cells that may mix the classes of one stack.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
-from math import comb
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,13 +55,16 @@ from .quadrature import (
     assembly_degree,
     data_degree,
     segment_rule,
-    triangle_points,
+    triangle_rule,
 )
 
 MAX_DEGREE = 4
 NULLSPACE_RTOL = 1e-10
 # Cells whose raw RT Gram condition is at least this (by a lower bound) warn.
 CONDITION_WARN = 1e12
+# Fan triangles whose Gram has |G|_F |L^-1|_F^2 below this are orthonormalized
+# in one Cholesky pass.
+ONE_PASS_COND = 1e3
 # Shape-class keys round the vertex offsets, in units of the cell diameter,
 # and the log of the diameter to this many decimals.
 KEY_DECIMALS = 12
@@ -99,178 +109,203 @@ def expected_lambda_dim(n_v: int, k: int) -> int:
     return (n_v - 2) * (k + 1) * (k + 3) - (n_v - 3) * ((k + 1) + dim_pk(k))
 
 
-def _frame_powers(pts: np.ndarray, center: np.ndarray, scale: np.ndarray, k: int
-                  ) -> list[np.ndarray]:
-    """Powers 0..k of the centered, scaled coordinates xi and eta of points
-    (..., npts, 2) in frames with centers (..., 2) and scales (...), each of
-    shape (k + 1, ..., npts): the power leads, so that every step and every
-    gather of monomials runs over whole contiguous blocks."""
-    pts = np.asarray(pts, dtype=float)
-    out = []
-    for d in range(2):
-        local = (pts[..., d] - center[..., None, d]) / scale[..., None]
-        powers = np.empty((k + 1,) + local.shape)
-        powers[0] = 1.0
-        for m in range(1, k + 1):
-            powers[m] = powers[m - 1] * local
-        out.append(powers)
-    return out
-
-
-def _monomials(px: np.ndarray, py: np.ndarray, ax, ay, coeff=None) -> np.ndarray:
-    """coeff * xi^ax * eta^ay from _frame_powers, shape (..., npts, len(ax))."""
-    mono = px[ax] * py[ay] if coeff is None else coeff * px[ax] * py[ay]
-    return np.moveaxis(mono, 0, -1)
-
-
-class CellScalarBasis:
-    """Centered, scaled monomial basis of P_k in one frame or a stack of them.
-
-    center (..., 2) and scale (...) give one frame per leading index; points
-    come as (..., npts, 2) with the same leading axes.
-    """
-
-    def __init__(self, k: int, center: np.ndarray, scale):
-        _check_degree(k)
-        self.k = k
-        self.center = np.asarray(center, dtype=float)
-        self.scale = np.asarray(scale, dtype=float)
-        exps = monomial_exponents(k)
-        self.exponents = exps
-        self._ax = np.array([a for a, _ in exps])
-        self._ay = np.array([b for _, b in exps])
-
-    @property
-    def dim(self) -> int:
-        return len(self.exponents)
-
-    def eval(self, pts: np.ndarray) -> np.ndarray:
-        """Basis values, shape (..., npts, dim)."""
-        px, py = _frame_powers(pts, self.center, self.scale, self.k)
-        return _monomials(px, py, self._ax, self._ay)
-
-    def grad(self, pts: np.ndarray) -> np.ndarray:
-        """Physical gradients, shape (..., npts, dim, 2)."""
-        px, py = _frame_powers(pts, self.center, self.scale, self.k)
-        ax, ay = self._ax, self._ay
-        lead = (-1,) + (1,) * (px.ndim - 1)
-        scale = self.scale[..., None, None]
-        gx = _monomials(px, py, np.maximum(ax - 1, 0), ay, ax.reshape(lead)) / scale
-        gy = _monomials(px, py, ax, np.maximum(ay - 1, 0), ay.reshape(lead)) / scale
-        return np.stack([gx, gy], axis=-1)
-
-
 def edge_basis(k: int, degree: int) -> np.ndarray:
     """The P_k edge basis s^m, s = 2t - 1, at the points t of the segment rule
-    of the given degree, shape (npts, k + 1).  On segment_points(a, b, degree)
+    of the given degree, shape (npts, k + 1).  On the segment a + t (b - a)
     s runs from -1 at a to 1 at b."""
     s = 2.0 * segment_rule(degree).points - 1.0
     return s[:, None] ** np.arange(k + 1)
 
 
-class RTFrame:
-    """Vector monomial fields spanning RT_k in one centered, scaled frame or a
-    stack of them (center and scale as in CellScalarBasis).
+def _reference_monomials(k: int, pts: np.ndarray) -> np.ndarray:
+    """The monomials x^a y^b of P_k at points (npts, 2), shape (npts, dim P_k)."""
+    ax, ay = np.array(monomial_exponents(k)).T
+    return pts[:, 0, None] ** ax * pts[:, 1, None] ** ay
 
-    Fields: (m, 0) and (0, m) for all P_k monomials m, then (xi, eta) * m_h
-    for the k+1 homogeneous degree-k monomials m_h.  Count: (k+1)(k+3).
+
+def _raw_fields(k: int, pts: np.ndarray) -> np.ndarray:
+    """Vector monomial fields spanning RT_k at points (npts, 2), shape
+    (npts, (k + 1)(k + 3), 2): (m, 0) and (0, m) for the P_k monomials m,
+    then (x, y) m_h for the k + 1 monomials m_h of degree k."""
+    mono = _reference_monomials(k, pts)
+    homo, zero = mono[:, -(k + 1) :], np.zeros_like(mono)
+    return np.stack([np.hstack([mono, zero, pts[:, :1] * homo]),
+                     np.hstack([zero, mono, pts[:, 1:] * homo])], axis=-1)
+
+
+def _orthonormalize(A: np.ndarray) -> np.ndarray:
+    """Upper triangular C for which A @ C has orthonormal columns: classical
+    Gram-Schmidt with one reorthogonalization, in the precision of A."""
+    Q, C = A.copy(), np.eye(A.shape[1], dtype=A.dtype)
+    for j in range(A.shape[1]):
+        for _ in range(2):
+            r = Q[:, :j].T @ Q[:, j]
+            Q[:, j] -= Q[:, :j] @ r
+            C[:, j] -= C[:, :j] @ r
+        norm = np.sqrt(Q[:, j] @ Q[:, j])
+        Q[:, j] /= norm
+        C[:, j] /= norm
+    return C
+
+
+def _parts(fx: np.ndarray, fy: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The xx, yy and symmetrized xy parts of the weighted Gram of samples
+    (npts, n) of the two components of n fields, shape (3, n, n)."""
+    xy = (w[:, None] * fx).T @ fy
+    return np.stack([(w[:, None] * fx).T @ fx, (w[:, None] * fy).T @ fy, xy + xy.T])
+
+
+def _contract(S: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """sum_cd S_cd P_cd for symmetric S (..., 2, 2) and the parts of _parts."""
+    return np.tensordot(np.stack([S[..., 0, 0], S[..., 1, 1], S[..., 0, 1]], axis=-1),
+                        parts, axes=1)
+
+
+@dataclass(frozen=True)
+class ReferenceTables:
+    """Read-only integrals of degree k on the reference triangle {x, y >= 0,
+    x + y <= 1}, in coordinates centered at (1/3, 1/3).  phi is the RT_k
+    basis orthonormal there: the raw fields of _raw_fields times
+    ``rt_coeffs`` (extended precision).  m are the P_k monomials
+    (x - 1/3)^a (y - 1/3)^b.
+
+    gram: (3, n_fields, n_fields), the parts of int phi phi^T (see _parts).
+    flux: (4, k + 1, n_fields), int (phi . n) s^m along the sides v0 -> v1,
+        v1 -> v2, v2 -> v0 and v0 -> v2, n the right-hand normal times the
+        side's length and s = 2t - 1 running from its first vertex.
+    div_coeffs, div_moments: (dim P_k, n_fields), div phi over the m, and
+        int m (div phi)^T.
+    mass, grad_mass: (dim P_k, dim P_k), int m m^T, and (3, dim P_k,
+        dim P_k), the parts of int grad m . grad m^T.
+    side_monomials: (3, npts, dim P_k), the m at the segment rule of
+        assembly_degree(k) along the sides v0 -> v1, v1 -> v2, v2 -> v0.
     """
 
-    def __init__(self, k: int, center: np.ndarray, scale):
-        _check_degree(k)
-        self.k = k
-        self.center = np.asarray(center, dtype=float)
-        self.scale = np.asarray(scale, dtype=float)
-        self.exponents = monomial_exponents(k)
-        self.n_scalar = len(self.exponents)
-        self.homo = [(a, b) for a, b in self.exponents if a + b == k]
-        self.n_fields = 2 * self.n_scalar + len(self.homo)
-        self._index = {e: i for i, e in enumerate(self.exponents)}
-        self._ax = np.array([a for a, _ in self.exponents])
-        self._ay = np.array([b for _, b in self.exponents])
-
-    def eval(self, pts: np.ndarray) -> np.ndarray:
-        """Field values, shape (..., npts, n_fields, 2)."""
-        px, py = _frame_powers(pts, self.center, self.scale, self.k + 1)
-        mono = _monomials(px, py, self._ax, self._ay)
-        n0 = self.n_scalar
-        V = np.zeros(mono.shape[:-1] + (self.n_fields, 2))
-        V[..., :n0, 0] = mono
-        V[..., n0 : 2 * n0, 1] = mono
-        homo = mono[..., n0 - len(self.homo) :]
-        V[..., 2 * n0 :, 0] = px[1][..., None] * homo
-        V[..., 2 * n0 :, 1] = py[1][..., None] * homo
-        return V
-
-    def moments(self, pts: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Moments sum_q g[..., i, q] . field_j(pts[..., q]) of n_g weighted
-        vector samples per frame: pts (..., npts, 2), g (..., n_g, npts, 2)
-        -> (..., n_g, n_fields); leading axes broadcast.
-
-        The fields are (m, 0), (0, m) and (xi, eta) * m_h, so the moments
-        are the rows g_x, g_y and g_x xi + g_y eta times the scalar
-        monomials, one small matmul.
-        """
-        px, py = _frame_powers(pts, self.center, self.scale, self.k + 1)
-        mono = _monomials(px, py, self._ax, self._ay)
-        gx, gy = g[..., 0], g[..., 1]
-        rows = np.stack([gx, gy, gx * px[1][..., None, :] + gy * py[1][..., None, :]], axis=-2)
-        r = rows @ mono[..., None, :, :]
-        n0, nh = self.n_scalar, len(self.homo)
-        return np.concatenate([r[..., 0, :], r[..., 1, :], r[..., 2, n0 - nh :]], axis=-1)
-
-    def div_coeff_matrix(self) -> np.ndarray:
-        """Exact divergence expansion over each frame's scalar monomials.
-
-        Returns D, shape (..., dim P_k, n_fields), with div(field_j) =
-        sum_c D[c, j] * m_c; entries carry the 1/scale chain factor.
-        """
-        n0 = self.n_scalar
-        D = np.zeros((n0, self.n_fields))
-        for j, (a, b) in enumerate(self.exponents):
-            if a > 0:
-                D[self._index[(a - 1, b)], j] = a
-            if b > 0:
-                D[self._index[(a, b - 1)], n0 + j] = b
-        for j, (a, b) in enumerate(self.homo):
-            D[self._index[(a, b)], 2 * n0 + j] = a + b + 2
-        return D / self.scale[..., None, None]
+    rt_coeffs: np.ndarray
+    gram: np.ndarray
+    flux: np.ndarray
+    div_coeffs: np.ndarray
+    div_moments: np.ndarray
+    mass: np.ndarray
+    grad_mass: np.ndarray
+    side_monomials: np.ndarray
 
 
-def monomial_change_of_frame(k: int, source_center: np.ndarray, source_scale,
-                             target_center: np.ndarray, target_scale) -> np.ndarray:
-    """Exact coefficient map between centered-scaled monomial bases of P_k,
-    for one pair of frames or stacks of them (centers (..., 2), scales (...)).
+@lru_cache(maxsize=None)
+def reference_tables(k: int) -> ReferenceTables:
+    """The reference tables of degree k, computed on first use in extended
+    precision by rules exact for them, and rounded once."""
+    _check_degree(k)
+    ext = np.longdouble
+    rule = triangle_rule(2 * k + 2)
+    pts, w = rule.points.astype(ext) - ext(1) / 3, rule.weights.astype(ext)
+    raw = _raw_fields(k, pts)
+    nf = raw.shape[1]
+    coeffs = _orthonormalize((np.sqrt(w)[:, None, None] * raw).swapaxes(1, 2).reshape(-1, nf))
+    phi = raw.swapaxes(1, 2) @ coeffs
 
-    Returns T, shape (..., dim, dim), with  m_src_j = sum_i T[i, j] * m_tgt_i,
-    from the binomial expansion of the affine substitution
-    xi_src = alpha*xi_tgt + beta.
+    corner = np.array([(0, 0), (1, 0), (0, 1)], dtype=ext) - ext(1) / 3
+    seg = segment_rule(2 * k + 2)
+    s_moments = (seg.weights * (2.0 * seg.points[:, None] - 1.0).T ** np.arange(k + 1)[:, None])
+    flux = []
+    for a, b in ((0, 1), (1, 2), (2, 0), (0, 2)):
+        v = corner[b] - corner[a]
+        on_side = _raw_fields(k, corner[a] + seg.points[:, None].astype(ext) * v)
+        flux.append(s_moments @ (on_side @ np.array([v[1], -v[0]])) @ coeffs)
+
+    exps = monomial_exponents(k)
+    index = {e: i for i, e in enumerate(exps)}
+    n0 = len(exps)
+    div = np.zeros((n0, nf), dtype=ext)
+    for j, (a, b) in enumerate(exps):
+        div[index.get((a - 1, b), 0), j] = a
+        div[index.get((a, b - 1), 0), n0 + j] = b
+    div[n0 - k - 1 :, 2 * n0 :] = (k + 2) * np.eye(k + 1)
+    div = div @ coeffs
+
+    mono = _reference_monomials(k, pts)
+    ax, ay = np.array(exps).T
+    gx = ax * mono[:, [index[(max(a - 1, 0), b)] for a, b in exps]]
+    gy = ay * mono[:, [index[(a, max(b - 1, 0))] for a, b in exps]]
+    mass = (w[:, None] * mono).T @ mono
+    t = segment_rule(assembly_degree(k)).points[:, None].astype(ext)
+    tables = ReferenceTables(
+        rt_coeffs=coeffs,
+        gram=_parts(phi[:, 0], phi[:, 1], w).astype(float),
+        flux=np.array(flux, dtype=float),
+        div_coeffs=div.astype(float),
+        div_moments=(mass @ div).astype(float),
+        mass=mass.astype(float),
+        grad_mass=_parts(gx, gy, w).astype(float),
+        side_monomials=np.array([_reference_monomials(k, corner[a] + t * (corner[b] - corner[a]))
+                                 for a, b in ((0, 1), (1, 2), (2, 0))], dtype=float),
+    )
+    for table in vars(tables).values():
+        table.setflags(write=False)
+    return tables
+
+
+@lru_cache(maxsize=None)
+def data_tables(k: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The points (npts, 2) and weights of the triangle rule of a degree,
+    with the centered P_k monomials (npts, dim P_k) and the reference RT_k
+    basis (npts, n_fields, 2) of ReferenceTables at them; read-only,
+    computed on first use."""
+    rule = triangle_rule(degree)
+    pts = rule.points.astype(np.longdouble) - np.longdouble(1) / 3
+    fields = _raw_fields(k, pts).swapaxes(1, 2) @ reference_tables(k).rt_coeffs
+    tables = (_reference_monomials(k, pts).astype(float), fields.swapaxes(1, 2).astype(float))
+    for table in tables:
+        table.setflags(write=False)
+    return (rule.points, rule.weights, *tables)
+
+
+def monomial_change_of_frame(k: int, A: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Exact coefficient map between monomial bases of P_k under an affine
+    change of variables, for one pair of frames or stacks of them.
+
+    With source coordinates xi_src = A xi_tgt + shift (A (..., 2, 2), shift
+    (..., 2)), returns T, shape (..., dim, dim), with
+    m_src_j = sum_i T[i, j] * m_tgt_i.  The source monomials are built degree
+    by degree, each as one of the degree below times a source coordinate,
+    which is a linear form in the target coordinates.
     """
     exps = monomial_exponents(k)
-    # Row i = target exponent (p, q), column j = source exponent (a, b).
-    p = np.array([e[0] for e in exps])[:, None]
-    q = np.array([e[1] for e in exps])[:, None]
-    a, b = p.T, q.T
-    comb_a = np.array([[comb(aj, pi) for aj in a[0]] for pi in p[:, 0]], dtype=float)
-    comb_b = np.array([[comb(bj, qi) for bj in b[0]] for qi in q[:, 0]], dtype=float)
-    source_center = np.asarray(source_center, dtype=float)
-    target_center = np.asarray(target_center, dtype=float)
-    source_scale = np.asarray(source_scale, dtype=float)[..., None, None]
-    alpha = np.asarray(target_scale, dtype=float)[..., None, None] / source_scale
-    bx = (target_center[..., 0] - source_center[..., 0])[..., None, None] / source_scale
-    by = (target_center[..., 1] - source_center[..., 1])[..., None, None] / source_scale
-    # comb is zero where p > a or q > b; the clipped powers keep those finite.
-    return (comb_a * alpha**p * bx ** np.maximum(a - p, 0)
-            * comb_b * alpha**q * by ** np.maximum(b - q, 0))
+    index = {e: i for i, e in enumerate(exps)}
+    n = len(exps)
+    A, shift = np.asarray(A, dtype=float), np.asarray(shift, dtype=float)
+    # Row n stays zero: it stands for the monomials x^-1 y^q and x^p y^-1.
+    T = np.zeros(np.broadcast_shapes(A.shape[:-2], shift.shape[:-1]) + (n + 1, n))
+    T[..., 0, 0] = 1.0
+    below_x = [index.get((p - 1, q), n) for p, q in exps]
+    below_y = [index.get((p, q - 1), n) for p, q in exps]
+    for d in range(1, k + 1):
+        # (d - j, j) is (d - 1 - j, j) times xi_src_0 for j < d, and (0, d)
+        # is (0, d - 1) times xi_src_1.
+        var = [0] * d + [1]
+        prev = T[..., [index[(d - 1 - j, j)] for j in range(d)] + [index[(0, d - 1)]]]
+        T[..., :n, dim_pk(d - 1) : dim_pk(d)] = (
+            shift[..., var][..., None, :] * prev[..., :n, :]
+            + A[..., var, 0][..., None, :] * prev[..., below_x, :]
+            + A[..., var, 1][..., None, :] * prev[..., below_y, :])
+    return T[..., :n, :]
 
 
-def _weighted_gram(w: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """sum_q w_q f[q, i] . g[q, j] for stacks: w (..., npts), f (..., npts,
-    m, d), g (..., npts, n, d) -> (..., m, n)."""
-    lead = w.shape[:-1]
-    fw = (w[..., None, None] * f).swapaxes(-3, -2).reshape(*lead, f.shape[-2], -1)
-    gt = g.swapaxes(-3, -2).reshape(*lead, g.shape[-2], -1)
-    return fw @ gt.swapaxes(-1, -2)
+def _det(B: np.ndarray) -> np.ndarray:
+    return B[..., 0, 0] * B[..., 1, 1] - B[..., 0, 1] * B[..., 1, 0]
+
+
+def _inv(B: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of 2 x 2 matrices."""
+    adj = np.stack([B[..., 1, 1], -B[..., 0, 1], -B[..., 1, 0], B[..., 0, 0]], axis=-1)
+    return (adj / _det(B)[..., None]).reshape(B.shape)
+
+
+def _gram(ref: ReferenceTables, B: np.ndarray) -> np.ndarray:
+    """Grams of the Piola images B phi(F^-1 x) / det B of the reference RT
+    basis on triangles with Jacobians B (..., 2, 2):
+    (1 / det B) sum_cd (B^T B)_cd int phi_c phi_d^T."""
+    return _contract(B.swapaxes(-1, -2) @ B, ref.gram) / _det(B)[..., None, None]
 
 
 def _inverse_lower(L: np.ndarray) -> np.ndarray:
@@ -290,31 +325,25 @@ class LambdaBasis:
     of cells with one vertex count, with the frames they were built in.
     Every array carries the cell of the stack on its leading axis.
 
-    tri_coords: (S, n_triangles, 3, 2) fan triangle vertices.
-    frames: one centered, scaled RT frame per fan triangle, stack shape
-        (S, n_triangles).
-    orth: (S, n_triangles, n_fields, n_fields); triangle t's frame fields
-        times orth[:, t] are L2-orthonormal on it.
+    tri_coords: (S, n_triangles, 3, 2) fan triangle vertices v0, v1, v2.
+    jacobian: (S, n_triangles, 2, 2), B = [v1 - v0, v2 - v0] of the affine
+        map x = v0 + B xi from the reference triangle; triangle t's fields
+        are the Piola images B phi(xi) / det B of the reference RT basis.
+    orth: (S, n_triangles, n_fields, n_fields); triangle t's fields times
+        orth[:, t] are L2-orthonormal on it.
     coeffs: (S, n_triangles * n_fields, n_lambda); each column is one basis
         field over the per-triangle blocks of orthonormalized RT fields.
-    constraint_residual: (S,) Frobenius norm of the constraint matrix times
-        coeffs.
-    center, diameter: (S, 2) and (S,), the cell frames of the scalar bases.
-    div_cell_frame: (S, n_triangles, dim P_k, n_fields); the divergence of
-        each triangle's orthonormalized RT fields over the cell-frame
-        monomials.
+    constraint_residual: (S,) Frobenius norm of the row-equilibrated
+        constraint matrix times coeffs.
     """
 
     cells: np.ndarray
     k: int
     tri_coords: np.ndarray
-    frames: RTFrame
+    jacobian: np.ndarray
     orth: np.ndarray
     coeffs: np.ndarray
     constraint_residual: np.ndarray
-    center: np.ndarray
-    diameter: np.ndarray
-    div_cell_frame: np.ndarray
 
     @property
     def n_lambda(self) -> int:
@@ -327,11 +356,12 @@ def build_lambda_basis(mesh: PolyMesh, cells, k: int) -> LambdaBasis:
     nullspace bases.
 
     Constraints: (a) on each fan chord, the normal-component jump tested
-    against the k+1 edge-parameter moments; (b) for each sub-triangle beyond
-    the first, the divergence coefficient mismatch in a shared cell-frame
-    monomial basis.  Parent polygon sides coincide with single sub-triangle
-    edges, so boundary traces are single-piece automatically.  Geometry and
-    dimension errors name the offending cell.
+    against the k+1 edge-parameter moments; (b) for each pair of consecutive
+    sub-triangles, the mismatch of their divergences over the centered
+    reference monomials of the second.  Each row is scaled to unit norm.  Parent polygon sides
+    coincide with single sub-triangle edges, so boundary traces are
+    single-piece automatically.  Geometry and dimension errors name the
+    offending cell.
 
     A RuntimeWarning names each cell where (max L_ii / min L_ii)^2 of a fan
     triangle's Gram factor L exceeds CONDITION_WARN.  That is a lower bound
@@ -351,35 +381,30 @@ def build_lambda_basis(mesh: PolyMesh, cells, k: int) -> LambdaBasis:
             f"sub-triangle {tuple(tris[s, t].tolist())} of cell {cells[s]} is "
             f"degenerate (area {area[s, t]:.3e})"
         )
-    frames = RTFrame(k, coords.mean(axis=-2), polygon_diameter(coords))
-    nf = frames.n_fields
+    ref = reference_tables(k)
+    nf = ref.gram.shape[-1]
+    B = (coords[..., 1:, :] - coords[..., :1, :]).swapaxes(-1, -2)
+    det = _det(B)
 
-    def cholesky(fields: np.ndarray) -> np.ndarray:
-        """Lower Cholesky factors of the Grams of weighted field samples
-        (S, n_triangles, samples, n_fields), naming the cell of a singular
-        one."""
-        gram = fields.swapaxes(-1, -2) @ fields
-        try:
-            return np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            for s, t in np.ndindex(gram.shape[:2]):
-                try:
-                    np.linalg.cholesky(gram[s, t])
-                except np.linalg.LinAlgError:
-                    raise GeometryError(
-                        f"sub-triangle {tuple(tris[s, t].tolist())} of cell {cells[s]}: "
-                        "singular RT Gram (not positive definite)"
-                    ) from None
-            raise
-
-    # CholeskyQR2: orthonormalize each triangle's frame fields against their
-    # Gram, G = L L^T and orth = L^-T, in two passes.  The second, on the
-    # Gram of the once-orthonormalized fields, removes the error that the
-    # raw Gram's condition (up to 1e10 at k = 4) leaves in the first.
-    pts, w = triangle_points(coords, 2 * k + 2)
-    A = (np.sqrt(w)[..., None, None] * frames.eval(pts)).swapaxes(-1, -2)
-    A = A.reshape(n_cells, nt, -1, nf)
-    L = cholesky(A)
+    # Orthonormalize each triangle's fields by Cholesky against their Gram,
+    # G = L L^T and orth = L^-T.  The reference basis is orthonormal, so
+    # cond(G) <= cond(B^T B), and one pass leaves the fields orthonormal to
+    # about eps cond(G) <= eps |G|_F |L^-1|_F^2.  Triangles where that bound
+    # is not below ONE_PASS_COND get CholeskyQR2's second pass, on samples of
+    # the once-orthonormalized fields.
+    gram = _gram(ref, B)
+    try:
+        L = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        for s, t in np.ndindex(gram.shape[:2]):
+            try:
+                np.linalg.cholesky(gram[s, t])
+            except np.linalg.LinAlgError:
+                raise GeometryError(
+                    f"sub-triangle {tuple(tris[s, t].tolist())} of cell {cells[s]}: "
+                    "singular RT Gram (not positive definite)"
+                ) from None
+        raise
     diag = np.diagonal(L, axis1=-2, axis2=-1)
     cond = np.max(diag.max(axis=-1) / diag.min(axis=-1), axis=1) ** 2
     for s in np.flatnonzero(cond > CONDITION_WARN):
@@ -389,48 +414,42 @@ def build_lambda_basis(mesh: PolyMesh, cells, k: int) -> LambdaBasis:
             stacklevel=4,
         )
     orth = _inverse_lower(L).swapaxes(-1, -2)
-    orth = orth @ _inverse_lower(cholesky(A @ orth)).swapaxes(-1, -2)
-
-    X = mesh.vertices[mesh.cell_cycles(cells)]
-    center = polygon_centroid(X)
-    diameter = polygon_diameter(X)
-    div = monomial_change_of_frame(
-        k, frames.center, frames.scale, center[:, None], diameter[:, None]
-    ) @ (frames.div_coeff_matrix() @ orth)
-
-    def basis(coeffs: np.ndarray, residual: np.ndarray) -> LambdaBasis:
-        return LambdaBasis(cells, k, coords, frames, orth, coeffs, residual,
-                           center, diameter, div)
+    redo = np.nonzero(~(np.linalg.norm(gram, axis=(-2, -1)) * np.sum(orth * orth, axis=(-2, -1))
+                        < ONE_PASS_COND))
+    if redo[0].size:
+        _, w, _, fields = data_tables(k, 2 * k + 2)
+        samples = np.einsum("tde,qfe->tqdf", B[redo], fields) * np.sqrt(
+            w[:, None, None] / det[redo][:, None, None, None])
+        Q = samples.reshape(-1, 2 * w.size, nf) @ orth[redo]
+        orth[redo] = orth[redo] @ _inverse_lower(
+            np.linalg.cholesky(Q.swapaxes(-1, -2) @ Q)).swapaxes(-1, -2)
 
     if nt == 1:
-        return basis(np.broadcast_to(np.eye(nf), (n_cells, nf, nf)), np.zeros(n_cells))
+        return LambdaBasis(cells, k, coords, B, orth,
+                           np.broadcast_to(np.eye(nf), (n_cells, nf, nf)), np.zeros(n_cells))
 
     # Chord j joins the anchor to cycle vertex j + 2 and separates fan
-    # triangles j and j + 1.
-    degree = 2 * k + 2
-    rule = segment_rule(degree)
-    w_phi = rule.weights[:, None] * edge_basis(k, degree)
-    a, b = X[:, :1], X[:, 2:-1]
-    t = b - a
-    normal = np.stack([t[..., 1], -t[..., 0]], axis=-1) / np.linalg.norm(t, axis=-1)[..., None]
-    chord_pts = a[:, :, None] + rule.points[:, None] * t[:, :, None]
-
-    def chord_moments(tri: slice) -> np.ndarray:
-        side = RTFrame(k, frames.center[:, tri], frames.scale[:, tri])
-        g = w_phi.T[:, :, None] * normal[:, :, None, None, :]
-        return side.moments(chord_pts, g) @ orth[:, tri]
-
-    left, right = chord_moments(slice(0, -1)), chord_moments(slice(1, None))
+    # triangles j and j + 1, where it is the side v0 -> v2 and v0 -> v1.
+    # The Piola map keeps normal fluxes, so its moments are reference ones.
+    left, right = ref.flux[3] @ orth[:, :-1], ref.flux[0] @ orth[:, 1:]
+    # The divergence of a Piola field is (div phi)(xi) / det B.  Triangle
+    # j's centered reference monomials over triangle j + 1's, with g the
+    # centroids: xi_j - 1/3 = B_j^-1 B_j+1 (xi_j+1 - 1/3) + B_j^-1 (g_j+1 - g_j).
+    div = ref.div_coeffs @ orth / det[..., None, None]
+    B_inv, g = _inv(B[:, :-1]), coords.mean(axis=-2)
+    shift = monomial_change_of_frame(k, B_inv @ B[:, 1:],
+                                     (B_inv @ (g[:, 1:] - g[:, :-1])[..., None])[..., 0])
     jumps = np.zeros((n_cells, nt - 1, k + 1, nt, nf))
     matches = np.zeros((n_cells, nt - 1, div.shape[2], nt, nf))
-    matches[:, :, :, 0] = -diameter[:, None, None, None] * div[:, :1]
     for j in range(nt - 1):
         jumps[:, j, :, j] = left[:, j]
         jumps[:, j, :, j + 1] = -right[:, j]
-        matches[:, j, :, j + 1] = diameter[:, None, None] * div[:, j + 1]
+        matches[:, j, :, j] = -shift[:, j] @ div[:, j]
+        matches[:, j, :, j + 1] = div[:, j + 1]
 
     C = np.concatenate([jumps.reshape(n_cells, -1, nt * nf),
                         matches.reshape(n_cells, -1, nt * nf)], axis=1)
+    C /= np.linalg.norm(C, axis=-1, keepdims=True)
     # The constraint rows are independent exactly when the dimension law
     # holds; the last columns of a complete QR of C^T then span the
     # nullspace, and C's singular values are those of the triangular factor
@@ -454,7 +473,7 @@ def build_lambda_basis(mesh: PolyMesh, cells, k: int) -> LambdaBasis:
             f"expected {n_expected}; constraint singular values {sv[s]}"
         )
     null = Q[:, :, n_rows:]
-    return basis(null, np.linalg.norm(C @ null, axis=(-2, -1)))
+    return LambdaBasis(cells, k, coords, B, orth, null, np.linalg.norm(C @ null, axis=(-2, -1)))
 
 
 def _rowwise(x: np.ndarray, A: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -487,58 +506,68 @@ class OperatorStack:
         self.k = k
         self.cells = lam.cells
         self.tri_coords = lam.tri_coords
-        self.center, self.diameter = lam.center, lam.diameter
-        n_cells, nt = self.tri_coords.shape[:2]
-        nf = lam.frames.n_fields
-        nl = lam.n_lambda
-        V = lam.coeffs.reshape(n_cells, nt, nf, nl)
-        # Lambda basis fields over each triangle's raw frame fields.
-        self.frame_coeffs = lam.orth @ V
+        cyc = mesh.cell_cycles(self.cells)
+        X = mesh.vertices[cyc]
+        self.center, self.diameter = polygon_centroid(X), polygon_diameter(X)
+        (n_cells, nt, nf), nl = lam.orth.shape[:3], lam.n_lambda
+        ref = reference_tables(k)
+        B, det = lam.jacobian, _det(lam.jacobian)[..., None, None]
+        # Lambda basis fields over each triangle's Piola fields.
+        self.frame_coeffs = lam.orth @ lam.coeffs.reshape(n_cells, nt, nf, nl)
 
-        deg = assembly_degree(k)
-        pts, w = triangle_points(self.tri_coords, deg)
-        scalar = CellScalarBasis(k, self.center[:, None], self.diameter[:, None])
-        mono = scalar.eval(pts)[..., None]
-        gm = scalar.grad(pts)
-        s_tri = _weighted_gram(w, mono, mono)
-        self.mass_scalar = s_tri.sum(axis=1)
-        self.grad_mass = _weighted_gram(w, gm, gm).sum(axis=1)
-        b_int = -(V.swapaxes(-1, -2) @ (s_tri @ lam.div_cell_frame).swapaxes(-1, -2)).sum(axis=1)
+        # Cell-frame monomials over the reference ones: on a triangle with
+        # centroid g, zeta = (x - center) / diameter
+        # = B (xi - 1/3) / diameter + (g - center) / diameter.
+        h = self.diameter[:, None, None]
+        to_ref = self._to_ref = monomial_change_of_frame(
+            k, B / h[..., None], (self.tri_coords.mean(axis=-2) - self.center[:, None]) / h)
+        to_ref_t, dx_to_ref = to_ref.swapaxes(-1, -2), det * to_ref
+        self.mass_scalar = (to_ref_t @ ref.mass @ dx_to_ref).sum(axis=1)
+        B_inv = _inv(B)
+        self.grad_mass = (to_ref_t @ _contract(B_inv @ B_inv.swapaxes(-1, -2), ref.grad_mass)
+                          @ dx_to_ref).sum(axis=1)
+        # (u0, div q) per triangle: the Jacobians of div and of dx cancel.
+        b_int = -(self.frame_coeffs.swapaxes(-1, -2) @ ref.div_moments.T @ to_ref).sum(axis=1)
+        # interior_moments maps each triangle's moments against the reference
+        # monomials to the cell's by this; project_interior then solves with
+        # mass_scalar.
+        self._interior_map = dx_to_ref.reshape(n_cells, -1, to_ref.shape[-1])
+        self._projection_map = self._interior_map @ np.linalg.inv(self.mass_scalar).swapaxes(-1, -2)
 
         # Side s lies on fan triangle 0, s - 1 or n_triangles - 1 (first,
-        # middle, last side).
-        cyc = mesh.cell_cycles(self.cells)
-        n_sides = cyc.shape[1]
-        nxt = (np.arange(n_sides) + 1) % n_sides
-        a, b = mesh.vertices[cyc], mesh.vertices[cyc[:, nxt]]
-        t = b - a
-        length = np.linalg.norm(t, axis=-1)
-        normal = np.stack([t[..., 1], -t[..., 0]], axis=-1) / length[..., None]
-        rule = segment_rule(deg)
-        side_pts = a[:, :, None] + rule.points[:, None] * t[:, :, None]
-        # A side run against canonical order sees s -> -s.
-        sign = np.where((cyc < cyc[:, nxt])[..., None], 1.0, (-1.0) ** np.arange(k + 1))
-        self._side_w = rule.weights * length[..., None]
-        self._side_phi0 = scalar.eval(side_pts)
-        self._side_phib = edge_basis(k, deg) * sign[:, :, None, :]
-        tri = np.clip(np.arange(n_sides) - 1, 0, nt - 1)
-        w_phi = (self._side_w[..., None] * self._side_phib).swapaxes(-1, -2)
-        side = RTFrame(k, lam.frames.center[:, tri], lam.frames.scale[:, tri])
-        cols = side.moments(side_pts, w_phi[..., None] * normal[:, :, None, None, :]) @ (
-            self.frame_coeffs[:, tri])
+        # middle, last side), as its reference side v0 -> v1, v1 -> v2 or
+        # v2 -> v0; the Piola map keeps normal fluxes, so its moments are
+        # reference constants.  A side run against canonical order sees
+        # s -> -s.
+        self.n_sides = n_sides = cyc.shape[1]
+        forward = cyc < np.roll(cyc, -1, axis=1)
+        self._side_tri = np.clip(np.arange(n_sides) - 1, 0, nt - 1)
+        self._side_ref = np.minimum(np.arange(n_sides), 1)
+        self._side_ref[-1] = 2
+        self._side_sign = np.where(forward[..., None], 1.0, (-1.0) ** np.arange(k + 1))
+        self._side_length = np.linalg.norm(np.roll(X, -1, axis=1) - X, axis=-1)
+        cols = self._side_sign[..., None] * (ref.flux[self._side_ref]
+                                             @ self.frame_coeffs[:, self._side_tri])
         self.moments = np.concatenate(
             [b_int, cols.transpose(0, 3, 1, 2).reshape(n_cells, nl, -1)], axis=-1
         )
-        self._mass_scalar_inv = np.linalg.inv(self.mass_scalar)
         # The Lambda basis is L2-orthonormal, so its mass matrix is the
         # identity: the weak gradient's coefficients are its moments, and
         # the stiffness is their Gram, exactly symmetric.
         self.weak_gradient = self.moments
         self.stiffness = self.moments.swapaxes(-1, -2) @ self.moments
 
-    @property
-    def n_sides(self) -> int:
-        return self._side_w.shape[1]
+    @cached_property
+    def _side_traces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Weights, interior-basis values and edge-basis values at the
+        assembly-degree segment rule on every side of every row, shapes
+        (S, n_sides, npts), (S, n_sides, npts, dim P_k) and
+        (S, n_sides, npts, k + 1); only side_mismatch_sq reads them."""
+        deg = assembly_degree(self.k)
+        phi0 = reference_tables(self.k).side_monomials[self._side_ref] @ (
+            self._to_ref[:, self._side_tri])
+        return (segment_rule(deg).weights * self._side_length[..., None], phi0,
+                edge_basis(self.k, deg) * self._side_sign[:, :, None, :])
 
     @cached_property
     def condensed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -574,64 +603,63 @@ class OperatorStack:
     def side_mismatch_sq(self, side: int, u0: np.ndarray, ub: np.ndarray,
                          rows: np.ndarray) -> np.ndarray:
         """Integral over one side of (interior trace - edge value)^2."""
-        diff = _matvec(self._side_phi0[rows, side], u0) - _matvec(self._side_phib[rows, side], ub)
-        w = self._side_w[rows, side]
+        w, phi0, phib = self._side_traces
+        diff = _matvec(phi0[rows, side], u0) - _matvec(phib[rows, side], ub)
+        w = w[rows, side]
         return np.sum(w.reshape(w.shape + (1,) * (diff.ndim - 2)) * diff * diff, axis=1)
 
-    def data_points(self, rows: np.ndarray, degree: int | None = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        """Points and weights of a rule on the whole cells of the given rows
-        (data degree by default), stacked over the fan triangles, which get
-        equally many: shapes (n, npts, 2) and (n, npts)."""
-        if degree is None:
-            degree = data_degree(self.k)
-        pts, w = triangle_points(self.tri_coords[rows], degree)
-        return pts.reshape(len(rows), -1, 2), w.reshape(len(rows), -1)
-
-    def _weighted_samples(self, func, uniq, inv, offsets, degree):
-        """The data points of the distinct rows, and func at each cell's
-        points times the weights, shape (n, npts) + the shape of one value."""
-        pts, w = self.data_points(uniq, degree)
+    def _samples(self, func, uniq, inv, offsets, degree):
+        """The data_tables of a rule (data degree by default) and func at
+        the rule's image x = v0 + B xi on each fan triangle of each cell,
+        shape (n, n_triangles, npts) + the shape of one value."""
+        tables = data_tables(self.k, data_degree(self.k) if degree is None else degree)
+        v0, B = self.tri_coords[uniq, :, 0, :, None], self.lambda_basis.jacobian[uniq]
+        xi, eta = tables[0].T
         # Each coordinate gathered and shifted on its own: numpy loops over
         # an innermost axis of length 2 several times slower.
-        x, y = (pts[inv, :, d] + offsets[:, d, None] for d in range(2))
+        x, y = ((v0[:, :, d] + B[:, :, d, 0, None] * xi + B[:, :, d, 1, None] * eta)[inv]
+                + offsets[:, d, None, None] for d in range(2))
         vals = np.asarray(func(x.ravel(), y.ravel()), dtype=float)
-        vals = vals.reshape(x.shape + vals.shape[1:])
-        return pts, vals * w[inv].reshape(w[inv].shape + (1,) * (vals.ndim - 2))
+        return tables, vals.reshape(x.shape + vals.shape[1:])
 
     def interior_moments(self, func, rows: np.ndarray, offsets: np.ndarray,
                          degree: int | None = None) -> np.ndarray:
         """(func, m_j) for the interior basis on each cell, shape (n, dim P_k)."""
-        uniq, inv = np.unique(rows, return_inverse=True)
-        pts, vals = self._weighted_samples(func, uniq, inv, offsets, degree)
-        basis = CellScalarBasis(self.k, self.center[uniq], self.diameter[uniq])
-        return _rowwise(vals, basis.eval(pts), inv)
+        return self._interior(func, rows, offsets, degree, self._interior_map)
 
     def project_interior(self, func, rows: np.ndarray, offsets: np.ndarray,
                          degree: int | None = None) -> np.ndarray:
         """L2 projections onto the interior P_k basis, shape (n, dim P_k)."""
+        return self._interior(func, rows, offsets, degree, self._projection_map)
+
+    def _interior(self, func, rows, offsets, degree, per_row):
+        """The moments of func against the reference monomials on each fan
+        triangle, mapped to the cell by per_row (S, n_triangles * dim, m)."""
         uniq, inv = np.unique(rows, return_inverse=True)
-        mom = self.interior_moments(func, rows, offsets, degree)
-        return _rowwise(mom, self._mass_scalar_inv[uniq].swapaxes(-1, -2), inv)
+        (_, w, monomials, _), vals = self._samples(func, uniq, inv, offsets, degree)
+        raw = vals.reshape(-1, w.size) @ (w[:, None] * monomials)
+        return _rowwise(raw.reshape(len(rows), -1), per_row[uniq], inv)
 
     def project_lambda_field(self, func, rows: np.ndarray, offsets: np.ndarray,
                              degree: int | None = None) -> np.ndarray:
         """L2 projections of a vector field onto the weak-gradient spaces,
         shape (n, n_lambda).  func(x, y) must return shape (npts, 2)."""
         uniq, inv = np.unique(rows, return_inverse=True)
-        pts, vals = self._weighted_samples(func, uniq, inv, offsets, degree)
-        n, nu, nt = len(rows), len(uniq), self.tri_coords.shape[1]
-        # Moments against each triangle's raw frame fields, in the frames of
-        # each cell's row (of the one row, if all share it), shape
-        # (n, n_triangles, 1, n_fields); the basis is orthonormal, so
-        # contracting them with frame_coeffs gives the projection.
-        sel = uniq if nu == 1 else rows
-        frames = RTFrame(self.k, self.lambda_basis.frames.center[sel],
-                         self.lambda_basis.frames.scale[sel])
-        raw = frames.moments((pts if nu == 1 else pts[inv]).reshape(len(sel), nt, -1, 2),
-                             vals.reshape(n, nt, 1, -1, 2))
-        return _rowwise(raw.reshape(n, -1),
-                        self.frame_coeffs[uniq].reshape(nu, -1, self.lambda_basis.n_lambda), inv)
+        (_, w, _, fields), g = self._samples(func, uniq, inv, offsets, degree)
+        n, nt, nq = g.shape[:3]
+        # int g . B phi / det B dx = sum_q w_q (B^T g) . phi: the moments
+        # against each triangle's Piola fields, shape (n, n_triangles,
+        # n_fields); the basis is orthonormal, so contracting them with
+        # frame_coeffs gives the projection.
+        B = self.lambda_basis.jacobian[uniq][inv]
+        gx, gy = g[..., 0], g[..., 1]
+        h = np.empty((n, nt, 2, nq))
+        for d in range(2):
+            np.multiply(B[:, :, 0, d, None], gx, out=h[:, :, d])
+            h[:, :, d] += B[:, :, 1, d, None] * gy
+        table = (w[:, None, None] * fields).transpose(2, 0, 1).reshape(2 * nq, -1)
+        raw = (h.reshape(n * nt, -1) @ table).reshape(n, -1)
+        return _rowwise(raw, self.frame_coeffs[uniq].reshape(len(uniq), raw.shape[1], -1), inv)
 
 
 def _stack_row(name: str, doc: str) -> property:

@@ -161,48 +161,78 @@ class PolyMesh:
         """Side edge indices of cells with one vertex count, shape (n_cells, n_v)."""
         return _gather(self.sides, self.offsets, cells)
 
-    def edge_vertices(self, e: int) -> np.ndarray:
-        return self.vertices[self.edges[e]]
 
-    def side_normal(self, c: int, side: int) -> np.ndarray:
-        """Outward unit normal of cell c on its given side."""
-        cyc = self.cell_cycles([c])[0]
-        t = self.vertices[cyc[(side + 1) % cyc.size]] - self.vertices[cyc[side]]
-        n = np.array([t[1], -t[0]])
-        return n / np.linalg.norm(n)
+def _is_index(v) -> bool:
+    """Whether a cell entry is an integer (an integral float counts)."""
+    return isinstance(v, (int, np.integer)) or (
+        isinstance(v, (float, np.floating)) and float(v).is_integer())
+
+
+def _cycle_array(flat, nv: int) -> np.ndarray:
+    """Cell entries as an int array.  Entries that are not integers read as
+    -1, and integers outside 0..nv-1 are clipped to -1 or nv, so that all
+    of them fail the range check."""
+    if isinstance(flat, np.ndarray) or (
+            set(map(type, flat)) <= {int}
+            and -(2**63) <= min(flat, default=0) and max(flat, default=0) < 2**63):
+        return np.array(flat, dtype=int)
+    return np.array([min(max(int(v), -1), nv) if _is_index(v) else -1 for v in flat], dtype=int)
 
 
 def build_mesh(vertices, cells) -> PolyMesh:
     """Assemble and validate a PolyMesh from raw vertices and cell cycles
-    (an (n_cells, n_v) array or a sequence of sequences).  The checks run on
-    whole arrays; an error names what a scan cell by cell, side by side,
-    would meet first, and edges are numbered by first encounter in it."""
-    verts = np.array(vertices, dtype=float)
+    (an (n_cells, n_v) array or a sequence of sequences).  Coordinates must
+    be finite and vertex indices integers.  The checks run on whole arrays;
+    an error names what a scan vertex by vertex, then cell by cell and side
+    by side, would meet first, and edges are numbered by first encounter in
+    it."""
+    try:
+        verts = np.array(vertices, dtype=float)
+    except (TypeError, ValueError):
+        raise MeshFormatError("vertices must be an (n, 2) array of numbers") from None
     if verts.ndim != 2 or verts.shape[1] != 2:
         raise MeshFormatError("vertices must be an (n, 2) array")
+    bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
+    if bad.size:
+        raise MeshFormatError(
+            f"vertex {bad[0]} has a non-finite coordinate {tuple(verts[bad[0]].tolist())}")
     nv = verts.shape[0]
     if isinstance(cells, np.ndarray) and cells.ndim == 2:
-        cycles, sizes = cells.astype(int).ravel(), np.full(len(cells), cells.shape[1])
+        sizes = np.full(len(cells), cells.shape[1])
+        flat = cells.ravel() if cells.dtype.kind in "iu" else cells.ravel().tolist()
     else:
-        sizes = np.fromiter(map(len, cells), dtype=int)
-        cycles = np.fromiter(chain.from_iterable(cells), dtype=int, count=int(sizes.sum()))
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    cell_of = np.repeat(np.arange(sizes.size), sizes)
+        try:
+            sizes = np.fromiter(map(len, cells), dtype=int)
+        except TypeError:  # a cell that is not a sequence: size -1, no entries
+            sizes = np.array([len(c) if hasattr(c, "__len__") else -1 for c in cells])
+            cells = [c if hasattr(c, "__len__") else () for c in cells]
+        flat = list(chain.from_iterable(cells))
+    offsets = np.concatenate([[0], np.cumsum(np.maximum(sizes, 0))])
+    cell_of = np.repeat(np.arange(sizes.size), np.maximum(sizes, 0))
+    cycles = _cycle_array(flat, nv)
 
-    # Cells that are short, leave 0..nv-1 or repeat a vertex (a repeat shows
-    # as equal neighbours among the sorted (cell, clipped vertex) keys).
+    # Cells that are not sequences, are short, leave 0..nv-1 (non-integers
+    # included) or repeat a vertex (a repeat shows as equal neighbours among
+    # the sorted (cell, clipped vertex) keys).
     outside = (cycles < 0) | (cycles >= nv)
     key = np.sort(cell_of * (nv + 2) + np.clip(cycles, -1, nv) + 1)
     repeats = key[1:][key[1:] == key[:-1]] // (nv + 2)
     suspects = np.concatenate([np.flatnonzero(sizes < 3), cell_of[outside], repeats])
     if suspects.size:
         ci = int(suspects.min())
-        cyc = cycles[offsets[ci] : offsets[ci + 1]]
-        out = cyc[(cyc < 0) | (cyc >= nv)]
-        if cyc.size < 3:
+        entries = flat[offsets[ci] : offsets[ci + 1]]
+        wrong = [v for v in entries if not _is_index(v)]
+        out = [v for v in entries if _is_index(v) and not 0 <= v < nv]
+        if sizes[ci] < 0:
+            raise MeshFormatError(f"cell {ci} is not a sequence of vertex indices")
+        if wrong:
+            raise MeshFormatError(
+                f"cell {ci} has a non-integer vertex index {np.asarray(wrong[0]).tolist()!r}")
+        if sizes[ci] < 3:
             raise MeshFormatError(f"cell {ci} has fewer than 3 vertices")
-        if out.size:
-            raise MeshFormatError(f"cell {ci} references vertex {out[0]} outside 0..{nv - 1}")
+        if out:
+            raise MeshFormatError(
+                f"cell {ci} references vertex {np.asarray(out[0]).tolist()} outside 0..{nv - 1}")
         raise MeshFormatError(f"cell {ci} repeats a vertex")
     area = np.empty(sizes.size)
     for n_v in np.unique(sizes):
@@ -321,29 +351,6 @@ GENERATORS = {
 }
 
 
-@dataclass(frozen=True)
-class SubTriangulation:
-    """Fan triangulation of one cell from its first cycle vertex.
-
-    triangles: (n_v - 2) vertex triples (anchor, v_i, v_{i+1}).
-    internal_edges: vertex pairs of the n_v - 3 fan chords.
-    internal_adjacency: (left tri, right tri) sharing each chord.
-    boundary_edge_map: per parent polygon side, the (triangle, local side)
-        that coincides with it; local sides are 0: anchor->v_i,
-        1: v_i->v_{i+1}, 2: v_{i+1}->anchor.
-    """
-
-    cell: int
-    triangles: tuple[tuple[int, int, int], ...]
-    internal_edges: tuple[tuple[int, int], ...]
-    internal_adjacency: tuple[tuple[int, int], ...]
-    boundary_edge_map: tuple[tuple[int, int], ...]
-
-    @property
-    def n_triangles(self) -> int:
-        return len(self.triangles)
-
-
 def fan_triangles(mesh: PolyMesh, cells) -> np.ndarray:
     """Vertex indices of the fan triangles (anchor, v_i, v_{i+1}) of cells
     with one vertex count, shape (n_cells, n_v - 2, 3).
@@ -365,32 +372,6 @@ def fan_triangles(mesh: PolyMesh, cells) -> np.ndarray:
             f"{area[s, t]:.3e}); re-anchor the cell cycle at a different vertex"
         )
     return tris
-
-
-def triangulate_cell(mesh: PolyMesh, cell: int) -> SubTriangulation:
-    """Fan-triangulate a cell from its first cycle vertex (no new vertices)."""
-    cyc = mesh.cell_cycles([cell])[0].tolist()
-    n = len(cyc)
-    triangles = tuple(map(tuple, fan_triangles(mesh, [cell])[0].tolist()))
-    internal_edges = tuple((cyc[0], cyc[i]) for i in range(2, n - 1))
-    internal_adjacency = tuple((i - 2, i - 1) for i in range(2, n - 1))
-
-    side_map = []
-    for s in range(n):
-        if s == 0:
-            side_map.append((0, 0))
-        elif s == n - 1:
-            side_map.append((n - 3, 2))
-        else:
-            side_map.append((s - 1, 1))
-
-    return SubTriangulation(
-        cell=cell,
-        triangles=triangles,
-        internal_edges=internal_edges,
-        internal_adjacency=internal_adjacency,
-        boundary_edge_map=tuple(side_map),
-    )
 
 
 def write_mesh(mesh: PolyMesh, path) -> None:

@@ -110,13 +110,3 @@ def triangle_points(tri: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarra
     pts = (tri[..., 0, :, None] + e1[..., None] * rule.points[:, 0]
            + e2[..., None] * rule.points[:, 1])
     return pts.swapaxes(-1, -2), rule.weights * np.abs(det)[..., None]
-
-
-def segment_points(a: np.ndarray, b: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Physical quadrature points/weights on segment [a, b]; weights sum to |b - a|."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    rule = segment_rule(degree)
-    pts = a + np.outer(rule.points, b - a)
-    return pts, rule.weights * float(np.linalg.norm(b - a))
-

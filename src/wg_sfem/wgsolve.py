@@ -29,6 +29,7 @@ import scipy.sparse as sp
 
 from .localspaces import DataError, OperatorCache, _matvec, dim_pk, project_qb
 from .polymesh import PolyMesh
+from .quadrature import data_degree, triangle_points
 
 DIRECT_LIMIT = 5000
 # Tightened PCG passes on the edge system that solve may add to bring the
@@ -226,7 +227,8 @@ def assemble(mesh: PolyMesh, k: int, f, g=None, cache: OperatorCache | None = No
         bad = ~np.isfinite(mom).all(axis=1)
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
-            pts = ops.data_points(cls[i : i + 1])[0][0] + offsets[i]
+            pts = triangle_points(ops.tri_coords[cls[i]], data_degree(k))[0].reshape(-1, 2)
+            pts = pts + offsets[i]
             fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
             q = int(np.flatnonzero(~np.isfinite(fv))[0])
             raise DataError(
@@ -280,6 +282,8 @@ def _pcg(A: sp.csr_matrix, b: np.ndarray, tol: float, x0: np.ndarray | None = No
         return np.zeros(n), 0, 0.0
     x = np.zeros(n) if x0 is None else x0.copy()
     r = b - A @ x
+    # Updated in place: the only vector allocated per iteration is A @ p.
+    z, p, step = np.empty(n), np.empty(n), np.empty(n)
     history = [float(np.linalg.norm(r)) / bnorm]
     max_iter = 20 * int(np.ceil(np.sqrt(n)))
     it = 0
@@ -291,8 +295,8 @@ def _pcg(A: sp.csr_matrix, b: np.ndarray, tol: float, x0: np.ndarray | None = No
                 np.array(history),
             )
         start = history[-1]
-        z = inv_diag * r
-        p = z.copy()
+        np.multiply(inv_diag, r, out=z)
+        p[:] = z
         rz = float(r @ z)
         while it < max_iter:
             it += 1
@@ -304,14 +308,15 @@ def _pcg(A: sp.csr_matrix, b: np.ndarray, tol: float, x0: np.ndarray | None = No
                     "this signals an assembly bug"
                 )
             alpha = rz / pAp
-            x += alpha * p
-            r -= alpha * Ap
+            x += np.multiply(alpha, p, out=step)
+            r -= np.multiply(alpha, Ap, out=Ap)
             history.append(float(np.linalg.norm(r)) / bnorm)
             if history[-1] <= tol:
                 break
-            z = inv_diag * r
+            np.multiply(inv_diag, r, out=z)
             rz_new = float(r @ z)
-            p = z + (rz_new / rz) * p
+            p *= rz_new / rz
+            p += z
             rz = rz_new
         r = b - A @ x
         history[-1] = float(np.linalg.norm(r)) / bnorm

@@ -1,23 +1,81 @@
-"""Geometry and local-space evaluations that only the tests use, and the
-loop oracles of the array mesh topology.
+"""Geometry and local-space evaluations that only the tests use, the slow
+reference build of the local operators, and the loop oracles of the array
+mesh topology.
 
 The library works on stacks of cells; these answer per-cell questions
 (areas, point values of local fields, the weak-gradient mass matrix) for
 the assertions.
 """
 
+from dataclasses import dataclass
+from math import comb
+from types import SimpleNamespace
+
 import numpy as np
 
-from wg_sfem.localspaces import KEY_DECIMALS, CellScalarBasis, RTFrame
+from wg_sfem.localspaces import (
+    KEY_DECIMALS,
+    _inverse_lower,
+    edge_basis,
+    expected_lambda_dim,
+    monomial_exponents,
+    reference_tables,
+)
 from wg_sfem.polymesh import (
     MeshFormatError,
+    fan_triangles,
     generate_square_grid,
     polygon_area,
     polygon_centroid,
     polygon_diameter,
-    triangulate_cell,
 )
-from wg_sfem.quadrature import assembly_degree, triangle_points
+from wg_sfem.quadrature import assembly_degree, data_degree, segment_rule, triangle_points
+
+
+@dataclass(frozen=True)
+class SubTriangulation:
+    """Fan triangulation of one cell from its first cycle vertex.
+
+    triangles: (n_v - 2) vertex triples (anchor, v_i, v_{i+1}).
+    internal_edges: vertex pairs of the n_v - 3 fan chords.
+    internal_adjacency: (left tri, right tri) sharing each chord.
+    boundary_edge_map: per parent polygon side, the (triangle, local side)
+        that coincides with it; local sides are 0: anchor->v_i,
+        1: v_i->v_{i+1}, 2: v_{i+1}->anchor.
+    """
+
+    cell: int
+    triangles: tuple
+    internal_edges: tuple
+    internal_adjacency: tuple
+    boundary_edge_map: tuple
+
+    @property
+    def n_triangles(self):
+        return len(self.triangles)
+
+
+def triangulate_cell(mesh, cell):
+    """Fan-triangulate a cell from its first cycle vertex (no new vertices)."""
+    cyc = mesh.cell_cycles([cell])[0].tolist()
+    n = len(cyc)
+    side_map = [(0, 0)] + [(s - 1, 1) for s in range(1, n - 1)] + [(n - 3, 2)]
+    return SubTriangulation(
+        cell=cell,
+        triangles=tuple(map(tuple, fan_triangles(mesh, [cell])[0].tolist())),
+        internal_edges=tuple((cyc[0], cyc[i]) for i in range(2, n - 1)),
+        internal_adjacency=tuple((i - 2, i - 1) for i in range(2, n - 1)),
+        boundary_edge_map=tuple(side_map),
+    )
+
+
+def segment_points(a, b, degree):
+    """Physical quadrature points/weights on segment [a, b]; weights sum to |b - a|."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    rule = segment_rule(degree)
+    pts = a + np.outer(rule.points, b - a)
+    return pts, rule.weights * float(np.linalg.norm(b - a))
 
 
 def cell_area(mesh, c):
@@ -33,15 +91,23 @@ def cell_diameter(mesh, c):
 
 
 def edge_midpoint(mesh, e):
-    a, b = mesh.edge_vertices(e)
+    a, b = mesh.vertices[mesh.edges[e]]
     return 0.5 * (a + b)
+
+
+def side_normal(mesh, c, side):
+    """Outward unit normal of cell c on its given side."""
+    cyc = mesh.cell_cycles([c])[0]
+    t = mesh.vertices[cyc[(side + 1) % cyc.size]] - mesh.vertices[cyc[side]]
+    n = np.array([t[1], -t[0]])
+    return n / np.linalg.norm(n)
 
 
 def edge_normal(mesh, e):
     """Unit normal pointing from the lower- to the higher-index adjacent
     cell; outward on boundary edges."""
     c = int(mesh.edge_cells[e, 0])
-    return mesh.side_normal(c, mesh.cell_edges[c].index(e))
+    return side_normal(mesh, c, mesh.cell_edges[c].index(e))
 
 
 def hex_grid_cell_count(level):
@@ -77,33 +143,326 @@ def interior_values(ops, coeffs, pts):
     return basis.eval(np.asarray(pts) - ops.offset) @ coeffs
 
 
+def _reference_points(lam, row, tri, pts):
+    """Reference coordinates of physical points on fan triangle tri of a
+    row of a LambdaBasis, and the triangle's Jacobian and its determinant."""
+    B = lam.jacobian[row, tri]
+    xi = np.linalg.solve(B, (np.asarray(pts, dtype=float) - lam.tri_coords[row, tri, 0]).T).T
+    return xi, B, np.linalg.det(B)
+
+
+def piola_fields(lam, row, tri, pts):
+    """The fields of fan triangle tri of a row of a LambdaBasis at physical
+    points (npts, 2), shape (npts, n_fields, 2): the Piola images
+    B phi(xi) / det B of the reference RT basis, whose raw fields are
+    evaluated by RTFrame in the reference frame centered at (1/3, 1/3)."""
+    xi, B, det = _reference_points(lam, row, tri, pts)
+    raw = RTFrame(lam.k, np.full(2, 1 / 3), 1.0).eval(xi)
+    phi = np.einsum("qfd,fg->qgd", raw, reference_tables(lam.k).rt_coeffs.astype(float))
+    return np.einsum("de,qfe->qfd", B, phi) / det
+
+
+def piola_divergence(lam, row, tri, pts):
+    """Divergences of the fields of piola_fields, shape (npts, n_fields):
+    (div phi)(xi) / det B, from the exact divergences of the raw fields."""
+    xi, _, det = _reference_points(lam, row, tri, pts)
+    frame = RTFrame(lam.k, np.full(2, 1 / 3), 1.0)
+    div = frame.div_coeff_matrix() @ reference_tables(lam.k).rt_coeffs.astype(float)
+    return CellScalarBasis(lam.k, frame.center, 1.0).eval(xi) @ div / det
+
+
 def lambda_values(ops, coeffs, pts, tri_index):
     """Point values of a weak-gradient-space field on one fan triangle of
     ops.cell; coeffs (n_lambda, ...) give values (npts, ..., 2)."""
-    s, frames = ops.index, ops.stack.lambda_basis.frames
-    F = RTFrame(ops.k, frames.center[s, tri_index], frames.scale[s, tri_index])
+    s = ops.index
+    fields = piola_fields(ops.stack.lambda_basis, s, tri_index, np.asarray(pts) - ops.offset)
     rt = ops.stack.frame_coeffs[s, tri_index] @ coeffs
-    return np.einsum("qfd,f...->q...d", F.eval(np.asarray(pts) - ops.offset), rt)
+    return np.einsum("qfd,f...->q...d", fields, rt)
 
 
 def lambda_mass(stack, rows=None):
     """Weak-gradient-space mass matrices of rows of an OperatorStack (all by
     default), shape (n, n_lambda, n_lambda), by quadrature of the basis
-    fields built from the RT frames, their orthonormalization and the
+    fields built from the Piola fields, their orthonormalization and the
     nullspace coefficients."""
-    lam = stack.lambda_basis
     rows = np.arange(len(stack.cells)) if rows is None else np.atleast_1d(rows)
-    nt, nf = stack.tri_coords.shape[1], lam.frames.n_fields
-    V = lam.coeffs[rows].reshape(len(rows), nt, nf, lam.n_lambda)
-    frames = RTFrame(stack.k, lam.frames.center[rows], lam.frames.scale[rows])
-    pts, w = triangle_points(stack.tri_coords[rows], assembly_degree(stack.k))
-    F = np.einsum("stqfd,stfl->stqld", frames.eval(pts), lam.orth[rows] @ V)
-    return np.einsum("stq,stqid,stqjd->sij", w, F, F)
+    lam = stack.lambda_basis
+    out = []
+    for s in rows:
+        mass = 0.0
+        for t, coords in enumerate(stack.tri_coords[s]):
+            pts, w = triangle_points(coords, assembly_degree(stack.k))
+            F = np.einsum("qfd,fl->qld", piola_fields(lam, s, t, pts), stack.frame_coeffs[s, t])
+            mass = mass + np.einsum("q,qid,qjd->ij", w, F, F)
+        out.append(mass)
+    return np.array(out)
 
 
 def cell_lambda_mass(ops):
     """The weak-gradient-space mass matrix of one LocalCellOperators."""
     return lambda_mass(ops.stack, ops.index)[0]
+
+
+# ------------------------------------------------------- isotropic frames
+# The local operators as they were built before the Piola frames: each fan
+# triangle's RT fields are monomials in its own centered frame, scaled by
+# its diameter, orthonormalized by CholeskyQR2 on quadrature samples, and
+# every integral is a quadrature of monomials evaluated point by point.
+# The slow reference of OperatorStack.
+
+
+def _frame_powers(pts, center, scale, k):
+    """Powers 0..k of the centered, scaled coordinates xi and eta of points
+    (..., npts, 2) in frames with centers (..., 2) and scales (...), each of
+    shape (k + 1, ..., npts)."""
+    pts = np.asarray(pts, dtype=float)
+    out = []
+    for d in range(2):
+        local = (pts[..., d] - center[..., None, d]) / scale[..., None]
+        powers = np.empty((k + 1,) + local.shape)
+        powers[0] = 1.0
+        for m in range(1, k + 1):
+            powers[m] = powers[m - 1] * local
+        out.append(powers)
+    return out
+
+
+def _monomials(px, py, ax, ay, coeff=None):
+    """coeff * xi^ax * eta^ay from _frame_powers, shape (..., npts, len(ax))."""
+    mono = px[ax] * py[ay] if coeff is None else coeff * px[ax] * py[ay]
+    return np.moveaxis(mono, 0, -1)
+
+
+class CellScalarBasis:
+    """Centered, scaled monomial basis of P_k in one frame or a stack of them.
+
+    center (..., 2) and scale (...) give one frame per leading index; points
+    come as (..., npts, 2) with the same leading axes.
+    """
+
+    def __init__(self, k, center, scale):
+        self.k = k
+        self.center = np.asarray(center, dtype=float)
+        self.scale = np.asarray(scale, dtype=float)
+        exps = monomial_exponents(k)
+        self._ax = np.array([a for a, _ in exps])
+        self._ay = np.array([b for _, b in exps])
+
+    def eval(self, pts):
+        """Basis values, shape (..., npts, dim)."""
+        px, py = _frame_powers(pts, self.center, self.scale, self.k)
+        return _monomials(px, py, self._ax, self._ay)
+
+    def grad(self, pts):
+        """Physical gradients, shape (..., npts, dim, 2)."""
+        px, py = _frame_powers(pts, self.center, self.scale, self.k)
+        ax, ay = self._ax, self._ay
+        lead = (-1,) + (1,) * (px.ndim - 1)
+        scale = self.scale[..., None, None]
+        gx = _monomials(px, py, np.maximum(ax - 1, 0), ay, ax.reshape(lead)) / scale
+        gy = _monomials(px, py, ax, np.maximum(ay - 1, 0), ay.reshape(lead)) / scale
+        return np.stack([gx, gy], axis=-1)
+
+
+class RTFrame:
+    """Vector monomial fields spanning RT_k in one centered, scaled frame or a
+    stack of them (center and scale as in CellScalarBasis).
+
+    Fields: (m, 0) and (0, m) for all P_k monomials m, then (xi, eta) * m_h
+    for the k+1 homogeneous degree-k monomials m_h.  Count: (k+1)(k+3).
+    """
+
+    def __init__(self, k, center, scale):
+        self.k = k
+        self.center = np.asarray(center, dtype=float)
+        self.scale = np.asarray(scale, dtype=float)
+        self.exponents = monomial_exponents(k)
+        self.n_scalar = len(self.exponents)
+        self.homo = [(a, b) for a, b in self.exponents if a + b == k]
+        self.n_fields = 2 * self.n_scalar + len(self.homo)
+        self._index = {e: i for i, e in enumerate(self.exponents)}
+        self._ax = np.array([a for a, _ in self.exponents])
+        self._ay = np.array([b for _, b in self.exponents])
+
+    def eval(self, pts):
+        """Field values, shape (..., npts, n_fields, 2)."""
+        px, py = _frame_powers(pts, self.center, self.scale, self.k + 1)
+        mono = _monomials(px, py, self._ax, self._ay)
+        n0 = self.n_scalar
+        V = np.zeros(mono.shape[:-1] + (self.n_fields, 2))
+        V[..., :n0, 0] = mono
+        V[..., n0 : 2 * n0, 1] = mono
+        homo = mono[..., n0 - len(self.homo) :]
+        V[..., 2 * n0 :, 0] = px[1][..., None] * homo
+        V[..., 2 * n0 :, 1] = py[1][..., None] * homo
+        return V
+
+    def moments(self, pts, g):
+        """Moments sum_q g[..., i, q] . field_j(pts[..., q]) of n_g weighted
+        vector samples per frame: pts (..., npts, 2), g (..., n_g, npts, 2)
+        -> (..., n_g, n_fields); leading axes broadcast."""
+        px, py = _frame_powers(pts, self.center, self.scale, self.k + 1)
+        mono = _monomials(px, py, self._ax, self._ay)
+        gx, gy = g[..., 0], g[..., 1]
+        rows = np.stack([gx, gy, gx * px[1][..., None, :] + gy * py[1][..., None, :]], axis=-2)
+        r = rows @ mono[..., None, :, :]
+        n0, nh = self.n_scalar, len(self.homo)
+        return np.concatenate([r[..., 0, :], r[..., 1, :], r[..., 2, n0 - nh :]], axis=-1)
+
+    def div_coeff_matrix(self):
+        """Exact divergence expansion over each frame's scalar monomials,
+        shape (..., dim P_k, n_fields); entries carry the 1/scale factor."""
+        n0 = self.n_scalar
+        D = np.zeros((n0, self.n_fields))
+        for j, (a, b) in enumerate(self.exponents):
+            if a > 0:
+                D[self._index[(a - 1, b)], j] = a
+            if b > 0:
+                D[self._index[(a, b - 1)], n0 + j] = b
+        for j, (a, b) in enumerate(self.homo):
+            D[self._index[(a, b)], 2 * n0 + j] = a + b + 2
+        return D / self.scale[..., None, None]
+
+
+def isotropic_change_of_frame(k, source_center, source_scale, target_center, target_scale):
+    """Exact coefficient map T (..., dim, dim) between centered-scaled
+    monomial bases of P_k, m_src_j = sum_i T[i, j] m_tgt_i, from the
+    binomial expansion of xi_src = alpha * xi_tgt + beta."""
+    exps = monomial_exponents(k)
+    p = np.array([e[0] for e in exps])[:, None]
+    q = np.array([e[1] for e in exps])[:, None]
+    a, b = p.T, q.T
+    comb_a = np.array([[comb(aj, pi) for aj in a[0]] for pi in p[:, 0]], dtype=float)
+    comb_b = np.array([[comb(bj, qi) for bj in b[0]] for qi in q[:, 0]], dtype=float)
+    source_center = np.asarray(source_center, dtype=float)
+    target_center = np.asarray(target_center, dtype=float)
+    source_scale = np.asarray(source_scale, dtype=float)[..., None, None]
+    alpha = np.asarray(target_scale, dtype=float)[..., None, None] / source_scale
+    bx = (target_center[..., 0] - source_center[..., 0])[..., None, None] / source_scale
+    by = (target_center[..., 1] - source_center[..., 1])[..., None, None] / source_scale
+    return (comb_a * alpha**p * bx ** np.maximum(a - p, 0)
+            * comb_b * alpha**q * by ** np.maximum(b - q, 0))
+
+
+def _weighted_gram(w, f, g):
+    """sum_q w_q f[q, i] . g[q, j] for stacks: w (..., npts), f (..., npts,
+    m, d), g (..., npts, n, d) -> (..., m, n)."""
+    lead = w.shape[:-1]
+    fw = (w[..., None, None] * f).swapaxes(-3, -2).reshape(*lead, f.shape[-2], -1)
+    gt = g.swapaxes(-3, -2).reshape(*lead, g.shape[-2], -1)
+    return fw @ gt.swapaxes(-1, -2)
+
+
+def isotropic_stack(mesh, cells, k):
+    """The operators of cells with one vertex count, built with isotropic
+    frames: a namespace with n_lambda, stiffness, mass_scalar, grad_mass,
+    weak_gradient and schur (the condensed side block) per cell, and
+    project_interior(func) and project_lambda_field(func), which act on
+    every cell at once."""
+    cells = np.atleast_1d(np.asarray(cells))
+    coords = mesh.vertices[fan_triangles(mesh, cells)]
+    n_cells, nt = coords.shape[:2]
+    frames = RTFrame(k, coords.mean(axis=-2), polygon_diameter(coords))
+    nf = frames.n_fields
+
+    pts, w = triangle_points(coords, 2 * k + 2)
+    A = (np.sqrt(w)[..., None, None] * frames.eval(pts)).swapaxes(-1, -2)
+    A = A.reshape(n_cells, nt, -1, nf)
+    orth = _inverse_lower(np.linalg.cholesky(A.swapaxes(-1, -2) @ A)).swapaxes(-1, -2)
+    Q = A @ orth
+    orth = orth @ _inverse_lower(np.linalg.cholesky(Q.swapaxes(-1, -2) @ Q)).swapaxes(-1, -2)
+
+    X = mesh.vertices[mesh.cell_cycles(cells)]
+    center, diameter = polygon_centroid(X), polygon_diameter(X)
+    div = isotropic_change_of_frame(
+        k, frames.center, frames.scale, center[:, None], diameter[:, None]
+    ) @ (frames.div_coeff_matrix() @ orth)
+    if nt == 1:
+        null = np.broadcast_to(np.eye(nf), (n_cells, nf, nf))
+    else:
+        degree = 2 * k + 2
+        rule = segment_rule(degree)
+        w_phi = rule.weights[:, None] * edge_basis(k, degree)
+        a, b = X[:, :1], X[:, 2:-1]
+        t = b - a
+        normal = np.stack([t[..., 1], -t[..., 0]], axis=-1) / np.linalg.norm(t, axis=-1)[..., None]
+        chord_pts = a[:, :, None] + rule.points[:, None] * t[:, :, None]
+
+        def chord_moments(tri):
+            side = RTFrame(k, frames.center[:, tri], frames.scale[:, tri])
+            g = w_phi.T[:, :, None] * normal[:, :, None, None, :]
+            return side.moments(chord_pts, g) @ orth[:, tri]
+
+        left, right = chord_moments(slice(0, -1)), chord_moments(slice(1, None))
+        jumps = np.zeros((n_cells, nt - 1, k + 1, nt, nf))
+        matches = np.zeros((n_cells, nt - 1, div.shape[2], nt, nf))
+        matches[:, :, :, 0] = -diameter[:, None, None, None] * div[:, :1]
+        for j in range(nt - 1):
+            jumps[:, j, :, j] = left[:, j]
+            jumps[:, j, :, j + 1] = -right[:, j]
+            matches[:, j, :, j + 1] = diameter[:, None, None] * div[:, j + 1]
+        C = np.concatenate([jumps.reshape(n_cells, -1, nt * nf),
+                            matches.reshape(n_cells, -1, nt * nf)], axis=1)
+        sv = np.linalg.svd(C, compute_uv=False)
+        assert np.all(nt * nf - np.sum(sv > 1e-10 * sv[:, :1], axis=1)
+                      == expected_lambda_dim(nt + 2, k))
+        null = np.linalg.qr(C.swapaxes(-1, -2), mode="complete")[0][:, :, C.shape[1]:]
+    nl = null.shape[-1]
+    V = null.reshape(n_cells, nt, nf, nl)
+    frame_coeffs = orth @ V
+
+    deg = assembly_degree(k)
+    pts, w = triangle_points(coords, deg)
+    scalar = CellScalarBasis(k, center[:, None], diameter[:, None])
+    mono = scalar.eval(pts)[..., None]
+    gm = scalar.grad(pts)
+    s_tri = _weighted_gram(w, mono, mono)
+    mass_scalar = s_tri.sum(axis=1)
+    b_int = -(V.swapaxes(-1, -2) @ (s_tri @ div).swapaxes(-1, -2)).sum(axis=1)
+
+    cyc = mesh.cell_cycles(cells)
+    n_sides = cyc.shape[1]
+    nxt = (np.arange(n_sides) + 1) % n_sides
+    a, b = mesh.vertices[cyc], mesh.vertices[cyc[:, nxt]]
+    t = b - a
+    length = np.linalg.norm(t, axis=-1)
+    normal = np.stack([t[..., 1], -t[..., 0]], axis=-1) / length[..., None]
+    rule = segment_rule(deg)
+    side_pts = a[:, :, None] + rule.points[:, None] * t[:, :, None]
+    sign = np.where((cyc < cyc[:, nxt])[..., None], 1.0, (-1.0) ** np.arange(k + 1))
+    phib = edge_basis(k, deg) * sign[:, :, None, :]
+    tri = np.clip(np.arange(n_sides) - 1, 0, nt - 1)
+    w_phi = ((rule.weights * length[..., None])[..., None] * phib).swapaxes(-1, -2)
+    side = RTFrame(k, frames.center[:, tri], frames.scale[:, tri])
+    cols = side.moments(side_pts, w_phi[..., None] * normal[:, :, None, None, :]) @ (
+        frame_coeffs[:, tri])
+    moments = np.concatenate([b_int, cols.transpose(0, 3, 1, 2).reshape(n_cells, nl, -1)],
+                             axis=-1)
+    stiffness = moments.swapaxes(-1, -2) @ moments
+    n0 = mass_scalar.shape[-1]
+    schur = stiffness[:, n0:, n0:] - stiffness[:, :n0, n0:].swapaxes(-1, -2) @ np.linalg.solve(
+        stiffness[:, :n0, :n0], stiffness[:, :n0, n0:])
+
+    def samples(func):
+        pts, w = triangle_points(coords, data_degree(k))
+        vals = np.asarray(func(pts[..., 0].ravel(), pts[..., 1].ravel()), dtype=float)
+        vals = vals.reshape(pts.shape[:3] + vals.shape[1:])
+        return pts, vals * w.reshape(w.shape + (1,) * (vals.ndim - 3))
+
+    def project_interior(func):
+        pts, vals = samples(func)
+        mom = np.einsum("stq,stqi->si", vals, scalar.eval(pts))
+        return np.linalg.solve(mass_scalar, mom[..., None])[..., 0]
+
+    def project_lambda_field(func):
+        pts, vals = samples(func)
+        raw = frames.moments(pts, vals[:, :, None])[:, :, 0]
+        return np.einsum("stf,stfl->sl", raw, frame_coeffs)
+
+    return SimpleNamespace(
+        n_lambda=nl, stiffness=stiffness, mass_scalar=mass_scalar,
+        grad_mass=_weighted_gram(w, gm, gm).sum(axis=1), weak_gradient=moments, schur=schur,
+        project_interior=project_interior, project_lambda_field=project_lambda_field)
 
 
 # ------------------------------------------------------------------ oracles
@@ -116,21 +475,34 @@ def loop_build_mesh(vertices, cells):
     side: a dict of the PolyMesh fields vertices, cells, edges, cell_edges,
     edge_cells and boundary_edges.  Raises MeshFormatError as build_mesh
     does."""
-    verts = np.array(vertices, dtype=float)
+    try:
+        verts = np.array(vertices, dtype=float)
+    except (TypeError, ValueError):
+        raise MeshFormatError("vertices must be an (n, 2) array of numbers") from None
     if verts.ndim != 2 or verts.shape[1] != 2:
         raise MeshFormatError("vertices must be an (n, 2) array")
+    for i, (x, y) in enumerate(verts.tolist()):
+        if not (np.isfinite(x) and np.isfinite(y)):
+            raise MeshFormatError(f"vertex {i} has a non-finite coordinate {(x, y)}")
     nv = verts.shape[0]
 
     cell_tuples = []
     for ci, cyc in enumerate(cells):
-        cyc = tuple(int(v) for v in cyc)
+        if not hasattr(cyc, "__len__"):
+            raise MeshFormatError(f"cell {ci} is not a sequence of vertex indices")
+        for v in cyc:
+            if not (isinstance(v, (int, np.integer))
+                    or (isinstance(v, (float, np.floating)) and float(v).is_integer())):
+                raise MeshFormatError(
+                    f"cell {ci} has a non-integer vertex index {np.asarray(v).tolist()!r}")
         if len(cyc) < 3:
             raise MeshFormatError(f"cell {ci} has fewer than 3 vertices")
         for v in cyc:
             if not 0 <= v < nv:
                 raise MeshFormatError(
-                    f"cell {ci} references vertex {v} outside 0..{nv - 1}"
+                    f"cell {ci} references vertex {np.asarray(v).tolist()} outside 0..{nv - 1}"
                 )
+        cyc = tuple(int(v) for v in cyc)
         if len(set(cyc)) != len(cyc):
             raise MeshFormatError(f"cell {ci} repeats a vertex")
         cell_tuples.append(cyc)

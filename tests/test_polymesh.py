@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from wg_sfem.polymesh import (
     generate_square_grid,
     polygon_area,
     read_mesh,
-    triangulate_cell,
     write_mesh,
 )
 
@@ -30,6 +30,7 @@ from helpers import (
     loop_generator_input,
     mixed_input,
     renumbered,
+    triangulate_cell,
 )
 
 
@@ -282,6 +283,22 @@ def test_read_rejects_dangling_vertex_index(tmp_path):
         read_mesh(path)
 
 
+@pytest.mark.parametrize("cells,vertex,message", [
+    ("[[0, 1, 2.7, 3]]", "[0, 0]", "cell 0 has a non-integer vertex index 2.7"),
+    ("[[0, 1, 2, 3], 5]", "[0, 0]", "cell 1 is not a sequence of vertex indices"),
+    ("[[0, 1, null, 3]]", "[0, 0]", "cell 0 has a non-integer vertex index None"),
+    ("[[0, \"a\", 2, 3]]", "[0, 0]", "cell 0 has a non-integer vertex index 'a'"),
+    ("[[0, 1, 2, 3]]", "[NaN, 0]", "vertex 0 has a non-finite coordinate (nan, 0.0)"),
+    ("[[0, 1, 2, 3]]", "[0, Infinity]", "vertex 0 has a non-finite coordinate (0.0, inf)"),
+])
+def test_read_names_non_integer_indices_and_non_finite_coordinates(tmp_path, cells, vertex,
+                                                                   message):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"vertices": [{vertex}, [1, 0], [1, 1], [0, 1]], "cells": {cells}}}')
+    with pytest.raises(MeshFormatError, match=f"^{re.escape(message)}$"):
+        read_mesh(path)
+
+
 def test_read_rejects_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -419,6 +436,20 @@ MALFORMED = {
     "format-before-orientation": (SQUARES, [(0, 3, 2, 1), (4, 5, 6, 6)]),
     "orientation-before-edges": (FANS, [(0, 1, 2), (1, 0, 3), (0, 1, 4), (7, 6, 5)]),
     "bad-vertex-array": ([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2)]),
+    "non-integer-index": (SQUARES, [(0, 1, 2, 3), (4, 5, 6.5, 7)]),
+    "truncated-index": (SQUARES, [(0, 1, 2.7, 3)]),
+    "float-array-cell": (SQUARES, np.array([(0, 1, 2, 3), (4, 5, 2.5, 7)])),
+    "bare-number-cell": (SQUARES, [(0, 1, 2, 3), 5]),
+    "null-index": (SQUARES, [(0, 1, 2, 3), (4, None, 6, 7)]),
+    "string-index": (SQUARES, [(0, 1, 2, 3), (4, "a", 6, 7)]),
+    "huge-index": (SQUARES, [(0, 1, 2, 3), (4, 5, 2**70, 7)]),
+    "short-before-non-integer": (SQUARES, [(0, 1), (4, 5.5, 6, 7)]),
+    "non-integer-before-short": (SQUARES, [(0, 1.5)]),
+    "bare-number-before-bad-index": (SQUARES, [7, (4, 5, 9, 7)]),
+    "nan-vertex": ([(0.0, 0.0), (1.0, float("nan")), (1.0, 1.0)], [(0, 1, 2)]),
+    "inf-vertex": ([(0.0, 0.0), (1.0, 0.0), (float("inf"), 1.0)], [(0, 1, 2)]),
+    "vertex-before-cell": ([(0.0, 0.0), (1.0, 0.0), (1.0, float("-inf"))], [(0, 1)]),
+    "non-number-vertex": ([(0.0, "a"), (1.0, 0.0), (1.0, 1.0)], [(0, 1, 2)]),
 }
 
 
@@ -430,6 +461,28 @@ def test_malformed_input_raises_the_loop_oracle_error(name):
     with pytest.raises(MeshFormatError) as got:
         build_mesh(vertices, cells)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("name,message", [
+    ("truncated-index", "cell 0 has a non-integer vertex index 2.7"),
+    ("float-array-cell", "cell 1 has a non-integer vertex index 2.5"),
+    ("bare-number-cell", "cell 1 is not a sequence of vertex indices"),
+    ("null-index", "cell 1 has a non-integer vertex index None"),
+    ("string-index", "cell 1 has a non-integer vertex index 'a'"),
+    ("nan-vertex", "vertex 1 has a non-finite coordinate (1.0, nan)"),
+    ("inf-vertex", "vertex 2 has a non-finite coordinate (inf, 1.0)"),
+])
+def test_non_integer_indices_and_non_finite_coordinates_are_named(name, message):
+    with pytest.raises(MeshFormatError, match=f"^{re.escape(message)}$"):
+        build_mesh(*MALFORMED[name])
+
+
+def test_integral_float_indices_are_accepted():
+    cells = [(0, 1, 2, 3), (4, 5, 6, 7)]
+    want = build_mesh(SQUARES, cells)
+    for floats in ([tuple(map(float, c)) for c in cells], np.array(cells, dtype=float)):
+        got = build_mesh(SQUARES, floats)
+        assert got.cells == want.cells and np.array_equal(got.edges, want.edges)
 
 
 def test_three_cell_edge_names_the_first_third_use():

@@ -3,17 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wg_sfem.polymesh import generate_square_grid, triangulate_cell
+from wg_sfem.polymesh import generate_square_grid
 from wg_sfem.quadrature import (
     MAX_SEGMENT_DEGREE,
     MAX_TRIANGLE_DEGREE,
     UnsupportedDegreeError,
     reference_triangle_monomial_integral,
-    segment_points,
     segment_rule,
     triangle_points,
     triangle_rule,
 )
+
+from helpers import segment_points, triangulate_cell
 
 
 def test_segment_degree_one_is_midpoint_rule():

@@ -11,7 +11,6 @@ import wg_sfem.wgsolve as wgsolve
 from wg_sfem.analysis import energy_error, get_case, l2_projection_error
 from wg_sfem.localspaces import OperatorCache, project_qb
 from wg_sfem.polymesh import GENERATORS, build_mesh, generate_hex_grid, generate_square_grid
-from wg_sfem.polymesh import triangulate_cell
 from wg_sfem.quadrature import triangle_points
 from wg_sfem.wgsolve import (
     DataError,
@@ -24,6 +23,8 @@ from wg_sfem.wgsolve import (
     solve,
     triple_bar_norm,
 )
+
+from helpers import triangulate_cell
 
 
 def zero(x, y):
