@@ -548,14 +548,13 @@ class OperatorStack:
         self._side_length = np.linalg.norm(np.roll(X, -1, axis=1) - X, axis=-1)
         cols = self._side_sign[..., None] * (ref.flux[self._side_ref]
                                              @ self.frame_coeffs[:, self._side_tri])
-        self.moments = np.concatenate(
-            [b_int, cols.transpose(0, 3, 1, 2).reshape(n_cells, nl, -1)], axis=-1
-        )
         # The Lambda basis is L2-orthonormal, so its mass matrix is the
         # identity: the weak gradient's coefficients are its moments, and
         # the stiffness is their Gram, exactly symmetric.
-        self.weak_gradient = self.moments
-        self.stiffness = self.moments.swapaxes(-1, -2) @ self.moments
+        self.weak_gradient = np.concatenate(
+            [b_int, cols.transpose(0, 3, 1, 2).reshape(n_cells, nl, -1)], axis=-1
+        )
+        self.stiffness = self.weak_gradient.swapaxes(-1, -2) @ self.weak_gradient
 
     @cached_property
     def _side_traces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -577,28 +576,15 @@ class OperatorStack:
         S = K_bb - K_0b^T X on the side unknowns (made exactly symmetric)."""
         n0 = dim_pk(self.k)
         K = self.stiffness
-        # X by a solve, not by the inverse: the inverse's error grows with
-        # the condition of K_00 (4e3 on hex cells at k = 2) and would show in
-        # the full-system residual.
-        X = np.linalg.solve(K[:, :n0, :n0], K[:, :n0, n0:])
-        K00_inv = np.linalg.inv(K[:, :n0, :n0])
+        # X by a solve, not through the inverse: the inverse's error grows
+        # with the condition of K_00 (4e3 on hex cells at k = 2) and would
+        # show in the full-system residual.  One LU factorization serves
+        # both, solving for [K_0b | I].
+        eye = np.broadcast_to(np.eye(n0), (len(K), n0, n0))
+        sol = np.linalg.solve(K[:, :n0, :n0], np.concatenate([K[:, :n0, n0:], eye], axis=-1))
+        X, K00_inv = sol[..., :-n0], sol[..., -n0:]
         S = K[:, n0:, n0:] - K[:, :n0, n0:].swapaxes(-1, -2) @ X
         return K00_inv, X, 0.5 * (S + S.swapaxes(-1, -2))
-
-    def apply_weak_gradient(self, local: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Weak-gradient coefficients of local functions, shape (n, n_lambda, ...)."""
-        return _matvec(self.weak_gradient[rows], local)
-
-    def lambda_norm_sq(self, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Squared L2 norms over the cells of weak-gradient-space fields; the
-        basis is orthonormal."""
-        return np.sum(coeffs * coeffs, axis=1)
-
-    def scalar_norm_sq(self, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return np.sum(coeffs * _matvec(self.mass_scalar[rows], coeffs), axis=1)
-
-    def grad_seminorm_sq(self, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return np.sum(coeffs * _matvec(self.grad_mass[rows], coeffs), axis=1)
 
     def side_mismatch_sq(self, side: int, u0: np.ndarray, ub: np.ndarray,
                          rows: np.ndarray) -> np.ndarray:
@@ -611,7 +597,8 @@ class OperatorStack:
     def _samples(self, func, uniq, inv, offsets, degree):
         """The data_tables of a rule (data degree by default) and func at
         the rule's image x = v0 + B xi on each fan triangle of each cell,
-        shape (n, n_triangles, npts) + the shape of one value."""
+        shape (n, n_triangles, npts) + the shape of one value.  A non-finite
+        value raises DataError naming its point."""
         tables = data_tables(self.k, data_degree(self.k) if degree is None else degree)
         v0, B = self.tri_coords[uniq, :, 0, :, None], self.lambda_basis.jacobian[uniq]
         xi, eta = tables[0].T
@@ -620,6 +607,9 @@ class OperatorStack:
         x, y = ((v0[:, :, d] + B[:, :, d, 0, None] * xi + B[:, :, d, 1, None] * eta)[inv]
                 + offsets[:, d, None, None] for d in range(2))
         vals = np.asarray(func(x.ravel(), y.ravel()), dtype=float)
+        if not np.isfinite(vals).all():
+            q = np.argmin(np.isfinite(vals.reshape(x.size, -1)).all(axis=1))
+            raise DataError(f"field data non-finite at quadrature point ({x.flat[q]}, {y.flat[q]})")
         return tables, vals.reshape(x.shape + vals.shape[1:])
 
     def interior_moments(self, func, rows: np.ndarray, offsets: np.ndarray,
@@ -677,7 +667,6 @@ class LocalCellOperators:
 
     stiffness = _stack_row("stiffness", "Local stiffness matrix (n_local, n_local).")
     weak_gradient = _stack_row("weak_gradient", "Weak-gradient matrix (n_lambda, n_local).")
-    moments = _stack_row("moments", "Weak-gradient moments (n_lambda, n_local).")
     mass_scalar = _stack_row("mass_scalar", "Interior P_k mass matrix.")
 
     def __init__(self, mesh: PolyMesh, cell: int, k: int):
@@ -697,7 +686,7 @@ class LocalCellOperators:
 
     @property
     def n_local(self) -> int:
-        return self.moments.shape[1]
+        return self.weak_gradient.shape[1]
 
     @property
     def n_lambda(self) -> int:
@@ -706,10 +695,6 @@ class LocalCellOperators:
     def apply_weak_gradient(self, local_dofs: np.ndarray) -> np.ndarray:
         """Weak-gradient coefficients of a local function, shape (n_lambda, ...)."""
         return self.weak_gradient @ local_dofs
-
-    def lambda_norm_sq(self, coeffs: np.ndarray) -> np.ndarray:
-        """Squared L2 norm over the cell of a weak-gradient-space field."""
-        return np.sum(coeffs * coeffs, axis=0)
 
     def project_interior(self, func, degree: int | None = None) -> np.ndarray:
         """L2 projection onto the interior P_k basis."""

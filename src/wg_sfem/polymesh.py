@@ -150,9 +150,6 @@ class PolyMesh:
         items, bounds = self.sides.tolist(), self.offsets.tolist()
         return tuple(tuple(items[a:b]) for a, b in zip(bounds, bounds[1:]))
 
-    def cell_vertices(self, c: int) -> np.ndarray:
-        return self.vertices[self.cycles[self.offsets[c] : self.offsets[c + 1]]]
-
     def cell_cycles(self, cells) -> np.ndarray:
         """Vertex cycles of cells with one vertex count, shape (n_cells, n_v)."""
         return _gather(self.cycles, self.offsets, cells)

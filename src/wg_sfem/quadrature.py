@@ -92,21 +92,3 @@ def triangle_rule(degree: int) -> QuadRule:
 def reference_triangle_monomial_integral(a: int, b: int) -> float:
     """Exact value of the x^a y^b integral over the reference triangle."""
     return factorial(a) * factorial(b) / factorial(a + b + 2)
-
-
-def triangle_points(tri: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Physical quadrature points/weights on a triangle; weights sum to its area.
-
-    tri may also stack triangles, shape (..., 3, 2); points and weights then
-    carry the same leading axes.
-    """
-    tri = np.asarray(tri, dtype=float)
-    rule = triangle_rule(degree)
-    e1 = tri[..., 1, :] - tri[..., 0, :]
-    e2 = tri[..., 2, :] - tri[..., 0, :]
-    det = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]
-    # Built coordinate-major, (..., 2, npts), and returned as a view: numpy
-    # loops over an innermost axis of length 2 several times slower.
-    pts = (tri[..., 0, :, None] + e1[..., None] * rule.points[:, 0]
-           + e2[..., None] * rule.points[:, 1])
-    return pts.swapaxes(-1, -2), rule.weights * np.abs(det)[..., None]

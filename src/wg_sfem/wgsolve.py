@@ -12,11 +12,11 @@ K_bb - K_0b^T K_00^-1 K_0b with the loads -X^T f_0, X = K_00^-1 K_0b.  The
 edge system is solved directly when the full system has fewer than
 DIRECT_LIMIT free DOFs, otherwise by Jacobi-preconditioned conjugate
 gradients; the interior values are then recovered per cell as
-K_00^-1 (f_0 - K_0b u_b).  Convergence is judged on the full system's true
-relative residual ||rhs - A x|| / ||rhs||, computed from the local
-stiffnesses: while it is above tol, conjugate gradients continue on the edge
-system with a tighter tolerance.  The uncondensed matrices are built only on
-request.
+K_00^-1 (f_0 - K_0b u_b).  Convergence is judged in one place, solve, on the
+full system's true relative residual ||rhs - A x|| / ||rhs||, computed from
+the local stiffnesses: while it is above tol, conjugate gradients continue
+from x on the edge system with a tighter tolerance.  The uncondensed
+matrices are built only on request.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .localspaces import DataError, OperatorCache, _matvec, dim_pk, project_qb
+from .localspaces import OperatorCache, _matvec, dim_pk, project_qb
 from .polymesh import PolyMesh
-from .quadrature import data_degree, triangle_points
 
 DIRECT_LIMIT = 5000
 # Tightened PCG passes on the edge system that solve may add to bring the
@@ -66,7 +65,6 @@ class DofMap:
     k: int
     n_cells: int
     n_edges: int
-    boundary_edges: np.ndarray
     free_dofs: np.ndarray
     constrained_dofs: np.ndarray
 
@@ -120,7 +118,6 @@ def build_dof_map(mesh: PolyMesh, k: int) -> DofMap:
         k=k,
         n_cells=mesh.n_cells,
         n_edges=mesh.n_edges,
-        boundary_edges=mesh.boundary_edges,
         free_dofs=np.flatnonzero(mask),
         constrained_dofs=constrained,
     )
@@ -223,19 +220,7 @@ def assemble(mesh: PolyMesh, k: int, f, g=None, cache: OperatorCache | None = No
     edge_b = np.zeros(n_dofs - base)
     blocks = []
     for (ops, cls, cells, offsets), gdofs in zip(cache.batches(), cache.batch_dofs):
-        mom = ops.interior_moments(f, cls, offsets)
-        bad = ~np.isfinite(mom).all(axis=1)
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            pts = triangle_points(ops.tri_coords[cls[i]], data_degree(k))[0].reshape(-1, 2)
-            pts = pts + offsets[i]
-            fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-            q = int(np.flatnonzero(~np.isfinite(fv))[0])
-            raise DataError(
-                f"source field non-finite at quadrature point "
-                f"({pts[q, 0]}, {pts[q, 1]}) in cell {cells[i]}"
-            )
-        load[cells] = mom
+        load[cells] = mom = ops.interior_moments(f, cls, offsets)
         _, X, S = ops.condensed
         edofs = gdofs[:, n0:] - base
         # Interior DOFs are all free and come first, so this is each side
@@ -261,15 +246,10 @@ def assemble(mesh: PolyMesh, k: int, f, g=None, cache: OperatorCache | None = No
 
 
 def _pcg(A: sp.csr_matrix, b: np.ndarray, tol: float, x0: np.ndarray | None = None
-         ) -> tuple[np.ndarray, int, float]:
-    """Jacobi-preconditioned conjugate gradients to relative residual tol.
-
-    Convergence is confirmed on the recomputed residual ||b - A x|| / ||b||,
-    which is what is returned: where the recurrence has drifted from it, the
-    iteration restarts from x, within the same total iteration cap.  A
-    restart that does not halve the recomputed residual shows it at its
-    rounding floor; that residual, above tol, is returned.
-    """
+         ) -> tuple[np.ndarray, int]:
+    """Jacobi-preconditioned conjugate gradients from x0 (default zero) until
+    the recurrence residual is at most tol ||b||; returns x and the number
+    of iterations."""
     n = b.size
     diag = A.diagonal()
     if np.any(diag <= 0.0):
@@ -279,50 +259,39 @@ def _pcg(A: sp.csr_matrix, b: np.ndarray, tol: float, x0: np.ndarray | None = No
     inv_diag = 1.0 / diag
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return np.zeros(n), 0, 0.0
+        return np.zeros(n), 0
     x = np.zeros(n) if x0 is None else x0.copy()
     r = b - A @ x
     # Updated in place: the only vector allocated per iteration is A @ p.
-    z, p, step = np.empty(n), np.empty(n), np.empty(n)
+    z = inv_diag * r
+    p, step = z.copy(), np.empty(n)
+    rz = float(r @ z)
     history = [float(np.linalg.norm(r)) / bnorm]
     max_iter = 20 * int(np.ceil(np.sqrt(n)))
-    it = 0
     while history[-1] > tol:
-        if it == max_iter:
+        if len(history) > max_iter:
             raise SolverConvergenceError(
                 f"conjugate gradients exceeded {max_iter} iterations "
                 f"(relative residual {history[-1]:.3e}, target {tol:.1e})",
                 np.array(history),
             )
-        start = history[-1]
+        Ap = A @ p
+        pAp = float(p @ Ap)
+        if pAp <= 0.0:
+            raise SolverStructureError(
+                f"matrix is not positive definite (p'Ap = {pAp:.3e}); "
+                "this signals an assembly bug"
+            )
+        alpha = rz / pAp
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, Ap, out=Ap)
+        history.append(float(np.linalg.norm(r)) / bnorm)
         np.multiply(inv_diag, r, out=z)
-        p[:] = z
-        rz = float(r @ z)
-        while it < max_iter:
-            it += 1
-            Ap = A @ p
-            pAp = float(p @ Ap)
-            if pAp <= 0.0:
-                raise SolverStructureError(
-                    f"matrix is not positive definite (p'Ap = {pAp:.3e}); "
-                    "this signals an assembly bug"
-                )
-            alpha = rz / pAp
-            x += np.multiply(alpha, p, out=step)
-            r -= np.multiply(alpha, Ap, out=Ap)
-            history.append(float(np.linalg.norm(r)) / bnorm)
-            if history[-1] <= tol:
-                break
-            np.multiply(inv_diag, r, out=z)
-            rz_new = float(r @ z)
-            p *= rz_new / rz
-            p += z
-            rz = rz_new
-        r = b - A @ x
-        history[-1] = float(np.linalg.norm(r)) / bnorm
-        if it < max_iter and history[-1] > 0.5 * start:
-            break
-    return x, it, history[-1]
+        rz_new = float(r @ z)
+        p *= rz_new / rz
+        p += z
+        rz = rz_new
+    return x, len(history) - 1
 
 
 def _recover(system: SparseSymSystem, x_edge: np.ndarray) -> tuple[np.ndarray, float]:
@@ -355,12 +324,13 @@ def solve(system: SparseSymSystem, tol: float = 1e-12) -> WGSolution:
 
     The edge system is solved directly when the full system has fewer than
     DIRECT_LIMIT free DOFs, otherwise by PCG, and the interior values are
-    recovered cell by cell.  The stop test is on the full system's residual;
-    while that is above tol, PCG continues on the edge system with a tighter
-    tolerance.  Where tol lies below the residual's rounding floor (about
-    eps |A| |x| / ||rhs||, which grows fourfold per level of refinement),
-    the solve stops once a continuation fails to halve the residual, and
-    reports that residual, above tol.
+    recovered cell by cell.  The only stop test is on the full system's
+    residual, recomputed from the recovered solution; while that is above
+    tol, PCG continues from x on the edge system with a tighter tolerance.
+    Where tol lies below the residual's rounding floor (about eps |A| |x| /
+    ||rhs||, which grows fourfold per level of refinement), the solve stops
+    once a continuation fails to halve the residual, and returns the
+    iterate with the lowest residual, above tol.
     """
     b = system.rhs
     bnorm = float(np.linalg.norm(b))
@@ -378,7 +348,7 @@ def solve(system: SparseSymSystem, tol: float = 1e-12) -> WGSolution:
         # With the interior values recovered exactly, the full residual is
         # the edge system's: rescale tol from ||rhs|| to ||edge_rhs||.  (For
         # g = 0, _pcg returns zero whatever the tolerance.)
-        x_edge, iterations, _ = _pcg(S, g, 0.5 * tol * bnorm / (gnorm or 1.0))
+        x_edge, iterations = _pcg(S, g, 0.5 * tol * bnorm / (gnorm or 1.0))
         method = "pcg"
     x, rnorm = _recover(system, x_edge)
     residual = rnorm / bnorm if bnorm else 0.0
@@ -387,14 +357,15 @@ def solve(system: SparseSymSystem, tol: float = 1e-12) -> WGSolution:
             break
         # Shrink the edge residual by the full residual's excess over tol.
         edge_res = float(np.linalg.norm(g - S @ x_edge)) / gnorm
-        x_edge, more, _ = _pcg(S, g, 0.5 * edge_res * tol / residual, x0=x_edge)
+        x_next, more = _pcg(S, g, 0.5 * edge_res * tol / residual, x0=x_edge)
         iterations += more
         if method == "direct":
             method = "direct+cg"
+        x_full, rnorm = _recover(system, x_next)
         previous = residual
-        x, rnorm = _recover(system, x_edge)
-        residual = rnorm / bnorm
-        if residual > 0.5 * previous:
+        if rnorm / bnorm < residual:
+            x_edge, x, residual = x_next, x_full, rnorm / bnorm
+        if rnorm / bnorm > 0.5 * previous:
             break
 
     dofmap = system.dofmap
@@ -427,8 +398,9 @@ def triple_bar_norm(mesh: PolyMesh, k: int, vec: np.ndarray,
     cols = vec.reshape(vec.shape[0], -1)
     acc = 0.0
     for (ops, cls, _, _), gdofs in zip(cache.batches(), cache.batch_dofs):
-        local = cols[gdofs]
-        acc = acc + ops.lambda_norm_sq(ops.apply_weak_gradient(local, cls), cls).sum(axis=0)
+        # The weak-gradient basis is orthonormal: norms are sums of squares.
+        gw = _matvec(ops.weak_gradient[cls], cols[gdofs])
+        acc = acc + np.sum(gw * gw, axis=1).sum(axis=0)
     return np.sqrt(acc.reshape(vec.shape[1:]))[()]
 
 
@@ -445,7 +417,7 @@ def discrete_h1_norm(mesh: PolyMesh, k: int, vec: np.ndarray,
     for (ops, cls, _, _), gdofs in zip(cache.batches(), cache.batch_dofs):
         local = cols[gdofs]
         u0 = local[:, :n0]
-        sq = ops.grad_seminorm_sq(u0, cls)
+        sq = np.sum(u0 * _matvec(ops.grad_mass[cls], u0), axis=1)
         for s in range(ops.n_sides):
             ub = local[:, n0 + s * nb : n0 + (s + 1) * nb]
             sq = sq + ops.side_mismatch_sq(s, u0, ub, cls) / ops.diameter[cls, None]

@@ -29,7 +29,7 @@ from wg_sfem.polymesh import (
     polygon_centroid,
     polygon_diameter,
 )
-from wg_sfem.quadrature import assembly_degree, data_degree, segment_rule, triangle_points
+from wg_sfem.quadrature import assembly_degree, data_degree, segment_rule, triangle_rule
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,24 @@ def triangulate_cell(mesh, cell):
     )
 
 
+def triangle_points(tri: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Physical quadrature points/weights on a triangle; weights sum to its area.
+
+    tri may also stack triangles, shape (..., 3, 2); points and weights then
+    carry the same leading axes.
+    """
+    tri = np.asarray(tri, dtype=float)
+    rule = triangle_rule(degree)
+    e1 = tri[..., 1, :] - tri[..., 0, :]
+    e2 = tri[..., 2, :] - tri[..., 0, :]
+    det = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]
+    # Built coordinate-major, (..., 2, npts), and returned as a view: numpy
+    # loops over an innermost axis of length 2 several times slower.
+    pts = (tri[..., 0, :, None] + e1[..., None] * rule.points[:, 0]
+           + e2[..., None] * rule.points[:, 1])
+    return pts.swapaxes(-1, -2), rule.weights * np.abs(det)[..., None]
+
+
 def segment_points(a, b, degree):
     """Physical quadrature points/weights on segment [a, b]; weights sum to |b - a|."""
     a = np.asarray(a, dtype=float)
@@ -78,16 +96,20 @@ def segment_points(a, b, degree):
     return pts, rule.weights * float(np.linalg.norm(b - a))
 
 
+def cell_vertices(mesh, c):
+    return mesh.vertices[mesh.cycles[mesh.offsets[c] : mesh.offsets[c + 1]]]
+
+
 def cell_area(mesh, c):
-    return polygon_area(mesh.cell_vertices(c))
+    return polygon_area(cell_vertices(mesh, c))
 
 
 def cell_centroid(mesh, c):
-    return polygon_centroid(mesh.cell_vertices(c))
+    return polygon_centroid(cell_vertices(mesh, c))
 
 
 def cell_diameter(mesh, c):
-    return float(polygon_diameter(mesh.cell_vertices(c)))
+    return float(polygon_diameter(cell_vertices(mesh, c)))
 
 
 def edge_midpoint(mesh, e):

@@ -23,6 +23,7 @@ from wg_sfem.polymesh import (
 from helpers import (
     cell_area,
     cell_centroid,
+    cell_vertices,
     edge_midpoint,
     edge_normal,
     hex_grid_cell_count,
@@ -96,10 +97,10 @@ def test_quad_level_1_is_single_square():
 def test_quad_level_2_congruent_trapezoids_quarter_area():
     mesh = generate_quad_grid(2)
     assert mesh.n_cells == 4
-    base = interior_angles(mesh.cell_vertices(0))
+    base = interior_angles(cell_vertices(mesh, 0))
     for c in range(4):
         assert cell_area(mesh, c) == pytest.approx(0.25, abs=1e-14)
-        angles = interior_angles(mesh.cell_vertices(c))
+        angles = interior_angles(cell_vertices(mesh, c))
         # congruent up to reflection: same sorted angle multiset
         assert np.allclose(angles, base, atol=1e-12)
     # genuinely a trapezoid, not a parallelogram: two right angles only
@@ -111,7 +112,7 @@ def test_quad_shape_fixed_across_levels():
     prev_min = None
     for level in (2, 3, 4):
         mesh = generate_quad_grid(level)
-        mins = [min(interior_angles(mesh.cell_vertices(c)))
+        mins = [min(interior_angles(cell_vertices(mesh, c)))
                 for c in range(mesh.n_cells)]
         level_min = min(mins)
         assert max(mins) - level_min < 1e-12
@@ -121,8 +122,8 @@ def test_quad_shape_fixed_across_levels():
 
 
 def test_quad_angle_multiset_invariant_between_levels():
-    a3 = interior_angles(generate_quad_grid(3).cell_vertices(5))
-    a4 = interior_angles(generate_quad_grid(4).cell_vertices(21))
+    a3 = interior_angles(cell_vertices(generate_quad_grid(3), 5))
+    a4 = interior_angles(cell_vertices(generate_quad_grid(4), 21))
     assert np.allclose(a3, a4, atol=1e-12)
 
 
@@ -164,7 +165,7 @@ def test_hex_level_3_area_audit_by_point_location():
     for p in pts:
         owners = [
             c for c in range(mesh.n_cells)
-            if winding_contains(mesh.cell_vertices(c), p)
+            if winding_contains(cell_vertices(mesh, c), p)
         ]
         assert len(owners) == 1
 

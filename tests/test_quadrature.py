@@ -10,11 +10,10 @@ from wg_sfem.quadrature import (
     UnsupportedDegreeError,
     reference_triangle_monomial_integral,
     segment_rule,
-    triangle_points,
     triangle_rule,
 )
 
-from helpers import segment_points, triangulate_cell
+from helpers import segment_points, triangle_points, triangulate_cell
 
 
 def test_segment_degree_one_is_midpoint_rule():
