@@ -19,10 +19,12 @@ from .analysis import (
     run_convergence,
 )
 from .localspaces import (
+    DofMap,
     LambdaBasis,
     LocalCellOperators,
     OperatorCache,
     OperatorStack,
+    build_dof_map,
     build_lambda_basis,
     dim_pk,
     expected_lambda_dim,
@@ -43,11 +45,9 @@ from .quadrature import (
     triangle_rule,
 )
 from .wgsolve import (
-    DofMap,
     SparseSymSystem,
     WGSolution,
     assemble,
-    build_dof_map,
     solve,
 )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -105,7 +105,7 @@ def l2_projection_error(mesh: PolyMesh, k: int, u, solution: WGSolution,
     if cache is None:
         cache = OperatorCache(mesh, k)
     acc = 0.0
-    for ops, cls, cells, offsets in cache.batches():
+    for ops, cls, cells, offsets, _ in cache.batches():
         delta = ops.project_interior(u, cls, offsets) - solution.u0[cells]
         acc += float(np.sum(delta * _matvec(ops.mass_scalar[cls], delta), axis=1).sum())
     return math.sqrt(acc)
@@ -122,7 +122,7 @@ def energy_error(mesh: PolyMesh, k: int, u, grad_u, solution: WGSolution,
         cache = OperatorCache(mesh, k)
     full = solution.full_vector(cache.dofmap)
     acc = 0.0
-    for (ops, cls, _, offsets), gdofs in zip(cache.batches(), cache.batch_dofs):
+    for ops, cls, _, offsets, gdofs in cache.batches():
         delta = (ops.project_lambda_field(grad_u, cls, offsets)
                  - _matvec(ops.weak_gradient[cls], full[gdofs]))
         acc += float(np.sum(delta * delta, axis=1).sum())
@@ -137,7 +137,7 @@ def energy_error_via_projection(mesh: PolyMesh, k: int, u, solution: WGSolution,
     if cache is None:
         cache = OperatorCache(mesh, k)
     u0 = np.empty_like(solution.u0)
-    for ops, cls, cells, offsets in cache.batches():
+    for ops, cls, cells, offsets, _ in cache.batches():
         u0[cells] = ops.project_interior(u, cls, offsets)
     ub = project_qb(mesh, np.arange(mesh.n_edges), k, u)
     exact = np.concatenate([u0.ravel(), ub.ravel()])
@@ -153,6 +153,9 @@ def rate(e_prev: float, e_curr: float) -> float:
 
 @dataclass(frozen=True)
 class ErrorReport:
+    """One solve's errors and solver outcome; in a study, also the dyadic
+    rates against the level before (NaN where undefined)."""
+
     level: int
     dofs: int
     l2_err: float
@@ -160,15 +163,8 @@ class ErrorReport:
     iterations: int
     residual: float
     method: str
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    level: int
-    l2_err: float
-    l2_rate: float
-    energy_err: float
-    energy_rate: float
+    l2_rate: float = math.nan
+    energy_rate: float = math.nan
 
 
 @dataclass
@@ -178,10 +174,14 @@ class ConvergenceTable:
     family: str
     k: int
     case: str
-    rows: list[ConvergenceRow] = field(default_factory=list)
-    reports: list[ErrorReport] = field(default_factory=list)
+    rows: list[ErrorReport] = field(default_factory=list)
     partial: bool = False
     failure: str = ""
+
+    @property
+    def reports(self) -> list[ErrorReport]:
+        """The rows, each the full ErrorReport of its level."""
+        return self.rows
 
     @staticmethod
     def _fmt_rate(r: float) -> str:
@@ -226,10 +226,10 @@ class ConvergenceTable:
                     "energy_rate": None
                     if math.isnan(row.energy_rate)
                     else row.energy_rate,
-                    "dofs": rep.dofs,
-                    "residual": rep.residual,
+                    "dofs": row.dofs,
+                    "residual": row.residual,
                 }
-                for row, rep in zip(self.rows, self.reports)
+                for row in self.rows
             ],
         }
         if self.partial:
@@ -300,9 +300,6 @@ def run_convergence(family: str, k: int, levels, case: ManufacturedCase,
                 l2_rate = math.nan
             if min(prev.energy_err, rep.energy_err) <= NOISE_FLOOR:
                 en_rate = math.nan
-        table.rows.append(
-            ConvergenceRow(level, rep.l2_err, l2_rate, rep.energy_err, en_rate)
-        )
-        table.reports.append(rep)
+        table.rows.append(replace(rep, l2_rate=l2_rate, energy_rate=en_rate))
         prev = rep
     return table

@@ -1,6 +1,7 @@
 """Command-line entry point: mesh generation, single solves, convergence studies.
 
-Exit codes: 0 success, 2 usage error, 3 solver failure, 4 partial study.
+Exit codes: 0 success, 2 usage error or bad mesh input, 3 solver failure,
+4 partial study.
 Stdout numbers use 4-significant-digit scientific notation; files carry full
 precision.
 """
@@ -19,8 +20,8 @@ from .analysis import (
     run_convergence,
     solve_case,
 )
-from .localspaces import MAX_DEGREE
-from .polymesh import GENERATORS, read_mesh, write_mesh
+from .localspaces import MAX_DEGREE, GeometryError
+from .polymesh import GENERATORS, MeshFormatError, StarShapeError, read_mesh, write_mesh
 from .wgsolve import SolverError
 
 LEVEL_CAPS = {"square": 8, "quad": 8, "hex": 7}
@@ -77,6 +78,8 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
 
     if not 0 <= args.degree <= MAX_DEGREE:
         parser.error(f"degree {args.degree} outside [0, {MAX_DEGREE}]")
+    if not 0.0 < args.tol < float("inf"):
+        parser.error(f"tol {args.tol} must be positive and finite")
 
     if args.subcommand == "solve":
         if args.mesh_path is not None:
@@ -111,13 +114,16 @@ def _cmd_mesh(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    if args.mesh_path is not None:
-        mesh = read_mesh(args.mesh_path)
-    else:
-        mesh = GENERATORS[args.family](args.level)
     case = get_case(args.case)
     try:
+        if args.mesh_path is not None:
+            mesh = read_mesh(args.mesh_path)
+        else:
+            mesh = GENERATORS[args.family](args.level)
         solution, cache = solve_case(mesh, args.degree, case, tol=args.tol)
+    except (OSError, MeshFormatError, StarShapeError, GeometryError) as exc:
+        print(f"bad mesh: {exc}", file=sys.stderr)
+        return 2
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3

@@ -30,9 +30,11 @@ axis, and the Cholesky, QR, singular-value and linear solves run batched.
 Each triangle's RT fields are orthonormalized by Cholesky against their Gram
 and the nullspace basis is orthonormal, so the weak-gradient mass matrix is
 the identity and is never formed.  A single cell is a stack of one.
-OperatorCache builds the operators once per shape class (cells equal up to
-translation), in stacks of at most BATCH_CELLS classes, and evaluates data
-for batches of cells that may mix the classes of one stack.
+OperatorCache builds, in its constructor, the global DOF layout (DofMap) and
+the operators once per shape class (cells equal up to translation), in
+stacks of at most BATCH_CELLS classes; every pass over the mesh walks its
+batches of cells, which may mix the classes of one stack and carry their
+global DOF indices.
 """
 
 from __future__ import annotations
@@ -594,12 +596,12 @@ class OperatorStack:
         w = w[rows, side]
         return np.sum(w.reshape(w.shape + (1,) * (diff.ndim - 2)) * diff * diff, axis=1)
 
-    def _samples(self, func, uniq, inv, offsets, degree):
-        """The data_tables of a rule (data degree by default) and func at
-        the rule's image x = v0 + B xi on each fan triangle of each cell,
-        shape (n, n_triangles, npts) + the shape of one value.  A non-finite
-        value raises DataError naming its point."""
-        tables = data_tables(self.k, data_degree(self.k) if degree is None else degree)
+    def _samples(self, func, uniq, inv, offsets):
+        """The data_tables of the data-degree rule and func at the rule's
+        image x = v0 + B xi on each fan triangle of each cell, shape
+        (n, n_triangles, npts) + the shape of one value.  A non-finite value
+        raises DataError naming its point."""
+        tables = data_tables(self.k, data_degree(self.k))
         v0, B = self.tri_coords[uniq, :, 0, :, None], self.lambda_basis.jacobian[uniq]
         xi, eta = tables[0].T
         # Each coordinate gathered and shifted on its own: numpy loops over
@@ -612,30 +614,27 @@ class OperatorStack:
             raise DataError(f"field data non-finite at quadrature point ({x.flat[q]}, {y.flat[q]})")
         return tables, vals.reshape(x.shape + vals.shape[1:])
 
-    def interior_moments(self, func, rows: np.ndarray, offsets: np.ndarray,
-                         degree: int | None = None) -> np.ndarray:
+    def interior_moments(self, func, rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """(func, m_j) for the interior basis on each cell, shape (n, dim P_k)."""
-        return self._interior(func, rows, offsets, degree, self._interior_map)
+        return self._interior(func, rows, offsets, self._interior_map)
 
-    def project_interior(self, func, rows: np.ndarray, offsets: np.ndarray,
-                         degree: int | None = None) -> np.ndarray:
+    def project_interior(self, func, rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """L2 projections onto the interior P_k basis, shape (n, dim P_k)."""
-        return self._interior(func, rows, offsets, degree, self._projection_map)
+        return self._interior(func, rows, offsets, self._projection_map)
 
-    def _interior(self, func, rows, offsets, degree, per_row):
+    def _interior(self, func, rows, offsets, per_row):
         """The moments of func against the reference monomials on each fan
         triangle, mapped to the cell by per_row (S, n_triangles * dim, m)."""
         uniq, inv = np.unique(rows, return_inverse=True)
-        (_, w, monomials, _), vals = self._samples(func, uniq, inv, offsets, degree)
+        (_, w, monomials, _), vals = self._samples(func, uniq, inv, offsets)
         raw = vals.reshape(-1, w.size) @ (w[:, None] * monomials)
         return _rowwise(raw.reshape(len(rows), -1), per_row[uniq], inv)
 
-    def project_lambda_field(self, func, rows: np.ndarray, offsets: np.ndarray,
-                             degree: int | None = None) -> np.ndarray:
+    def project_lambda_field(self, func, rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """L2 projections of a vector field onto the weak-gradient spaces,
         shape (n, n_lambda).  func(x, y) must return shape (npts, 2)."""
         uniq, inv = np.unique(rows, return_inverse=True)
-        (_, w, _, fields), g = self._samples(func, uniq, inv, offsets, degree)
+        (_, w, _, fields), g = self._samples(func, uniq, inv, offsets)
         n, nt, nq = g.shape[:3]
         # int g . B phi / det B dx = sum_q w_q (B^T g) . phi: the moments
         # against each triangle's Piola fields, shape (n, n_triangles,
@@ -696,127 +695,163 @@ class LocalCellOperators:
         """Weak-gradient coefficients of a local function, shape (n_lambda, ...)."""
         return self.weak_gradient @ local_dofs
 
-    def project_interior(self, func, degree: int | None = None) -> np.ndarray:
+    def project_interior(self, func) -> np.ndarray:
         """L2 projection onto the interior P_k basis."""
-        return self.stack.project_interior(func, [self.index], self.offset[None], degree)[0]
+        return self.stack.project_interior(func, [self.index], self.offset[None])[0]
 
-    def project_lambda_field(self, func, degree: int | None = None) -> np.ndarray:
+    def project_lambda_field(self, func) -> np.ndarray:
         """L2 projection of a vector field onto the weak-gradient space.
 
         func(x, y) must return shape (npts, 2).
         """
-        return self.stack.project_lambda_field(func, [self.index], self.offset[None], degree)[0]
+        return self.stack.project_lambda_field(func, [self.index], self.offset[None])[0]
 
 
-class OperatorCache:
-    """Local operators of a mesh, built once per shape class.
+@dataclass(frozen=True)
+class DofMap:
+    """Global DOF layout: all cell-interior blocks first, then edge blocks."""
+
+    k: int
+    n_cells: int
+    n_edges: int
+    free_dofs: np.ndarray
+    constrained_dofs: np.ndarray
+
+    @property
+    def n_interior_per_cell(self) -> int:
+        return dim_pk(self.k)
+
+    @property
+    def n_per_edge(self) -> int:
+        return self.k + 1
+
+    @property
+    def edge_base(self) -> int:
+        return self.n_cells * self.n_interior_per_cell
+
+    @property
+    def n_dofs(self) -> int:
+        return self.edge_base + self.n_edges * self.n_per_edge
+
+    @property
+    def n_free(self) -> int:
+        return self.free_dofs.size
+
+    @cached_property
+    def free_index(self) -> np.ndarray:
+        """Position of each DOF among the free DOFs, -1 for a constrained one."""
+        index = np.full(self.n_dofs, -1)
+        index[self.free_dofs] = np.arange(self.n_free)
+        return index
+
+    def cell_dof_array(self, mesh: PolyMesh, cells) -> np.ndarray:
+        """Global indices in local operator order (interior, then sides) of
+        cells with equal side counts, shape (n_cells, n_local)."""
+        cells = np.asarray(cells)
+        n0, nb = self.n_interior_per_cell, self.n_per_edge
+        interior = cells[:, None] * n0 + np.arange(n0)
+        edges = mesh.cell_sides(cells)
+        sides = self.edge_base + edges[:, :, None] * nb + np.arange(nb)
+        return np.hstack([interior, sides.reshape(cells.size, -1)])
+
+
+def build_dof_map(mesh: PolyMesh, k: int) -> DofMap:
+    """The DOF layout of a mesh at degree k; boundary edge DOFs are constrained."""
+    n0, nb = dim_pk(k), k + 1
+    edge_base = mesh.n_cells * n0
+    boundary = np.flatnonzero(mesh.boundary_edges)
+    constrained = (edge_base + boundary[:, None] * nb + np.arange(nb)).ravel()
+    mask = np.ones(edge_base + mesh.n_edges * nb, dtype=bool)
+    mask[constrained] = False
+    return DofMap(k, mesh.n_cells, mesh.n_edges, np.flatnonzero(mask), constrained)
+
+
+def shape_classes(mesh: PolyMesh) -> np.ndarray:
+    """The shape class of every cell, numbered by first appearance within
+    each vertex count, vertex counts ascending.
 
     Two cells share a class when one is a translate of the other: the same
     vertex count, the same vertex offsets from cycle vertex 0 and the same
     diameter (both to KEY_DECIMALS), and the same side orientations (whether
     each side runs canonical low -> high, which fixes the sign of the odd
-    edge basis functions).  Every operator matrix depends only on these, so
-    one stack row, built from the class's first cell, serves all its
-    members.  Classes are built lazily, in OperatorStacks of at most
-    BATCH_CELLS classes of one vertex count.  ``dofmap`` is the mesh's global
-    DOF layout at degree k.
+    edge basis functions).  Every operator matrix depends only on these.
+    """
+    class_of = np.empty(mesh.n_cells, dtype=int)
+    sizes, n_classes = np.diff(mesh.offsets), 0
+    for n_v in np.unique(sizes):
+        cells = np.flatnonzero(sizes == n_v)
+        cyc = mesh.cell_cycles(cells)
+        coords = mesh.vertices[cyc]
+        diam = polygon_diameter(coords)
+        rel = (coords - coords[:, :1]).reshape(len(cells), -1) / diam[:, None]
+        # + 0.0 folds -0.0 into 0.0
+        shape = np.round(np.column_stack([rel, np.log(diam)]), KEY_DECIMALS) + 0.0
+        forward = cyc < np.roll(cyc, -1, axis=1)
+        keys = np.column_stack([shape, forward])
+        class_of[cells] = n_classes + first_appearance_labels(keys)[0]
+        n_classes = class_of[cells].max() + 1
+    return class_of
+
+
+class OperatorCache:
+    """Local operators of a mesh at degree k, built once per shape class
+    (see shape_classes), and the mesh's global DOF layout ``dofmap``.
+
+    The constructor builds everything: one stack row, from the class's
+    first cell, serves all members of a class, in OperatorStacks of at most
+    BATCH_CELLS classes of one vertex count; each stack's member cells are
+    cut into batches of at most BATCH_CELLS cells, which carry their global
+    DOF indices.
     """
 
     def __init__(self, mesh: PolyMesh, k: int):
         _check_degree(k)
-        self.mesh = mesh
-        self.k = k
-        origin = mesh.vertices[mesh.cycles[mesh.offsets[:-1]]]
-        class_of = np.empty(mesh.n_cells, dtype=int)
-        sizes, n_classes = np.diff(mesh.offsets), 0
-        for n_v in np.unique(sizes):
-            cells = np.flatnonzero(sizes == n_v)
-            cyc = mesh.cell_cycles(cells)
-            coords = mesh.vertices[cyc]
-            diam = polygon_diameter(coords)
-            rel = (coords - coords[:, :1]).reshape(len(cells), -1) / diam[:, None]
-            # + 0.0 folds -0.0 into 0.0
-            shape = np.round(np.column_stack([rel, np.log(diam)]), KEY_DECIMALS) + 0.0
-            forward = cyc < np.roll(cyc, -1, axis=1)
-            keys = np.column_stack([shape, forward])
-            class_of[cells] = n_classes + first_appearance_labels(keys)[0]
-            n_classes = class_of[cells].max() + 1
-        # Members of each class are contiguous in _order, classes of one
+        self.mesh, self.k = mesh, k
+        self.dofmap = build_dof_map(mesh, k)
+        class_of = self._class_of = shape_classes(mesh)
+        # Members of each class are contiguous in order, classes of one
         # vertex count are numbered contiguously.
-        self._order = np.argsort(class_of, kind="stable")
-        self._starts = np.concatenate([[0], np.cumsum(np.bincount(class_of))])
-        self._first = self._order[self._starts[:-1]]
-        self._class_of = class_of
-        self._offset = origin - origin[self._first][class_of]
-        n_v = sizes[self._first]
+        order = np.argsort(class_of, kind="stable")
+        starts = np.concatenate([[0], np.cumsum(np.bincount(class_of))])
+        first = order[starts[:-1]]
+        self.n_classes = first.size
+        origin = mesh.vertices[mesh.cycles[mesh.offsets[:-1]]]
+        self._offset = origin - origin[first][class_of]
+        n_v = np.diff(mesh.offsets)[first]
         groups = [0, *(np.flatnonzero(np.diff(n_v)) + 1).tolist(), n_v.size]
-        self._ranges = [(lo, min(lo + BATCH_CELLS, end))
-                        for start, end in zip(groups, groups[1:])
-                        for lo in range(start, end, BATCH_CELLS)]
-        self._stack_of = np.repeat(np.arange(len(self._ranges)),
-                                   [hi - lo for lo, hi in self._ranges])
-        self._stacks: list[OperatorStack | None] = [None] * len(self._ranges)
-
-    @property
-    def n_classes(self) -> int:
-        return self._first.size
-
-    @cached_property
-    def dofmap(self):
-        from .wgsolve import build_dof_map  # wgsolve imports this module
-
-        return build_dof_map(self.mesh, self.k)
-
-    def _stack(self, j: int) -> OperatorStack:
-        stack = self._stacks[j]
-        if stack is None:
-            lo, hi = self._ranges[j]
-            stack = self._stacks[j] = OperatorStack(self.mesh, self._first[lo:hi], self.k)
-        return stack
+        self._rows, self._batches = [], []
+        for start, end in zip(groups, groups[1:]):
+            for lo in range(start, end, BATCH_CELLS):
+                hi = min(lo + BATCH_CELLS, end)
+                stack = OperatorStack(mesh, first[lo:hi], k)
+                self._rows += [(stack, row) for row in range(hi - lo)]
+                members = order[starts[lo] : starts[hi]]
+                dofs = self.dofmap.cell_dof_array(mesh, members)
+                for i in range(0, members.size, BATCH_CELLS):
+                    cells = members[i : i + BATCH_CELLS]
+                    self._batches.append((stack, class_of[cells] - lo, cells,
+                                          self._offset[cells], dofs[i : i + BATCH_CELLS]))
 
     def get(self, cell: int) -> LocalCellOperators:
         """The operators of ``cell``: its class's stack row, moved by its
         offset from the class's first cell."""
-        i = self._class_of[cell]
-        j = self._stack_of[i]
-        return LocalCellOperators._row(self.mesh, self._stack(j), int(i - self._ranges[j][0]),
-                                       cell, self._offset[cell])
-
-    def _members(self, j: int) -> np.ndarray:
-        """The cells of stack j's classes, each class's members together."""
-        lo, hi = self._ranges[j]
-        return self._order[self._starts[lo] : self._starts[hi]]
+        stack, row = self._rows[self._class_of[cell]]
+        return LocalCellOperators._row(self.mesh, stack, row, cell, self._offset[cell])
 
     def batches(self):
-        """Yield (stack, rows, cells, offsets): at most BATCH_CELLS cells,
-        whose classes may differ but share one OperatorStack, with each
-        cell's stack row and its offset from that row's cell."""
-        for j, (lo, _) in enumerate(self._ranges):
-            stack, members = self._stack(j), self._members(j)
-            for start in range(0, members.size, BATCH_CELLS):
-                cells = members[start : start + BATCH_CELLS]
-                yield stack, self._class_of[cells] - lo, cells, self._offset[cells]
-
-    @cached_property
-    def batch_dofs(self) -> list[np.ndarray]:
-        """The global DOF indices of the cells of each batch, in the order
-        of batches(): DofMap.cell_dof_array of its cells, as views of one
-        array per stack."""
-        out = []
-        for j in range(len(self._ranges)):
-            dofs = self.dofmap.cell_dof_array(self.mesh, self._members(j))
-            out += [dofs[start : start + BATCH_CELLS] for start in range(0, len(dofs), BATCH_CELLS)]
-        return out
+        """Iterate over (stack, rows, cells, offsets, dofs): at most
+        BATCH_CELLS cells, whose classes may differ but share one
+        OperatorStack, with each cell's stack row, its offset from that
+        row's cell and its global DOF indices (DofMap.cell_dof_array)."""
+        return iter(self._batches)
 
 
-def project_qb(mesh: PolyMesh, edge, k: int, func, degree: int | None = None
-               ) -> np.ndarray:
+def project_qb(mesh: PolyMesh, edge, k: int, func) -> np.ndarray:
     """L2 projection onto the P_k edge basis of one edge, shape (k + 1,), or
-    of every edge in an index array, shape (n, k + 1), in one pass."""
+    of every edge in an index array, shape (n, k + 1), in one pass, by the
+    segment rule of data_degree(k)."""
     _check_degree(k)
-    if degree is None:
-        degree = data_degree(k)
-    degree = max(degree, 2 * k + 2)
+    degree = data_degree(k)
     edges = np.atleast_1d(edge)
     rule = segment_rule(degree)
     a, b = mesh.vertices[mesh.edges[edges]].transpose(1, 0, 2)

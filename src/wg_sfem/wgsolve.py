@@ -1,9 +1,10 @@
-"""Global DOF management, sparse assembly, Dirichlet elimination and solve.
+"""Sparse assembly, Dirichlet elimination and solve.
 
 The bilinear form is (grad_w u, grad_w v) summed over cells, with no penalty
 term; boundary edge DOFs carry the edge projection of the boundary data and
 are eliminated symmetrically.  The reduced system is symmetric positive
-definite.
+definite.  Every pass walks the batches of an OperatorCache, which carry
+their cells' global DOF indices in the layout of localspaces.DofMap.
 
 Interior unknowns couple only inside their own cell, so they are condensed
 out row by row of each OperatorStack (OperatorStack.condensed), and only the
@@ -27,7 +28,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .localspaces import OperatorCache, _matvec, dim_pk, project_qb
+# build_dof_map is imported for callers of this module.
+from .localspaces import DofMap, OperatorCache, _matvec, build_dof_map, dim_pk, project_qb
 from .polymesh import PolyMesh
 
 DIRECT_LIMIT = 5000
@@ -59,71 +61,6 @@ class SolverStructureError(SolverError):
 
 
 @dataclass(frozen=True)
-class DofMap:
-    """Global DOF layout: all cell-interior blocks first, then edge blocks."""
-
-    k: int
-    n_cells: int
-    n_edges: int
-    free_dofs: np.ndarray
-    constrained_dofs: np.ndarray
-
-    @property
-    def n_interior_per_cell(self) -> int:
-        return dim_pk(self.k)
-
-    @property
-    def n_per_edge(self) -> int:
-        return self.k + 1
-
-    @property
-    def edge_base(self) -> int:
-        return self.n_cells * self.n_interior_per_cell
-
-    @property
-    def n_dofs(self) -> int:
-        return self.edge_base + self.n_edges * self.n_per_edge
-
-    @property
-    def n_free(self) -> int:
-        return self.free_dofs.size
-
-    @cached_property
-    def free_index(self) -> np.ndarray:
-        """Position of each DOF among the free DOFs, -1 for a constrained one."""
-        index = np.full(self.n_dofs, -1)
-        index[self.free_dofs] = np.arange(self.n_free)
-        return index
-
-    def cell_dof_array(self, mesh: PolyMesh, cells) -> np.ndarray:
-        """Global indices in local operator order (interior, then sides) of
-        cells with equal side counts, shape (n_cells, n_local)."""
-        cells = np.asarray(cells)
-        n0, nb = self.n_interior_per_cell, self.n_per_edge
-        interior = cells[:, None] * n0 + np.arange(n0)
-        edges = mesh.cell_sides(cells)
-        sides = self.edge_base + edges[:, :, None] * nb + np.arange(nb)
-        return np.hstack([interior, sides.reshape(cells.size, -1)])
-
-
-def build_dof_map(mesh: PolyMesh, k: int) -> DofMap:
-    n0 = dim_pk(k)
-    nb = k + 1
-    edge_base = mesh.n_cells * n0
-    boundary = np.flatnonzero(mesh.boundary_edges)
-    constrained = (edge_base + boundary[:, None] * nb + np.arange(nb)).ravel()
-    mask = np.ones(edge_base + mesh.n_edges * nb, dtype=bool)
-    mask[constrained] = False
-    return DofMap(
-        k=k,
-        n_cells=mesh.n_cells,
-        n_edges=mesh.n_edges,
-        free_dofs=np.flatnonzero(mask),
-        constrained_dofs=constrained,
-    )
-
-
-@dataclass(frozen=True)
 class SparseSymSystem:
     """Eliminated SPD system, held condensed, plus the data needed to
     rebuild full vectors.
@@ -146,8 +83,8 @@ class SparseSymSystem:
     cache: OperatorCache
 
     def _stiffness_blocks(self, index: np.ndarray) -> list:
-        return [(ops.stiffness[cls], index[gdofs]) for (ops, cls, _, _), gdofs
-                in zip(self.cache.batches(), self.cache.batch_dofs)]
+        return [(ops.stiffness[cls], index[gdofs])
+                for ops, cls, _, _, gdofs in self.cache.batches()]
 
     @cached_property
     def full_matrix(self) -> sp.csr_matrix:
@@ -219,7 +156,7 @@ def assemble(mesh: PolyMesh, k: int, f, g=None, cache: OperatorCache | None = No
     Ax = np.zeros(n_dofs)
     edge_b = np.zeros(n_dofs - base)
     blocks = []
-    for (ops, cls, cells, offsets), gdofs in zip(cache.batches(), cache.batch_dofs):
+    for ops, cls, cells, offsets, gdofs in cache.batches():
         load[cells] = mom = ops.interior_moments(f, cls, offsets)
         _, X, S = ops.condensed
         edofs = gdofs[:, n0:] - base
@@ -304,7 +241,7 @@ def _recover(system: SparseSymSystem, x_edge: np.ndarray) -> tuple[np.ndarray, f
     x[dofmap.free_dofs[base:]] = x_edge
     x[dofmap.constrained_dofs] = system.constrained_values
     Ax = np.zeros(dofmap.n_dofs)
-    for (ops, cls, cells, _), gdofs in zip(cache.batches(), cache.batch_dofs):
+    for ops, cls, cells, _, gdofs in cache.batches():
         K00_inv, X, _ = ops.condensed
         x[gdofs[:, :n0]] = (_matvec(K00_inv[cls], system.load[cells])
                             - _matvec(X[cls], x[gdofs[:, n0:]]))
@@ -330,8 +267,11 @@ def solve(system: SparseSymSystem, tol: float = 1e-12) -> WGSolution:
     Where tol lies below the residual's rounding floor (about eps |A| |x| /
     ||rhs||, which grows fourfold per level of refinement), the solve stops
     once a continuation fails to halve the residual, and returns the
-    iterate with the lowest residual, above tol.
+    iterate with the lowest residual, above tol.  Raises ValueError unless
+    0 < tol < inf.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     b = system.rhs
     bnorm = float(np.linalg.norm(b))
     S, g = system.edge_matrix, system.edge_rhs
@@ -397,7 +337,7 @@ def triple_bar_norm(mesh: PolyMesh, k: int, vec: np.ndarray,
         cache = OperatorCache(mesh, k)
     cols = vec.reshape(vec.shape[0], -1)
     acc = 0.0
-    for (ops, cls, _, _), gdofs in zip(cache.batches(), cache.batch_dofs):
+    for ops, cls, _, _, gdofs in cache.batches():
         # The weak-gradient basis is orthonormal: norms are sums of squares.
         gw = _matvec(ops.weak_gradient[cls], cols[gdofs])
         acc = acc + np.sum(gw * gw, axis=1).sum(axis=0)
@@ -414,7 +354,7 @@ def discrete_h1_norm(mesh: PolyMesh, k: int, vec: np.ndarray,
     nb = k + 1
     cols = vec.reshape(vec.shape[0], -1)
     acc = 0.0
-    for (ops, cls, _, _), gdofs in zip(cache.batches(), cache.batch_dofs):
+    for ops, cls, _, _, gdofs in cache.batches():
         local = cols[gdofs]
         u0 = local[:, :n0]
         sq = np.sum(u0 * _matvec(ops.grad_mass[cls], u0), axis=1)

@@ -630,7 +630,7 @@ def loop_generator_input(family, level):
 
 
 def loop_shape_classes(mesh):
-    """OperatorCache's class of every cell, keyed cell by cell in a dict:
+    """shape_classes(mesh), keyed cell by cell in a dict:
     classes numbered by first appearance, vertex counts ascending."""
     class_of = np.empty(mesh.n_cells, dtype=int)
     keys = {}

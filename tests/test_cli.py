@@ -112,6 +112,36 @@ def test_solve_requires_some_mesh_source():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("subcommand", [["solve", "--level", "2"],
+                                        ["convergence", "--levels", "2:3"]])
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+def test_non_positive_or_non_finite_tol_exits_2(subcommand, tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*subcommand, "--family", "square", "--degree", "1", "--tol", tol])
+    assert exc.value.code == 2
+    assert "tol" in capsys.readouterr().err
+
+
+DART = [(1.0, 0.0), (0.2, 0.2), (0.0, 1.0), (0.0, 0.0)]
+
+
+@pytest.mark.parametrize("content,names", [
+    (None, "mesh.json"),
+    ('{"vertices": [[0, 0], [1, 0]', "mesh.json"),
+    (json.dumps({"vertices": DART, "cells": [[0, 1, 2, 3]]}), "cell 0"),
+], ids=["missing-file", "malformed-json", "dart"])
+def test_solve_bad_mesh_file_exits_2_naming_the_file_or_cell(content, names, tmp_path, capsys):
+    """A dart anchored next to its reflex vertex is not star-shaped about
+    its first vertex, so the cache cannot build its fan."""
+    path = tmp_path / "mesh.json"
+    if content is not None:
+        path.write_text(content)
+    assert run_cli(["solve", "--mesh", str(path), "--degree", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert names in captured.err and "Traceback" not in captured.err
+
+
 # ---------------------------------------------------------------- convergence
 
 

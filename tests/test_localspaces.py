@@ -19,6 +19,7 @@ from wg_sfem.localspaces import (
     expected_lambda_dim,
     monomial_exponents,
     project_qb,
+    shape_classes,
 )
 from wg_sfem.polymesh import (
     GENERATORS,
@@ -356,11 +357,9 @@ def test_q0_cell_average_analytic():
         [(0, 0), (0.5, 0), (0.5, 0.5), (0, 0.5)], [(0, 1, 2, 3)]
     )
     ops = LocalCellOperators(mesh, 0, 0)
-    avg_sin = ops.project_interior(lambda x, y: np.sin(np.pi * x), degree=20)[0]
+    avg_sin = ops.project_interior(lambda x, y: np.sin(np.pi * x))[0]
     assert avg_sin == pytest.approx(2 / np.pi, abs=1e-12)
-    avg_sinsin = ops.project_interior(
-        lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y), degree=20
-    )[0]
+    avg_sinsin = ops.project_interior(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))[0]
     assert avg_sinsin == pytest.approx(4 / np.pi**2, abs=1e-12)
 
 
@@ -604,7 +603,7 @@ def test_cached_operators_expose_the_fresh_attributes_and_own_triangulation():
 def test_interleaved_gets_do_not_alias_the_class_operators():
     mesh = generate_quad_grid(4)
     cache = OperatorCache(mesh, 2)
-    stack, rows, cells, offsets = next(cache.batches())
+    stack, rows, cells, offsets, _ = next(cache.batches())
     a, b = int(cells[1]), int(cells[2])
     v1 = cache.get(a)
     v2 = cache.get(b)
@@ -649,7 +648,7 @@ def test_shape_class_census_on_generated_meshes(family, n_classes, bench_workloa
     cache = OperatorCache(mesh, 1)
     assert cache.n_classes == n_classes
     assert cache.n_classes == bench_workloads.count_shape_classes(mesh.vertices, mesh.cells)
-    cells = np.concatenate([cells for _, _, cells, _ in cache.batches()])
+    cells = np.concatenate([cells for _, _, cells, _, _ in cache.batches()])
     assert sorted(cells.tolist()) == list(range(mesh.n_cells))
 
 
@@ -660,8 +659,8 @@ def test_batch_dofs_are_the_dof_map_arrays_of_each_batch(family, level):
     mesh = GENERATORS[family](level)
     cache = OperatorCache(mesh, 2)
     batches = list(cache.batches())
-    assert len(cache.batch_dofs) == len(batches)
-    for (_, _, cells, _), dofs in zip(batches, cache.batch_dofs):
+    assert len(batches) == {"square": 4, "hex": 2}[family]
+    for _, _, cells, _, dofs in batches:
         assert np.array_equal(dofs, cache.dofmap.cell_dof_array(mesh, cells))
 
 
@@ -704,14 +703,12 @@ def test_condition_warning_fires_once_per_class_naming_its_first_cell(monkeypatc
 
     monkeypatch.setattr(localspaces, "CONDITION_WARN", 0.0)
     mesh = generate_quad_grid(3)
-    cache = OperatorCache(mesh, 1)
     with pytest.warns(RuntimeWarning) as caught:
-        for c in range(mesh.n_cells):
-            cache.get(c)
+        cache = OperatorCache(mesh, 1)
     assert all("RT frame mass matrix condition" in str(w.message) for w in caught)
     named = sorted(int(str(w.message).split(":")[0].split()[1]) for w in caught)
     firsts = {}
-    for stack, rows, cells, _ in cache.batches():
+    for stack, rows, cells, _, _ in cache.batches():
         for row, c in zip(rows.tolist(), cells.tolist()):
             key = (id(stack), row)
             firsts[key] = min(firsts.get(key, c), c)
@@ -722,10 +719,8 @@ def test_condition_warning_fires_once_per_class_naming_its_first_cell(monkeypatc
 def test_condition_warning_reads_a_lower_bound_of_the_raw_gram_condition(monkeypatch):
     monkeypatch.setattr(localspaces, "CONDITION_WARN", 0.0)
     mesh, k = generate_hex_grid(2), 4
-    cache = OperatorCache(mesh, k)
     with pytest.warns(RuntimeWarning) as caught:
-        for c in range(mesh.n_cells):
-            cache.get(c)
+        cache = OperatorCache(mesh, k)
     for w in caught:
         c = int(str(w.message).split(":")[0].split()[1])
         bound = float(str(w.message).split("condition ")[1].split()[0])
@@ -747,8 +742,8 @@ def test_project_lambda_field_matches_a_dense_fit_of_the_basis_fields(k):
     same points."""
     hex_batch = next(OperatorCache(generate_hex_grid(3), k).batches())
     assert np.unique(hex_batch[1]).size < hex_batch[1].size
-    for stack, rows, cells, offsets in [*OperatorCache(_jittered_square_mesh(3), k).batches(),
-                                        hex_batch]:
+    for stack, rows, cells, offsets, _ in [*OperatorCache(_jittered_square_mesh(3), k).batches(),
+                                           hex_batch]:
         got = stack.project_lambda_field(_sin_sin_grad, rows, offsets)
         for i, (row, off) in enumerate(zip(rows, offsets)):
             A, b = [], []
@@ -770,7 +765,7 @@ def test_operators_do_not_depend_on_the_stack(k):
     match the single-cell ones."""
     mesh = _jittered_square_mesh()
     cache = OperatorCache(mesh, k)
-    for stack, rows, cells, offsets in cache.batches():
+    for stack, rows, cells, offsets, _ in cache.batches():
         assert np.unique(rows).size == cells.size > 1
         interior = stack.project_interior(_sin_sin, rows, offsets)
         field = stack.project_lambda_field(_sin_sin_grad, rows, offsets)
@@ -823,7 +818,8 @@ SQUARE = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
 ], ids=["non-star", "degenerate-triangle", "dimension-law", "singular-Gram"])
 def test_stacked_build_names_the_offending_cell(middle, error, rtol, singular, monkeypatch):
     """Cell 2 of five disjoint quads of different sizes is bad; all five
-    classes are built in one stack, and the error names cell 2."""
+    classes are built in one stack when the cache is, and the error names
+    cell 2."""
     if rtol is not None:
         monkeypatch.setattr(localspaces, "NULLSPACE_RTOL", rtol)
     if singular:
@@ -839,17 +835,16 @@ def test_stacked_build_names_the_offending_cell(middle, error, rtol, singular, m
     quads = [1.0 * SQUARE, 1.1 * SQUARE, np.asarray(middle), 1.2 * SQUARE, 1.3 * SQUARE]
     verts = np.vstack([q + (3.0 * i, 0.0) for i, q in enumerate(quads)])
     mesh = build_mesh(verts, [tuple(range(4 * i, 4 * i + 4)) for i in range(5)])
-    cache = OperatorCache(mesh, 1)
-    assert cache.n_classes == 5
+    assert shape_classes(mesh).tolist() == [0, 1, 2, 3, 4]
     with pytest.raises(error, match=r"\bcell 2\b"):
-        cache.get(4)
+        OperatorCache(mesh, 1)
 
 
 # ---------------------------------------------------------------- shape classes, rank test
 
 
 def _assert_classes_match_the_loop_oracle(mesh):
-    got, want = OperatorCache(mesh, 1)._class_of, loop_shape_classes(mesh)
+    got, want = shape_classes(mesh), loop_shape_classes(mesh)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -944,7 +939,7 @@ def test_piola_build_matches_the_isotropic_oracle_cell_by_cell(k):
     meshes = [GENERATORS[f](level) for f in sorted(GENERATORS) for level in range(1, 5)]
     for mesh in meshes + [_jittered_square_mesh(4, seed=3)]:
         new = {}
-        for stack, rows, cells, offsets in OperatorCache(mesh, k).batches():
+        for stack, rows, cells, offsets, _ in OperatorCache(mesh, k).batches():
             K = stack.stiffness[rows]
             assert np.array_equal(K, K.swapaxes(-1, -2))
             W = stack.weak_gradient[rows]

@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -255,6 +256,15 @@ def test_solver_residual_contract():
     sol = solve(system, tol=1e-12)
     assert sol.residual <= 1e-12
     assert sol.method in ("direct", "direct+cg", "pcg")
+
+
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-12, np.inf])
+def test_solve_rejects_a_non_positive_or_non_finite_tol(tol):
+    """With tol = nan, PCG used to stop at once and return an unconverged
+    solution (residual 0.71 on square level 6 at k = 1)."""
+    system = assemble(generate_square_grid(2), 1, get_case("sin2d").f, None)
+    with pytest.raises(ValueError, match="tol"):
+        solve(system, tol=tol)
 
 
 # ---------------------------------------------------------------- norms
@@ -547,6 +557,27 @@ def test_solve_at_the_rounding_floor_keeps_its_best_iterate(monkeypatch):
         assert 1e-17 < sol.residual
         if len(recovered) <= wgsolve.MAX_REFINEMENTS:
             assert recovered[-1] > 0.5 * recovered[-2]
+
+
+def test_no_function_imports_a_package_module():
+    """Package modules import each other at module level only, so the import
+    graph has no cycle hidden in a function body."""
+    src = Path(__file__).resolve().parent.parent / "src" / "wg_sfem"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] if node.level == 0 else ["wg_sfem"]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                if any(n.split(".")[0] == "wg_sfem" for n in names):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_import_and_pcg_solve_leave_the_linalg_modules_unloaded():
