@@ -17,6 +17,7 @@ import sys
 import time
 
 from wg_sfem.analysis import get_case, run_convergence
+from wg_sfem.polymesh import GENERATORS
 
 DEFAULT_PLAN = {
     "square": {0: (4, 6), 1: (4, 6), 2: (4, 6), 3: (3, 5), 4: (2, 4)},
@@ -35,8 +36,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--full", action="store_true",
                         help="run the extended (slow) level ranges")
-    parser.add_argument("--families", nargs="+", default=["square", "quad", "hex"],
-                        choices=["square", "quad", "hex"])
+    parser.add_argument("--families", nargs="+", default=sorted(GENERATORS),
+                        choices=sorted(GENERATORS))
     parser.add_argument("--degrees", nargs="+", type=int, default=None)
     args = parser.parse_args(argv)
 

@@ -100,10 +100,9 @@ def get_case(label: str) -> ManufacturedCase:
 
 
 def l2_projection_error(mesh: PolyMesh, k: int, u, solution: WGSolution,
-                        cache: OperatorCache | None = None) -> float:
+                        cache: OperatorCache) -> float:
     """L2 norm of (projected exact solution - interior solution)."""
-    if cache is None:
-        cache = OperatorCache(mesh, k)
+    cache.check(mesh, k)
     acc = 0.0
     for ops, cls, cells, offsets, _ in cache.batches():
         delta = ops.project_interior(u, cls, offsets) - solution.u0[cells]
@@ -112,14 +111,13 @@ def l2_projection_error(mesh: PolyMesh, k: int, u, solution: WGSolution,
 
 
 def energy_error(mesh: PolyMesh, k: int, u, grad_u, solution: WGSolution,
-                 cache: OperatorCache | None = None) -> float:
+                 cache: OperatorCache) -> float:
     """Energy norm of (projected exact solution - discrete solution).
 
     Per cell this is the weak-gradient-space distance between the projected
     exact gradient and the weak gradient of the discrete solution.
     """
-    if cache is None:
-        cache = OperatorCache(mesh, k)
+    cache.check(mesh, k)
     full = solution.full_vector(cache.dofmap)
     acc = 0.0
     for ops, cls, _, offsets, gdofs in cache.batches():
@@ -130,12 +128,11 @@ def energy_error(mesh: PolyMesh, k: int, u, grad_u, solution: WGSolution,
 
 
 def energy_error_via_projection(mesh: PolyMesh, k: int, u, solution: WGSolution,
-                                cache: OperatorCache | None = None) -> float:
+                                cache: OperatorCache) -> float:
     """Energy error evaluated as the weak gradient of the projected exact
     solution minus the weak gradient of the discrete one; consistency oracle
     for the commuting route used by energy_error."""
-    if cache is None:
-        cache = OperatorCache(mesh, k)
+    cache.check(mesh, k)
     u0 = np.empty_like(solution.u0)
     for ops, cls, cells, offsets, _ in cache.batches():
         u0[cells] = ops.project_interior(u, cls, offsets)
@@ -250,10 +247,8 @@ def solve_case(mesh: PolyMesh, k: int, case: ManufacturedCase, tol: float = 1e-1
                cache: OperatorCache | None = None
                ) -> tuple[WGSolution, OperatorCache]:
     """Assemble and solve one manufactured problem on a given mesh."""
-    if cache is None:
-        cache = OperatorCache(mesh, k)
     system = assemble(mesh, k, case.f, case.g, cache=cache)
-    return solve(system, tol=tol), cache
+    return solve(system, tol=tol), system.cache
 
 
 def run_level(family: str, level: int, k: int, case: ManufacturedCase,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .analysis import (
     CASES,
@@ -20,7 +21,7 @@ from .analysis import (
     run_convergence,
     solve_case,
 )
-from .localspaces import MAX_DEGREE, GeometryError
+from .localspaces import MAX_DEGREE, GeometryError, LambdaDimensionError
 from .polymesh import GENERATORS, MeshFormatError, StarShapeError, read_mesh, write_mesh
 from .wgsolve import SolverError
 
@@ -72,6 +73,8 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         if not 1 <= level <= cap:
             parser.error(f"level {level} outside [1, {cap}] for family '{family}'")
 
+    if args.out is not None and not Path(args.out).absolute().parent.is_dir():
+        parser.error(f"no directory {Path(args.out).parent} for --out {args.out}")
     if args.subcommand == "mesh":
         check_level(args.family, args.level)
         return
@@ -121,7 +124,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         else:
             mesh = GENERATORS[args.family](args.level)
         solution, cache = solve_case(mesh, args.degree, case, tol=args.tol)
-    except (OSError, MeshFormatError, StarShapeError, GeometryError) as exc:
+    except (OSError, MeshFormatError, StarShapeError, GeometryError, LambdaDimensionError) as exc:
         print(f"bad mesh: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

@@ -832,6 +832,15 @@ class OperatorCache:
                     self._batches.append((stack, class_of[cells] - lo, cells,
                                           self._offset[cells], dofs[i : i + BATCH_CELLS]))
 
+    def check(self, mesh: PolyMesh, k: int) -> OperatorCache:
+        """This cache, if built from this very mesh object at degree k; else
+        ValueError: a mesh of the same topology would fit every array."""
+        if mesh is not self.mesh or k != self.k:
+            which = "this" if mesh is self.mesh else "another"
+            raise ValueError(f"operator cache of degree {self.k} was built for {which} mesh; "
+                             f"this pass asks for degree {k}")
+        return self
+
     def get(self, cell: int) -> LocalCellOperators:
         """The operators of ``cell``: its class's stack row, moved by its
         offset from the class's first cell."""

@@ -124,7 +124,6 @@ class PolyMesh:
     sides: np.ndarray
     edge_cells: np.ndarray
     boundary_edges: np.ndarray
-    dim: int = 2
 
     @property
     def n_vertices(self) -> int:
@@ -374,7 +373,7 @@ def fan_triangles(mesh: PolyMesh, cells) -> np.ndarray:
 def write_mesh(mesh: PolyMesh, path) -> None:
     """Write the mesh JSON: {"dim", "vertices", "cells"}."""
     payload = {
-        "dim": mesh.dim,
+        "dim": 2,
         "vertices": [[float(x), float(y)] for x, y in mesh.vertices],
         "cells": [list(cyc) for cyc in mesh.cells],
     }

@@ -24,7 +24,7 @@ class UnsupportedDegreeError(ValueError):
 
 
 def assembly_degree(k: int) -> int:
-    """Quadrature degree for products of two degree-(k+1) discrete fields."""
+    """Segment-rule degree of the side traces in the discrete H1 norm."""
     return 2 * k + 4
 
 

@@ -76,11 +76,14 @@ class SparseSymSystem:
 
     rhs: np.ndarray
     constrained_values: np.ndarray
-    dofmap: DofMap
     edge_matrix: sp.csr_matrix
     edge_rhs: np.ndarray
     load: np.ndarray
     cache: OperatorCache
+
+    @property
+    def dofmap(self) -> DofMap:
+        return self.cache.dofmap
 
     def _stiffness_blocks(self, index: np.ndarray) -> list:
         return [(ops.stiffness[cls], index[gdofs])
@@ -138,8 +141,7 @@ def assemble(mesh: PolyMesh, k: int, f, g=None, cache: OperatorCache | None = No
     unknowns are condensed out cell by cell, so only the edge system is
     assembled as a matrix.
     """
-    if cache is None:
-        cache = OperatorCache(mesh, k)
+    cache = OperatorCache(mesh, k) if cache is None else cache.check(mesh, k)
     dofmap = cache.dofmap
     n_dofs, base = dofmap.n_dofs, dofmap.edge_base
     n0 = dofmap.n_interior_per_cell
@@ -174,7 +176,6 @@ def assemble(mesh: PolyMesh, k: int, f, g=None, cache: OperatorCache | None = No
     return SparseSymSystem(
         rhs=rhs[dofmap.free_dofs],
         constrained_values=x_c,
-        dofmap=dofmap,
         edge_matrix=_block_matrix(blocks, free_edges.size),
         edge_rhs=edge_b[free_edges - base],
         load=load,
@@ -327,14 +328,13 @@ def constant_function_vector(dofmap: DofMap) -> np.ndarray:
     return vec
 
 
-def triple_bar_norm(mesh: PolyMesh, k: int, vec: np.ndarray,
-                    cache: OperatorCache | None = None) -> np.ndarray | float:
+def triple_bar_norm(mesh: PolyMesh, k: int, vec: np.ndarray, cache: OperatorCache
+                    ) -> np.ndarray | float:
     """Energy norm (sum of squared weak-gradient norms) of full DOF vectors.
 
     vec may be (n_dofs,) or (n_dofs, m) for m functions at once.
     """
-    if cache is None:
-        cache = OperatorCache(mesh, k)
+    cache.check(mesh, k)
     cols = vec.reshape(vec.shape[0], -1)
     acc = 0.0
     for ops, cls, _, _, gdofs in cache.batches():
@@ -344,12 +344,11 @@ def triple_bar_norm(mesh: PolyMesh, k: int, vec: np.ndarray,
     return np.sqrt(acc.reshape(vec.shape[1:]))[()]
 
 
-def discrete_h1_norm(mesh: PolyMesh, k: int, vec: np.ndarray,
-                     cache: OperatorCache | None = None) -> np.ndarray | float:
+def discrete_h1_norm(mesh: PolyMesh, k: int, vec: np.ndarray, cache: OperatorCache
+                     ) -> np.ndarray | float:
     """Discrete H1 semi-norm: cell gradients plus h_T^-1-weighted
     interior/edge trace mismatch."""
-    if cache is None:
-        cache = OperatorCache(mesh, k)
+    cache.check(mesh, k)
     n0 = dim_pk(k)
     nb = k + 1
     cols = vec.reshape(vec.shape[0], -1)

@@ -19,7 +19,13 @@ from wg_sfem.analysis import (
 )
 from wg_sfem.localspaces import OperatorCache, project_qb
 from wg_sfem.polymesh import GENERATORS, generate_quad_grid
-from wg_sfem.wgsolve import WGSolution, build_dof_map
+from wg_sfem.wgsolve import (
+    WGSolution,
+    assemble,
+    build_dof_map,
+    discrete_h1_norm,
+    triple_bar_norm,
+)
 
 from helpers import consistency_residual
 
@@ -100,6 +106,58 @@ def test_energy_error_routes_agree():
     via_gradient = energy_error(mesh, k, case.u, case.grad_u, sol, cache)
     via_projection = energy_error_via_projection(mesh, k, case.u, sol, cache)
     assert via_gradient == pytest.approx(via_projection, rel=1e-9)
+
+
+# ---------------------------------------------------------------- cache checks
+
+SIN2D = get_case("sin2d")
+# Each pass as (mesh, k, cache, solution) -> result.
+PASSES = {
+    "assemble": lambda mesh, k, cache, sol: assemble(mesh, k, SIN2D.f, SIN2D.g, cache=cache),
+    "solve_case": lambda mesh, k, cache, sol: solve_case(mesh, k, SIN2D, cache=cache),
+    "l2_projection_error": lambda mesh, k, cache, sol:
+        l2_projection_error(mesh, k, SIN2D.u, sol, cache),
+    "energy_error": lambda mesh, k, cache, sol:
+        energy_error(mesh, k, SIN2D.u, SIN2D.grad_u, sol, cache),
+    "energy_error_via_projection": lambda mesh, k, cache, sol:
+        energy_error_via_projection(mesh, k, SIN2D.u, sol, cache),
+    "triple_bar_norm": lambda mesh, k, cache, sol:
+        triple_bar_norm(mesh, k, sol.full_vector(cache.dofmap), cache),
+    "discrete_h1_norm": lambda mesh, k, cache, sol:
+        discrete_h1_norm(mesh, k, sol.full_vector(cache.dofmap), cache),
+}
+
+
+@pytest.fixture(scope="module")
+def quad_and_square_l4():
+    """A quad-L4 k = 1 solution with its cache, and a k = 1 cache of the
+    square L4 mesh, which has the same topology (64 cells, 144 edges)."""
+    quad = GENERATORS["quad"](4)
+    sol, cache = solve_case(quad, 1, SIN2D)
+    return quad, sol, cache, OperatorCache(GENERATORS["square"](4), 1)
+
+
+@pytest.mark.parametrize("name", sorted(PASSES))
+def test_every_pass_rejects_a_cache_of_another_mesh_or_degree(name, quad_and_square_l4):
+    """The square cache fits every array of the quad solution, so only the
+    check tells the meshes apart."""
+    quad, sol, quad_cache, square_cache = quad_and_square_l4
+    run = PASSES[name]
+    with pytest.raises(ValueError, match="degree 1 was built for another mesh"):
+        run(quad, 1, square_cache, sol)
+    with pytest.raises(ValueError, match="degree 1 was built for this mesh.*degree 2"):
+        run(quad, 2, quad_cache, sol)
+    run(quad, 1, quad_cache, sol)
+
+
+def test_assemble_and_solve_case_build_their_own_cache(quad_and_square_l4):
+    quad, sol, _, _ = quad_and_square_l4
+    system = assemble(quad, 1, SIN2D.f, SIN2D.g)
+    assert system.cache.mesh is quad and system.cache.k == 1
+    assert system.dofmap is system.cache.dofmap
+    again, cache = solve_case(quad, 1, SIN2D)
+    assert cache.mesh is quad and cache.k == 1
+    assert np.array_equal(again.u0, sol.u0) and np.array_equal(again.ub, sol.ub)
 
 
 # ---------------------------------------------------------------- driver

@@ -1,11 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 import wg_sfem.analysis as analysis
-from wg_sfem.cli import main
+from wg_sfem.cli import LEVEL_CAPS, main
 from wg_sfem.localspaces import dim_pk
-from wg_sfem.polymesh import read_mesh
+from wg_sfem.polymesh import GENERATORS, read_mesh
 from wg_sfem.wgsolve import SolverError
 
 
@@ -45,6 +46,30 @@ def test_hex_level_cap_is_7(tmp_path):
         run_cli(["mesh", "--family", "hex", "--level", "8",
                  "--out", str(tmp_path / "x.json")])
     assert exc.value.code == 2
+
+
+def test_every_family_has_a_level_cap():
+    assert set(LEVEL_CAPS) == set(GENERATORS)
+
+
+@pytest.mark.parametrize("subcommand", [
+    ["mesh", "--family", "square", "--level", "2"],
+    ["solve", "--family", "square", "--level", "2", "--degree", "0"],
+    ["convergence", "--family", "square", "--levels", "2:3", "--degree", "0"],
+], ids=["mesh", "solve", "convergence"])
+def test_out_into_a_missing_directory_exits_2_before_any_work(subcommand, tmp_path, capsys,
+                                                               monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the --out check")
+
+    for name in ("solve_case", "run_convergence"):
+        monkeypatch.setattr(f"wg_sfem.cli.{name}", no_work)
+    monkeypatch.setitem(GENERATORS, "square", no_work)
+    out = tmp_path / "missing" / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*subcommand, "--out", str(out)])
+    assert exc.value.code == 2
+    assert str(out.parent) in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- solve
@@ -140,6 +165,20 @@ def test_solve_bad_mesh_file_exits_2_naming_the_file_or_cell(content, names, tmp
     captured = capsys.readouterr()
     assert captured.out == ""
     assert names in captured.err and "Traceback" not in captured.err
+
+
+def test_solve_cell_failing_the_dimension_law_exits_2(tmp_path, capsys):
+    """The random 14-gon of the inscribed-polygon tests has a numerical
+    nullspace of dimension 201 at k = 4, where the law asks for 200."""
+    angles = np.sort(np.random.default_rng(0).uniform(0, 2 * np.pi, 14))
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps({"vertices": np.column_stack([np.cos(angles),
+                                                             np.sin(angles)]).tolist(),
+                                "cells": [list(range(14))]}))
+    assert run_cli(["solve", "--mesh", str(path), "--degree", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cell 0" in captured.err and "nullspace dimension" in captured.err
 
 
 # ---------------------------------------------------------------- convergence

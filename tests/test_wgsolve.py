@@ -272,9 +272,9 @@ def test_solve_rejects_a_non_positive_or_non_finite_tol(tol):
 
 def test_triple_bar_norm_of_constant_is_zero():
     mesh = generate_square_grid(2)
-    dofmap = build_dof_map(mesh, 1)
-    vec = constant_function_vector(dofmap)
-    assert triple_bar_norm(mesh, 1, vec) < 1e-11
+    cache = OperatorCache(mesh, 1)
+    vec = constant_function_vector(cache.dofmap)
+    assert triple_bar_norm(mesh, 1, vec, cache) < 1e-11
 
 
 def test_h1_norm_of_interpolated_linear():
