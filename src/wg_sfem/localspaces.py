@@ -470,9 +470,12 @@ def build_lambda_basis(mesh: PolyMesh, cells, k: int) -> LambdaBasis:
     bad = np.flatnonzero(n_null != n_expected)
     if bad.size:
         s = bad[0]
+        rel, cut = sv[s] / sv[s, 0], nt * nf - n_null[s]
+        near = " ".join(f"{v:.2e}" for v in rel[max(cut - 3, 0):cut + 3])
         raise LambdaDimensionError(
             f"cell {cells[check[s]]} (k={k}): nullspace dimension {n_null[s]} != "
-            f"expected {n_expected}; constraint singular values {sv[s]}"
+            f"expected {n_expected}; constraint singular values over the largest, the "
+            f"last {min(cut, 3)} above the rank cut {NULLSPACE_RTOL:.0e} and the next: {near}"
         )
     null = Q[:, :, n_rows:]
     return LambdaBasis(cells, k, coords, B, orth, null, np.linalg.norm(C @ null, axis=(-2, -1)))

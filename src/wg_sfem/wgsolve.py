@@ -11,9 +11,10 @@ out row by row of each OperatorStack (OperatorStack.condensed), and only the
 system on the free edge unknowns is assembled: the Schur complements
 K_bb - K_0b^T K_00^-1 K_0b with the loads -X^T f_0, X = K_00^-1 K_0b.  The
 edge system is solved directly when the full system has fewer than
-DIRECT_LIMIT free DOFs, otherwise by Jacobi-preconditioned conjugate
-gradients; the interior values are then recovered per cell as
-K_00^-1 (f_0 - K_0b u_b).  Convergence is judged in one place, solve, on the
+DIRECT_LIMIT free DOFs, otherwise by conjugate gradients, preconditioned by
+Jacobi for JACOBI_BUDGET iterations and then, at 1 <= k <= 2, by a
+multilevel V-cycle with an l1-Jacobi smoother (see _pcg); the interior
+values are then recovered per cell as K_00^-1 (f_0 - K_0b u_b).  Convergence is judged in one place, solve, on the
 full system's true relative residual ||rhs - A x|| / ||rhs||, computed from
 the local stiffnesses: while it is above tol, conjugate gradients continue
 from x on the edge system with a tighter tolerance.  The uncondensed
@@ -23,7 +24,7 @@ matrices are built only on request.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,6 +37,10 @@ DIRECT_LIMIT = 5000
 # Tightened PCG passes on the edge system that solve may add to bring the
 # full-system residual under tol.
 MAX_REFINEMENTS = 3
+# Jacobi-PCG iterations on the edge system before solve switches to the
+# multilevel cycle, and the largest level that cycle inverts densely.
+JACOBI_BUDGET = 20
+COARSEST = 64
 
 
 def spsolve(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
@@ -111,6 +116,11 @@ class WGSolution:
     method: str
 
     def full_vector(self, dofmap: DofMap) -> np.ndarray:
+        """u0 and ub as one vector; ValueError unless they fit dofmap."""
+        shapes = ((dofmap.n_cells, dofmap.n_interior_per_cell), (dofmap.n_edges, dofmap.n_per_edge))
+        if dofmap.k != self.k or (self.u0.shape, self.ub.shape) != shapes:
+            raise ValueError(f"degree-{self.k} solution, u0 {self.u0.shape}, ub {self.ub.shape}, "
+                             f"does not fit the degree-{dofmap.k} DOF map {shapes}")
         return np.concatenate([self.u0.ravel(), self.ub.ravel()])
 
 
@@ -183,11 +193,18 @@ def assemble(mesh: PolyMesh, k: int, f, g=None, cache: OperatorCache | None = No
     )
 
 
-def _pcg(A: sp.csr_matrix, b: np.ndarray, tol: float, x0: np.ndarray | None = None
-         ) -> tuple[np.ndarray, int]:
-    """Jacobi-preconditioned conjugate gradients from x0 (default zero) until
-    the recurrence residual is at most tol ||b||; returns x and the number
-    of iterations."""
+def _pcg(A: sp.csr_matrix, b: np.ndarray, tol: float, x0: np.ndarray | None = None,
+         switch=None, budget: int = 0) -> tuple[np.ndarray, int]:
+    """Conjugate gradients from x0 (default zero) until the recurrence
+    residual is at most tol ||b||; returns x and the number of iterations.
+
+    Jacobi-preconditioned; given ``switch``, CG restarts from x after
+    ``budget`` iterations above tol, preconditioned by ``switch()``, and the
+    cap counts both phases.  solve passes the V-cycle of _multilevel at
+    1 <= k <= 2 (k = 0 has no edge mode to inject; at k >= 3 the m = 0 modes
+    are too small a coarse space to beat Jacobi).  Its l1 smoother weights
+    1 / sum_j |a_ij| bound the spectrum of D^-1 A by 1, which keeps the cycle
+    positive definite; plain Jacobi's reaches 2.04 on jittered squares."""
     n = b.size
     diag = A.diagonal()
     if np.any(diag <= 0.0):
@@ -200,8 +217,9 @@ def _pcg(A: sp.csr_matrix, b: np.ndarray, tol: float, x0: np.ndarray | None = No
         return np.zeros(n), 0
     x = np.zeros(n) if x0 is None else x0.copy()
     r = b - A @ x
-    # Updated in place: the only vector allocated per iteration is A @ p.
+    # Jacobi writes z in place: A @ p is the only vector it allocates.
     z = inv_diag * r
+    precond = partial(np.multiply, inv_diag, out=z)
     p, step = z.copy(), np.empty(n)
     rz = float(r @ z)
     history = [float(np.linalg.norm(r)) / bnorm]
@@ -213,6 +231,10 @@ def _pcg(A: sp.csr_matrix, b: np.ndarray, tol: float, x0: np.ndarray | None = No
                 f"(relative residual {history[-1]:.3e}, target {tol:.1e})",
                 np.array(history),
             )
+        if switch is not None and len(history) == budget + 1:
+            precond = switch()
+            z = precond(r)
+            p, rz = z.copy(), float(r @ z)
         Ap = A @ p
         pAp = float(p @ Ap)
         if pAp <= 0.0:
@@ -224,12 +246,52 @@ def _pcg(A: sp.csr_matrix, b: np.ndarray, tol: float, x0: np.ndarray | None = No
         x += np.multiply(alpha, p, out=step)
         r -= np.multiply(alpha, Ap, out=Ap)
         history.append(float(np.linalg.norm(r)) / bnorm)
-        np.multiply(inv_diag, r, out=z)
+        z = precond(r)
         rz_new = float(r @ z)
         p *= rz_new / rz
         p += z
         rz = rz_new
     return x, len(history) - 1
+
+
+def _multilevel(S: sp.csr_matrix, mesh: PolyMesh, k: int):
+    """The symmetric V(1,1) l1-Jacobi cycle r -> z for the free edge system
+    S at degree k >= 1.  Level 1 injects each free edge's m = 0 mode (edge
+    DOFs are contiguous, k + 1 per edge); below it, smoothed aggregation:
+    boxes of about four nodes (edge midpoints, then aggregate centroids),
+    P = (I - 4/3 D^-1 A) P_tent with D the l1 row sums, and P^T A P, down to
+    at most COARSEST unknowns, which take a dense inverse."""
+    xy = mesh.vertices[mesh.edges[~mesh.boundary_edges]].mean(axis=1)
+    m = xy.shape[0]
+    P = sp.csr_matrix((np.ones(m), (np.arange(m) * (k + 1), np.arange(m))), shape=(S.shape[0], m))
+    levels = [(S, 1.0 / (abs(S) @ np.ones(S.shape[0])), P, P.T.tocsr())]
+    A = S[:: k + 1][:, :: k + 1]
+    while m > COARSEST:
+        # Boxes of about four nodes; the second bound coarsens collinear ones.
+        lo, ext = xy.min(axis=0), np.ptp(xy, axis=0)
+        h = max(np.sqrt(4.0 * ext.prod() / m), 4.0 * ext.max() / m)
+        box = np.floor((xy - lo) / h).astype(np.int64)
+        _, agg, size = np.unique(box[:, 0] * (m + 1) + box[:, 1], return_inverse=True,
+                                 return_counts=True)
+        xy = np.stack([np.bincount(agg, c) for c in xy.T], axis=1) / size[:, None]
+        T = sp.csr_matrix((np.ones(m), (np.arange(m), agg)), shape=(m, size.size))
+        d = 1.0 / (abs(A) @ np.ones(m))
+        P = (T - sp.diags(4.0 / 3.0 * d) @ (A @ T)).tocsr()
+        levels.append((A, d, P, P.T.tocsr()))
+        A = (levels[-1][3] @ A @ P).tocsr()
+        m = size.size
+    bottom = np.linalg.inv(A.toarray())
+
+    def cycle(r: np.ndarray, level: int = 0) -> np.ndarray:
+        if level == len(levels):
+            return bottom @ r
+        A, d, P, R = levels[level]
+        x = d * r
+        x += P @ cycle(R @ (r - A @ x), level + 1)
+        x += d * (r - A @ x)
+        return x
+
+    return cycle
 
 
 def _recover(system: SparseSymSystem, x_edge: np.ndarray) -> tuple[np.ndarray, float]:
@@ -278,7 +340,7 @@ def solve(system: SparseSymSystem, tol: float = 1e-12) -> WGSolution:
     S, g = system.edge_matrix, system.edge_rhs
     gnorm = float(np.linalg.norm(g))
     x_edge = np.zeros(g.size)
-    iterations = 0
+    iterations, switch = 0, None
     if bnorm == 0.0:
         method = "trivial"
     elif b.size < DIRECT_LIMIT:
@@ -288,8 +350,12 @@ def solve(system: SparseSymSystem, tol: float = 1e-12) -> WGSolution:
     else:
         # With the interior values recovered exactly, the full residual is
         # the edge system's: rescale tol from ||rhs|| to ||edge_rhs||.  (For
-        # g = 0, _pcg returns zero whatever the tolerance.)
-        x_edge, iterations = _pcg(S, g, 0.5 * tol * bnorm / (gnorm or 1.0))
+        # g = 0, _pcg returns zero whatever the tolerance.)  The Jacobi
+        # budget spans every pass; the multilevel cycle is built only once.
+        if 1 <= system.dofmap.k <= 2:
+            switch = cache(lambda: _multilevel(S, system.cache.mesh, system.dofmap.k))
+        x_edge, iterations = _pcg(S, g, 0.5 * tol * bnorm / (gnorm or 1.0), switch=switch,
+                                  budget=JACOBI_BUDGET)
         method = "pcg"
     x, rnorm = _recover(system, x_edge)
     residual = rnorm / bnorm if bnorm else 0.0
@@ -298,7 +364,8 @@ def solve(system: SparseSymSystem, tol: float = 1e-12) -> WGSolution:
             break
         # Shrink the edge residual by the full residual's excess over tol.
         edge_res = float(np.linalg.norm(g - S @ x_edge)) / gnorm
-        x_next, more = _pcg(S, g, 0.5 * edge_res * tol / residual, x0=x_edge)
+        x_next, more = _pcg(S, g, 0.5 * edge_res * tol / residual, x0=x_edge, switch=switch,
+                            budget=max(JACOBI_BUDGET - iterations, 0))
         iterations += more
         if method == "direct":
             method = "direct+cg"

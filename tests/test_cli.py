@@ -179,6 +179,9 @@ def test_solve_cell_failing_the_dimension_law_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "cell 0" in captured.err and "nullspace dimension" in captured.err
+    # Only the singular values on each side of the rank cut, on one line.
+    assert "above the rank cut 1e-10 and the next: " in captured.err
+    assert captured.err.count("\n") == 1 and len(captured.err) < 300
 
 
 # ---------------------------------------------------------------- convergence

@@ -901,7 +901,8 @@ def test_rank_test_of_generated_cells_needs_no_singular_values(monkeypatch):
 
 def test_rank_deficient_cell_takes_the_svd_route_and_raises(monkeypatch):
     """At rtol 0.1 the quad with a short side fails the rank test; it alone
-    gets singular values, and the error names it and lists them."""
+    gets singular values, and the error names it and lists the few on each
+    side of the rank cut, over the largest."""
     monkeypatch.setattr(localspaces, "NULLSPACE_RTOL", 0.1)
     square = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
     short_side = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 0.02), (0.0, 1.0)])
@@ -911,7 +912,9 @@ def test_rank_deficient_cell_takes_the_svd_route_and_raises(monkeypatch):
     calls = _spy_on_svd(monkeypatch)
     with pytest.raises(LambdaDimensionError,
                        match=r"^cell 2 \(k=1\): nullspace dimension 12 != expected 11; "
-                             r"constraint singular values \[1\.59"):
+                             r"constraint singular values over the largest, the last 3 "
+                             r"above the rank cut 1e-01 and the next: "
+                             r"6\.29e-01 6\.28e-01 4\.23e-01 3\.70e-02$"):
         build_lambda_basis(mesh, range(5), 1)
     assert calls == [1]
 

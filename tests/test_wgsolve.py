@@ -454,6 +454,16 @@ def test_lazy_matrices_match_each_other():
     assert (system.matrix != system.full_matrix[free][:, free]).nnz == 0
 
 
+def test_full_vector_rejects_a_dof_map_of_another_degree_or_mesh():
+    mesh = GENERATORS["quad"](2)
+    system = assemble(mesh, 1, get_case("sin2d").f, None)
+    sol = solve(system)
+    assert sol.full_vector(system.dofmap).shape == (system.dofmap.n_dofs,)
+    for other in (build_dof_map(mesh, 2), build_dof_map(GENERATORS["quad"](3), 1)):
+        with pytest.raises(ValueError, match="does not fit"):
+            sol.full_vector(other)
+
+
 def test_direct_solve_below_tol_falls_back_to_cg(monkeypatch):
     """A direct edge solve that leaves the full residual above tol is
     refined by PCG from its solution, and reported as direct+cg."""
@@ -471,9 +481,9 @@ def test_loose_edge_solve_is_continued_with_a_tighter_tolerance(monkeypatch):
     real = wgsolve._pcg
     tols = []
 
-    def loose_first(A, b, tol, x0=None):
+    def loose_first(A, b, tol, x0=None, **kw):
         tols.append(tol if tols else tol * 1e6)
-        return real(A, b, tols[-1], x0)
+        return real(A, b, tols[-1], x0, **kw)
 
     monkeypatch.setattr(wgsolve, "_pcg", loose_first)
     monkeypatch.setattr(wgsolve, "DIRECT_LIMIT", 0)
@@ -506,8 +516,8 @@ def test_solve_reports_the_recomputed_full_residual_and_continues_from_x(monkeyp
     real_pcg, real_recover = wgsolve._pcg, wgsolve._recover
     passes, recovered = [], []
 
-    def pcg(A, b, tol, x0=None):
-        x, iters = real_pcg(A, b, tol if passes else 1e4 * tol, x0)
+    def pcg(A, b, tol, x0=None, **kw):
+        x, iters = real_pcg(A, b, tol if passes else 1e4 * tol, x0, **kw)
         passes.append((x0, x))
         return x, iters
 
@@ -559,6 +569,65 @@ def test_solve_at_the_rounding_floor_keeps_its_best_iterate(monkeypatch):
             assert recovered[-1] > 0.5 * recovered[-2]
 
 
+def _off_eigenfunction(mesh, k):
+    """sin2d's source with boundary data that is not its solution: PCG
+    needs hundreds of Jacobi iterations, on square meshes too."""
+    return assemble(mesh, k, get_case("sin2d").f, lambda x, y: np.exp(x) * np.cos(2 * y))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_multilevel_cycle_is_symmetric_positive_definite(k):
+    mesh = _jittered_square_mesh()
+    S = assemble(mesh, k, zero, None).edge_matrix
+    cycle = wgsolve._multilevel(S, mesh, k)
+    B = np.column_stack([cycle(e) for e in np.eye(S.shape[0])])
+    assert np.abs(B - B.T).max() <= 1e-12 * np.abs(B).max()
+    assert np.linalg.eigvalsh(0.5 * (B + B.T)).min() > 0.0
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("family", ["square", "quad", "hex"])
+def test_two_phase_pcg_matches_jacobi_pcg(family, k, monkeypatch):
+    """Past JACOBI_BUDGET iterations PCG restarts with the multilevel cycle,
+    which is built once; the solution is Jacobi-PCG's to rounding."""
+    real, built = wgsolve._multilevel, []
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(wgsolve, "_multilevel", counted)
+    monkeypatch.setattr(wgsolve, "DIRECT_LIMIT", 0)
+    system = _off_eigenfunction(GENERATORS[family](5), k)
+    two_phase = solve(system)
+    monkeypatch.setattr(wgsolve, "JACOBI_BUDGET", 10**9)
+    jacobi = solve(system)
+    assert len(built) == 1
+    assert two_phase.method == jacobi.method == "pcg"
+    assert two_phase.residual <= 1e-12 and jacobi.residual <= 1e-12
+    # 20 Jacobi and 16-38 V-cycle iterations here, against Jacobi alone 98-287.
+    assert two_phase.iterations <= 65 < jacobi.iterations
+    assert _rel(two_phase.full_vector(system.dofmap), jacobi.full_vector(system.dofmap)) <= 1e-10
+
+
+@pytest.mark.parametrize("family,level,k,off", [("square", 6, 1, False), ("quad", 5, 0, True),
+                                                 ("quad", 5, 3, True)])
+def test_multilevel_cycle_is_built_only_where_it_pays(family, level, k, off, monkeypatch):
+    """square-sin2d converges inside the Jacobi budget; at k = 0 there is no
+    edge mode to inject, and at k >= 3 the m = 0 modes are too few."""
+    def refuse(*args):
+        raise AssertionError("multilevel cycle built")
+
+    monkeypatch.setattr(wgsolve, "_multilevel", refuse)
+    monkeypatch.setattr(wgsolve, "DIRECT_LIMIT", 0)
+    mesh = GENERATORS[family](level)
+    case = get_case("sin2d")
+    system = _off_eigenfunction(mesh, k) if off else assemble(mesh, k, case.f, case.g)
+    sol = solve(system)
+    assert sol.method == "pcg" and sol.residual <= 1e-12
+    assert (sol.iterations > wgsolve.JACOBI_BUDGET) == off
+
+
 def test_no_function_imports_a_package_module():
     """Package modules import each other at module level only, so the import
     graph has no cycle hidden in a function body."""
@@ -601,3 +670,24 @@ print(wgsolve.solve(wgsolve.assemble(mesh, 1, case.f, case.g)).method, loaded())
                          capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.splitlines() == [
         "[]", "pcg []", "direct ['scipy.sparse.linalg', 'scipy.linalg']"]
+
+
+def test_two_phase_pcg_leaves_the_linalg_modules_unloaded():
+    """The multilevel cycle is built from numpy and scipy.sparse alone:
+    scipy.sparse.linalg would map a second BLAS and stay resident."""
+    script = """
+import sys
+import numpy as np
+import wg_sfem
+from wg_sfem import wgsolve
+wgsolve.DIRECT_LIMIT = 0
+mesh = wg_sfem.generate_quad_grid(4)
+system = wgsolve.assemble(mesh, 1, wg_sfem.get_case("sin2d").f, lambda x, y: np.exp(x) * y)
+sol = wgsolve.solve(system)
+print(sol.method, sol.iterations > wgsolve.JACOBI_BUDGET,
+      [m for m in ("scipy.sparse.linalg", "scipy.linalg") if m in sys.modules])
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", script], env={"PYTHONPATH": str(src)},
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.splitlines() == ["pcg True []"]
