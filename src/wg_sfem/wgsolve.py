@@ -277,9 +277,9 @@ def _multilevel(S: sp.csr_matrix, mesh: PolyMesh, k: int):
         T = sp.csr_matrix((np.ones(m), (np.arange(m), agg)), shape=(m, size.size))
         d = 1.0 / (abs(A) @ np.ones(m))
         P = (T - sp.diags(4.0 / 3.0 * d) @ (A @ T)).tocsr()
-        levels.append((A, d, P, P.T.tocsr()))
-        A = (levels[-1][3] @ A @ P).tocsr()
-        m = size.size
+        R = P.T.tocsr()
+        levels.append((A, d, P, R))
+        A, m = (R @ A @ P).tocsr(), size.size
     bottom = np.linalg.inv(A.toarray())
 
     def cycle(r: np.ndarray, level: int = 0) -> np.ndarray:
