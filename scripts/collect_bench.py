@@ -11,7 +11,9 @@ BENCHMARK.json, with ``--trace 0`` and ``--trace 1``; then
 
 keeps, of each record, the workload, seed, budget, trace setting,
 environment, end-to-end metrics, per-layer metrics and failure fraction,
-and drops the spans and the per-pass solve lists.
+and drops the spans and the per-pass solve lists.  Each side also records
+the line count of every ``src/wg_sfem/*.py`` file of its checkout
+(``src_lines``), so that the program's size is measured like its timings.
 """
 
 from __future__ import annotations
@@ -43,7 +45,9 @@ def collect(checkout: Path, workloads: list[str], seed: int) -> dict:
                 raise FileNotFoundError(f"no run record {path}")
             record = json.loads(path.read_text(encoding="utf-8"))
             records.append({key: record[key] for key in KEPT})
-    return {"commit": commit_of(checkout), "records": records}
+    src_lines = {path.name: len(path.read_text(encoding="utf-8").splitlines())
+                 for path in sorted((checkout / "src" / "wg_sfem").glob("*.py"))}
+    return {"commit": commit_of(checkout), "src_lines": src_lines, "records": records}
 
 
 def main(argv=None) -> int:

@@ -42,6 +42,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,12 +54,7 @@ from .polymesh import (
     polygon_centroid,
     polygon_diameter,
 )
-from .quadrature import (
-    assembly_degree,
-    data_degree,
-    segment_rule,
-    triangle_rule,
-)
+from .quadrature import data_degree, segment_rule, triangle_rule
 
 MAX_DEGREE = 4
 NULLSPACE_RTOL = 1e-10
@@ -120,9 +116,9 @@ def edge_basis(k: int, degree: int) -> np.ndarray:
 
 
 def _reference_monomials(k: int, pts: np.ndarray) -> np.ndarray:
-    """The monomials x^a y^b of P_k at points (npts, 2), shape (npts, dim P_k)."""
+    """The monomials x^a y^b of P_k at points (..., 2), shape (..., dim P_k)."""
     ax, ay = np.array(monomial_exponents(k)).T
-    return pts[:, 0, None] ** ax * pts[:, 1, None] ** ay
+    return pts[..., 0, None] ** ax * pts[..., 1, None] ** ay
 
 
 def _raw_fields(k: int, pts: np.ndarray) -> np.ndarray:
@@ -177,10 +173,7 @@ class ReferenceTables:
         side's length and s = 2t - 1 running from its first vertex.
     div_coeffs, div_moments: (dim P_k, n_fields), div phi over the m, and
         int m (div phi)^T.
-    mass, grad_mass: (dim P_k, dim P_k), int m m^T, and (3, dim P_k,
-        dim P_k), the parts of int grad m . grad m^T.
-    side_monomials: (3, npts, dim P_k), the m at the segment rule of
-        assembly_degree(k) along the sides v0 -> v1, v1 -> v2, v2 -> v0.
+    mass: (dim P_k, dim P_k), int m m^T.
     """
 
     rt_coeffs: np.ndarray
@@ -189,8 +182,6 @@ class ReferenceTables:
     div_coeffs: np.ndarray
     div_moments: np.ndarray
     mass: np.ndarray
-    grad_mass: np.ndarray
-    side_monomials: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -226,11 +217,7 @@ def reference_tables(k: int) -> ReferenceTables:
     div = div @ coeffs
 
     mono = _reference_monomials(k, pts)
-    ax, ay = np.array(exps).T
-    gx = ax * mono[:, [index[(max(a - 1, 0), b)] for a, b in exps]]
-    gy = ay * mono[:, [index[(a, max(b - 1, 0))] for a, b in exps]]
     mass = (w[:, None] * mono).T @ mono
-    t = segment_rule(assembly_degree(k)).points[:, None].astype(ext)
     tables = ReferenceTables(
         rt_coeffs=coeffs,
         gram=_parts(phi[:, 0], phi[:, 1], w).astype(float),
@@ -238,9 +225,6 @@ def reference_tables(k: int) -> ReferenceTables:
         div_coeffs=div.astype(float),
         div_moments=(mass @ div).astype(float),
         mass=mass.astype(float),
-        grad_mass=_parts(gx, gy, w).astype(float),
-        side_monomials=np.array([_reference_monomials(k, corner[a] + t * (corner[b] - corner[a]))
-                                 for a, b in ((0, 1), (1, 2), (2, 0))], dtype=float),
     )
     for table in vars(tables).values():
         table.setflags(write=False)
@@ -507,10 +491,10 @@ class OperatorStack:
     """
 
     def __init__(self, mesh: PolyMesh, cells, k: int):
-        lam = self.lambda_basis = build_lambda_basis(mesh, cells, k)
+        lam = build_lambda_basis(mesh, cells, k)
         self.k = k
         self.cells = lam.cells
-        self.tri_coords = lam.tri_coords
+        self.tri_coords, self.jacobian = lam.tri_coords, lam.jacobian
         cyc = mesh.cell_cycles(self.cells)
         X = mesh.vertices[cyc]
         self.center, self.diameter = polygon_centroid(X), polygon_diameter(X)
@@ -524,13 +508,10 @@ class OperatorStack:
         # centroid g, zeta = (x - center) / diameter
         # = B (xi - 1/3) / diameter + (g - center) / diameter.
         h = self.diameter[:, None, None]
-        to_ref = self._to_ref = monomial_change_of_frame(
+        to_ref = monomial_change_of_frame(
             k, B / h[..., None], (self.tri_coords.mean(axis=-2) - self.center[:, None]) / h)
         to_ref_t, dx_to_ref = to_ref.swapaxes(-1, -2), det * to_ref
         self.mass_scalar = (to_ref_t @ ref.mass @ dx_to_ref).sum(axis=1)
-        B_inv = _inv(B)
-        self.grad_mass = (to_ref_t @ _contract(B_inv @ B_inv.swapaxes(-1, -2), ref.grad_mass)
-                          @ dx_to_ref).sum(axis=1)
         # (u0, div q) per triangle: the Jacobians of div and of dx cancel.
         b_int = -(self.frame_coeffs.swapaxes(-1, -2) @ ref.div_moments.T @ to_ref).sum(axis=1)
         # interior_moments maps each triangle's moments against the reference
@@ -544,15 +525,13 @@ class OperatorStack:
         # v2 -> v0; the Piola map keeps normal fluxes, so its moments are
         # reference constants.  A side run against canonical order sees
         # s -> -s.
-        self.n_sides = n_sides = cyc.shape[1]
+        n_sides = cyc.shape[1]
         forward = cyc < np.roll(cyc, -1, axis=1)
-        self._side_tri = np.clip(np.arange(n_sides) - 1, 0, nt - 1)
-        self._side_ref = np.minimum(np.arange(n_sides), 1)
-        self._side_ref[-1] = 2
+        side_tri = np.clip(np.arange(n_sides) - 1, 0, nt - 1)
+        side_ref = np.minimum(np.arange(n_sides), 1)
+        side_ref[-1] = 2
         self._side_sign = np.where(forward[..., None], 1.0, (-1.0) ** np.arange(k + 1))
-        self._side_length = np.linalg.norm(np.roll(X, -1, axis=1) - X, axis=-1)
-        cols = self._side_sign[..., None] * (ref.flux[self._side_ref]
-                                             @ self.frame_coeffs[:, self._side_tri])
+        cols = self._side_sign[..., None] * (ref.flux[side_ref] @ self.frame_coeffs[:, side_tri])
         # The Lambda basis is L2-orthonormal, so its mass matrix is the
         # identity: the weak gradient's coefficients are its moments, and
         # the stiffness is their Gram, exactly symmetric.
@@ -560,18 +539,6 @@ class OperatorStack:
             [b_int, cols.transpose(0, 3, 1, 2).reshape(n_cells, nl, -1)], axis=-1
         )
         self.stiffness = self.weak_gradient.swapaxes(-1, -2) @ self.weak_gradient
-
-    @cached_property
-    def _side_traces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Weights, interior-basis values and edge-basis values at the
-        assembly-degree segment rule on every side of every row, shapes
-        (S, n_sides, npts), (S, n_sides, npts, dim P_k) and
-        (S, n_sides, npts, k + 1); only side_mismatch_sq reads them."""
-        deg = assembly_degree(self.k)
-        phi0 = reference_tables(self.k).side_monomials[self._side_ref] @ (
-            self._to_ref[:, self._side_tri])
-        return (segment_rule(deg).weights * self._side_length[..., None], phi0,
-                edge_basis(self.k, deg) * self._side_sign[:, :, None, :])
 
     @cached_property
     def condensed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -591,13 +558,37 @@ class OperatorStack:
         S = K[:, n0:, n0:] - K[:, :n0, n0:].swapaxes(-1, -2) @ X
         return K00_inv, X, 0.5 * (S + S.swapaxes(-1, -2))
 
-    def side_mismatch_sq(self, side: int, u0: np.ndarray, ub: np.ndarray,
-                         rows: np.ndarray) -> np.ndarray:
-        """Integral over one side of (interior trace - edge value)^2."""
-        w, phi0, phib = self._side_traces
-        diff = _matvec(phi0[rows, side], u0) - _matvec(phib[rows, side], ub)
-        w = w[rows, side]
-        return np.sum(w.reshape(w.shape + (1,) * (diff.ndim - 2)) * diff * diff, axis=1)
+    @cached_property
+    def h1(self) -> np.ndarray:
+        """The discrete H1 semi-norm of every row as a matrix D over the
+        local DOFs, shape (S, n_rows, n_local): |D v|^2 is |grad v_0|^2 over
+        the cell plus |v_0 - v_b|^2 / h_T over each side.  Built in the cell
+        frame zeta = (x - center) / h_T, where the form reads the same with
+        h_T = 1: the rows are the gradients on the fan triangles and the
+        trace mismatches on the sides, at Gauss rules exact for these
+        degree-2k integrands, times the roots of the weights."""
+        k, n0, nb, exps = self.k, dim_pk(self.k), self.k + 1, monomial_exponents(self.k)
+        tri = (self.tri_coords - self.center[:, None, None]) / self.diameter[:, None, None, None]
+        n_cells, n_sides = len(tri), tri.shape[1] + 2
+        # The zeta-gradient of the monomial (a, b) is a (a - 1, b), b (a, b - 1).
+        rule, B = triangle_rule(2 * k), tri[:, :, 1:] - tri[:, :, :1]
+        mono = _reference_monomials(k, tri[:, :, None, 0] + rule.points @ B)
+        index, (ax, ay) = {e: i for i, e in enumerate(exps)}, np.array(exps).T
+        grad = np.stack([ax * mono[..., [index[(max(a - 1, 0), b)] for a, b in exps]],
+                         ay * mono[..., [index[(a, max(b - 1, 0))] for a, b in exps]]], axis=-2)
+        grad *= np.sqrt(rule.weights * _det(B)[..., None])[..., None, None]
+        # The cycle, read off the fan, and v_0 less v_b at each side's points.
+        Z = np.concatenate([tri[:, :1, 0], tri[:, :, 1], tri[:, -1:, 2]], axis=1)
+        rule, side = segment_rule(2 * k), np.roll(Z, -1, axis=1) - Z
+        w = np.sqrt(rule.weights * np.linalg.norm(side, axis=-1)[..., None])[..., None]
+        trace = np.zeros(w.shape[:3] + (n0 + n_sides * nb,))
+        trace[..., :n0] = w * _reference_monomials(
+            k, Z[:, :, None] + rule.points[:, None] * side[:, :, None])
+        for s in range(n_sides):
+            trace[:, s, :, n0 + s * nb : n0 + (s + 1) * nb] = (
+                -w[:, s] * edge_basis(k, 2 * k) * self._side_sign[:, s, None])
+        grad = np.pad(grad.reshape(n_cells, -1, n0), ((0, 0), (0, 0), (0, n_sides * nb)))
+        return np.concatenate([grad, trace.reshape(n_cells, -1, trace.shape[-1])], axis=1)
 
     def _samples(self, func, uniq, inv, offsets):
         """The data_tables of the data-degree rule and func at the rule's
@@ -605,7 +596,7 @@ class OperatorStack:
         (n, n_triangles, npts) + the shape of one value.  A non-finite value
         raises DataError naming its point."""
         tables = data_tables(self.k, data_degree(self.k))
-        v0, B = self.tri_coords[uniq, :, 0, :, None], self.lambda_basis.jacobian[uniq]
+        v0, B = self.tri_coords[uniq, :, 0, :, None], self.jacobian[uniq]
         xi, eta = tables[0].T
         # Each coordinate gathered and shifted on its own: numpy loops over
         # an innermost axis of length 2 several times slower.
@@ -643,7 +634,7 @@ class OperatorStack:
         # against each triangle's Piola fields, shape (n, n_triangles,
         # n_fields); the basis is orthonormal, so contracting them with
         # frame_coeffs gives the projection.
-        B = self.lambda_basis.jacobian[uniq][inv]
+        B = self.jacobian[uniq][inv]
         gx, gy = g[..., 0], g[..., 1]
         h = np.empty((n, nt, 2, nq))
         for d in range(2):
@@ -654,45 +645,25 @@ class OperatorStack:
         return _rowwise(raw, self.frame_coeffs[uniq].reshape(len(uniq), raw.shape[1], -1), inv)
 
 
-def _stack_row(name: str, doc: str) -> property:
-    return property(lambda self: getattr(self.stack, name)[self.index], doc=doc)
-
-
-class LocalCellOperators:
+class LocalCellOperators(NamedTuple):
     """The discrete operators of one cell: row ``index`` of an OperatorStack,
-    acting on ``cell``, the translate of the row's cell by ``offset``.
+    acting on ``cell``, the translate of the row's cell by ``offset``
+    (OperatorCache.get).  Local DOF order as in OperatorStack."""
 
-    ``LocalCellOperators(mesh, cell, k)`` builds a stack of one (offset
-    zero); OperatorCache.get hands out rows of shared stacks.  Local DOF
-    order as in OperatorStack.
-    """
-
-    stiffness = _stack_row("stiffness", "Local stiffness matrix (n_local, n_local).")
-    weak_gradient = _stack_row("weak_gradient", "Weak-gradient matrix (n_lambda, n_local).")
-    mass_scalar = _stack_row("mass_scalar", "Interior P_k mass matrix.")
-
-    def __init__(self, mesh: PolyMesh, cell: int, k: int):
-        self._bind(mesh, OperatorStack(mesh, [cell], k), 0, cell, np.zeros(2))
-
-    @classmethod
-    def _row(cls, mesh: PolyMesh, stack: OperatorStack, index: int, cell: int,
-             offset: np.ndarray) -> LocalCellOperators:
-        ops = cls.__new__(cls)
-        ops._bind(mesh, stack, index, cell, offset)
-        return ops
-
-    def _bind(self, mesh, stack, index, cell, offset) -> None:
-        self.mesh, self.k = mesh, stack.k
-        self.stack, self.index = stack, index
-        self.cell, self.offset = cell, offset
+    stack: OperatorStack
+    index: int
+    cell: int
+    offset: np.ndarray
 
     @property
-    def n_local(self) -> int:
-        return self.weak_gradient.shape[1]
+    def stiffness(self) -> np.ndarray:
+        """Local stiffness matrix (n_local, n_local)."""
+        return self.stack.stiffness[self.index]
 
     @property
-    def n_lambda(self) -> int:
-        return self.stack.lambda_basis.n_lambda
+    def weak_gradient(self) -> np.ndarray:
+        """Weak-gradient matrix (n_lambda, n_local)."""
+        return self.stack.weak_gradient[self.index]
 
     def apply_weak_gradient(self, local_dofs: np.ndarray) -> np.ndarray:
         """Weak-gradient coefficients of a local function, shape (n_lambda, ...)."""
@@ -703,10 +674,8 @@ class LocalCellOperators:
         return self.stack.project_interior(func, [self.index], self.offset[None])[0]
 
     def project_lambda_field(self, func) -> np.ndarray:
-        """L2 projection of a vector field onto the weak-gradient space.
-
-        func(x, y) must return shape (npts, 2).
-        """
+        """L2 projection onto the weak-gradient space of a vector field
+        func(x, y), which must return shape (npts, 2)."""
         return self.stack.project_lambda_field(func, [self.index], self.offset[None])[0]
 
 
@@ -848,7 +817,7 @@ class OperatorCache:
         """The operators of ``cell``: its class's stack row, moved by its
         offset from the class's first cell."""
         stack, row = self._rows[self._class_of[cell]]
-        return LocalCellOperators._row(self.mesh, stack, row, cell, self._offset[cell])
+        return LocalCellOperators(stack, row, cell, self._offset[cell])
 
     def batches(self):
         """Iterate over (stack, rows, cells, offsets, dofs): at most

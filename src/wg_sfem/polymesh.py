@@ -193,8 +193,14 @@ def build_mesh(vertices, cells) -> PolyMesh:
         raise MeshFormatError(
             f"vertex {bad[0]} has a non-finite coordinate {tuple(verts[bad[0]].tolist())}")
     nv = verts.shape[0]
+    try:
+        n_cells = len(cells)
+    except TypeError:
+        raise MeshFormatError("cells must be a sequence of vertex cycles") from None
+    if not n_cells:
+        raise MeshFormatError("mesh has no cells")
     if isinstance(cells, np.ndarray) and cells.ndim == 2:
-        sizes = np.full(len(cells), cells.shape[1])
+        sizes = np.full(n_cells, cells.shape[1])
         flat = cells.ravel() if cells.dtype.kind in "iu" else cells.ravel().tolist()
     else:
         try:

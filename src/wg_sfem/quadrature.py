@@ -23,11 +23,6 @@ class UnsupportedDegreeError(ValueError):
     """Polynomial exactness degree outside the supported range."""
 
 
-def assembly_degree(k: int) -> int:
-    """Segment-rule degree of the side traces in the discrete H1 norm."""
-    return 2 * k + 4
-
-
 def data_degree(k: int) -> int:
     """Quadrature degree for integrals against analytic data (f, u, grad u).
 

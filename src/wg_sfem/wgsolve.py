@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 # build_dof_map is imported for callers of this module.
-from .localspaces import DofMap, OperatorCache, _matvec, build_dof_map, dim_pk, project_qb
+from .localspaces import DofMap, OperatorCache, _matvec, build_dof_map, project_qb
 from .polymesh import PolyMesh
 
 DIRECT_LIMIT = 5000
@@ -201,10 +201,11 @@ def _pcg(A: sp.csr_matrix, b: np.ndarray, tol: float, x0: np.ndarray | None = No
     Jacobi-preconditioned; given ``switch``, CG restarts from x after
     ``budget`` iterations above tol, preconditioned by ``switch()``, and the
     cap counts both phases.  solve passes the V-cycle of _multilevel at
-    1 <= k <= 2 (k = 0 has no edge mode to inject; at k >= 3 the m = 0 modes
-    are too small a coarse space to beat Jacobi).  Its l1 smoother weights
-    1 / sum_j |a_ij| bound the spectrum of D^-1 A by 1, which keeps the cycle
-    positive definite; plain Jacobi's reaches 2.04 on jittered squares."""
+    1 <= k <= 2 (at k = 0 it costs more than the iterations it saves; at
+    k >= 3 the m = 0 modes are too small a coarse space to beat Jacobi).
+    Its l1 smoother weights 1 / sum_j |a_ij| bound the spectrum of D^-1 A
+    by 1, which keeps the cycle positive definite; plain Jacobi's reaches
+    2.04 on jittered squares."""
     n = b.size
     diag = A.diagonal()
     if np.any(diag <= 0.0):
@@ -395,37 +396,30 @@ def constant_function_vector(dofmap: DofMap) -> np.ndarray:
     return vec
 
 
-def triple_bar_norm(mesh: PolyMesh, k: int, vec: np.ndarray, cache: OperatorCache
-                    ) -> np.ndarray | float:
-    """Energy norm (sum of squared weak-gradient norms) of full DOF vectors.
-
-    vec may be (n_dofs,) or (n_dofs, m) for m functions at once.
-    """
-    cache.check(mesh, k)
+def _sum_of_squares(cache: OperatorCache, vec: np.ndarray, matrix: str) -> np.ndarray | float:
+    """The root of the sum over the cells of |M v|^2, M the named per-row
+    matrix of each OperatorStack, for full DOF vectors v, (n_dofs,) or
+    (n_dofs, m) for m functions at once."""
     cols = vec.reshape(vec.shape[0], -1)
     acc = 0.0
     for ops, cls, _, _, gdofs in cache.batches():
-        # The weak-gradient basis is orthonormal: norms are sums of squares.
-        gw = _matvec(ops.weak_gradient[cls], cols[gdofs])
-        acc = acc + np.sum(gw * gw, axis=1).sum(axis=0)
+        mv = _matvec(getattr(ops, matrix)[cls], cols[gdofs])
+        acc = acc + np.sum(mv * mv, axis=1).sum(axis=0)
     return np.sqrt(acc.reshape(vec.shape[1:]))[()]
+
+
+def triple_bar_norm(mesh: PolyMesh, k: int, vec: np.ndarray, cache: OperatorCache
+                    ) -> np.ndarray | float:
+    """Energy norm (sum of squared weak-gradient norms) of full DOF vectors,
+    (n_dofs,) or (n_dofs, m); the weak-gradient basis is orthonormal."""
+    cache.check(mesh, k)
+    return _sum_of_squares(cache, vec, "weak_gradient")
 
 
 def discrete_h1_norm(mesh: PolyMesh, k: int, vec: np.ndarray, cache: OperatorCache
                      ) -> np.ndarray | float:
-    """Discrete H1 semi-norm: cell gradients plus h_T^-1-weighted
-    interior/edge trace mismatch."""
+    """Discrete H1 semi-norm (cell gradients plus h_T^-1-weighted
+    interior/edge trace mismatch, OperatorStack.h1) of full DOF vectors,
+    (n_dofs,) or (n_dofs, m)."""
     cache.check(mesh, k)
-    n0 = dim_pk(k)
-    nb = k + 1
-    cols = vec.reshape(vec.shape[0], -1)
-    acc = 0.0
-    for ops, cls, _, _, gdofs in cache.batches():
-        local = cols[gdofs]
-        u0 = local[:, :n0]
-        sq = np.sum(u0 * _matvec(ops.grad_mass[cls], u0), axis=1)
-        for s in range(ops.n_sides):
-            ub = local[:, n0 + s * nb : n0 + (s + 1) * nb]
-            sq = sq + ops.side_mismatch_sq(s, u0, ub, cls) / ops.diameter[cls, None]
-        acc = acc + sq.sum(axis=0)
-    return np.sqrt(acc.reshape(vec.shape[1:]))[()]
+    return _sum_of_squares(cache, vec, "h1")

@@ -15,7 +15,11 @@ import numpy as np
 
 from wg_sfem.localspaces import (
     KEY_DECIMALS,
+    LocalCellOperators,
+    OperatorStack,
     _inverse_lower,
+    build_dof_map,
+    dim_pk,
     edge_basis,
     expected_lambda_dim,
     monomial_exponents,
@@ -29,7 +33,7 @@ from wg_sfem.polymesh import (
     polygon_centroid,
     polygon_diameter,
 )
-from wg_sfem.quadrature import assembly_degree, data_degree, segment_rule, triangle_rule
+from wg_sfem.quadrature import data_degree, segment_rule, triangle_rule
 
 
 @dataclass(frozen=True)
@@ -152,29 +156,63 @@ def consistency_residual(case, n=20, seed=1234, step=1e-5):
     return float(np.max(np.abs(case.f(x, y) + lap)))
 
 
-def subtri(ops):
-    """Fan triangulation of the cell of a LocalCellOperators."""
-    return triangulate_cell(ops.mesh, ops.cell)
+def assembly_degree(k):
+    """Quadrature degree of the oracles' integrals of products of two local
+    fields: exact for the RT_k mass (2k + 2) and the side traces (2k)."""
+    return 2 * k + 4
+
+
+def fresh_cell(mesh, c, k):
+    """The operators of cell c built alone: row 0 of a stack of one."""
+    return LocalCellOperators(OperatorStack(mesh, [c], k), 0, c, np.zeros(2))
 
 
 def interior_values(ops, coeffs, pts):
     """Point values of an interior polynomial on ops.cell; coeffs
     (dim P_k, ...) give values (npts, ...)."""
     s = ops.index
-    basis = CellScalarBasis(ops.k, ops.stack.center[s], ops.stack.diameter[s])
+    basis = CellScalarBasis(ops.stack.k, ops.stack.center[s], ops.stack.diameter[s])
     return basis.eval(np.asarray(pts) - ops.offset) @ coeffs
+
+
+def side_trace_h1_norm(mesh, k, vec):
+    """The discrete H1 semi-norm of full DOF vectors (n_dofs,) or
+    (n_dofs, m), cell by cell as a sum of squares: |grad v_0|^2 by
+    quadrature on each fan triangle, and (v_0 - v_b)^2 / h_T by quadrature
+    along each side; the slow reference of discrete_h1_norm."""
+    cols = vec.reshape(vec.shape[0], -1)
+    dofmap = build_dof_map(mesh, k)
+    n0, nb, deg = dim_pk(k), k + 1, assembly_degree(k)
+    acc = 0.0
+    for c in range(mesh.n_cells):
+        local = cols[dofmap.cell_dof_array(mesh, [c])[0]]
+        h = cell_diameter(mesh, c)
+        basis = CellScalarBasis(k, cell_centroid(mesh, c), h)
+        for tri in triangulate_cell(mesh, c).triangles:
+            pts, w = triangle_points(mesh.vertices[list(tri)], deg)
+            grad = np.einsum("qid,im->qmd", basis.grad(pts), local[:n0])
+            acc = acc + np.einsum("q,qmd->m", w, grad * grad)
+        cyc = mesh.cells[c]
+        for s, (a, b) in enumerate(zip(cyc, cyc[1:] + cyc[:1])):
+            pts, w = segment_points(mesh.vertices[a], mesh.vertices[b], deg)
+            phib = edge_basis(k, deg) * (1.0 if a < b else (-1.0) ** np.arange(nb))
+            diff = basis.eval(pts) @ local[:n0] - phib @ local[n0 + s * nb : n0 + (s + 1) * nb]
+            acc = acc + w @ (diff * diff) / h
+    return np.sqrt(acc.reshape(vec.shape[1:]))[()]
 
 
 def _reference_points(lam, row, tri, pts):
     """Reference coordinates of physical points on fan triangle tri of a
-    row of a LambdaBasis, and the triangle's Jacobian and its determinant."""
+    row of a LambdaBasis or an OperatorStack, and the triangle's Jacobian
+    and its determinant."""
     B = lam.jacobian[row, tri]
     xi = np.linalg.solve(B, (np.asarray(pts, dtype=float) - lam.tri_coords[row, tri, 0]).T).T
     return xi, B, np.linalg.det(B)
 
 
 def piola_fields(lam, row, tri, pts):
-    """The fields of fan triangle tri of a row of a LambdaBasis at physical
+    """The fields of fan triangle tri of a row of a LambdaBasis or an
+    OperatorStack (anything with k, jacobian and tri_coords) at physical
     points (npts, 2), shape (npts, n_fields, 2): the Piola images
     B phi(xi) / det B of the reference RT basis, whose raw fields are
     evaluated by RTFrame in the reference frame centered at (1/3, 1/3)."""
@@ -197,7 +235,7 @@ def lambda_values(ops, coeffs, pts, tri_index):
     """Point values of a weak-gradient-space field on one fan triangle of
     ops.cell; coeffs (n_lambda, ...) give values (npts, ..., 2)."""
     s = ops.index
-    fields = piola_fields(ops.stack.lambda_basis, s, tri_index, np.asarray(pts) - ops.offset)
+    fields = piola_fields(ops.stack, s, tri_index, np.asarray(pts) - ops.offset)
     rt = ops.stack.frame_coeffs[s, tri_index] @ coeffs
     return np.einsum("qfd,f...->q...d", fields, rt)
 
@@ -208,13 +246,12 @@ def lambda_mass(stack, rows=None):
     fields built from the Piola fields, their orthonormalization and the
     nullspace coefficients."""
     rows = np.arange(len(stack.cells)) if rows is None else np.atleast_1d(rows)
-    lam = stack.lambda_basis
     out = []
     for s in rows:
         mass = 0.0
         for t, coords in enumerate(stack.tri_coords[s]):
             pts, w = triangle_points(coords, assembly_degree(stack.k))
-            F = np.einsum("qfd,fl->qld", piola_fields(lam, s, t, pts), stack.frame_coeffs[s, t])
+            F = np.einsum("qfd,fl->qld", piola_fields(stack, s, t, pts), stack.frame_coeffs[s, t])
             mass = mass + np.einsum("q,qid,qjd->ij", w, F, F)
         out.append(mass)
     return np.array(out)
@@ -377,7 +414,8 @@ def _weighted_gram(w, f, g):
 
 def isotropic_stack(mesh, cells, k):
     """The operators of cells with one vertex count, built with isotropic
-    frames: a namespace with n_lambda, stiffness, mass_scalar, grad_mass,
+    frames: a namespace with n_lambda, stiffness, mass_scalar, h1 (the
+    matrix of the discrete H1 form, D^T D for D = OperatorStack.h1),
     weak_gradient and schur (the condensed side block) per cell, and
     project_interior(func) and project_lambda_field(func), which act on
     every cell at once."""
@@ -464,6 +502,14 @@ def isotropic_stack(mesh, cells, k):
     n0 = mass_scalar.shape[-1]
     schur = stiffness[:, n0:, n0:] - stiffness[:, :n0, n0:].swapaxes(-1, -2) @ np.linalg.solve(
         stiffness[:, :n0, :n0], stiffness[:, :n0, n0:])
+    h1 = np.zeros_like(stiffness)
+    h1[:, :n0, :n0] = _weighted_gram(w, gm, gm).sum(axis=1)
+    phi0 = scalar.eval(side_pts)
+    w_side = rule.weights * (length / diameter[:, None])[..., None]
+    for s in range(n_sides):
+        trace = np.concatenate([phi0[:, s]] + [-phib[:, s] * (r == s) for r in range(n_sides)],
+                               axis=-1)
+        h1 += (w_side[:, s, :, None] * trace).swapaxes(-1, -2) @ trace
 
     def samples(func):
         pts, w = triangle_points(coords, data_degree(k))
@@ -482,8 +528,8 @@ def isotropic_stack(mesh, cells, k):
         return np.einsum("stf,stfl->sl", raw, frame_coeffs)
 
     return SimpleNamespace(
-        n_lambda=nl, stiffness=stiffness, mass_scalar=mass_scalar,
-        grad_mass=_weighted_gram(w, gm, gm).sum(axis=1), weak_gradient=moments, schur=schur,
+        n_lambda=nl, stiffness=stiffness, mass_scalar=mass_scalar, h1=h1,
+        weak_gradient=moments, schur=schur,
         project_interior=project_interior, project_lambda_field=project_lambda_field)
 
 
@@ -507,6 +553,10 @@ def loop_build_mesh(vertices, cells):
         if not (np.isfinite(x) and np.isfinite(y)):
             raise MeshFormatError(f"vertex {i} has a non-finite coordinate {(x, y)}")
     nv = verts.shape[0]
+    if not hasattr(cells, "__len__") or getattr(cells, "ndim", 1) == 0:
+        raise MeshFormatError("cells must be a sequence of vertex cycles")
+    if len(cells) == 0:
+        raise MeshFormatError("mesh has no cells")
 
     cell_tuples = []
     for ci, cyc in enumerate(cells):

@@ -154,10 +154,13 @@ DART = [(1.0, 0.0), (0.2, 0.2), (0.0, 1.0), (0.0, 0.0)]
     (None, "mesh.json"),
     ('{"vertices": [[0, 0], [1, 0]', "mesh.json"),
     (json.dumps({"vertices": DART, "cells": [[0, 1, 2, 3]]}), "cell 0"),
-], ids=["missing-file", "malformed-json", "dart"])
+    (json.dumps({"vertices": DART, "cells": 5}), "cells must be a sequence"),
+    (json.dumps({"vertices": DART, "cells": []}), "mesh has no cells"),
+], ids=["missing-file", "malformed-json", "dart", "cells-not-a-sequence", "no-cells"])
 def test_solve_bad_mesh_file_exits_2_naming_the_file_or_cell(content, names, tmp_path, capsys):
     """A dart anchored next to its reflex vertex is not star-shaped about
-    its first vertex, so the cache cannot build its fan."""
+    its first vertex, so the cache cannot build its fan; a cell list that is
+    not a sequence, or is empty, is a mesh format error."""
     path = tmp_path / "mesh.json"
     if content is not None:
         path.write_text(content)

@@ -34,10 +34,21 @@ def _write_records(checkout: Path, workloads, seed: int, label: str) -> None:
             (runs / f"{workload}-seed{seed}-trace{trace}.json").write_text(json.dumps(record))
 
 
+def _write_sources(checkout: Path, lines: dict) -> None:
+    src = checkout / "src" / "wg_sfem"
+    src.mkdir(parents=True)
+    for name, n in lines.items():
+        (src / name).write_text("".join(f"x = {i}\n" for i in range(n)))
+    (src / "notes.txt").write_text("not a module\n")
+
+
 def test_collect_keeps_metrics_and_drops_spans_and_passes(collect_bench, tmp_path):
     workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     _write_records(tmp_path / "parent", workloads, 3, "parent")
     _write_records(tmp_path / "change", workloads, 3, "change")
+    lines = {"parent": {"a.py": 3, "b.py": 5}, "change": {"a.py": 2, "b.py": 5, "c.py": 1}}
+    for side in ("parent", "change"):
+        _write_sources(tmp_path / side, lines[side])
     out = tmp_path / "BENCH.json"
     assert collect_bench.main(["--parent", str(tmp_path / "parent"), "--change",
                                str(tmp_path / "change"), "--seed", "3", "--out", str(out)]) == 0
@@ -50,6 +61,7 @@ def test_collect_keeps_metrics_and_drops_spans_and_passes(collect_bench, tmp_pat
         for record in records:
             assert set(record) == set(collect_bench.KEPT)
             assert record["environment"] == {"python": side}
+        assert payload[side]["src_lines"] == lines[side]
 
 
 def test_collect_reports_a_missing_record(collect_bench, tmp_path, capsys):

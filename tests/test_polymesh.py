@@ -285,6 +285,8 @@ def test_read_rejects_dangling_vertex_index(tmp_path):
 
 
 @pytest.mark.parametrize("cells,vertex,message", [
+    ("5", "[0, 0]", "cells must be a sequence of vertex cycles"),
+    ("[]", "[0, 0]", "mesh has no cells"),
     ("[[0, 1, 2.7, 3]]", "[0, 0]", "cell 0 has a non-integer vertex index 2.7"),
     ("[[0, 1, 2, 3], 5]", "[0, 0]", "cell 1 is not a sequence of vertex indices"),
     ("[[0, 1, null, 3]]", "[0, 0]", "cell 0 has a non-integer vertex index None"),
@@ -419,6 +421,10 @@ SQUARES = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0),
            (2.0, 0.0), (3.0, 0.0), (3.0, 1.0), (2.0, 1.0)]
 
 MALFORMED = {
+    "bare-number-cells": (SQUARES, 5),
+    "zero-dim-array-cells": (SQUARES, np.array(5)),
+    "no-cells": (SQUARES, []),
+    "no-cells-array": (SQUARES, np.zeros((0, 4), dtype=int)),
     "short-cell": (SQUARES, [(0, 1, 2, 3), (4, 5)]),
     "empty-cell": (SQUARES, [(0, 1, 2, 3), ()]),
     "index-too-large": (SQUARES, [(0, 1, 2, 3), (4, 5, 9, 7)]),
@@ -465,6 +471,10 @@ def test_malformed_input_raises_the_loop_oracle_error(name):
 
 
 @pytest.mark.parametrize("name,message", [
+    ("bare-number-cells", "cells must be a sequence of vertex cycles"),
+    ("zero-dim-array-cells", "cells must be a sequence of vertex cycles"),
+    ("no-cells", "mesh has no cells"),
+    ("no-cells-array", "mesh has no cells"),
     ("truncated-index", "cell 0 has a non-integer vertex index 2.7"),
     ("float-array-cell", "cell 1 has a non-integer vertex index 2.5"),
     ("bare-number-cell", "cell 1 is not a sequence of vertex indices"),

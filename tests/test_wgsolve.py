@@ -23,7 +23,7 @@ from wg_sfem.wgsolve import (
     triple_bar_norm,
 )
 
-from helpers import triangle_points, triangulate_cell
+from helpers import side_trace_h1_norm, triangle_points, triangulate_cell
 
 
 def zero(x, y):
@@ -294,6 +294,41 @@ def test_h1_norm_of_interpolated_linear():
     assert triple_bar_norm(mesh, k, vec, cache) == pytest.approx(2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("family", ["square", "quad", "hex"])
+@pytest.mark.parametrize("k", range(5))
+def test_h1_norm_matches_the_side_trace_oracle(family, k):
+    """The per-row H1 matrix gives the norm that quadrature cell by cell and
+    side by side gives, for random vectors on level 3, to 1e-13."""
+    mesh = GENERATORS[family](3)
+    cache = OperatorCache(mesh, k)
+    vecs = np.random.default_rng(60 + k).standard_normal((cache.dofmap.n_dofs, 4))
+    got, want = discrete_h1_norm(mesh, k, vecs, cache), side_trace_h1_norm(mesh, k, vecs)
+    assert np.max(np.abs(got - want) / want) < 1e-13
+
+
+@pytest.mark.parametrize("family", ["square", "quad", "hex"])
+def test_h1_norm_of_constant_is_exactly_zero(family):
+    """Its rows hold gradients and trace mismatches, each exactly zero for
+    the constant function."""
+    mesh = GENERATORS[family](3)
+    for k in range(5):
+        cache = OperatorCache(mesh, k)
+        assert discrete_h1_norm(mesh, k, constant_function_vector(cache.dofmap), cache) == 0.0
+
+
+def test_solve_and_error_passes_never_build_the_h1_matrix():
+    mesh = GENERATORS["quad"](4)
+    case = get_case("sin2d")
+    system = assemble(mesh, 1, case.f, case.g)
+    sol = solve(system)
+    l2_projection_error(mesh, 1, case.u, sol, system.cache)
+    energy_error(mesh, 1, case.u, case.grad_u, sol, system.cache)
+    stacks = [stack for stack, *_ in system.cache.batches()]
+    assert stacks and all("h1" not in vars(stack) for stack in stacks)
+    discrete_h1_norm(mesh, 1, sol.full_vector(system.cache.dofmap), system.cache)
+    assert all("h1" in vars(stack) for stack in stacks)
+
+
 def test_norm_equivalence_window_small_levels():
     """Ratio |||v||| / ||v||_1h stays within the doubled level-2 window."""
     k = 0
@@ -416,7 +451,7 @@ def test_condensation_maps_constants_to_constants(k):
         for stack, *_ in OperatorCache(GENERATORS[family](3), k).batches():
             K00_inv, X, S = stack.condensed
             n0 = K00_inv.shape[-1]
-            ones_b = np.tile(np.eye(k + 1)[0], stack.n_sides)
+            ones_b = np.tile(np.eye(k + 1)[0], S.shape[-1] // (k + 1))
             assert np.allclose(X @ ones_b, -np.eye(n0)[0], atol=1e-10)
             assert np.abs(S @ ones_b).max() <= 1e-11 * np.abs(S).max()
             assert np.array_equal(S, S.swapaxes(-1, -2))
