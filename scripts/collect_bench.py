@@ -13,20 +13,27 @@ keeps, of each record, the workload, seed, budget, trace setting,
 environment, end-to-end metrics, per-layer metrics and failure fraction,
 and drops the spans and the per-pass solve lists.  Each side also records
 the line count of every ``src/wg_sfem/*.py`` file of its checkout
-(``src_lines``), so that the program's size is measured like its timings.
+(``src_lines``), and the number of those lines that hold code, not blank,
+comment-only or docstring lines (``src_code_lines``), so that the
+program's size is measured like its timings.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 KEPT = ("workload", "seed", "seconds", "trace", "environment", "end_to_end",
         "per_layer", "fail_frac")
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENDMARKER}
 
 
 def commit_of(checkout: Path) -> str | None:
@@ -34,6 +41,23 @@ def commit_of(checkout: Path) -> str | None:
     out = subprocess.run(["git", "-C", str(checkout), "describe", "--always", "--dirty"],
                          capture_output=True, text=True)
     return out.stdout.strip() or None
+
+
+def code_lines(text: str) -> int:
+    """The number of lines of Python source that hold a token of code: not
+    blank, not comment-only and not part of a module, class or function
+    docstring."""
+    docstrings = {(node.body[0].value.lineno, node.body[0].value.col_offset)
+                  for node in ast.walk(ast.parse(text))
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and ast.get_docstring(node, clean=False) is not None}
+    rows = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in NOT_CODE and not (tok.type == tokenize.STRING
+                                             and tok.start in docstrings):
+            rows.update(range(tok.start[0], tok.end[0] + 1))
+    return len(rows)
 
 
 def collect(checkout: Path, workloads: list[str], seed: int) -> dict:
@@ -45,9 +69,12 @@ def collect(checkout: Path, workloads: list[str], seed: int) -> dict:
                 raise FileNotFoundError(f"no run record {path}")
             record = json.loads(path.read_text(encoding="utf-8"))
             records.append({key: record[key] for key in KEPT})
-    src_lines = {path.name: len(path.read_text(encoding="utf-8").splitlines())
-                 for path in sorted((checkout / "src" / "wg_sfem").glob("*.py"))}
-    return {"commit": commit_of(checkout), "src_lines": src_lines, "records": records}
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted((checkout / "src" / "wg_sfem").glob("*.py"))}
+    return {"commit": commit_of(checkout),
+            "src_lines": {name: len(text.splitlines()) for name, text in sources.items()},
+            "src_code_lines": {name: code_lines(text) for name, text in sources.items()},
+            "records": records}
 
 
 def main(argv=None) -> int:

@@ -157,9 +157,7 @@ class ErrorReport:
     dofs: int
     l2_err: float
     energy_err: float
-    iterations: int
     residual: float
-    method: str
     l2_rate: float = math.nan
     energy_rate: float = math.nan
 
@@ -172,8 +170,12 @@ class ConvergenceTable:
     k: int
     case: str
     rows: list[ErrorReport] = field(default_factory=list)
-    partial: bool = False
     failure: str = ""
+
+    @property
+    def partial(self) -> bool:
+        """Whether a level failed (see ``failure``) and ended the study."""
+        return bool(self.failure)
 
     @property
     def reports(self) -> list[ErrorReport]:
@@ -243,11 +245,10 @@ class ConvergenceTable:
         raise ValueError(f"unknown table format '{fmt}'")
 
 
-def solve_case(mesh: PolyMesh, k: int, case: ManufacturedCase, tol: float = 1e-12,
-               cache: OperatorCache | None = None
+def solve_case(mesh: PolyMesh, k: int, case: ManufacturedCase, tol: float = 1e-12
                ) -> tuple[WGSolution, OperatorCache]:
-    """Assemble and solve one manufactured problem on a given mesh."""
-    system = assemble(mesh, k, case.f, case.g, cache=cache)
+    """Assemble and solve one manufactured problem on a mesh, with a new cache."""
+    system = assemble(mesh, k, case.f, case.g)
     return solve(system, tol=tol), system.cache
 
 
@@ -259,8 +260,7 @@ def run_level(family: str, level: int, k: int, case: ManufacturedCase,
     energy = energy_error(mesh, k, case.u, case.grad_u, solution, cache)
     return ErrorReport(
         level=level, dofs=cache.dofmap.n_dofs, l2_err=l2, energy_err=energy,
-        iterations=solution.iterations, residual=solution.residual,
-        method=solution.method,
+        residual=solution.residual,
     )
 
 
@@ -283,7 +283,6 @@ def run_convergence(family: str, k: int, levels, case: ManufacturedCase,
         try:
             rep = run_level(family, level, k, case, tol=tol)
         except SolverError as exc:
-            table.partial = True
             table.failure = f"level {level}: {exc}"
             break
         if prev is None:

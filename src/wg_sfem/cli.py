@@ -73,6 +73,8 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         if not 1 <= level <= cap:
             parser.error(f"level {level} outside [1, {cap}] for family '{family}'")
 
+    if args.out is not None and (args.out.endswith("/") or Path(args.out).is_dir()):
+        parser.error(f"--out {args.out} names a directory")
     if args.out is not None and not Path(args.out).absolute().parent.is_dir():
         parser.error(f"no directory {Path(args.out).parent} for --out {args.out}")
     if args.subcommand == "mesh":

@@ -199,7 +199,7 @@ def reference_tables(k: int) -> ReferenceTables:
 
     corner = np.array([(0, 0), (1, 0), (0, 1)], dtype=ext) - ext(1) / 3
     seg = segment_rule(2 * k + 2)
-    s_moments = (seg.weights * (2.0 * seg.points[:, None] - 1.0).T ** np.arange(k + 1)[:, None])
+    s_moments = seg.weights * edge_basis(k, 2 * k + 2).T
     flux = []
     for a, b in ((0, 1), (1, 2), (2, 0), (0, 2)):
         v = corner[b] - corner[a]
@@ -409,10 +409,6 @@ def build_lambda_basis(mesh: PolyMesh, cells, k: int) -> LambdaBasis:
         Q = samples.reshape(-1, 2 * w.size, nf) @ orth[redo]
         orth[redo] = orth[redo] @ _inverse_lower(
             np.linalg.cholesky(Q.swapaxes(-1, -2) @ Q)).swapaxes(-1, -2)
-
-    if nt == 1:
-        return LambdaBasis(cells, k, coords, B, orth,
-                           np.broadcast_to(np.eye(nf), (n_cells, nf, nf)), np.zeros(n_cells))
 
     # Chord j joins the anchor to cycle vertex j + 2 and separates fan
     # triangles j and j + 1, where it is the side v0 -> v2 and v0 -> v1.
@@ -656,11 +652,6 @@ class LocalCellOperators(NamedTuple):
     offset: np.ndarray
 
     @property
-    def stiffness(self) -> np.ndarray:
-        """Local stiffness matrix (n_local, n_local)."""
-        return self.stack.stiffness[self.index]
-
-    @property
     def weak_gradient(self) -> np.ndarray:
         """Weak-gradient matrix (n_lambda, n_local)."""
         return self.stack.weak_gradient[self.index]
@@ -786,7 +777,6 @@ class OperatorCache:
         order = np.argsort(class_of, kind="stable")
         starts = np.concatenate([[0], np.cumsum(np.bincount(class_of))])
         first = order[starts[:-1]]
-        self.n_classes = first.size
         origin = mesh.vertices[mesh.cycles[mesh.offsets[:-1]]]
         self._offset = origin - origin[first][class_of]
         n_v = np.diff(mesh.offsets)[first]

@@ -159,8 +159,8 @@ class PolyMesh:
 
 
 def _is_index(v) -> bool:
-    """Whether a cell entry is an integer (an integral float counts)."""
-    return isinstance(v, (int, np.integer)) or (
+    """Whether a cell entry is an integer: an integral float counts, a bool not."""
+    return (isinstance(v, (int, np.integer)) and not isinstance(v, bool)) or (
         isinstance(v, (float, np.floating)) and float(v).is_integer())
 
 

@@ -35,11 +35,10 @@ def data_degree(k: int) -> int:
 
 @dataclass(frozen=True)
 class QuadRule:
-    """Immutable point/weight set exact for polynomials up to exact_degree."""
+    """Immutable points and weights of a Gauss rule."""
 
     points: np.ndarray
     weights: np.ndarray
-    exact_degree: int
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -58,7 +57,7 @@ def segment_rule(degree: int) -> QuadRule:
         )
     n = degree // 2 + 1
     t, w = np.polynomial.legendre.leggauss(n)
-    return QuadRule(_readonly(0.5 * (t + 1.0)), _readonly(0.5 * w), degree)
+    return QuadRule(_readonly(0.5 * (t + 1.0)), _readonly(0.5 * w))
 
 
 @lru_cache(maxsize=None)
@@ -81,7 +80,7 @@ def triangle_rule(degree: int) -> QuadRule:
     Y = np.tile(gy, nx) * (1.0 - X)
     W = np.repeat(wx * (1.0 - gx), ny) * np.tile(wy, nx)
     pts = np.column_stack([X, Y])
-    return QuadRule(_readonly(pts), _readonly(W), degree)
+    return QuadRule(_readonly(pts), _readonly(W))
 
 
 def reference_triangle_monomial_integral(a: int, b: int) -> float:

@@ -135,8 +135,7 @@ def _block_matrix(blocks, n: int) -> sp.csr_matrix:
     cols = np.concatenate([np.tile(idx.astype(itype), idx.shape[1]).ravel() for _, idx in blocks])
     vals = np.concatenate([B.ravel() for B, _ in blocks])
     keep = (rows >= 0) & (cols >= 0)
-    if not keep.all():
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
     # Each block is exactly symmetric and COO summation adds the same cell
     # contributions for (i, j) and (j, i), so the sum is exactly symmetric.
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
@@ -342,9 +341,7 @@ def solve(system: SparseSymSystem, tol: float = 1e-12) -> WGSolution:
     gnorm = float(np.linalg.norm(g))
     x_edge = np.zeros(g.size)
     iterations, switch = 0, None
-    if bnorm == 0.0:
-        method = "trivial"
-    elif b.size < DIRECT_LIMIT:
+    if b.size < DIRECT_LIMIT:
         if g.size:
             x_edge = spsolve(S.tocsc(), g)
         method = "direct"

@@ -563,7 +563,7 @@ def loop_build_mesh(vertices, cells):
         if not hasattr(cyc, "__len__"):
             raise MeshFormatError(f"cell {ci} is not a sequence of vertex indices")
         for v in cyc:
-            if not (isinstance(v, (int, np.integer))
+            if not ((isinstance(v, (int, np.integer)) and not isinstance(v, bool))
                     or (isinstance(v, (float, np.floating)) and float(v).is_integer())):
                 raise MeshFormatError(
                     f"cell {ci} has a non-integer vertex index {np.asarray(v).tolist()!r}")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wg_sfem.analysis as analysis
 from wg_sfem.analysis import (
     CASES,
     energy_error,
@@ -20,6 +21,7 @@ from wg_sfem.analysis import (
 from wg_sfem.localspaces import OperatorCache, project_qb
 from wg_sfem.polymesh import GENERATORS, generate_quad_grid
 from wg_sfem.wgsolve import (
+    SolverError,
     WGSolution,
     assemble,
     build_dof_map,
@@ -114,7 +116,6 @@ SIN2D = get_case("sin2d")
 # Each pass as (mesh, k, cache, solution) -> result.
 PASSES = {
     "assemble": lambda mesh, k, cache, sol: assemble(mesh, k, SIN2D.f, SIN2D.g, cache=cache),
-    "solve_case": lambda mesh, k, cache, sol: solve_case(mesh, k, SIN2D, cache=cache),
     "l2_projection_error": lambda mesh, k, cache, sol:
         l2_projection_error(mesh, k, SIN2D.u, sol, cache),
     "energy_error": lambda mesh, k, cache, sol:
@@ -228,6 +229,24 @@ def test_json_layout(small_table):
     assert payload["rows"][0]["l2_rate"] is None
     assert payload["rows"][2]["l2_rate"] == small_table.rows[2].l2_rate
     assert not payload["partial"]
+
+
+def test_partial_study_names_its_failure_in_json(monkeypatch):
+    real_run_level = analysis.run_level
+
+    def failing(family, level, k, case, tol=1e-12):
+        if level >= 3:
+            raise SolverError("injected failure")
+        return real_run_level(family, level, k, case, tol=tol)
+
+    monkeypatch.setattr(analysis, "run_level", failing)
+    table = run_convergence("square", 0, range(2, 5), get_case("sin2d"))
+    assert table.partial and table.failure == "level 3: injected failure"
+    assert [row.level for row in table.rows] == [2]
+    payload = json.loads(table.to_json())
+    assert payload["partial"] is True
+    assert payload["failure"] == "level 3: injected failure"
+    assert len(payload["rows"]) == 1
 
 
 def test_render_dispatch(small_table):

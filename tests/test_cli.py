@@ -70,6 +70,12 @@ def test_out_into_a_missing_directory_exits_2_before_any_work(subcommand, tmp_pa
         run_cli([*subcommand, "--out", str(out)])
     assert exc.value.code == 2
     assert str(out.parent) in capsys.readouterr().err
+    # Nor can a directory, existing or named by a trailing slash.
+    for directory in (str(tmp_path), f"{tmp_path / 'new'}/"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*subcommand, "--out", directory])
+        assert exc.value.code == 2
+        assert f"--out {directory} names a directory" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- solve
@@ -156,7 +162,10 @@ DART = [(1.0, 0.0), (0.2, 0.2), (0.0, 1.0), (0.0, 0.0)]
     (json.dumps({"vertices": DART, "cells": [[0, 1, 2, 3]]}), "cell 0"),
     (json.dumps({"vertices": DART, "cells": 5}), "cells must be a sequence"),
     (json.dumps({"vertices": DART, "cells": []}), "mesh has no cells"),
-], ids=["missing-file", "malformed-json", "dart", "cells-not-a-sequence", "no-cells"])
+    (json.dumps({"vertices": DART, "cells": [[0, True, 2, 3]]}),
+     "cell 0 has a non-integer vertex index True"),
+], ids=["missing-file", "malformed-json", "dart", "cells-not-a-sequence", "no-cells",
+        "bool-index"])
 def test_solve_bad_mesh_file_exits_2_naming_the_file_or_cell(content, names, tmp_path, capsys):
     """A dart anchored next to its reflex vertex is not star-shaped about
     its first vertex, so the cache cannot build its fan; a cell list that is
@@ -251,6 +260,12 @@ def test_convergence_partial_failure_exits_4(tmp_path, capsys, monkeypatch):
     assert "injected failure" in captured.err
     lines = out.read_text().splitlines()
     assert len(lines) == 2  # header + the one completed level
+    # As JSON, the table says that it is partial and why.
+    assert run_cli(["convergence", "--family", "square", "--degree", "0",
+                    "--levels", "3:5", "--format", "json"]) == 4
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["partial"] is True and payload["failure"] == "level 4: injected failure"
+    assert [row["level"] for row in payload["rows"]] == [3]
 
 
 def test_solve_solver_failure_exits_3(capsys, monkeypatch):

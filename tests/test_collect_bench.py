@@ -72,3 +72,33 @@ def test_collect_reports_a_missing_record(collect_bench, tmp_path, capsys):
     assert code == 2
     assert "no run record" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+MODULE = '''"""Module docstring
+over two lines."""
+
+# a comment
+import os  # a trailing comment
+
+
+class A:
+    """Class docstring."""
+
+    def f(self, x):
+        """Function
+        docstring."""
+        s = """a string
+that is code"""
+        return (x +
+                1)
+'''
+
+
+def test_code_lines_skip_blank_comment_and_docstring_lines(collect_bench, tmp_path):
+    """Code: the import, class, def, the two lines of s and of return."""
+    assert collect_bench.code_lines(MODULE) == 7
+    _write_sources(tmp_path, {"a.py": 3})
+    (tmp_path / "src" / "wg_sfem" / "b.py").write_text(MODULE)
+    side = collect_bench.collect(tmp_path, [], 3)
+    assert side["src_lines"] == {"a.py": 3, "b.py": len(MODULE.splitlines())}
+    assert side["src_code_lines"] == {"a.py": 3, "b.py": 7}

@@ -263,7 +263,7 @@ def test_weak_gradient_of_constant_vanishes():
         for c in range(mesh.n_cells):
             ops = fresh_cell(mesh, c, 1)
             n_sides = len(mesh.cells[c])
-            local = np.zeros(ops.stiffness.shape[0])
+            local = np.zeros(ops.weak_gradient.shape[1])
             local[0] = 1.0
             for s in range(n_sides):
                 local[dim_pk(1) + s * 2] = 1.0
@@ -291,7 +291,7 @@ def test_weak_gradient_single_edge_k0_dense_oracle():
     b_j = integral over the edge of (basis field . outward normal)."""
     ops = fresh_cell(UNIT_SQUARE, 0, 0)
     side = 2
-    local = np.zeros(ops.stiffness.shape[0])
+    local = np.zeros(ops.weak_gradient.shape[1])
     local[1 + side] = 1.0
     gw = ops.apply_weak_gradient(local)
 
@@ -322,13 +322,13 @@ def test_local_stiffness_kernel_is_constants():
         for c in (0, mesh.n_cells - 1):
             for k in (0, 1, 2):
                 ops = fresh_cell(mesh, c, k)
-                K = ops.stiffness
+                K = ops.stack.stiffness[ops.index]
                 assert np.array_equal(K, K.T)
                 vals, vecs = np.linalg.eigh(K)
                 lam_max = vals[-1]
                 n_null = int(np.sum(vals < 1e-11 * lam_max))
                 assert n_null == 1, (family, c, k)
-                const = np.zeros(ops.stiffness.shape[0])
+                const = np.zeros(ops.weak_gradient.shape[1])
                 const[0] = 1.0
                 for s in range(len(mesh.cells[c])):
                     const[dim_pk(k) + s * (k + 1)] = 1.0
@@ -584,7 +584,8 @@ def _assert_view_matches_fresh(mesh, cache, c, coeffs):
     # Rotate the fresh build's weak-gradient basis onto the view's.
     R = (coeffs[id(view.stack)][view.index].T
          @ build_lambda_basis(mesh, [c], cache.k).coeffs[0])
-    _assert_rel_close(view.stiffness, fresh.stiffness, (c, "stiffness"))
+    _assert_rel_close(view.stack.stiffness[view.index], fresh.stack.stiffness[0],
+                      (c, "stiffness"))
     _assert_rel_close(view.project_interior(_sin_sin), fresh.project_interior(_sin_sin),
                       (c, "project_interior"))
     _assert_rel_close(view.project_lambda_field(_sin_sin_grad),
@@ -627,7 +628,7 @@ def test_interleaved_gets_do_not_alias_the_class_operators():
 def test_reused_operators_match_fresh_build_on_every_cell(family, level, k):
     mesh = GENERATORS[family](level)
     cache = OperatorCache(mesh, k)
-    assert cache.n_classes < mesh.n_cells
+    assert shape_classes(mesh).max() + 1 < mesh.n_cells
     coeffs = _stack_coeffs(mesh, cache)
     for c in range(mesh.n_cells):
         _assert_view_matches_fresh(mesh, cache, c, coeffs)
@@ -655,8 +656,9 @@ def bench_workloads():
 def test_shape_class_census_on_generated_meshes(family, n_classes, bench_workloads):
     mesh = GENERATORS[family](5)
     cache = OperatorCache(mesh, 1)
-    assert cache.n_classes == n_classes
-    assert cache.n_classes == bench_workloads.count_shape_classes(mesh.vertices, mesh.cells)
+    n_found = shape_classes(mesh).max() + 1
+    assert n_found == n_classes
+    assert n_found == bench_workloads.count_shape_classes(mesh.vertices, mesh.cells)
     cells = np.concatenate([cells for _, _, cells, _, _ in cache.batches()])
     assert sorted(cells.tolist()) == list(range(mesh.n_cells))
 
@@ -686,7 +688,7 @@ def _jittered_square_mesh(level=4, seed=5):
 def test_jittered_cells_are_never_merged():
     mesh = _jittered_square_mesh()
     cache = OperatorCache(mesh, 1)
-    assert cache.n_classes == mesh.n_cells
+    assert shape_classes(mesh).max() + 1 == mesh.n_cells
     coeffs = _stack_coeffs(mesh, cache)
     for c in (0, 17, mesh.n_cells - 1):
         _assert_view_matches_fresh(mesh, cache, c, coeffs)
@@ -702,8 +704,9 @@ def test_translated_quads_with_other_side_orientations_get_own_class(k):
     mesh = build_mesh(verts, [(0, 1, 2, 3), (4, 7, 6, 5)])
     assert np.allclose(cell_vertices(mesh, 1) - cell_vertices(mesh, 0), (2.0, 0.5))
     cache = OperatorCache(mesh, k)
-    assert cache.n_classes == 2
-    assert not np.allclose(cache.get(0).stiffness, cache.get(1).stiffness)
+    assert shape_classes(mesh).max() + 1 == 2
+    v0, v1 = cache.get(0), cache.get(1)
+    assert not np.allclose(v0.stack.stiffness[v0.index], v1.stack.stiffness[v1.index])
     coeffs = _stack_coeffs(mesh, cache)
     for c in (0, 1):
         _assert_view_matches_fresh(mesh, cache, c, coeffs)
@@ -723,7 +726,7 @@ def test_condition_warning_fires_once_per_class_naming_its_first_cell(monkeypatc
         for row, c in zip(rows.tolist(), cells.tolist()):
             key = (id(stack), row)
             firsts[key] = min(firsts.get(key, c), c)
-    assert cache.n_classes == 4
+    assert shape_classes(mesh).max() + 1 == 4
     assert named == sorted(firsts.values())
 
 

@@ -291,6 +291,7 @@ def test_read_rejects_dangling_vertex_index(tmp_path):
     ("[[0, 1, 2, 3], 5]", "[0, 0]", "cell 1 is not a sequence of vertex indices"),
     ("[[0, 1, null, 3]]", "[0, 0]", "cell 0 has a non-integer vertex index None"),
     ("[[0, \"a\", 2, 3]]", "[0, 0]", "cell 0 has a non-integer vertex index 'a'"),
+    ("[[0, true, 2, 3]]", "[0, 0]", "cell 0 has a non-integer vertex index True"),
     ("[[0, 1, 2, 3]]", "[NaN, 0]", "vertex 0 has a non-finite coordinate (nan, 0.0)"),
     ("[[0, 1, 2, 3]]", "[0, Infinity]", "vertex 0 has a non-finite coordinate (0.0, inf)"),
 ])
@@ -306,6 +307,19 @@ def test_read_rejects_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     with pytest.raises(MeshFormatError, match="malformed"):
+        read_mesh(path)
+
+
+@pytest.mark.parametrize("payload,message", [
+    ("[[0, 0], [1, 0], [0, 1]]", "must be an object"),
+    ('{"vertices": [[0, 0], [1, 0], [0, 1]]}', "is missing 'cells'"),
+    ('{"dim": 3, "vertices": [[0, 0], [1, 0], [0, 1]], "cells": [[0, 1, 2]]}',
+     "has unsupported dim 3"),
+], ids=["not-an-object", "no-cells-key", "dim-3"])
+def test_read_rejects_a_payload_that_is_not_a_2d_mesh_object(tmp_path, payload, message):
+    path = tmp_path / "bad.json"
+    path.write_text(payload)
+    with pytest.raises(MeshFormatError, match=f"^mesh JSON in {re.escape(str(path))} {message}$"):
         read_mesh(path)
 
 
@@ -449,6 +463,8 @@ MALFORMED = {
     "bare-number-cell": (SQUARES, [(0, 1, 2, 3), 5]),
     "null-index": (SQUARES, [(0, 1, 2, 3), (4, None, 6, 7)]),
     "string-index": (SQUARES, [(0, 1, 2, 3), (4, "a", 6, 7)]),
+    "bool-index": (SQUARES, [(0, 1, 2, 3), (4, True, 6, 7)]),
+    "bool-array-cells": (SQUARES, np.array([(0, 1, 1, 1), (1, 1, 0, 1)], dtype=bool)),
     "huge-index": (SQUARES, [(0, 1, 2, 3), (4, 5, 2**70, 7)]),
     "short-before-non-integer": (SQUARES, [(0, 1), (4, 5.5, 6, 7)]),
     "non-integer-before-short": (SQUARES, [(0, 1.5)]),
@@ -480,6 +496,7 @@ def test_malformed_input_raises_the_loop_oracle_error(name):
     ("bare-number-cell", "cell 1 is not a sequence of vertex indices"),
     ("null-index", "cell 1 has a non-integer vertex index None"),
     ("string-index", "cell 1 has a non-integer vertex index 'a'"),
+    ("bool-index", "cell 1 has a non-integer vertex index True"),
     ("nan-vertex", "vertex 1 has a non-finite coordinate (1.0, nan)"),
     ("inf-vertex", "vertex 2 has a non-finite coordinate (inf, 1.0)"),
 ])

@@ -66,6 +66,8 @@ def test_degree_guards():
         triangle_rule(MAX_TRIANGLE_DEGREE + 1)
     with pytest.raises(UnsupportedDegreeError):
         segment_rule(-1)
+    with pytest.raises(UnsupportedDegreeError):
+        triangle_rule(-1)
 
 
 def integrate_cell(mesh, cell, f, degree):

@@ -219,7 +219,8 @@ def test_single_cell_dense_oracle():
     ops = cache.get(0)
     _, w = triangle_points(mesh.vertices[np.array(triangulate_cell(mesh, 0).triangles)], 4)
     load = w.sum()
-    assert sol.u0[0, 0] == pytest.approx(load / ops.stiffness[0, 0], rel=1e-13)
+    K = ops.stack.stiffness[ops.index]
+    assert sol.u0[0, 0] == pytest.approx(load / K[0, 0], rel=1e-13)
 
 
 def test_pcg_contract_on_random_spd_system():
@@ -236,6 +237,25 @@ def test_pcg_detects_indefinite_matrix():
     A = sp.csr_matrix(np.diag([1.0, 1.0, -1.0]))
     with pytest.raises(SolverStructureError):
         _pcg(A, np.array([0.0, 0.0, 1.0]), 1e-12)
+
+
+def test_pcg_detects_negative_curvature_behind_a_positive_diagonal():
+    """Jacobi keeps b = (1, -1) as the first direction, where p'Ap = -2."""
+    A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(SolverStructureError, match=r"p'Ap = -2\.000e\+00"):
+        _pcg(A, np.array([1.0, -1.0]), 1e-12)
+
+
+def test_zero_data_on_the_pcg_path_is_zero_without_building_the_cycle(monkeypatch):
+    """Zero data reach _pcg as b = 0, which it answers at once."""
+    def refuse(*args):
+        raise AssertionError("multilevel cycle built")
+
+    monkeypatch.setattr(wgsolve, "_multilevel", refuse)
+    monkeypatch.setattr(wgsolve, "DIRECT_LIMIT", 0)
+    sol = solve(assemble(generate_square_grid(4), 1, zero, None))
+    assert (sol.method, sol.iterations, sol.residual) == ("pcg", 0, 0.0)
+    assert not sol.u0.any() and not sol.ub.any()
 
 
 def test_direct_and_pcg_paths_agree():
