@@ -48,9 +48,9 @@ import numpy as np
 
 from .polymesh import (
     PolyMesh,
+    StarShapeError,
     fan_triangles,
     first_appearance_labels,
-    polygon_area,
     polygon_centroid,
     polygon_diameter,
 )
@@ -76,7 +76,7 @@ class DegreeError(ValueError):
 
 
 class GeometryError(ValueError):
-    """Degenerate geometry (zero-area triangle)."""
+    """Degenerate geometry: a fan triangle's RT Gram is not positive definite."""
 
 
 class LambdaDimensionError(RuntimeError):
@@ -346,8 +346,9 @@ def build_lambda_basis(mesh: PolyMesh, cells, k: int) -> LambdaBasis:
     sub-triangles, the mismatch of their divergences over the centered
     reference monomials of the second.  Each row is scaled to unit norm.  Parent polygon sides
     coincide with single sub-triangle edges, so boundary traces are
-    single-piece automatically.  Geometry and dimension errors name the
-    offending cell.
+    single-piece automatically.  A fan triangle with at most 1e-12 of its
+    cell's area raises StarShapeError; geometry and dimension errors also
+    name the offending cell.
 
     A RuntimeWarning names each cell where (max L_ii / min L_ii)^2 of a fan
     triangle's Gram factor L exceeds CONDITION_WARN.  That is a lower bound
@@ -358,19 +359,19 @@ def build_lambda_basis(mesh: PolyMesh, cells, k: int) -> LambdaBasis:
     tris = fan_triangles(mesh, cells)
     coords = mesh.vertices[tris]
     n_cells, nt = tris.shape[:2]
-
-    area = polygon_area(coords)
-    bad = np.argwhere(area < 1e-14)
-    if bad.size:
-        s, t = bad[0]
-        raise GeometryError(
-            f"sub-triangle {tuple(tris[s, t].tolist())} of cell {cells[s]} is "
-            f"degenerate (area {area[s, t]:.3e})"
-        )
     ref = reference_tables(k)
     nf = ref.gram.shape[-1]
     B = (coords[..., 1:, :] - coords[..., :1, :]).swapaxes(-1, -2)
     det = _det(B)
+    # det B is twice a fan triangle's signed area; the fan's sum to the cell's.
+    bad = np.argwhere(det <= 1e-12 * det.sum(axis=1, keepdims=True))
+    if bad.size:
+        s, t = bad[0]
+        raise StarShapeError(
+            f"cell {cells[s]} is not star-shaped with respect to its first "
+            f"vertex (fan triangle {tuple(tris[s, t].tolist())} has area "
+            f"{det[s, t] / 2:.3e}); re-anchor the cell cycle at a different vertex"
+        )
 
     # Orthonormalize each triangle's fields by Cholesky against their Gram,
     # G = L L^T and orth = L^-T.  The reference basis is orthonormal, so

@@ -355,25 +355,11 @@ GENERATORS = {
 
 def fan_triangles(mesh: PolyMesh, cells) -> np.ndarray:
     """Vertex indices of the fan triangles (anchor, v_i, v_{i+1}) of cells
-    with one vertex count, shape (n_cells, n_v - 2, 3).
-
-    Raises StarShapeError naming the first of the cells that is not
-    star-shaped with respect to its first cycle vertex.
-    """
-    cells = np.asarray(cells)
+    with one vertex count, shape (n_cells, n_v - 2, 3), anchored at each
+    cell's first cycle vertex (build_lambda_basis checks the anchor)."""
     cyc = mesh.cell_cycles(cells)
     i = np.arange(1, cyc.shape[1] - 1)
-    tris = cyc[:, np.stack([np.zeros_like(i), i, i + 1], axis=1)]
-    area = polygon_area(mesh.vertices[tris])
-    bad = np.argwhere(area <= 1e-12 * polygon_area(mesh.vertices[cyc])[:, None])
-    if bad.size:
-        s, t = bad[0]
-        raise StarShapeError(
-            f"cell {cells[s]} is not star-shaped with respect to its first "
-            f"vertex (fan triangle {tuple(tris[s, t].tolist())} has area "
-            f"{area[s, t]:.3e}); re-anchor the cell cycle at a different vertex"
-        )
-    return tris
+    return cyc[:, np.stack([np.zeros_like(i), i, i + 1], axis=1)]
 
 
 def write_mesh(mesh: PolyMesh, path) -> None:

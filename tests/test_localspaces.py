@@ -52,6 +52,8 @@ from helpers import (
 )
 
 UNIT_SQUARE = build_mesh([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2, 3)])
+# A quad whose first fan triangle is 1e-8 high.
+SLIVER = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1e-8), (0.0, 1.0)])
 
 
 def rt_fields(lam, tri, pts):
@@ -123,12 +125,26 @@ def test_rt2_gram_matrix_full_rank():
 
 
 def test_rt_degenerate_triangle_rejected():
-    # Star-shaped, but both fan triangles have area 5e-15.
-    mesh = build_mesh(
-        1e-7 * np.array([(0, 0), (1, 0), (1, 1), (0, 1)]), [(0, 1, 2, 3)]
-    )
-    with pytest.raises(GeometryError):
-        build_lambda_basis(mesh, 0, 1)
+    # Star-shaped, but the first fan triangle is a sliver 1e-8 high: its RT
+    # Gram is not positive definite in double precision.
+    mesh = build_mesh(SLIVER, [(0, 1, 2, 3)])
+    for k in (0, 1, MAX_DEGREE):
+        with pytest.raises(GeometryError, match=r"^sub-triangle \(0, 1, 2\) of cell 0: singular"):
+            build_lambda_basis(mesh, 0, k)
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1e-9])
+@pytest.mark.parametrize("family", ["quad", "hex"])
+def test_small_meshes_build_with_the_unit_mesh_stiffness(family, scale):
+    """No absolute size limit: the stiffness is scale-free in 2D, so a
+    mesh scaled down builds the unit mesh's to rounding (5e-14 measured)."""
+    mesh = GENERATORS[family](3)
+    small = build_mesh(scale * mesh.vertices, mesh.cells)
+    for k in range(MAX_DEGREE + 1):
+        unit, scaled = OperatorCache(mesh, k), OperatorCache(small, k)
+        for c in range(mesh.n_cells):
+            want, got = (ops.stack.stiffness[ops.index] for ops in (unit.get(c), scaled.get(c)))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_degree_cap():
@@ -823,8 +839,8 @@ SQUARE = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
 @pytest.mark.parametrize("middle,error,rtol,singular", [
     # A dart anchored next to its reflex vertex.
     ([(1.0, 0.0), (0.2, 0.2), (0.0, 1.0), (0.0, 0.0)], StarShapeError, None, False),
-    # Star-shaped, but both fan triangles have area 5e-15.
-    (1e-7 * SQUARE, GeometryError, None, False),
+    # Star-shaped, but the first fan triangle's RT Gram is singular.
+    (SLIVER, GeometryError, None, False),
     # A short side: at this rtol the squares still pass the dimension law.
     ([(0.0, 0.0), (1.0, 0.0), (1.0, 0.02), (0.0, 1.0)], LambdaDimensionError, 0.1, False),
     # A sound square whose first fan triangle's RT Gram reads zero, so the

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wg_sfem.localspaces import build_lambda_basis
 from wg_sfem.polymesh import (
     GENERATORS,
     MeshFormatError,
@@ -246,8 +247,9 @@ def test_fan_rejects_non_star_anchor():
     mesh = build_mesh(
         [(0, 0), (2, 1), (4, 0), (2, 3)], [(0, 1, 2, 3)]
     )
-    with pytest.raises(StarShapeError, match="re-anchor"):
-        triangulate_cell(mesh, 0)
+    with pytest.raises(StarShapeError, match=r"fan triangle \(0, 1, 2\) has area "
+                                             r"-2\.000e\+00\); re-anchor"):
+        build_lambda_basis(mesh, 0, 1)
 
 
 # ---------------------------------------------------------------- mesh I/O
