@@ -180,13 +180,13 @@ def test_solve_bad_mesh_file_exits_2_naming_the_file_or_cell(content, names, tmp
 
 
 def test_solve_cell_failing_the_dimension_law_exits_2(tmp_path, capsys):
-    """The random 14-gon of the inscribed-polygon tests has a numerical
-    nullspace of dimension 201 at k = 4, where the law asks for 200."""
-    angles = np.sort(np.random.default_rng(0).uniform(0, 2 * np.pi, 14))
+    """A quad whose second fan triangle is a needle 2000 long, reaching far
+    along the chord, has a numerical nullspace of dimension 52 at k = 4,
+    where the law asks for 50: two relative singular values, 7.7e-12 and
+    1.2e-12, fall below the cut, and the next lies at 1.3e-9."""
     path = tmp_path / "mesh.json"
-    path.write_text(json.dumps({"vertices": np.column_stack([np.cos(angles),
-                                                             np.sin(angles)]).tolist(),
-                                "cells": [list(range(14))]}))
+    path.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [1, 1], [2000, 2000.5]],
+                                "cells": [[0, 1, 2, 3]]}))
     assert run_cli(["solve", "--mesh", str(path), "--degree", "4"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
