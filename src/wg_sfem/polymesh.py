@@ -178,7 +178,7 @@ def _cycle_array(flat, nv: int) -> np.ndarray:
 def build_mesh(vertices, cells) -> PolyMesh:
     """Assemble and validate a PolyMesh from raw vertices and cell cycles
     (an (n_cells, n_v) array or a sequence of sequences).  Coordinates must
-    be finite and vertex indices integers.  The checks run on whole arrays;
+    be finite numbers, not bools, and vertex indices integers.  The checks run on whole arrays;
     an error names what a scan vertex by vertex, then cell by cell and side
     by side, would meet first, and edges are numbered by first encounter in
     it."""
@@ -188,10 +188,15 @@ def build_mesh(vertices, cells) -> PolyMesh:
         raise MeshFormatError("vertices must be an (n, 2) array of numbers") from None
     if verts.ndim != 2 or verts.shape[1] != 2:
         raise MeshFormatError("vertices must be an (n, 2) array")
-    bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
-    if bad.size:
-        raise MeshFormatError(
-            f"vertex {bad[0]} has a non-finite coordinate {tuple(verts[bad[0]].tolist())}")
+    bad = ~np.isfinite(verts).all(axis=1)
+    if not isinstance(vertices, np.ndarray) or vertices.dtype.kind in "bO":
+        if set(map(type, chain.from_iterable(vertices))) & {bool, np.bool_}:
+            bad |= [any(isinstance(v, (bool, np.bool_)) for v in row) for row in vertices]
+    if bad.any():
+        i = np.argmax(bad)
+        flags = [bool(v) for v in vertices[i] if isinstance(v, (bool, np.bool_))]
+        raise MeshFormatError(f"vertex {i} has a non-numeric coordinate {flags[0]}" if flags else
+                              f"vertex {i} has a non-finite coordinate {tuple(verts[i].tolist())}")
     nv = verts.shape[0]
     try:
         n_cells = len(cells)

@@ -549,7 +549,10 @@ def loop_build_mesh(vertices, cells):
         raise MeshFormatError("vertices must be an (n, 2) array of numbers") from None
     if verts.ndim != 2 or verts.shape[1] != 2:
         raise MeshFormatError("vertices must be an (n, 2) array")
-    for i, (x, y) in enumerate(verts.tolist()):
+    for i, (row, (x, y)) in enumerate(zip(vertices, verts.tolist())):
+        for v in row:
+            if isinstance(v, (bool, np.bool_)):
+                raise MeshFormatError(f"vertex {i} has a non-numeric coordinate {bool(v)}")
         if not (np.isfinite(x) and np.isfinite(y)):
             raise MeshFormatError(f"vertex {i} has a non-finite coordinate {(x, y)}")
     nv = verts.shape[0]

@@ -164,8 +164,10 @@ DART = [(1.0, 0.0), (0.2, 0.2), (0.0, 1.0), (0.0, 0.0)]
     (json.dumps({"vertices": DART, "cells": []}), "mesh has no cells"),
     (json.dumps({"vertices": DART, "cells": [[0, True, 2, 3]]}),
      "cell 0 has a non-integer vertex index True"),
+    (json.dumps({"vertices": [[0, 0], [True, 0], [1, 1], [0, 1]], "cells": [[0, 1, 2, 3]]}),
+     "vertex 1 has a non-numeric coordinate True"),
 ], ids=["missing-file", "malformed-json", "dart", "cells-not-a-sequence", "no-cells",
-        "bool-index"])
+        "bool-index", "bool-coordinate"])
 def test_solve_bad_mesh_file_exits_2_naming_the_file_or_cell(content, names, tmp_path, capsys):
     """A dart anchored next to its reflex vertex is not star-shaped about
     its first vertex, so the cache cannot build its fan; a cell list that is

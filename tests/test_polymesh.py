@@ -296,6 +296,7 @@ def test_read_rejects_dangling_vertex_index(tmp_path):
     ("[[0, true, 2, 3]]", "[0, 0]", "cell 0 has a non-integer vertex index True"),
     ("[[0, 1, 2, 3]]", "[NaN, 0]", "vertex 0 has a non-finite coordinate (nan, 0.0)"),
     ("[[0, 1, 2, 3]]", "[0, Infinity]", "vertex 0 has a non-finite coordinate (0.0, inf)"),
+    ("[[0, 1, 2, 3]]", "[0, false]", "vertex 0 has a non-numeric coordinate False"),
 ])
 def test_read_names_non_integer_indices_and_non_finite_coordinates(tmp_path, cells, vertex,
                                                                    message):
@@ -475,6 +476,9 @@ MALFORMED = {
     "inf-vertex": ([(0.0, 0.0), (1.0, 0.0), (float("inf"), 1.0)], [(0, 1, 2)]),
     "vertex-before-cell": ([(0.0, 0.0), (1.0, 0.0), (1.0, float("-inf"))], [(0, 1)]),
     "non-number-vertex": ([(0.0, "a"), (1.0, 0.0), (1.0, 1.0)], [(0, 1, 2)]),
+    "bool-vertex": ([(0, 0), (True, 0), (1, 1), (0, 1)], [(0, 1, 2, 3)]),
+    "bool-vertex-array": (np.array([(0, 1), (1, 1), (1, 0), (0, 0)], dtype=bool), [(0, 1, 2)]),
+    "non-finite-before-bool": ([(0, float("nan")), (True, 0), (1, 1)], [(0, 1, 2)]),
 }
 
 
@@ -501,6 +505,9 @@ def test_malformed_input_raises_the_loop_oracle_error(name):
     ("bool-index", "cell 1 has a non-integer vertex index True"),
     ("nan-vertex", "vertex 1 has a non-finite coordinate (1.0, nan)"),
     ("inf-vertex", "vertex 2 has a non-finite coordinate (inf, 1.0)"),
+    ("bool-vertex", "vertex 1 has a non-numeric coordinate True"),
+    ("bool-vertex-array", "vertex 0 has a non-numeric coordinate False"),
+    ("non-finite-before-bool", "vertex 0 has a non-finite coordinate (0.0, nan)"),
 ])
 def test_non_integer_indices_and_non_finite_coordinates_are_named(name, message):
     with pytest.raises(MeshFormatError, match=f"^{re.escape(message)}$"):
