@@ -15,7 +15,9 @@ and drops the spans and the per-pass solve lists.  Each side also records
 the line count of every ``src/wg_sfem/*.py`` file of its checkout
 (``src_lines``), and the number of those lines that hold code, not blank,
 comment-only or docstring lines (``src_code_lines``), so that the
-program's size is measured like its timings.
+program's size is measured like its timings.  A side's ``commit`` is read
+from git only when its checkout is the top of a work tree, such as a
+``git clone``; for any other copy it is null, with a warning.
 """
 
 from __future__ import annotations
@@ -37,7 +39,16 @@ NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, to
 
 
 def commit_of(checkout: Path) -> str | None:
-    """The checkout's commit, with "-dirty" if its tracked files differ."""
+    """The checkout's commit, with "-dirty" if its tracked files differ.  Only
+    the top of a git work tree has its own commit: for a copy without .git,
+    or one nested in another work tree (whose commit git would report), it
+    warns on stderr and returns None."""
+    top = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--show-toplevel"],
+                         capture_output=True, text=True).stdout.strip()
+    if not top or Path(top).resolve() != checkout.resolve():
+        print(f"collect_bench: {checkout} is not the top of a git work tree; "
+              "its commit is recorded as null", file=sys.stderr)
+        return None
     out = subprocess.run(["git", "-C", str(checkout), "describe", "--always", "--dirty"],
                          capture_output=True, text=True)
     return out.stdout.strip() or None

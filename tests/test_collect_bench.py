@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -102,3 +103,34 @@ def test_code_lines_skip_blank_comment_and_docstring_lines(collect_bench, tmp_pa
     side = collect_bench.collect(tmp_path, [], 3)
     assert side["src_lines"] == {"a.py": 3, "b.py": len(MODULE.splitlines())}
     assert side["src_code_lines"] == {"a.py": 3, "b.py": 7}
+
+
+def _git(cwd: Path, *args: str) -> str:
+    return subprocess.run(["git", "-C", str(cwd), "-c", "user.name=bench", "-c",
+                           "user.email=bench@example.com", *args],
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
+def test_commit_is_that_of_the_top_of_a_work_tree(collect_bench, tmp_path, capsys):
+    tree = tmp_path / "tree"
+    _write_sources(tree, {"a.py": 1})
+    _git(tree, "init", "-q")
+    _git(tree, "add", "-A")
+    _git(tree, "commit", "-q", "-m", "sources")
+    assert collect_bench.commit_of(tree) == _git(tree, "rev-parse", "--short", "HEAD")
+    (tree / "src" / "wg_sfem" / "a.py").write_text("x = 1\n")
+    assert collect_bench.commit_of(tree).endswith("-dirty")
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["lone-copy", "copy-in-a-work-tree"])
+def test_commit_of_a_copy_is_null_with_a_warning(collect_bench, tmp_path, capsys, nested):
+    """A copy without .git has no commit; one placed inside another work
+    tree would otherwise report the outer tree's."""
+    if nested:
+        _git(tmp_path, "init", "-q")
+        _git(tmp_path, "commit", "-q", "--allow-empty", "-m", "outer")
+    copy = tmp_path / "copy"
+    _write_sources(copy, {"a.py": 1})
+    assert collect_bench.collect(copy, [], 3)["commit"] is None
+    assert "is not the top of a git work tree" in capsys.readouterr().err
