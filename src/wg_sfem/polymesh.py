@@ -158,6 +158,11 @@ class PolyMesh:
         return _gather(self.sides, self.offsets, cells)
 
 
+def _is_number(v) -> bool:
+    """Whether a coordinate is a number, not a bool or a string, which float() also reads."""
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
 def _is_index(v) -> bool:
     """Whether a cell entry is an integer: an integral float counts, a bool not."""
     return (isinstance(v, (int, np.integer)) and not isinstance(v, bool)) or (
@@ -178,10 +183,10 @@ def _cycle_array(flat, nv: int) -> np.ndarray:
 def build_mesh(vertices, cells) -> PolyMesh:
     """Assemble and validate a PolyMesh from raw vertices and cell cycles
     (an (n_cells, n_v) array or a sequence of sequences).  Coordinates must
-    be finite numbers, not bools, and vertex indices integers.  The checks run on whole arrays;
-    an error names what a scan vertex by vertex, then cell by cell and side
-    by side, would meet first, and edges are numbered by first encounter in
-    it."""
+    be finite numbers, not bools or strings, and vertex indices integers.
+    The checks run on whole arrays; an error names what a scan vertex by
+    vertex, then cell by cell and side by side, would meet first, and edges
+    are numbered by first encounter in it."""
     try:
         verts = np.array(vertices, dtype=float)
     except (TypeError, ValueError):
@@ -189,13 +194,13 @@ def build_mesh(vertices, cells) -> PolyMesh:
     if verts.ndim != 2 or verts.shape[1] != 2:
         raise MeshFormatError("vertices must be an (n, 2) array")
     bad = ~np.isfinite(verts).all(axis=1)
-    if not isinstance(vertices, np.ndarray) or vertices.dtype.kind in "bO":
-        if set(map(type, chain.from_iterable(vertices))) & {bool, np.bool_}:
-            bad |= [any(isinstance(v, (bool, np.bool_)) for v in row) for row in vertices]
+    if not (vertices.dtype.kind in "fiu" if isinstance(vertices, np.ndarray)
+            else set(map(type, chain.from_iterable(vertices))) <= {int, float}):
+        bad |= [not all(map(_is_number, row)) for row in vertices]
     if bad.any():
         i = np.argmax(bad)
-        flags = [bool(v) for v in vertices[i] if isinstance(v, (bool, np.bool_))]
-        raise MeshFormatError(f"vertex {i} has a non-numeric coordinate {flags[0]}" if flags else
+        odd = [np.asarray(v).tolist() for v in vertices[i] if not _is_number(v)]
+        raise MeshFormatError(f"vertex {i} has a non-numeric coordinate {odd[0]!r}" if odd else
                               f"vertex {i} has a non-finite coordinate {tuple(verts[i].tolist())}")
     nv = verts.shape[0]
     try:

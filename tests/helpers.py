@@ -551,8 +551,9 @@ def loop_build_mesh(vertices, cells):
         raise MeshFormatError("vertices must be an (n, 2) array")
     for i, (row, (x, y)) in enumerate(zip(vertices, verts.tolist())):
         for v in row:
-            if isinstance(v, (bool, np.bool_)):
-                raise MeshFormatError(f"vertex {i} has a non-numeric coordinate {bool(v)}")
+            if isinstance(v, (bool, np.bool_, str, np.str_)):
+                raise MeshFormatError(
+                    f"vertex {i} has a non-numeric coordinate {np.asarray(v).tolist()!r}")
         if not (np.isfinite(x) and np.isfinite(y)):
             raise MeshFormatError(f"vertex {i} has a non-finite coordinate {(x, y)}")
     nv = verts.shape[0]

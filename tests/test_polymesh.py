@@ -297,6 +297,7 @@ def test_read_rejects_dangling_vertex_index(tmp_path):
     ("[[0, 1, 2, 3]]", "[NaN, 0]", "vertex 0 has a non-finite coordinate (nan, 0.0)"),
     ("[[0, 1, 2, 3]]", "[0, Infinity]", "vertex 0 has a non-finite coordinate (0.0, inf)"),
     ("[[0, 1, 2, 3]]", "[0, false]", "vertex 0 has a non-numeric coordinate False"),
+    ("[[0, 1, 2, 3]]", '["0", 0]', "vertex 0 has a non-numeric coordinate '0'"),
 ])
 def test_read_names_non_integer_indices_and_non_finite_coordinates(tmp_path, cells, vertex,
                                                                    message):
@@ -479,6 +480,8 @@ MALFORMED = {
     "bool-vertex": ([(0, 0), (True, 0), (1, 1), (0, 1)], [(0, 1, 2, 3)]),
     "bool-vertex-array": (np.array([(0, 1), (1, 1), (1, 0), (0, 0)], dtype=bool), [(0, 1, 2)]),
     "non-finite-before-bool": ([(0, float("nan")), (True, 0), (1, 1)], [(0, 1, 2)]),
+    "numeric-string-vertex": ([(0, 0), (1, 0), (1, "1.5"), (0, 1)], [(0, 1, 2, 3)]),
+    "string-array-vertex": (np.array([("0", "0"), ("1", "0"), ("0", "1")]), [(0, 1, 2)]),
 }
 
 
@@ -508,6 +511,8 @@ def test_malformed_input_raises_the_loop_oracle_error(name):
     ("bool-vertex", "vertex 1 has a non-numeric coordinate True"),
     ("bool-vertex-array", "vertex 0 has a non-numeric coordinate False"),
     ("non-finite-before-bool", "vertex 0 has a non-finite coordinate (0.0, nan)"),
+    ("numeric-string-vertex", "vertex 2 has a non-numeric coordinate '1.5'"),
+    ("string-array-vertex", "vertex 0 has a non-numeric coordinate '0'"),
 ])
 def test_non_integer_indices_and_non_finite_coordinates_are_named(name, message):
     with pytest.raises(MeshFormatError, match=f"^{re.escape(message)}$"):
