@@ -19,9 +19,9 @@ frame from the cell to the reference triangle.  The data passes evaluate
 only x = F(xi) and the user's function per point.
 
 The weak-gradient space of a cell is the nullspace of the constraint system
-(normal-jump moments on fan chords; divergence-coefficient mismatch between
-each sub-triangle and the largest one, in the reference frame of the first;
-each row scaled to unit norm), extracted by a complete QR factorization, with a hard
+(normal-jump moments on fan chords; divergence mismatch between each
+sub-triangle and the largest one, over the first's reference monomials;
+rows of unit norm), found by a complete QR factorization, with a hard
 expected-dimension check on the constraint singular values.
 
 Everything is built for a stack of cells with one vertex count at once
@@ -345,10 +345,10 @@ def build_lambda_basis(mesh: PolyMesh, cells, k: int) -> LambdaBasis:
     against the k+1 edge-parameter moments; (b) for each sub-triangle but
     the largest, the mismatch of its divergence and the largest one's over
     its own centered reference monomials.  Each row is scaled to unit norm.
-    Parent polygon sides coincide with single sub-triangle edges, so boundary traces are
-    single-piece automatically.  A fan triangle with at most 1e-12 of its
-    cell's area raises StarShapeError; geometry and dimension errors also
-    name the offending cell.
+    Parent polygon sides coincide with single sub-triangle edges, so
+    boundary traces are single-piece automatically.  A fan triangle with at
+    most 1e-12 of its cell's area raises StarShapeError; geometry and
+    dimension errors also name the offending cell.
 
     A RuntimeWarning names each cell where (max L_ii / min L_ii)^2 of a fan
     triangle's Gram factor L exceeds CONDITION_WARN.  That is a lower bound
@@ -415,12 +415,10 @@ def build_lambda_basis(mesh: PolyMesh, cells, k: int) -> LambdaBasis:
     # triangles j and j + 1, where it is the side v0 -> v2 and v0 -> v1.
     # The Piola map keeps normal fluxes, so its moments are reference ones.
     left, right = ref.flux[3] @ orth[:, :-1], ref.flux[0] @ orth[:, 1:]
-    # The divergence of a Piola field is (div phi)(xi) / det B.  Each fan
-    # triangle j matches that of the largest one, * (the first of equals),
-    # over j's centered reference monomials, with g the centroids:
-    # xi_* - 1/3 = B_*^-1 B_j (xi_j - 1/3) + B_*^-1 (g_j - g_*).  The map
-    # stays bounded by |B_j| / rho_* when j is thin; one to a neighbour
-    # would not.
+    # The divergence of a Piola field is (div phi)(xi) / det B.  Fan triangle
+    # j matches that of the largest one, * (the first of equals), over j's
+    # centered reference monomials, with g the centroids: xi_* - 1/3 =
+    # B_*^-1 B_j (xi_j - 1/3) + B_*^-1 (g_j - g_*), bounded by |B_j| / rho_*.
     div = ref.div_coeffs @ orth / det[..., None, None]
     cell, star, rows = np.arange(n_cells)[:, None], det.argmax(axis=1)[:, None], np.arange(nt - 1)
     other = rows + (rows >= star)
@@ -429,11 +427,10 @@ def build_lambda_basis(mesh: PolyMesh, cells, k: int) -> LambdaBasis:
                                      (B_inv @ (g[cell, other] - g[cell, star])[..., None])[..., 0])
     jumps = np.zeros((n_cells, nt - 1, k + 1, nt, nf))
     matches = np.zeros((n_cells, nt - 1, div.shape[2], nt, nf))
+    jumps[cell, rows, :, rows] = left
+    jumps[cell, rows, :, rows + 1] = -right
     matches[cell, rows, :, star] = -shift @ div[cell, star]
     matches[cell, rows, :, other] = div[cell, other]
-    for j in range(nt - 1):
-        jumps[:, j, :, j] = left[:, j]
-        jumps[:, j, :, j + 1] = -right[:, j]
 
     C = np.concatenate([jumps.reshape(n_cells, -1, nt * nf),
                         matches.reshape(n_cells, -1, nt * nf)], axis=1)
