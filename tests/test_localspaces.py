@@ -1030,8 +1030,8 @@ def _inscribed_polygon(n, seed=None):
 
 # The largest diam^2 / area of a fan triangle is 12 and 15 for the regular
 # polygons; 5.5, 219, 33, 692 and 115 for the random 3- to 14-gons, and 249
-# for the 14-gon of seed 0, which failed the dimension law at k = 4 while
-# the divergence rows tied neighbouring fan triangles together.
+# for the 14-gon of seed 0, which passes the dimension law at k = 4 only with
+# divergence rows against the largest fan triangle.
 POLYGONS = {"regular-10": (10, None), "regular-12": (12, None),
             **{f"random-{n}": (n, n) for n in (3, 5, 7, 10, 14)}, "seed-0-14": (14, 0)}
 
