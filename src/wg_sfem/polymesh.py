@@ -165,8 +165,7 @@ def _is_number(v) -> bool:
 
 def _is_index(v) -> bool:
     """Whether a cell entry is an integer: an integral float counts, a bool not."""
-    return (isinstance(v, (int, np.integer)) and not isinstance(v, bool)) or (
-        isinstance(v, (float, np.floating)) and float(v).is_integer())
+    return _is_number(v) and (isinstance(v, (int, np.integer)) or float(v).is_integer())
 
 
 def _cycle_array(flat, nv: int) -> np.ndarray:
