@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 import wg_sfem.analysis as analysis
 from wg_sfem.analysis import (
     CASES,
+    NOISE_FLOOR,
+    ConvergenceTable,
+    ErrorReport,
     energy_error,
     energy_error_via_projection,
     get_case,
@@ -255,6 +258,122 @@ def test_render_dispatch(small_table):
     assert small_table.render("json") == small_table.to_json()
     with pytest.raises(ValueError):
         small_table.render("yaml")
+
+
+# Hand-built tables, with no solve, pin every byte of the three formats.
+COMPLETE = ConvergenceTable("square", 1, "sin2d", rows=[
+    ErrorReport(level=2, dofs=40, l2_err=0.1, energy_err=2.5, residual=3e-16),
+    ErrorReport(level=3, dofs=144, l2_err=0.0125, energy_err=0.7, residual=1.5e-15,
+                l2_rate=3.0, energy_rate=math.log2(2.5 / 0.7)),
+    ErrorReport(level=4, dofs=544, l2_err=0.025, energy_err=0.35, residual=2e-15,
+                l2_rate=-1.0, energy_rate=1.0),
+])
+PARTIAL = ConvergenceTable("hex", 2, "patch-quadratic", rows=[
+    ErrorReport(level=2, dofs=97, l2_err=NOISE_FLOOR, energy_err=4.2e-12, residual=0.0),
+    ErrorReport(level=3, dofs=361, l2_err=2.0e-14, energy_err=1.05e-12, residual=1e-13,
+                energy_rate=2.0),
+], failure="level 4: injected failure")
+
+PINNED = {
+    ("complete", "csv"): """\
+level,l2_err,l2_rate,energy_err,energy_rate
+2,0.1,,2.5,
+3,0.0125,3.0,0.7,1.8365012677171206
+4,0.025,-1.0,0.35,1.0
+""",
+    ("complete", "md"): """\
+| level | l2_err | rate | energy_err | rate |
+|------:|----------:|-----:|----------:|-----:|
+|     2 | 1.000E-01 |   --  | 2.500E+00 |   --  |
+|     3 | 1.250E-02 |  3.00 | 7.000E-01 |  1.84 |
+|     4 | 2.500E-02 | -1.00 | 3.500E-01 |  1.00 |
+""",
+    ("complete", "json"): """\
+{
+  "family": "square",
+  "k": 1,
+  "case": "sin2d",
+  "partial": false,
+  "rows": [
+    {
+      "level": 2,
+      "l2_err": 0.1,
+      "l2_rate": null,
+      "energy_err": 2.5,
+      "energy_rate": null,
+      "dofs": 40,
+      "residual": 3e-16
+    },
+    {
+      "level": 3,
+      "l2_err": 0.0125,
+      "l2_rate": 3.0,
+      "energy_err": 0.7,
+      "energy_rate": 1.8365012677171206,
+      "dofs": 144,
+      "residual": 1.5e-15
+    },
+    {
+      "level": 4,
+      "l2_err": 0.025,
+      "l2_rate": -1.0,
+      "energy_err": 0.35,
+      "energy_rate": 1.0,
+      "dofs": 544,
+      "residual": 2e-15
+    }
+  ]
+}
+""",
+    ("partial", "csv"): """\
+level,l2_err,l2_rate,energy_err,energy_rate
+2,1e-13,,4.2e-12,
+3,2e-14,,1.05e-12,2.0
+""",
+    ("partial", "md"): """\
+| level | l2_err | rate | energy_err | rate |
+|------:|----------:|-----:|----------:|-----:|
+|     2 | 1.000E-13 |   --  | 4.200E-12 |   --  |
+|     3 | 2.000E-14 |   --  | 1.050E-12 |  2.00 |
+""",
+    ("partial", "json"): """\
+{
+  "family": "hex",
+  "k": 2,
+  "case": "patch-quadratic",
+  "partial": true,
+  "rows": [
+    {
+      "level": 2,
+      "l2_err": 1e-13,
+      "l2_rate": null,
+      "energy_err": 4.2e-12,
+      "energy_rate": null,
+      "dofs": 97,
+      "residual": 0.0
+    },
+    {
+      "level": 3,
+      "l2_err": 2e-14,
+      "l2_rate": null,
+      "energy_err": 1.05e-12,
+      "energy_rate": 2.0,
+      "dofs": 361,
+      "residual": 1e-13
+    }
+  ],
+  "failure": "level 4: injected failure"
+}
+""",
+}
+
+
+@pytest.mark.parametrize("name,fmt", sorted(PINNED))
+def test_hand_built_tables_render_pinned_bytes(name, fmt):
+    table = {"complete": COMPLETE, "partial": PARTIAL}[name]
+    to_text = {"csv": table.to_csv, "md": table.to_markdown, "json": table.to_json}[fmt]
+    assert to_text() == PINNED[name, fmt]
+    assert table.render(fmt) == PINNED[name, fmt]
 
 
 def test_tables_deterministic():
