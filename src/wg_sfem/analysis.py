@@ -4,7 +4,11 @@ The L2 error compares the interior solution against the element-wise
 projection of the exact solution; the energy error compares weak-gradient
 coefficients against the projected exact gradient, using the commuting
 property of projection and weak gradient.  Rates are dyadic logs of
-consecutive errors, matching the level-halving mesh families.
+consecutive errors, matching the level-halving mesh families; a rate that
+touches NOISE_FLOOR is undefined (NaN), since exactly reproduced cases leave
+only rounding to compare.  The manufactured cases are prebuilt values in
+CASES.  A study table renders as CSV, Markdown or JSON from one record per
+row, in which an undefined rate is None.
 """
 
 from __future__ import annotations
@@ -38,65 +42,51 @@ class ManufacturedCase:
     g: object
 
 
-def _sin2d() -> ManufacturedCase:
-    def u(x, y):
-        return np.sin(np.pi * x) * np.sin(np.pi * y)
-
-    def grad_u(x, y):
-        return np.stack(
-            [
-                np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
-                np.pi * np.sin(np.pi * x) * np.cos(np.pi * y),
-            ],
-            axis=-1,
-        )
-
-    def f(x, y):
-        return 2.0 * np.pi**2 * np.sin(np.pi * x) * np.sin(np.pi * y)
-
-    return ManufacturedCase("sin2d", u, grad_u, f, u)
+def _sin2d_u(x, y):
+    return np.sin(np.pi * x) * np.sin(np.pi * y)
 
 
-def _patch_linear() -> ManufacturedCase:
-    def u(x, y):
-        return 2.0 * x + 3.0 * y - 1.0
-
-    def grad_u(x, y):
-        return np.stack([np.full_like(x, 2.0), np.full_like(y, 3.0)], axis=-1)
-
-    def f(x, y):
-        return np.zeros_like(x)
-
-    return ManufacturedCase("patch-linear", u, grad_u, f, u)
+def _sin2d_grad_u(x, y):
+    return np.stack([np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
+                     np.pi * np.sin(np.pi * x) * np.cos(np.pi * y)], axis=-1)
 
 
-def _patch_quadratic() -> ManufacturedCase:
-    def u(x, y):
-        return x**2 - y**2
-
-    def grad_u(x, y):
-        return np.stack([2.0 * x, -2.0 * y], axis=-1)
-
-    def f(x, y):
-        return np.zeros_like(x)
-
-    return ManufacturedCase("patch-quadratic", u, grad_u, f, u)
+def _sin2d_f(x, y):
+    return 2.0 * np.pi**2 * np.sin(np.pi * x) * np.sin(np.pi * y)
 
 
-CASES = {
-    "sin2d": _sin2d,
-    "patch-linear": _patch_linear,
-    "patch-quadratic": _patch_quadratic,
-}
+def _linear_u(x, y):
+    return 2.0 * x + 3.0 * y - 1.0
+
+
+def _linear_grad_u(x, y):
+    return np.stack([np.full_like(x, 2.0), np.full_like(y, 3.0)], axis=-1)
+
+
+def _quadratic_u(x, y):
+    return x**2 - y**2
+
+
+def _quadratic_grad_u(x, y):
+    return np.stack([2.0 * x, -2.0 * y], axis=-1)
+
+
+def _zero(x, y):
+    return np.zeros_like(x)
+
+
+CASES = {case.label: case for case in (
+    ManufacturedCase("sin2d", _sin2d_u, _sin2d_grad_u, _sin2d_f, _sin2d_u),
+    ManufacturedCase("patch-linear", _linear_u, _linear_grad_u, _zero, _linear_u),
+    ManufacturedCase("patch-quadratic", _quadratic_u, _quadratic_grad_u, _zero, _quadratic_u),
+)}
 
 
 def get_case(label: str) -> ManufacturedCase:
     try:
-        return CASES[label]()
+        return CASES[label]
     except KeyError:
-        raise KeyError(
-            f"unknown case '{label}'; available: {sorted(CASES)}"
-        ) from None
+        raise KeyError(f"unknown case '{label}'; available: {sorted(CASES)}") from None
 
 
 def l2_projection_error(mesh: PolyMesh, k: int, u, solution: WGSolution,
@@ -141,9 +131,14 @@ def energy_error_via_projection(mesh: PolyMesh, k: int, u, solution: WGSolution,
     return float(triple_bar_norm(mesh, k, exact - solution.full_vector(cache.dofmap), cache))
 
 
+NOISE_FLOOR = 1e-13
+
+
 def rate(e_prev: float, e_curr: float) -> float:
-    """Dyadic convergence rate; NaN marks undefined (nonpositive) input."""
-    if e_prev <= 0.0 or e_curr <= 0.0:
+    """Dyadic convergence rate log2(e_prev / e_curr).  NaN marks it undefined:
+    when either error is at most NOISE_FLOOR (an exactly reproduced case,
+    where only rounding is left to compare), which covers nonpositive input."""
+    if min(e_prev, e_curr) <= NOISE_FLOOR:
         return math.nan
     return math.log2(e_prev / e_curr)
 
@@ -182,67 +177,49 @@ class ConvergenceTable:
         """The rows, each the full ErrorReport of its level."""
         return self.rows
 
-    @staticmethod
-    def _fmt_rate(r: float) -> str:
-        return "" if math.isnan(r) else repr(r)
+    def _records(self) -> list[dict]:
+        """One record per row, in the JSON key order, an undefined rate as None;
+        every format renders these."""
+        def defined(r: float) -> float | None:
+            return None if math.isnan(r) else r
+
+        return [{"level": row.level, "l2_err": row.l2_err, "l2_rate": defined(row.l2_rate),
+                 "energy_err": row.energy_err, "energy_rate": defined(row.energy_rate),
+                 "dofs": row.dofs, "residual": row.residual} for row in self.rows]
 
     def to_csv(self) -> str:
-        lines = ["level,l2_err,l2_rate,energy_err,energy_rate"]
-        for row in self.rows:
-            lines.append(
-                f"{row.level},{row.l2_err!r},{self._fmt_rate(row.l2_rate)},"
-                f"{row.energy_err!r},{self._fmt_rate(row.energy_rate)}"
-            )
+        columns = ("level", "l2_err", "l2_rate", "energy_err", "energy_rate")
+        lines = [",".join(columns)] + [
+            ",".join("" if rec[c] is None else repr(rec[c]) for c in columns)
+            for rec in self._records()
+        ]
         return "\n".join(lines) + "\n"
 
     def to_markdown(self) -> str:
-        head = (
-            f"| level | l2_err | rate | energy_err | rate |\n"
-            f"|------:|----------:|-----:|----------:|-----:|\n"
-        )
-        body = []
-        for row in self.rows:
-            l2r = "  -- " if math.isnan(row.l2_rate) else f"{row.l2_rate:5.2f}"
-            enr = "  -- " if math.isnan(row.energy_rate) else f"{row.energy_rate:5.2f}"
-            body.append(
-                f"| {row.level:5d} | {row.l2_err:.3E} | {l2r} | "
-                f"{row.energy_err:.3E} | {enr} |"
-            )
+        def cell(r: float | None) -> str:
+            return "  -- " if r is None else f"{r:5.2f}"
+
+        head = ("| level | l2_err | rate | energy_err | rate |\n"
+                "|------:|----------:|-----:|----------:|-----:|\n")
+        body = [
+            f"| {rec['level']:5d} | {rec['l2_err']:.3E} | {cell(rec['l2_rate'])} | "
+            f"{rec['energy_err']:.3E} | {cell(rec['energy_rate'])} |"
+            for rec in self._records()
+        ]
         return head + "\n".join(body) + "\n"
 
     def to_json(self) -> str:
-        payload = {
-            "family": self.family,
-            "k": self.k,
-            "case": self.case,
-            "partial": self.partial,
-            "rows": [
-                {
-                    "level": row.level,
-                    "l2_err": row.l2_err,
-                    "l2_rate": None if math.isnan(row.l2_rate) else row.l2_rate,
-                    "energy_err": row.energy_err,
-                    "energy_rate": None
-                    if math.isnan(row.energy_rate)
-                    else row.energy_rate,
-                    "dofs": row.dofs,
-                    "residual": row.residual,
-                }
-                for row in self.rows
-            ],
-        }
+        payload = {"family": self.family, "k": self.k, "case": self.case,
+                   "partial": self.partial, "rows": self._records()}
         if self.partial:
             payload["failure"] = self.failure
         return json.dumps(payload, indent=2) + "\n"
 
     def render(self, fmt: str) -> str:
-        if fmt == "csv":
-            return self.to_csv()
-        if fmt == "md":
-            return self.to_markdown()
-        if fmt == "json":
-            return self.to_json()
-        raise ValueError(f"unknown table format '{fmt}'")
+        renderers = {"csv": self.to_csv, "md": self.to_markdown, "json": self.to_json}
+        if fmt not in renderers:
+            raise ValueError(f"unknown table format '{fmt}'")
+        return renderers[fmt]()
 
 
 def solve_case(mesh: PolyMesh, k: int, case: ManufacturedCase, tol: float = 1e-12
@@ -264,36 +241,25 @@ def run_level(family: str, level: int, k: int, case: ManufacturedCase,
     )
 
 
-NOISE_FLOOR = 1e-13
-
-
 def run_convergence(family: str, k: int, levels, case: ManufacturedCase,
                     tol: float = 1e-12) -> ConvergenceTable:
-    """Solve on successive levels and tabulate errors with dyadic rates.
-
-    Rates touching the solver noise floor (exactly-reproduced polynomial
-    cases) are marked undefined.  A failed level flags the table as partial
-    and keeps the completed rows.
+    """Solve on successive levels and tabulate errors with dyadic rates
+    against the row before (``rate``; undefined on the first row and at the
+    noise floor).  A failed level flags the table as partial and keeps the
+    completed rows.
     """
     if family not in GENERATORS:
         raise ValueError(f"unknown mesh family '{family}'")
     table = ConvergenceTable(family=family, k=k, case=case.label)
-    prev: ErrorReport | None = None
     for level in levels:
         try:
             rep = run_level(family, level, k, case, tol=tol)
         except SolverError as exc:
             table.failure = f"level {level}: {exc}"
             break
-        if prev is None:
-            l2_rate = en_rate = math.nan
-        else:
-            l2_rate = rate(prev.l2_err, rep.l2_err)
-            en_rate = rate(prev.energy_err, rep.energy_err)
-            if min(prev.l2_err, rep.l2_err) <= NOISE_FLOOR:
-                l2_rate = math.nan
-            if min(prev.energy_err, rep.energy_err) <= NOISE_FLOOR:
-                en_rate = math.nan
-        table.rows.append(replace(rep, l2_rate=l2_rate, energy_rate=en_rate))
-        prev = rep
+        if table.rows:
+            prev = table.rows[-1]
+            rep = replace(rep, l2_rate=rate(prev.l2_err, rep.l2_err),
+                          energy_rate=rate(prev.energy_err, rep.energy_err))
+        table.rows.append(rep)
     return table
