@@ -388,7 +388,7 @@ def read_mesh(path) -> PolyMesh:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise MeshFormatError(f"malformed mesh JSON in {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise MeshFormatError(f"mesh JSON in {path} must be an object")
@@ -396,5 +396,5 @@ def read_mesh(path) -> PolyMesh:
         if key not in payload:
             raise MeshFormatError(f"mesh JSON in {path} is missing '{key}'")
     if payload.get("dim", 2) != 2:
-        raise MeshFormatError(f"mesh JSON in {path} has unsupported dim {payload['dim']}")
+        raise MeshFormatError(f"mesh JSON in {path} has unsupported dim {payload['dim']!r}")
     return build_mesh(payload["vertices"], payload["cells"])

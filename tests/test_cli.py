@@ -166,14 +166,18 @@ DART = [(1.0, 0.0), (0.2, 0.2), (0.0, 1.0), (0.0, 0.0)]
      "cell 0 has a non-integer vertex index True"),
     (json.dumps({"vertices": [[0, 0], [True, 0], [1, 1], [0, 1]], "cells": [[0, 1, 2, 3]]}),
      "vertex 1 has a non-numeric coordinate True"),
+    (b'{"vertices": [[0, 0]], "cells": [], "note": "\xff"}', "malformed mesh JSON in"),
+    ("[" * 100_000, "malformed mesh JSON in"),
 ], ids=["missing-file", "malformed-json", "dart", "cells-not-a-sequence", "no-cells",
-        "bool-index", "bool-coordinate"])
+        "bool-index", "bool-coordinate", "non-utf8", "deeply-nested"])
 def test_solve_bad_mesh_file_exits_2_naming_the_file_or_cell(content, names, tmp_path, capsys):
     """A dart anchored next to its reflex vertex is not star-shaped about
     its first vertex, so the cache cannot build its fan; a cell list that is
     not a sequence, or is empty, is a mesh format error."""
     path = tmp_path / "mesh.json"
-    if content is not None:
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
         path.write_text(content)
     assert run_cli(["solve", "--mesh", str(path), "--degree", "1"]) == 2
     captured = capsys.readouterr()

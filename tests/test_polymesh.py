@@ -314,12 +314,30 @@ def test_read_rejects_malformed_json(tmp_path):
         read_mesh(path)
 
 
+def test_read_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"vertices": [[0, 0]], "cells": [], "note": "\xff"}')
+    with pytest.raises(MeshFormatError,
+                       match=f"^malformed mesh JSON in {re.escape(str(path))}: 'utf-8' codec"):
+        read_mesh(path)
+
+
+def test_read_rejects_json_nested_too_deeply_to_decode(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(MeshFormatError,
+                       match=f"^malformed mesh JSON in {re.escape(str(path))}: maximum recursion"):
+        read_mesh(path)
+
+
 @pytest.mark.parametrize("payload,message", [
     ("[[0, 0], [1, 0], [0, 1]]", "must be an object"),
     ('{"vertices": [[0, 0], [1, 0], [0, 1]]}', "is missing 'cells'"),
     ('{"dim": 3, "vertices": [[0, 0], [1, 0], [0, 1]], "cells": [[0, 1, 2]]}',
      "has unsupported dim 3"),
-], ids=["not-an-object", "no-cells-key", "dim-3"])
+    ('{"dim": "2", "vertices": [[0, 0], [1, 0], [0, 1]], "cells": [[0, 1, 2]]}',
+     "has unsupported dim '2'"),
+], ids=["not-an-object", "no-cells-key", "dim-3", "dim-string"])
 def test_read_rejects_a_payload_that_is_not_a_2d_mesh_object(tmp_path, payload, message):
     path = tmp_path / "bad.json"
     path.write_text(payload)
