@@ -10,6 +10,12 @@ the k=0 energy rate by one more order through symmetry cancellation.
 Default level ranges match the acceptance studies and finish in a couple of
 minutes.  --full extends toward the finest tabulated levels (much slower;
 the square/quad level-8 P0 runs alone take several minutes each).
+
+Requested (family, degree) pairs with no planned study are named on stderr
+and skipped.  Exit codes: 0 every study complete, 2 usage error (including a
+request that selects no planned study), 4 some study stopped at a failed
+level (its table is printed with an INCOMPLETE line), as for
+``wg-sfem convergence``.
 """
 
 import argparse
@@ -42,22 +48,31 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     plan = FULL_PLAN if args.full else DEFAULT_PLAN
-    case = get_case("sin2d")
+    studies, skipped = [], []
     for family in args.families:
         degrees = args.degrees if args.degrees is not None else sorted(plan[family])
         for k in degrees:
-            if k not in plan[family]:
-                continue
-            lo, hi = plan[family][k]
-            t0 = time.time()
-            table = run_convergence(family, k, range(lo, hi + 1), case)
-            elapsed = time.time() - t0
-            print(f"\n== {family} family, P{k} elements, levels {lo}..{hi} "
-                  f"({elapsed:.1f}s)")
-            print(table.to_markdown(), end="")
-            if table.partial:
-                print(f"   INCOMPLETE: {table.failure}")
-    return 0
+            (studies if k in plan[family] else skipped).append((family, k))
+    if not studies:
+        planned = "; ".join(f"{family} {sorted(plan[family])}" for family in args.families)
+        parser.error(f"no planned study for the requested degrees; planned degrees: {planned}")
+    for family, k in skipped:
+        print(f"skipped: no planned study for the {family} family at P{k}", file=sys.stderr)
+
+    case = get_case("sin2d")
+    partial = False
+    for family, k in studies:
+        lo, hi = plan[family][k]
+        t0 = time.time()
+        table = run_convergence(family, k, range(lo, hi + 1), case)
+        elapsed = time.time() - t0
+        print(f"\n== {family} family, P{k} elements, levels {lo}..{hi} "
+              f"({elapsed:.1f}s)")
+        print(table.to_markdown(), end="")
+        if table.partial:
+            print(f"   INCOMPLETE: {table.failure}")
+            partial = True
+    return 4 if partial else 0
 
 
 if __name__ == "__main__":
