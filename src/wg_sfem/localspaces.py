@@ -16,7 +16,9 @@ Sci. Comput. 31, 2009): the Gram with B^T B / det B, normal-flux moments on
 sides and chords are reference constants, and the scalar mass, gradient mass
 and interior divergence terms go through an exact affine change of monomial
 frame from the cell to the reference triangle.  The data passes evaluate
-only x = F(xi) and the user's function per point.
+only x = F(xi) and the user's function per point, at the points of a fully
+symmetric rule of data_degree(k) (quadrature.symmetric_rule), which needs
+about two thirds of the collapsed Gauss rule's points.
 
 The weak-gradient space of a cell is the nullspace of the constraint system
 (normal-jump moments on fan chords; divergence mismatch between each
@@ -54,7 +56,7 @@ from .polymesh import (
     polygon_centroid,
     polygon_diameter,
 )
-from .quadrature import data_degree, segment_rule, triangle_rule
+from .quadrature import data_degree, segment_rule, symmetric_rule, triangle_rule
 
 MAX_DEGREE = 4
 NULLSPACE_RTOL = 1e-10
@@ -233,11 +235,11 @@ def reference_tables(k: int) -> ReferenceTables:
 
 @lru_cache(maxsize=None)
 def data_tables(k: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The points (npts, 2) and weights of the triangle rule of a degree,
-    with the centered P_k monomials (npts, dim P_k) and the reference RT_k
-    basis (npts, n_fields, 2) of ReferenceTables at them; read-only,
-    computed on first use."""
-    rule = triangle_rule(degree)
+    """The points (npts, 2) and weights of symmetric_rule(degree) (the
+    collapsed triangle_rule below degree 12), with the centered P_k
+    monomials (npts, dim P_k) and the reference RT_k basis (npts, n_fields,
+    2) of ReferenceTables at them; read-only, computed on first use."""
+    rule = symmetric_rule(degree)
     pts = rule.points.astype(np.longdouble) - np.longdouble(1) / 3
     fields = _raw_fields(k, pts).swapaxes(1, 2) @ reference_tables(k).rt_coeffs
     tables = (_reference_monomials(k, pts).astype(float), fields.swapaxes(1, 2).astype(float))

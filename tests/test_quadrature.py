@@ -1,3 +1,7 @@
+import importlib.util
+from itertools import permutations
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +11,12 @@ from wg_sfem.polymesh import generate_square_grid
 from wg_sfem.quadrature import (
     MAX_SEGMENT_DEGREE,
     MAX_TRIANGLE_DEGREE,
+    SYMMETRIC_ORBITS,
     UnsupportedDegreeError,
+    data_degree,
     reference_triangle_monomial_integral,
     segment_rule,
+    symmetric_rule,
     triangle_rule,
 )
 
@@ -57,6 +64,60 @@ def test_triangle_exactness_sweep():
                 exact = reference_triangle_monomial_integral(a, b)
                 val = float(np.sum(rule.weights * x**a * y**b))
                 assert abs(val - exact) <= 1e-13 * exact, (degree, a, b)
+
+
+@pytest.mark.parametrize("degree", sorted(SYMMETRIC_ORBITS))
+def test_symmetric_rule_exactness_sweep(degree):
+    rule = symmetric_rule(degree)
+    x, y = rule.points.T
+    for a in range(degree + 1):
+        for b in range(degree + 1 - a):
+            exact = reference_triangle_monomial_integral(a, b)
+            val = float(np.sum(rule.weights * x**a * y**b))
+            assert abs(val - exact) <= 1e-13 * exact, (a, b)
+
+
+@pytest.mark.parametrize("degree", sorted(SYMMETRIC_ORBITS))
+def test_symmetric_rule_has_positive_weights_and_interior_points(degree):
+    rule = symmetric_rule(degree)
+    x, y = rule.points.T
+    assert (rule.weights > 0).all()
+    assert (x > 0).all() and (y > 0).all() and (1 - x - y > 0).all()
+
+
+@pytest.mark.parametrize("degree", sorted(SYMMETRIC_ORBITS))
+def test_symmetric_rule_is_invariant_under_barycentric_permutations(degree):
+    rule = symmetric_rule(degree)
+    bary = np.column_stack([rule.points, 1 - rule.points.sum(axis=1)])
+    for perm in permutations(range(3)):
+        moved = bary[:, perm][:, :2]
+        dist = np.abs(moved[:, None] - rule.points[None]).max(axis=-1)
+        match = dist.argmin(axis=1)
+        assert dist.min(axis=1).max() < 1e-15
+        assert sorted(match) == list(range(len(match)))
+        assert np.array_equal(rule.weights[match], rule.weights)
+
+
+@pytest.mark.parametrize("degree", sorted(SYMMETRIC_ORBITS))
+def test_symmetric_rule_has_fewer_points_than_the_collapsed_rule(degree):
+    assert symmetric_rule(degree).weights.size < triangle_rule(degree).weights.size
+
+
+def test_symmetric_rule_covers_the_data_degrees_and_falls_back_below():
+    assert {data_degree(k) for k in range(5)} == set(SYMMETRIC_ORBITS)
+    assert symmetric_rule(10) is triangle_rule(10)
+    rule = symmetric_rule(data_degree(1))
+    assert not rule.points.flags.writeable and not rule.weights.flags.writeable
+
+
+def test_symmetric_rules_script_check_passes(capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "symmetric_rules.py"
+    spec = importlib.util.spec_from_file_location("symmetric_rules", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--check"]) == 0
+    out = capsys.readouterr().out
+    assert out.count(": ok") == len(SYMMETRIC_ORBITS)
 
 
 def test_degree_guards():
