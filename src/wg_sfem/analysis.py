@@ -206,7 +206,7 @@ class ConvergenceTable:
             f"{rec['energy_err']:.3E} | {cell(rec['energy_rate'])} |"
             for rec in self._records()
         ]
-        return head + "\n".join(body) + "\n"
+        return head + "".join(line + "\n" for line in body)
 
     def to_json(self) -> str:
         payload = {"family": self.family, "k": self.k, "case": self.case,

@@ -278,6 +278,8 @@ PARTIAL = ConvergenceTable("hex", 2, "patch-quadratic", rows=[
     ErrorReport(level=3, dofs=361, l2_err=2.0e-14, energy_err=1.05e-12, residual=1e-13,
                 energy_rate=2.0),
 ], failure="level 4: injected failure")
+# A study whose first level fails: every format is its header alone.
+EMPTY = ConvergenceTable("quad", 0, "sin2d", failure="level 2: injected failure")
 
 PINNED = {
     ("complete", "csv"): """\
@@ -370,12 +372,29 @@ level,l2_err,l2_rate,energy_err,energy_rate
   "failure": "level 4: injected failure"
 }
 """,
+    ("empty", "csv"): """\
+level,l2_err,l2_rate,energy_err,energy_rate
+""",
+    ("empty", "md"): """\
+| level | l2_err | rate | energy_err | rate |
+|------:|----------:|-----:|----------:|-----:|
+""",
+    ("empty", "json"): """\
+{
+  "family": "quad",
+  "k": 0,
+  "case": "sin2d",
+  "partial": true,
+  "rows": [],
+  "failure": "level 2: injected failure"
+}
+""",
 }
 
 
 @pytest.mark.parametrize("name,fmt", sorted(PINNED))
 def test_hand_built_tables_render_pinned_bytes(name, fmt):
-    table = {"complete": COMPLETE, "partial": PARTIAL}[name]
+    table = {"complete": COMPLETE, "partial": PARTIAL, "empty": EMPTY}[name]
     to_text = {"csv": table.to_csv, "md": table.to_markdown, "json": table.to_json}[fmt]
     assert to_text() == PINNED[name, fmt]
     assert table.render(fmt) == PINNED[name, fmt]
