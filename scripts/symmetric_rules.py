@@ -179,11 +179,11 @@ class Moments:
     def residual_mp(self, z, lay):
         """The unscaled residual in mpmath arithmetic at mpf unknowns z."""
         def linear(const, D):
-            # The constants are 0, 1 and 1/3, the last one exact here.
-            return [mpmath.mpf(Fraction(c).limit_denominator(3).numerator)
-                    / Fraction(c).limit_denominator(3).denominator
+            # The constants are 0, 1 and 1/3; limit_denominator makes 1/3 exact.
+            exact = (Fraction(c).limit_denominator(3) for c in const)
+            return [mpmath.mpf(q.numerator) / q.denominator
                     + sum(float(d) * zz for d, zz in zip(row, z) if d)
-                    for c, row in zip(const, D)]
+                    for q, row in zip(exact, D)]
 
         x, y, w = linear(lay.cx, lay.Dx), linear(lay.cy, lay.Dy), linear(0 * lay.cx, lay.Mw)
         Px, Py = ([legendre_mp(2 * t - 1, self.degree) for t in ts] for ts in (x, y))
@@ -272,7 +272,7 @@ def orbit_lines(z, lay) -> list[str]:
     """One line per orbit: (weight,) for the centroid, (weight, a, a) for
     S21 and (weight, a, b) for S111, in 20 significant digits."""
     lines, col = [], 0
-    for const, D, _ in lay.kinds:
+    for _, D, _ in lay.kinds:
         npar = D.shape[1]
         w, par = z[col], z[col + 1: col + 1 + npar]
         gen = [par[0], par[0]] if npar == 1 else list(par)
