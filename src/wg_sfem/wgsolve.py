@@ -194,10 +194,8 @@ def assemble(mesh: PolyMesh, k: int, f, g=None, cache: OperatorCache | None = No
 
 def _pcg(A: sp.csr_matrix, b: np.ndarray, tol: float, x0: np.ndarray | None = None,
          switch=None, budget: int = 0) -> tuple[np.ndarray, int]:
-    """Conjugate gradients from x0 (default zero) until the residual is at
-    most tol ||b||; returns x and the number of iterations.  The first time
-    the recurrence residual meets tol, b - A x is recomputed; above tol, CG
-    restarts from it and stops the next time the recurrence meets tol.
+    """Conjugate gradients from x0 (default zero) until the recurrence
+    residual is at most tol ||b||; returns x and the number of iterations.
 
     Jacobi-preconditioned; given ``switch``, CG restarts from x after
     ``budget`` iterations above tol, preconditioned by ``switch()``, and the
@@ -226,17 +224,7 @@ def _pcg(A: sp.csr_matrix, b: np.ndarray, tol: float, x0: np.ndarray | None = No
     rz = float(r @ z)
     history = [float(np.linalg.norm(r)) / bnorm]
     max_iter = 20 * int(np.ceil(np.sqrt(n)))
-    confirmed = False
-    while history[-1] > tol or not confirmed:
-        if history[-1] <= tol:
-            # Once: the recurrence drifts from b - A x, so confirm on the
-            # recomputed residual and, above tol, restart CG from it.
-            confirmed, r = True, b - A @ x
-            history[-1] = float(np.linalg.norm(r)) / bnorm
-            if history[-1] <= tol:
-                break
-            z = precond(r)
-            p, rz = z.copy(), float(r @ z)
+    while history[-1] > tol:
         if len(history) > max_iter:
             raise SolverConvergenceError(
                 f"conjugate gradients exceeded {max_iter} iterations "
