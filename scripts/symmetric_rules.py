@@ -21,8 +21,8 @@ arithmetic (mpmath) against the exact rational moments, and prints it as
 orbit lines for ``SYMMETRIC_ORBITS`` in ``src/wg_sfem/quadrature.py``.  A
 rule is accepted only with every weight positive, every barycentric
 coordinate of every point at least 1e-4 and a polished residual below
-1e-30.  Without ``--orbits`` and ``--seed`` the orbit counts and seeds of
-``ORBITS`` are used, and
+1e-30.  Without ``--orbits`` and ``--seed`` the orbit counts of the
+committed table and the seeds of ``SEEDS`` are used, and
 
     PYTHONPATH=src python3 scripts/symmetric_rules.py
 
@@ -58,13 +58,13 @@ MONOMIAL_RTOL = 1e-14
 # onto an edge (a = 1/2 - 2e-10 turned up at degree 16) is rejected.
 MIN_BARYCENTRIC = 1e-4
 
-# Orbit counts (centroid, S21, S111) and the seed that found the committed
-# rule, per degree.  The unknowns (one weight per orbit, one coordinate per
-# S21 and two per S111) must be at least the number of S3-invariant
-# polynomials of degree <= d (19, 24, 30, 37, 44); a few more make a rule
-# with positive weights and interior points much easier to find.
-ORBITS = {12: ((0, 5, 3), 0), 14: ((0, 6, 4), 0), 16: ((1, 6, 6), 0), 18: ((1, 7, 8), 0),
-          20: ((1, 9, 9), 2)}
+# The seed that found the committed rule of each degree; its orbit counts
+# (centroid, S21, S111) are read back from SYMMETRIC_ORBITS.  The unknowns
+# (one weight per orbit, one coordinate per S21 and two per S111) must be at
+# least the number of S3-invariant polynomials of degree <= d (19, 24, 30,
+# 37, 44); a few more make a rule with positive weights and interior points
+# much easier to find.
+SEEDS = {12: 0, 14: 0, 16: 0, 18: 0, 20: 2}
 
 # Each orbit type: constant barycentric part, d(barycentric)/d(parameters)
 # and the (x, y) = (barycentric[i], barycentric[j]) index pairs of its points.
@@ -326,12 +326,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--check", action="store_true", help="re-verify the committed table")
-    parser.add_argument("--degree", type=int, nargs="+", default=sorted(ORBITS))
+    parser.add_argument("--degree", type=int, nargs="+", default=sorted(SYMMETRIC_ORBITS))
     parser.add_argument("--orbits", type=int, nargs=3, metavar=("CENTROID", "S21", "S111"))
-    parser.add_argument("--seed", type=int, help="default: the seed of ORBITS")
+    parser.add_argument("--seed", type=int, help="default: the seed of SEEDS")
     parser.add_argument("--seconds", type=float, default=600.0,
                         help="time budget per degree")
     args = parser.parse_args(argv)
+    if not args.check and args.orbits is None and not set(args.degree) <= set(SYMMETRIC_ORBITS):
+        parser.error("a degree with no committed rule needs --orbits")
     with mpmath.workdps(DIGITS):
         return check() if args.check else search_all(args)
 
@@ -339,9 +341,9 @@ def main(argv=None) -> int:
 def search_all(args) -> int:
     status = 0
     for degree in args.degree:
-        counts, seed = ORBITS[degree]
-        counts = tuple(args.orbits) if args.orbits else counts
-        z, lay = search(degree, counts, seed if args.seed is None else args.seed, args.seconds)
+        counts = tuple(args.orbits) if args.orbits else table_unknowns(SYMMETRIC_ORBITS[degree])[0]
+        seed = SEEDS.get(degree, 0) if args.seed is None else args.seed
+        z, lay = search(degree, counts, seed, args.seconds)
         if z is None:
             print(f"# degree {degree}: no rule with orbits {counts} found", file=sys.stderr)
             status = 1
