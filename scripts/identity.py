@@ -1,0 +1,111 @@
+#!/usr/bin/env python3
+"""Print the fingerprint of a fixed set of solves, as sorted JSON on stdout.
+
+A change meant to leave every number bit-identical is checked by running
+this script in a checkout of the parent commit and in one of the change,
+and comparing the two outputs:
+
+    python3 ../parent/scripts/identity.py > parent.json
+    python3 scripts/identity.py > change.json
+    diff parent.json change.json
+
+Each checkout imports its own ``src/``.  For every problem of PROBLEMS it
+solves the ``sin2d`` case and prints sha256 prefixes of each operator stack's
+``weak_gradient``, ``stiffness``, ``condensed``, ``mass_scalar``,
+``frame_coeffs`` and ``h1``, of the system's ``rhs``, ``edge_rhs``, ``load``
+and ``edge_matrix.data``, and of ``u0`` and ``ub``; and, exactly, the solve's
+``iterations``, ``method`` and ``residual`` and the three error norms.  The
+set takes a few seconds.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from wg_sfem import GENERATORS, assemble, get_case, read_mesh, solve  # noqa: E402
+from wg_sfem.analysis import (  # noqa: E402
+    energy_error,
+    energy_error_via_projection,
+    l2_projection_error,
+)
+
+# (family, level, k); "jitter" is the benchmark's jittered level-7 square
+# mesh of seed JITTER_SEED, read back from its JSON file.
+PROBLEMS = ([(family, 3, k) for family in ("square", "quad", "hex") for k in range(5)]
+            + [("square", 6, 1), ("quad", 5, 0), ("hex", 5, 2), ("jitter", 7, 1)])
+JITTER_SEED = 1
+STACK_ARRAYS = ("weak_gradient", "stiffness", "condensed", "mass_scalar", "frame_coeffs", "h1")
+DIGITS = 16
+
+
+def digest(*arrays) -> str:
+    """A sha256 prefix of the shapes, dtypes and bytes of the arrays."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.shape}{a.dtype}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()[:DIGITS]
+
+
+def stack_digests(ops) -> dict:
+    """The digest of each of STACK_ARRAYS of an OperatorStack; ``condensed``
+    is a tuple of three arrays."""
+    values = {name: getattr(ops, name) for name in STACK_ARRAYS}
+    return {name: digest(*v) if isinstance(v, tuple) else digest(v) for name, v in values.items()}
+
+
+def jitter_mesh(seed: int):
+    """perfbench's jitter mesh of the seed, written and read as JSON."""
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up in sys.modules.
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    with tempfile.TemporaryDirectory() as tmp:
+        module.write_jitter_mesh(seed, Path(tmp) / "jitter.json")
+        return read_mesh(Path(tmp) / "jitter.json")
+
+
+def fingerprint(family: str, level: int, k: int) -> dict:
+    mesh = jitter_mesh(JITTER_SEED) if family == "jitter" else GENERATORS[family](level)
+    case = get_case("sin2d")
+    system = assemble(mesh, k, case.f, case.g)
+    cache = system.cache
+    sol = solve(system)
+    stacks = dict.fromkeys(ops for ops, *_ in cache.batches())
+    return {
+        "stacks": [stack_digests(ops) for ops in stacks],
+        "system": {"rhs": digest(system.rhs), "edge_rhs": digest(system.edge_rhs),
+                   "load": digest(system.load), "edge_matrix": digest(system.edge_matrix.data)},
+        "u0": digest(sol.u0), "ub": digest(sol.ub),
+        "iterations": sol.iterations, "method": sol.method, "residual": sol.residual,
+        "l2_err": l2_projection_error(mesh, k, case.u, sol, cache),
+        "energy_err": energy_error(mesh, k, case.u, case.grad_u, sol, cache),
+        "energy_error_via_projection": energy_error_via_projection(mesh, k, case.u, sol, cache),
+    }
+
+
+def main() -> int:
+    payload = {f"{family}-L{level}-k{k}": fingerprint(family, level, k)
+               for family, level, k in PROBLEMS}
+    print(json.dumps(payload, indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

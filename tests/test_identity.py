@@ -1,0 +1,51 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from wg_sfem.localspaces import OperatorStack
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture
+def identity(monkeypatch):
+    """The script with one problem of its set."""
+    path = ROOT / "scripts" / "identity.py"
+    spec = importlib.util.spec_from_file_location("identity", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "PROBLEMS", [("quad", 3, 1)])
+    return module
+
+
+def _run(script, capsys) -> str:
+    assert script.main() == 0
+    return capsys.readouterr().out
+
+
+def test_two_runs_print_the_same_sorted_json(identity, capsys):
+    first = _run(identity, capsys)
+    assert _run(identity, capsys) == first
+    payload = json.loads(first)
+    assert list(payload) == ["quad-L3-k1"]
+    record = payload["quad-L3-k1"]
+    assert set(record["stacks"][0]) == set(identity.STACK_ARRAYS)
+    assert record["method"] == "direct" and record["iterations"] == 0
+    assert json.dumps(payload, indent=1, sort_keys=True) + "\n" == first
+
+
+def test_one_ulp_in_one_operator_value_changes_the_output(identity, capsys, monkeypatch):
+    before = json.loads(_run(identity, capsys))["quad-L3-k1"]
+    build = OperatorStack.__init__
+
+    def nudged(self, *args):
+        build(self, *args)
+        self.stiffness[0, 0, 0] = np.nextafter(self.stiffness[0, 0, 0], np.inf)
+
+    monkeypatch.setattr(OperatorStack, "__init__", nudged)
+    after = json.loads(_run(identity, capsys))["quad-L3-k1"]
+    assert after["stacks"][0]["stiffness"] != before["stacks"][0]["stiffness"]
+    assert after["stacks"][0]["weak_gradient"] == before["stacks"][0]["weak_gradient"]
