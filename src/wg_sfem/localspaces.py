@@ -86,7 +86,8 @@ class LambdaDimensionError(RuntimeError):
 
 
 class DataError(ValueError):
-    """Non-finite samples in user-supplied field data."""
+    """User data f, g, u or grad u that returns a value of the wrong shape
+    or a non-finite value at a quadrature point (see _evaluate)."""
 
 
 def _check_degree(k: int) -> None:
@@ -466,6 +467,27 @@ def build_lambda_basis(mesh: PolyMesh, cells, k: int) -> LambdaBasis:
     return LambdaBasis(cells, k, coords, B, orth, null, np.linalg.norm(C @ null, axis=(-2, -1)))
 
 
+def _evaluate(func, x: np.ndarray, y: np.ndarray, shape: tuple, edges=None) -> np.ndarray:
+    """User data func at the points (x, y), as floats of shape x.shape +
+    shape: the one place that calls f, g, u or grad u.  func gets the points
+    flattened and returns one value of ``shape``, which every point takes,
+    or one per point, shape (x.size,) + shape.  Any other shape raises
+    DataError naming both; so does a non-finite value, naming its point and,
+    where ``edges`` names the edge of each row of x, its edge."""
+    vals = np.asarray(func(x.ravel(), y.ravel()), dtype=float)
+    per_point = (x.size,) + shape
+    if vals.shape not in (shape, per_point):
+        raise DataError(f"data of shape {vals.shape}; expected shape {shape} or {per_point}")
+    vals = np.broadcast_to(vals, per_point)
+    if not np.isfinite(vals).all():
+        q = np.argmin(np.isfinite(vals.reshape(x.size, -1)).all(axis=1))
+        edge = "" if edges is None else f" on edge {edges[np.unravel_index(q, x.shape)[0]]}"
+        raise DataError(f"data non-finite at quadrature point ({x.flat[q]}, {y.flat[q]}){edge}")
+    # A constant is copied out, so that every table product sees the same
+    # memory layout as for per-point values and rounds the same.
+    return np.ascontiguousarray(vals.reshape(x.shape + shape))
+
+
 def _rowwise(x: np.ndarray, A: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """x[i] @ A[inv[i]] for every row i: x (n, ..., p), A (u, ..., p, m) ->
     (n, ..., m)."""
@@ -591,11 +613,10 @@ class OperatorStack:
         grad = np.pad(grad.reshape(n_cells, -1, n0), ((0, 0), (0, 0), (0, n_sides * nb)))
         return np.concatenate([grad, trace.reshape(n_cells, -1, trace.shape[-1])], axis=1)
 
-    def _samples(self, func, uniq, inv, offsets):
+    def _samples(self, func, uniq, inv, offsets, shape):
         """The data_tables of the data-degree rule and func at the rule's
-        image x = v0 + B xi on each fan triangle of each cell, shape
-        (n, n_triangles, npts) + the shape of one value.  A non-finite value
-        raises DataError naming its point."""
+        image x = v0 + B xi on each fan triangle of each cell (_evaluate),
+        shape (n, n_triangles, npts) + shape."""
         tables = data_tables(self.k, data_degree(self.k))
         v0, B = self.tri_coords[uniq, :, 0, :, None], self.jacobian[uniq]
         xi, eta = tables[0].T
@@ -603,11 +624,7 @@ class OperatorStack:
         # an innermost axis of length 2 several times slower.
         x, y = ((v0[:, :, d] + B[:, :, d, 0, None] * xi + B[:, :, d, 1, None] * eta)[inv]
                 + offsets[:, d, None, None] for d in range(2))
-        vals = np.asarray(func(x.ravel(), y.ravel()), dtype=float)
-        if not np.isfinite(vals).all():
-            q = np.argmin(np.isfinite(vals.reshape(x.size, -1)).all(axis=1))
-            raise DataError(f"field data non-finite at quadrature point ({x.flat[q]}, {y.flat[q]})")
-        return tables, vals.reshape(x.shape + vals.shape[1:])
+        return tables, _evaluate(func, x, y, shape)
 
     def interior_moments(self, func, rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """(func, m_j) for the interior basis on each cell, shape (n, dim P_k)."""
@@ -621,15 +638,15 @@ class OperatorStack:
         """The moments of func against the reference monomials on each fan
         triangle, mapped to the cell by per_row (S, n_triangles * dim, m)."""
         uniq, inv = np.unique(rows, return_inverse=True)
-        (_, w, monomials, _), vals = self._samples(func, uniq, inv, offsets)
+        (_, w, monomials, _), vals = self._samples(func, uniq, inv, offsets, ())
         raw = vals.reshape(-1, w.size) @ (w[:, None] * monomials)
         return _rowwise(raw.reshape(len(rows), -1), per_row[uniq], inv)
 
     def project_lambda_field(self, func, rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """L2 projections of a vector field onto the weak-gradient spaces,
-        shape (n, n_lambda).  func(x, y) must return shape (npts, 2)."""
+        shape (n, n_lambda).  func(x, y) returns shape (npts, 2) or (2,)."""
         uniq, inv = np.unique(rows, return_inverse=True)
-        (_, w, _, fields), g = self._samples(func, uniq, inv, offsets)
+        (_, w, _, fields), g = self._samples(func, uniq, inv, offsets, (2,))
         n, nt, nq = g.shape[:3]
         # int g . B phi / det B dx = sum_q w_q (B^T g) . phi: the moments
         # against each triangle's Piola fields, shape (n, n_triangles,
@@ -671,7 +688,7 @@ class LocalCellOperators(NamedTuple):
 
     def project_lambda_field(self, func) -> np.ndarray:
         """L2 projection onto the weak-gradient space of a vector field
-        func(x, y), which must return shape (npts, 2)."""
+        func(x, y), which returns shape (npts, 2) or (2,)."""
         return self.stack.project_lambda_field(func, [self.index], self.offset[None])[0]
 
 
@@ -825,22 +842,17 @@ class OperatorCache:
 def project_qb(mesh: PolyMesh, edge, k: int, func) -> np.ndarray:
     """L2 projection onto the P_k edge basis of one edge, shape (k + 1,), or
     of every edge in an index array, shape (n, k + 1), in one pass, by the
-    segment rule of data_degree(k)."""
+    segment rule of data_degree(k).  func(x, y) gets the points of every
+    edge at once and returns one value per point or one constant; any other
+    shape, or a non-finite value, raises DataError, naming the edge of a
+    non-finite value (_evaluate)."""
     _check_degree(k)
     degree = data_degree(k)
     edges = np.atleast_1d(edge)
     rule = segment_rule(degree)
     a, b = mesh.vertices[mesh.edges[edges]].transpose(1, 0, 2)
     pts = a[:, None] + rule.points[:, None] * (b - a)[:, None]
-    vals = np.asarray(func(pts[..., 0].ravel(), pts[..., 1].ravel()), dtype=float)
-    vals = vals.reshape(edges.size, -1)
-    bad = np.argwhere(~np.isfinite(vals))
-    if bad.size:
-        i, q = bad[0]
-        raise DataError(
-            f"edge data non-finite at quadrature point ({pts[i, q, 0]}, {pts[i, q, 1]}) "
-            f"on edge {edges[i]}"
-        )
+    vals = _evaluate(func, pts[..., 0], pts[..., 1], (), edges)
     # Each edge's mass matrix and moments are its length times those on the
     # reference segment, so the length cancels.  The sum runs edge by edge,
     # so an edge's coefficients do not depend on the batch it comes in.
