@@ -74,7 +74,8 @@ BATCH_CELLS = 256
 
 
 class DegreeError(ValueError):
-    """Polynomial degree outside the validated range 0..MAX_DEGREE."""
+    """Polynomial degree that is not an integer in the validated range
+    0..MAX_DEGREE."""
 
 
 class GeometryError(ValueError):
@@ -91,8 +92,9 @@ class DataError(ValueError):
 
 
 def _check_degree(k: int) -> None:
-    if not 0 <= k <= MAX_DEGREE:
-        raise DegreeError(f"degree k={k} outside the supported range 0..{MAX_DEGREE}")
+    """Only an int or numpy integer, not a bool, in 0..MAX_DEGREE passes."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k <= MAX_DEGREE:
+        raise DegreeError(f"degree k={k} is not an integer in the supported range 0..{MAX_DEGREE}")
 
 
 def dim_pk(k: int) -> int:

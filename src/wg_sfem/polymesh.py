@@ -281,8 +281,9 @@ def build_mesh(vertices, cells) -> PolyMesh:
 
 
 def _check_level(level: int) -> None:
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
+    """Only an int or numpy integer, not a bool, in 1..MAX_LEVEL passes."""
+    if isinstance(level, bool) or not isinstance(level, (int, np.integer)) or level < 1:
+        raise ValueError(f"level must be an integer >= 1, got {level!r}")
     if level > MAX_LEVEL:
         raise ValueError(f"level {level} exceeds the resource guard ({MAX_LEVEL})")
 

@@ -21,7 +21,7 @@ from wg_sfem.analysis import (
     run_level,
     solve_case,
 )
-from wg_sfem.localspaces import OperatorCache, project_qb
+from wg_sfem.localspaces import DataError, OperatorCache, project_qb
 from wg_sfem.polymesh import GENERATORS, generate_quad_grid
 from wg_sfem.wgsolve import (
     SolverError,
@@ -167,6 +167,43 @@ def test_assemble_and_solve_case_build_their_own_cache(quad_and_square_l4):
     again, cache = solve_case(quad, 1, SIN2D)
     assert cache.mesh is quad and cache.k == 1
     assert np.array_equal(again.u0, sol.u0) and np.array_equal(again.ub, sol.ub)
+
+
+def _stacked(*values):
+    """A vector field that is the constant ``values`` at every point, as an
+    (npts, 2) array."""
+    return lambda x, y: np.stack([np.full_like(x, v) for v in values], axis=-1)
+
+
+def test_constant_u_and_grad_u_give_the_errors_of_their_arrays(quad_and_square_l4):
+    """A constant u or grad u is every point's value: the same samples and
+    errors as the arrays of that value."""
+    quad, sol, cache, _ = quad_and_square_l4
+    const_u, array_u = (lambda x, y: 2.0), (lambda x, y: np.full_like(x, 2.0))
+    assert (l2_projection_error(quad, 1, const_u, sol, cache)
+            == l2_projection_error(quad, 1, array_u, sol, cache))
+    assert (energy_error_via_projection(quad, 1, const_u, sol, cache)
+            == energy_error_via_projection(quad, 1, array_u, sol, cache))
+    for const in ((0.0, 1.0), np.array([0.5, -2.0])):
+        assert (energy_error(quad, 1, array_u, lambda x, y: const, sol, cache)
+                == energy_error(quad, 1, array_u, _stacked(*const), sol, cache))
+
+
+@pytest.mark.parametrize("grad_u,got", [
+    (lambda x, y: x, r"\(\d+,\)"),
+    (lambda x, y: np.stack([x, y]), r"\(2, \d+\)"),
+    (lambda x, y: (0.0, 1.0, 2.0), r"\(3,\)"),
+], ids=["per-point-scalar", "transposed", "three-components"])
+def test_misshaped_grad_u_rejected_naming_both_shapes(grad_u, got, quad_and_square_l4):
+    quad, sol, cache, _ = quad_and_square_l4
+    with pytest.raises(DataError, match=rf"shape {got}; expected shape \(2,\) or \(\d+, 2\)"):
+        energy_error(quad, 1, SIN2D.u, grad_u, sol, cache)
+
+
+def test_misshaped_u_rejected_naming_both_shapes(quad_and_square_l4):
+    quad, sol, cache, _ = quad_and_square_l4
+    with pytest.raises(DataError, match=r"shape \(\d+, 2\); expected shape \(\) or \(\d+,\)"):
+        l2_projection_error(quad, 1, lambda x, y: np.stack([x, y], axis=-1), sol, cache)
 
 
 # ---------------------------------------------------------------- driver

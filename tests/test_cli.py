@@ -123,6 +123,20 @@ def test_solve_from_mesh_file(tmp_path, capsys):
     assert "l2_err=" in capsys.readouterr().out
 
 
+def test_solve_above_tol_says_so_on_stderr_and_exits_0(capsys):
+    """A tol below the rounding floor of the relative residual is not met;
+    stdout keeps its one summary line."""
+    assert run_cli(["solve", "--family", "square", "--level", "2", "--degree", "1",
+                    "--tol", "1e-17"]) == 0
+    captured = capsys.readouterr()
+    residual = dict(part.split("=") for part in captured.out.split())["residual"]
+    assert float(residual) > 1e-17
+    assert captured.err == (f"residual {residual} above --tol 1.000E-17: the solve stopped at "
+                            "the rounding floor of the relative residual\n")
+    assert run_cli(["solve", "--family", "square", "--level", "2", "--degree", "1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_solve_degree_cap_exits_2():
     with pytest.raises(SystemExit) as exc:
         run_cli(["solve", "--family", "square", "--level", "2", "--degree", "7",

@@ -82,6 +82,10 @@ def test_level_guards():
             gen(0)
         with pytest.raises(ValueError):
             gen(13)
+        for level in (1.0, 2.5, True, "2"):
+            with pytest.raises(ValueError, match="level must be an integer"):
+                gen(level)
+        assert gen(np.int64(2)).n_cells == gen(2).n_cells
 
 
 # ---------------------------------------------------------------- quad

@@ -10,7 +10,7 @@ from scipy.sparse.linalg import spsolve
 
 import wg_sfem.wgsolve as wgsolve
 from wg_sfem.analysis import energy_error, get_case, l2_projection_error
-from wg_sfem.localspaces import DataError, OperatorCache, project_qb
+from wg_sfem.localspaces import DataError, DegreeError, OperatorCache, project_qb
 from wg_sfem.polymesh import GENERATORS, build_mesh, generate_hex_grid, generate_square_grid
 from wg_sfem.wgsolve import (
     SolverStructureError,
@@ -161,6 +161,58 @@ def test_nonfinite_boundary_data_rejected_with_edge_and_point():
     a, b = mesh.vertices[mesh.edges[e]]
     assert x > 0.5
     assert abs((b - a)[0] * (y - a[1]) - (b - a)[1] * (x - a[0])) < 1e-14
+
+
+@pytest.mark.parametrize("family,level,g", [("square", 5, None), ("quad", 4, 0.5)])
+def test_constant_data_solve_bit_identically_to_their_arrays(family, level, g):
+    """A constant f or g is every point's value: the same samples, systems
+    and solutions as the arrays of that value."""
+    mesh = GENERATORS[family](level)
+    cache = OperatorCache(mesh, 1)
+    a = assemble(mesh, 1, lambda x, y: 1.0, g and (lambda x, y: g), cache=cache)
+    b = assemble(mesh, 1, lambda x, y: np.ones_like(x), g and (lambda x, y: np.full_like(x, g)),
+                 cache=cache)
+    assert np.array_equal(a.rhs, b.rhs) and np.array_equal(a.edge_rhs, b.edge_rhs)
+    sa, sb = solve(a), solve(b)
+    assert np.array_equal(sa.u0, sb.u0) and np.array_equal(sa.ub, sb.ub)
+    assert sa.residual == sb.residual
+
+
+@pytest.mark.parametrize("f,g", [
+    (lambda x, y: np.stack([x, y], axis=-1), None),
+    (lambda x, y: x[:-1], None),
+    (zero, lambda x, y: np.stack([x, y])),
+    (zero, lambda x, y: np.ones((1, 1))),
+], ids=["f-per-point-pairs", "f-one-short", "g-transposed", "g-1x1"])
+def test_misshaped_cell_and_edge_data_rejected_naming_both_shapes(f, g):
+    mesh = generate_square_grid(2)
+    with pytest.raises(DataError, match=r"shape \(.*\); expected shape \(\) or \(\d+,\)"):
+        assemble(mesh, 1, f, g)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_project_qb_of_no_edges_is_empty(k):
+    mesh = generate_square_grid(2)
+    none = np.flatnonzero(np.zeros(mesh.n_edges, dtype=bool))
+    for func in (lambda x, y: x + y, lambda x, y: 1.0):
+        assert project_qb(mesh, none, k, func).shape == (0, k + 1)
+
+
+@pytest.mark.parametrize("k", [1.0, 2.5, True, -1, 5])
+def test_degree_gate_takes_only_integers(k):
+    mesh = generate_square_grid(2)
+    with pytest.raises(DegreeError, match="not an integer in the supported range"):
+        OperatorCache(mesh, k)
+    with pytest.raises(DegreeError):
+        assemble(mesh, k, zero)
+
+
+def test_degree_gate_accepts_a_numpy_integer():
+    mesh = GENERATORS["quad"](3)
+    case = get_case("sin2d")
+    a = solve(assemble(mesh, np.int64(1), case.f, case.g))
+    b = solve(assemble(mesh, 1, case.f, case.g))
+    assert a.k == 1 and np.array_equal(a.u0, b.u0) and np.array_equal(a.ub, b.ub)
 
 
 def test_boundary_values_are_edge_projections():
