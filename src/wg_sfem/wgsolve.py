@@ -153,8 +153,7 @@ def assemble(mesh: PolyMesh, k: int, f, g=None, cache: OperatorCache | None = No
     f(x, y) and g(x, y) get flat arrays of quadrature points, many cells or
     edges at once, and return one value per point or one constant for all;
     any other shape, or a non-finite value, raises localspaces.DataError
-    naming the shape or the point (and g's edge).  k must be an int or
-    numpy integer in 0..MAX_DEGREE, else DegreeError.
+    naming the shape or the point (and g's edge).
     """
     cache = OperatorCache(mesh, k) if cache is None else cache.check(mesh, k)
     dofmap = cache.dofmap
