@@ -820,7 +820,10 @@ class OperatorCache:
 
     def check(self, mesh: PolyMesh, k: int) -> OperatorCache:
         """This cache, if built from this very mesh object at degree k; else
-        ValueError: a mesh of the same topology would fit every array."""
+        ValueError: a mesh of the same topology would fit every array.  A k
+        that is not an integer raises DegreeError, even if it equals
+        self.k."""
+        _check_degree(k)
         if mesh is not self.mesh or k != self.k:
             which = "this" if mesh is self.mesh else "another"
             raise ValueError(f"operator cache of degree {self.k} was built for {which} mesh; "

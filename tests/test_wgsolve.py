@@ -205,6 +205,9 @@ def test_degree_gate_takes_only_integers(k):
         OperatorCache(mesh, k)
     with pytest.raises(DegreeError):
         assemble(mesh, k, zero)
+    # A cache of degree 1 equals True and 1.0 under ==, so its check gates too.
+    with pytest.raises(DegreeError):
+        assemble(mesh, k, zero, cache=OperatorCache(mesh, 1))
 
 
 def test_degree_gate_accepts_a_numpy_integer():
