@@ -169,12 +169,6 @@ def test_assemble_and_solve_case_build_their_own_cache(quad_and_square_l4):
     assert np.array_equal(again.u0, sol.u0) and np.array_equal(again.ub, sol.ub)
 
 
-def _stacked(*values):
-    """A vector field that is the constant ``values`` at every point, as an
-    (npts, 2) array."""
-    return lambda x, y: np.stack([np.full_like(x, v) for v in values], axis=-1)
-
-
 def test_constant_u_and_grad_u_give_the_errors_of_their_arrays(quad_and_square_l4):
     """A constant u or grad u is every point's value: the same samples and
     errors as the arrays of that value."""
@@ -185,8 +179,9 @@ def test_constant_u_and_grad_u_give_the_errors_of_their_arrays(quad_and_square_l
     assert (energy_error_via_projection(quad, 1, const_u, sol, cache)
             == energy_error_via_projection(quad, 1, array_u, sol, cache))
     for const in ((0.0, 1.0), np.array([0.5, -2.0])):
+        stacked = lambda x, y: np.stack([np.full_like(x, v) for v in const], axis=-1)
         assert (energy_error(quad, 1, array_u, lambda x, y: const, sol, cache)
-                == energy_error(quad, 1, array_u, _stacked(*const), sol, cache))
+                == energy_error(quad, 1, array_u, stacked, sol, cache))
 
 
 @pytest.mark.parametrize("grad_u,got", [
