@@ -13,9 +13,12 @@ Each checkout imports its own ``src/``.  For every problem of PROBLEMS it
 solves the ``sin2d`` case and prints sha256 prefixes of each operator stack's
 ``weak_gradient``, ``stiffness``, ``condensed``, ``mass_scalar``,
 ``frame_coeffs`` and ``h1``, of the system's ``rhs``, ``edge_rhs``, ``load``
-and ``edge_matrix.data``, and of ``u0`` and ``ub``; and, exactly, the solve's
-``iterations``, ``method`` and ``residual`` and the three error norms.  The
-set takes a few seconds.
+and ``edge_matrix.data``, of ``u0`` and ``ub``, and of the per-cell path on the
+first cell of every batch (PER_CELL: ``OperatorCache.get(c)``'s
+``project_interior`` of u and ``project_lambda_field`` of grad u, and the
+stack's ``interior_moments`` of f on that cell's row alone); and, exactly,
+the solve's ``iterations``, ``method`` and ``residual`` and the three error
+norms.  The set takes a few seconds.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ PROBLEMS = ([(family, 3, k) for family in ("square", "quad", "hex") for k in ran
             + [("square", 6, 1), ("quad", 5, 0), ("hex", 5, 2), ("jitter", 7, 1)])
 JITTER_SEED = 1
 STACK_ARRAYS = ("weak_gradient", "stiffness", "condensed", "mass_scalar", "frame_coeffs", "h1")
+PER_CELL = ("project_interior", "project_lambda_field", "interior_moments")
 DIGITS = 16
 
 
@@ -63,6 +67,20 @@ def stack_digests(ops) -> dict:
     is a tuple of three arrays."""
     values = {name: getattr(ops, name) for name in STACK_ARRAYS}
     return {name: digest(*v) if isinstance(v, tuple) else digest(v) for name, v in values.items()}
+
+
+def per_cell_digests(cache, case) -> dict:
+    """The digest of each of PER_CELL over the first cell of every batch."""
+    firsts = [(ops, rows[0], cells[0], offsets[0])
+              for ops, rows, cells, offsets, _ in cache.batches()]
+    return {
+        "project_interior": digest(*(cache.get(c).project_interior(case.u)
+                                     for _, _, c, _ in firsts)),
+        "project_lambda_field": digest(*(cache.get(c).project_lambda_field(case.grad_u)
+                                         for _, _, c, _ in firsts)),
+        "interior_moments": digest(*(ops.interior_moments(case.f, [row], offset[None])
+                                     for ops, row, _, offset in firsts)),
+    }
 
 
 def jitter_mesh(seed: int):
@@ -92,7 +110,7 @@ def fingerprint(family: str, level: int, k: int) -> dict:
         "stacks": [stack_digests(ops) for ops in stacks],
         "system": {"rhs": digest(system.rhs), "edge_rhs": digest(system.edge_rhs),
                    "load": digest(system.load), "edge_matrix": digest(system.edge_matrix.data)},
-        "u0": digest(sol.u0), "ub": digest(sol.ub),
+        "u0": digest(sol.u0), "ub": digest(sol.ub), "per_cell": per_cell_digests(cache, case),
         "iterations": sol.iterations, "method": sol.method, "residual": sol.residual,
         "l2_err": l2_projection_error(mesh, k, case.u, sol, cache),
         "energy_err": energy_error(mesh, k, case.u, case.grad_u, sol, cache),

@@ -33,6 +33,7 @@ def test_two_runs_print_the_same_sorted_json(identity, capsys):
     assert list(payload) == ["quad-L3-k1"]
     record = payload["quad-L3-k1"]
     assert set(record["stacks"][0]) == set(identity.STACK_ARRAYS)
+    assert set(record["per_cell"]) == set(identity.PER_CELL)
     assert record["method"] == "direct" and record["iterations"] == 0
     assert json.dumps(payload, indent=1, sort_keys=True) + "\n" == first
 
