@@ -490,13 +490,6 @@ def _evaluate(func, x: np.ndarray, y: np.ndarray, shape: tuple, edges=None) -> n
     return np.ascontiguousarray(vals.reshape(x.shape + shape))
 
 
-def _rowwise(x: np.ndarray, A: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """x[i] @ A[inv[i]] for every row i: x (n, ..., p), A (u, ..., p, m) ->
-    (n, ..., m)."""
-    B = A[0] if len(A) == 1 else A[inv]
-    return (x[..., None, :] @ B)[..., 0, :]
-
-
 def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A[i] @ x[i] for every row i; x is (n, dim) or (n, dim, m)."""
     return (A @ x.reshape(*x.shape[:2], -1)).reshape(A.shape[:2] + x.shape[2:])
@@ -615,11 +608,13 @@ class OperatorStack:
         grad = np.pad(grad.reshape(n_cells, -1, n0), ((0, 0), (0, 0), (0, n_sides * nb)))
         return np.concatenate([grad, trace.reshape(n_cells, -1, trace.shape[-1])], axis=1)
 
-    def _samples(self, func, uniq, inv, offsets, shape):
+    def _samples(self, func, rows, offsets, shape):
         """The data_tables of the data-degree rule and func at the rule's
         image x = v0 + B xi on each fan triangle of each cell (_evaluate),
-        shape (n, n_triangles, npts) + shape."""
+        shape (n, n_triangles, npts) + shape.  The image is mapped once per
+        distinct row and moved to each cell by its offset."""
         tables = data_tables(self.k, data_degree(self.k))
+        uniq, inv = np.unique(rows, return_inverse=True)
         v0, B = self.tri_coords[uniq, :, 0, :, None], self.jacobian[uniq]
         xi, eta = tables[0].T
         # Each coordinate gathered and shifted on its own: numpy loops over
@@ -639,30 +634,25 @@ class OperatorStack:
     def _interior(self, func, rows, offsets, per_row):
         """The moments of func against the reference monomials on each fan
         triangle, mapped to the cell by per_row (S, n_triangles * dim, m)."""
-        uniq, inv = np.unique(rows, return_inverse=True)
-        (_, w, monomials, _), vals = self._samples(func, uniq, inv, offsets, ())
+        (_, w, monomials, _), vals = self._samples(func, rows, offsets, ())
         raw = vals.reshape(-1, w.size) @ (w[:, None] * monomials)
-        return _rowwise(raw.reshape(len(rows), -1), per_row[uniq], inv)
+        return (raw.reshape(len(vals), 1, -1) @ per_row[rows])[:, 0]
 
     def project_lambda_field(self, func, rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """L2 projections of a vector field onto the weak-gradient spaces,
         shape (n, n_lambda).  func(x, y) returns shape (npts, 2) or (2,)."""
-        uniq, inv = np.unique(rows, return_inverse=True)
-        (_, w, _, fields), g = self._samples(func, uniq, inv, offsets, (2,))
+        (_, w, _, fields), g = self._samples(func, rows, offsets, (2,))
         n, nt, nq = g.shape[:3]
         # int g . B phi / det B dx = sum_q w_q (B^T g) . phi: the moments
         # against each triangle's Piola fields, shape (n, n_triangles,
         # n_fields); the basis is orthonormal, so contracting them with
         # frame_coeffs gives the projection.
-        B = self.jacobian[uniq][inv]
-        gx, gy = g[..., 0], g[..., 1]
-        h = np.empty((n, nt, 2, nq))
-        for d in range(2):
-            np.multiply(B[:, :, 0, d, None], gx, out=h[:, :, d])
-            h[:, :, d] += B[:, :, 1, d, None] * gy
+        B = self.jacobian[rows]
+        h = np.stack([B[:, :, 0, d, None] * g[..., 0] + B[:, :, 1, d, None] * g[..., 1]
+                      for d in range(2)], axis=2)
         table = (w[:, None, None] * fields).transpose(2, 0, 1).reshape(2 * nq, -1)
-        raw = (h.reshape(n * nt, -1) @ table).reshape(n, -1)
-        return _rowwise(raw, self.frame_coeffs[uniq].reshape(len(uniq), raw.shape[1], -1), inv)
+        raw = (h.reshape(n * nt, -1) @ table).reshape(n, 1, -1)
+        return (raw @ self.frame_coeffs[rows].reshape(n, raw.shape[-1], -1))[:, 0]
 
 
 class LocalCellOperators(NamedTuple):
