@@ -843,7 +843,8 @@ def project_qb(mesh: PolyMesh, edge, k: int, func) -> np.ndarray:
     non-finite value (_evaluate)."""
     _check_degree(k)
     degree = data_degree(k)
-    edges = np.atleast_1d(edge)
+    # An empty list reads as float64, which cannot index.
+    edges = np.atleast_1d(edge) if np.size(edge) else np.empty(0, int)
     rule = segment_rule(degree)
     a, b = mesh.vertices[mesh.edges[edges]].transpose(1, 0, 2)
     pts = a[:, None] + rule.points[:, None] * (b - a)[:, None]

@@ -194,8 +194,12 @@ def test_misshaped_cell_and_edge_data_rejected_naming_both_shapes(f, g):
 def test_project_qb_of_no_edges_is_empty(k):
     mesh = generate_square_grid(2)
     none = np.flatnonzero(np.zeros(mesh.n_edges, dtype=bool))
-    for func in (lambda x, y: x + y, lambda x, y: 1.0):
-        assert project_qb(mesh, none, k, func).shape == (0, k + 1)
+    for edges in (none, []):
+        for func in (lambda x, y: x + y, lambda x, y: 1.0):
+            assert project_qb(mesh, edges, k, func).shape == (0, k + 1)
+    # Only the empty list is read as integers: a float index still fails.
+    with pytest.raises(IndexError):
+        project_qb(mesh, [1.0], k, lambda x, y: x + y)
 
 
 @pytest.mark.parametrize("k", [1.0, 2.5, True, -1, 5])
