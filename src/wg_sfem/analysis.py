@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .localspaces import OperatorCache, _matvec, project_qb
+from .localspaces import OperatorCache, _check_degree, _matvec, project_qb
 from .polymesh import GENERATORS, PolyMesh
 from .wgsolve import (
     SolverError,
@@ -235,8 +235,9 @@ def run_level(family: str, level: int, k: int, case: ManufacturedCase,
     solution, cache = solve_case(mesh, k, case, tol=tol)
     l2 = l2_projection_error(mesh, k, case.u, solution, cache)
     energy = energy_error(mesh, k, case.u, case.grad_u, solution, cache)
+    # level has passed the generator's gate: numpy integers are stored as ints.
     return ErrorReport(
-        level=level, dofs=cache.dofmap.n_dofs, l2_err=l2, energy_err=energy,
+        level=int(level), dofs=int(cache.dofmap.n_dofs), l2_err=l2, energy_err=energy,
         residual=solution.residual,
     )
 
@@ -250,7 +251,8 @@ def run_convergence(family: str, k: int, levels, case: ManufacturedCase,
     """
     if family not in GENERATORS:
         raise ValueError(f"unknown mesh family '{family}'")
-    table = ConvergenceTable(family=family, k=k, case=case.label)
+    _check_degree(k)
+    table = ConvergenceTable(family=family, k=int(k), case=case.label)
     for level in levels:
         try:
             rep = run_level(family, level, k, case, tol=tol)

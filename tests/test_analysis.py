@@ -232,6 +232,16 @@ def test_run_convergence_patch_marks_rates_undefined():
     assert math.isnan(table.rows[-1].energy_rate)
 
 
+def test_numpy_integer_degree_and_levels_render_as_ints():
+    """Every format prints the same bytes as for a range of ints."""
+    case = get_case("sin2d")
+    plain = run_convergence("square", 1, range(2, 4), case)
+    numpy = run_convergence("square", np.int64(1), np.arange(2, 4), case)
+    assert all(type(row.level) is int and type(row.dofs) is int for row in numpy.rows)
+    for fmt in ("csv", "md", "json"):
+        assert numpy.render(fmt) == plain.render(fmt)
+
+
 def test_unknown_family_rejected():
     with pytest.raises(ValueError, match="unknown mesh family"):
         run_convergence("voronoi", 0, range(2, 4), get_case("sin2d"))
