@@ -12,17 +12,18 @@ minutes.  --full extends toward the finest tabulated levels (much slower;
 the square/quad level-8 P0 runs alone take several minutes each).
 
 Requested (family, degree) pairs with no planned study are named on stderr
-and skipped.  Exit codes: 0 every study complete, 2 usage error (including a
-request that selects no planned study), 4 some study stopped at a failed
-level (its table is printed with an INCOMPLETE line), as for
-``wg-sfem convergence``.
+and skipped; a level whose solve stopped above the default tol of
+``run_convergence`` is noted there too.  Exit codes: 0 every study
+complete, 2 usage error (including a request that selects no planned
+study), 4 some study stopped at a failed level (its table is printed with
+an INCOMPLETE line), as for ``wg-sfem convergence``.
 """
 
 import argparse
 import sys
 import time
 
-from wg_sfem.analysis import get_case, run_convergence
+from wg_sfem.analysis import above_tol, get_case, run_convergence
 from wg_sfem.polymesh import GENERATORS
 
 DEFAULT_PLAN = {
@@ -69,6 +70,9 @@ def main(argv=None) -> int:
         print(f"\n== {family} family, P{k} elements, levels {lo}..{hi} "
               f"({elapsed:.1f}s)")
         print(table.to_markdown(), end="")
+        for row in table.rows:
+            if note := above_tol(row.residual, level=row.level):
+                print(f"{family} P{k} {note}", file=sys.stderr)
         if table.partial:
             print(f"   INCOMPLETE: {table.failure}")
             partial = True

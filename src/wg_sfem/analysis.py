@@ -143,6 +143,15 @@ def rate(e_prev: float, e_curr: float) -> float:
     return math.log2(e_prev / e_curr)
 
 
+def above_tol(residual: float, tol: float = 1e-12, level: int | None = None) -> str:
+    """The note for a solve that stopped above tol, which solve does only at
+    the rounding floor of the relative residual, naming the level of a
+    study if given; "" for a solve that met tol."""
+    note = (f"residual {residual:.3E} above tol {tol:.3E}: the solve stopped at the "
+            "rounding floor of the relative residual")
+    return "" if residual <= tol else (note if level is None else f"level {level}: {note}")
+
+
 @dataclass(frozen=True)
 class ErrorReport:
     """One solve's errors and solver outcome; in a study, also the dyadic

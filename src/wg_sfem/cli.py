@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .analysis import (
     CASES,
+    above_tol,
     energy_error,
     get_case,
     l2_projection_error,
@@ -136,9 +137,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         f"dofs={cache.dofmap.n_dofs} residual={_fmt(solution.residual)} "
         f"l2_err={_fmt(l2)} energy_err={_fmt(energy)}"
     )
-    if solution.residual > args.tol:
-        print(f"residual {_fmt(solution.residual)} above --tol {_fmt(args.tol)}: the solve "
-              "stopped at the rounding floor of the relative residual", file=sys.stderr)
+    if note := above_tol(solution.residual, args.tol):
+        print(note, file=sys.stderr)
     if args.out:
         payload = {
             "k": args.degree,
@@ -159,6 +159,8 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
                             tol=args.tol)
     rendered = table.render(args.fmt)
     print(rendered, end="")
+    for note in filter(None, (above_tol(r.residual, args.tol, r.level) for r in table.rows)):
+        print(note, file=sys.stderr)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(rendered)

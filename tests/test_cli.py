@@ -131,7 +131,7 @@ def test_solve_above_tol_says_so_on_stderr_and_exits_0(capsys):
     captured = capsys.readouterr()
     residual = dict(part.split("=") for part in captured.out.split())["residual"]
     assert float(residual) > 1e-17
-    assert captured.err == (f"residual {residual} above --tol 1.000E-17: the solve stopped at "
+    assert captured.err == (f"residual {residual} above tol 1.000E-17: the solve stopped at "
                             "the rounding floor of the relative residual\n")
     assert run_cli(["solve", "--family", "square", "--level", "2", "--degree", "1"]) == 0
     assert capsys.readouterr().err == ""
@@ -230,6 +230,23 @@ def test_convergence_square_k0_rows_and_csv(tmp_path, capsys):
     final = lines[3].split(",")
     assert float(final[2]) == pytest.approx(2.0, abs=0.25)
     assert capsys.readouterr().out == out.read_text()
+
+
+def test_convergence_notes_each_level_above_tol_on_stderr(capsys):
+    """As solve does, one stderr line per level that stops above --tol,
+    naming the level and its residual; exit 0."""
+    args = ["convergence", "--family", "square", "--degree", "1", "--levels", "2:3"]
+    assert run_cli(args + ["--tol", "1e-17"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 2
+    for level, line in zip((2, 3), lines):
+        assert line.startswith(f"level {level}: residual ")
+        assert line.endswith(" above tol 1.000E-17: the solve stopped at the rounding floor "
+                             "of the relative residual")
+    assert captured.out.startswith("level,l2_err,l2_rate,energy_err,energy_rate\n")
+    assert run_cli(args) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_convergence_hex_k3_superconvergent_l2(capsys):

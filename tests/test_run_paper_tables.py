@@ -1,4 +1,5 @@
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,21 @@ def test_a_failed_level_exits_4(tables, capsys, monkeypatch):
     monkeypatch.setattr(analysis, "run_level", failing)
     assert tables.main([]) == 4
     assert "INCOMPLETE: level 2: injected failure" in capsys.readouterr().out
+
+
+def test_a_level_stopped_above_tol_is_noted_on_stderr(tables, capsys, monkeypatch):
+    real_run_level = analysis.run_level
+
+    def stopped(family, level, k, case, tol=1e-12):
+        rep = real_run_level(family, level, k, case, tol=tol)
+        return replace(rep, residual=2e-12) if level == 3 else rep
+
+    monkeypatch.setattr(analysis, "run_level", stopped)
+    assert tables.main([]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("square P0 level 3: residual 2.000E-12 above tol 1.000E-12: the "
+                            "solve stopped at the rounding floor of the relative residual\n")
+    assert "INCOMPLETE" not in captured.out
 
 
 def test_a_request_with_no_planned_study_exits_2_naming_the_planned_degrees(script, capsys):
