@@ -236,10 +236,10 @@ def test_numpy_integer_degree_and_levels_render_as_ints():
     """Every format prints the same bytes as for a range of ints."""
     case = get_case("sin2d")
     plain = run_convergence("square", 1, range(2, 4), case)
-    numpy = run_convergence("square", np.int64(1), np.arange(2, 4), case)
-    assert all(type(row.level) is int and type(row.dofs) is int for row in numpy.rows)
+    typed = run_convergence("square", np.int64(1), np.arange(2, 4), case)
+    assert all(type(row.level) is int and type(row.dofs) is int for row in typed.rows)
     for fmt in ("csv", "md", "json"):
-        assert numpy.render(fmt) == plain.render(fmt)
+        assert typed.render(fmt) == plain.render(fmt)
 
 
 def test_unknown_family_rejected():
