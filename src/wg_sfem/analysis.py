@@ -22,6 +22,7 @@ import numpy as np
 from .localspaces import OperatorCache, _check_degree, _matvec, project_qb
 from .polymesh import GENERATORS, PolyMesh
 from .wgsolve import (
+    DEFAULT_TOL,
     SolverError,
     WGSolution,
     assemble,
@@ -143,7 +144,7 @@ def rate(e_prev: float, e_curr: float) -> float:
     return math.log2(e_prev / e_curr)
 
 
-def above_tol(residual: float, tol: float = 1e-12, level: int | None = None) -> str:
+def above_tol(residual: float, tol: float = DEFAULT_TOL, level: int | None = None) -> str:
     """The note for a solve that stopped above tol, which solve does only at
     the rounding floor of the relative residual, naming the level of a
     study if given; "" for a solve that met tol."""
@@ -231,7 +232,7 @@ class ConvergenceTable:
         return renderers[fmt]()
 
 
-def solve_case(mesh: PolyMesh, k: int, case: ManufacturedCase, tol: float = 1e-12
+def solve_case(mesh: PolyMesh, k: int, case: ManufacturedCase, tol: float = DEFAULT_TOL
                ) -> tuple[WGSolution, OperatorCache]:
     """Assemble and solve one manufactured problem on a mesh, with a new cache."""
     system = assemble(mesh, k, case.f, case.g)
@@ -239,7 +240,7 @@ def solve_case(mesh: PolyMesh, k: int, case: ManufacturedCase, tol: float = 1e-1
 
 
 def run_level(family: str, level: int, k: int, case: ManufacturedCase,
-              tol: float = 1e-12) -> ErrorReport:
+              tol: float = DEFAULT_TOL) -> ErrorReport:
     mesh = GENERATORS[family](level)
     solution, cache = solve_case(mesh, k, case, tol=tol)
     l2 = l2_projection_error(mesh, k, case.u, solution, cache)
@@ -252,7 +253,7 @@ def run_level(family: str, level: int, k: int, case: ManufacturedCase,
 
 
 def run_convergence(family: str, k: int, levels, case: ManufacturedCase,
-                    tol: float = 1e-12) -> ConvergenceTable:
+                    tol: float = DEFAULT_TOL) -> ConvergenceTable:
     """Solve on successive levels and tabulate errors with dyadic rates
     against the row before (``rate``; undefined on the first row and at the
     noise floor).  A failed level flags the table as partial and keeps the

@@ -24,7 +24,7 @@ from .analysis import (
 )
 from .localspaces import MAX_DEGREE, GeometryError, LambdaDimensionError
 from .polymesh import GENERATORS, MeshFormatError, StarShapeError, read_mesh, write_mesh
-from .wgsolve import SolverError
+from .wgsolve import DEFAULT_TOL, SolverError
 
 LEVEL_CAPS = {"square": 8, "quad": 8, "hex": 7}
 FORMATS = ("csv", "md", "json")
@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--degree", required=True, type=int, choices=range(MAX_DEGREE + 1))
     p_solve.add_argument("--case", default="sin2d", choices=sorted(CASES))
     p_solve.add_argument("--out")
-    p_solve.add_argument("--tol", type=float, default=1e-12)
+    p_solve.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p_conv = sub.add_parser("convergence", help="run a convergence study over levels")
     p_conv.add_argument("--family", required=True, choices=sorted(GENERATORS))
@@ -62,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--case", default="sin2d", choices=sorted(CASES))
     p_conv.add_argument("--format", dest="fmt", default="csv", choices=FORMATS)
     p_conv.add_argument("--out")
-    p_conv.add_argument("--tol", type=float, default=1e-12)
+    p_conv.add_argument("--tol", type=float, default=DEFAULT_TOL)
     return parser
 
 

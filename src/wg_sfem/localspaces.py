@@ -4,7 +4,10 @@ Scalar bases on cells are centroid-centered, diameter-scaled monomials
 ((x-x_T)/h_T)^a ((y-y_T)/h_T)^b; edge bases are the powers s^m of the
 reference-segment parameter s = 2t - 1, with t in [0, 1] running along the
 edge's canonical (low -> high vertex index) direction, so both adjacent cells
-see the same single-valued basis.
+see the same single-valued basis.  The centroid x_T and every other frame
+shift come from the fan's Jacobians relative to its anchor (_fan_centroids),
+so no absolute coordinate enters an operator; only the data passes see
+absolute points, where the user's functions are defined.
 
 The vector basis on each fan sub-triangle is the contravariant Piola image
 B phi(F^-1 x) / det B, under its affine map x = F(xi) = v0 + B xi, of one
@@ -53,7 +56,6 @@ from .polymesh import (
     StarShapeError,
     fan_triangles,
     first_appearance_labels,
-    polygon_centroid,
     polygon_diameter,
 )
 from .quadrature import data_degree, segment_rule, symmetric_rule, triangle_rule
@@ -286,6 +288,14 @@ def _det(B: np.ndarray) -> np.ndarray:
     return B[..., 0, 0] * B[..., 1, 1] - B[..., 0, 1] * B[..., 1, 0]
 
 
+def _fan_centroids(B: np.ndarray) -> np.ndarray:
+    """Centroids B (1, 1) / 3 of fan triangles with Jacobians B (..., 2, 2),
+    relative to their common anchor v0, shape (..., 2).  Every frame shift
+    of the local operators is a difference of these, so none depends on
+    where the mesh sits."""
+    return B.sum(axis=-1) / 3
+
+
 def _inv(B: np.ndarray) -> np.ndarray:
     """Inverses of a stack of 2 x 2 matrices."""
     adj = np.stack([B[..., 1, 1], -B[..., 0, 1], -B[..., 1, 0], B[..., 0, 0]], axis=-1)
@@ -427,7 +437,7 @@ def build_lambda_basis(mesh: PolyMesh, cells, k: int) -> LambdaBasis:
     div = ref.div_coeffs @ orth / det[..., None, None]
     cell, star, rows = np.arange(n_cells)[:, None], det.argmax(axis=1)[:, None], np.arange(nt - 1)
     other = rows + (rows >= star)
-    B_inv, g = _inv(B[cell, star]), coords.mean(axis=-2)
+    B_inv, g = _inv(B[cell, star]), _fan_centroids(B)
     shift = monomial_change_of_frame(k, B_inv @ B[cell, other],
                                      (B_inv @ (g[cell, other] - g[cell, star])[..., None])[..., 0])
     jumps = np.zeros((n_cells, nt - 1, k + 1, nt, nf))
@@ -514,11 +524,16 @@ class OperatorStack:
         self.cells = lam.cells
         self.tri_coords, self.jacobian = lam.tri_coords, lam.jacobian
         cyc = mesh.cell_cycles(self.cells)
-        X = mesh.vertices[cyc]
-        self.center, self.diameter = polygon_centroid(X), polygon_diameter(X)
+        self.diameter = polygon_diameter(mesh.vertices[cyc])
         (n_cells, nt, nf), nl = lam.orth.shape[:3], lam.n_lambda
         ref = reference_tables(k)
-        B, det = lam.jacobian, _det(lam.jacobian)[..., None, None]
+        B, det = lam.jacobian, _det(lam.jacobian)
+        # The cell's centroid is the area-weighted mean of its fan triangles'
+        # centroids g; both are held relative to the anchor v0, which only
+        # the absolute center adds back.
+        g = _fan_centroids(B)
+        self._rel_center = (det[..., None] * g).sum(axis=1) / det.sum(axis=1)[:, None]
+        self.center = self.tri_coords[:, 0, 0] + self._rel_center
         # Lambda basis fields over each triangle's Piola fields.
         self.frame_coeffs = lam.orth @ lam.coeffs.reshape(n_cells, nt, nf, nl)
 
@@ -526,9 +541,8 @@ class OperatorStack:
         # centroid g, zeta = (x - center) / diameter
         # = B (xi - 1/3) / diameter + (g - center) / diameter.
         h = self.diameter[:, None, None]
-        to_ref = monomial_change_of_frame(
-            k, B / h[..., None], (self.tri_coords.mean(axis=-2) - self.center[:, None]) / h)
-        to_ref_t, dx_to_ref = to_ref.swapaxes(-1, -2), det * to_ref
+        to_ref = monomial_change_of_frame(k, B / h[..., None], (g - self._rel_center[:, None]) / h)
+        to_ref_t, dx_to_ref = to_ref.swapaxes(-1, -2), det[..., None, None] * to_ref
         self.mass_scalar = (to_ref_t @ ref.mass @ dx_to_ref).sum(axis=1)
         # (u0, div q) per triangle: the Jacobians of div and of dx cancel.
         b_int = -(self.frame_coeffs.swapaxes(-1, -2) @ ref.div_moments.T @ to_ref).sum(axis=1)
@@ -586,7 +600,9 @@ class OperatorStack:
         trace mismatches on the sides, at Gauss rules exact for these
         degree-2k integrands, times the roots of the weights."""
         k, n0, nb, exps = self.k, dim_pk(self.k), self.k + 1, monomial_exponents(self.k)
-        tri = (self.tri_coords - self.center[:, None, None]) / self.diameter[:, None, None, None]
+        # The fan triangles' vertices relative to the anchor: 0, then B's columns.
+        v = np.pad(self.jacobian.swapaxes(-1, -2), ((0, 0), (0, 0), (1, 0), (0, 0)))
+        tri = (v - self._rel_center[:, None, None]) / self.diameter[:, None, None, None]
         n_cells, n_sides = len(tri), tri.shape[1] + 2
         # The zeta-gradient of the monomial (a, b) is a (a - 1, b), b (a, b - 1).
         rule, B = triangle_rule(2 * k), tri[:, :, 1:] - tri[:, :, :1]

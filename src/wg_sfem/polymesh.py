@@ -1,7 +1,10 @@
 """Polytopal mesh data model, generators, fan sub-triangulation and JSON I/O.
 
-Meshes partition the unit square (0,1)^2 into counterclockwise polygonal
-cells.  Three deterministic families are provided:
+Meshes are counterclockwise polygonal cells.  A JSON mesh may sit anywhere
+in the plane: the checks here and the local operators work on offsets
+within each cell, so where it sits changes only the rounding of its
+coordinates.  The three deterministic generated families partition the
+unit square (0,1)^2:
 
 * square   -- uniform n x n squares, n = 2^(level-1);
 * quad     -- congruent-up-to-reflection trapezoids obtained by shifting the
@@ -50,22 +53,12 @@ def _next(n: int) -> np.ndarray:
 
 def polygon_area(coords: np.ndarray) -> np.ndarray:
     """Signed shoelace areas of polygons given as vertex cycles, shape
-    (..., n, 2) -> (...)."""
-    x, y = coords[..., 0], coords[..., 1]
+    (..., n, 2) -> (...).  The sums run on offsets from each cycle's first
+    vertex, so their cross terms are of the cell's size wherever it sits."""
+    rel = coords - coords[..., :1, :]
+    x, y = rel[..., 0], rel[..., 1]
     nxt = _next(x.shape[-1])
     return 0.5 * np.sum(x * y[..., nxt] - x[..., nxt] * y, axis=-1)
-
-
-def polygon_centroid(coords: np.ndarray) -> np.ndarray:
-    """Centroids of polygons given as vertex cycles, shape (..., n, 2) -> (..., 2)."""
-    x, y = coords[..., 0], coords[..., 1]
-    nxt = _next(x.shape[-1])
-    xn, yn = x[..., nxt], y[..., nxt]
-    cross = x * yn - xn * y
-    area = 0.5 * np.sum(cross, axis=-1)
-    cx = np.sum((x + xn) * cross, axis=-1) / (6.0 * area)
-    cy = np.sum((y + yn) * cross, axis=-1) / (6.0 * area)
-    return np.stack([cx, cy], axis=-1)
 
 
 def polygon_diameter(coords: np.ndarray) -> np.ndarray:
@@ -141,12 +134,6 @@ class PolyMesh:
     def cells(self) -> tuple[tuple[int, ...], ...]:
         """Per-cell vertex cycles as tuples, built on first access."""
         items, bounds = self.cycles.tolist(), self.offsets.tolist()
-        return tuple(tuple(items[a:b]) for a, b in zip(bounds, bounds[1:]))
-
-    @cached_property
-    def cell_edges(self) -> tuple[tuple[int, ...], ...]:
-        """Per cell, the edge index of each side, as tuples."""
-        items, bounds = self.sides.tolist(), self.offsets.tolist()
         return tuple(tuple(items[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def cell_cycles(self, cells) -> np.ndarray:

@@ -34,6 +34,9 @@ from .localspaces import DofMap, OperatorCache, _matvec, build_dof_map, project_
 from .polymesh import PolyMesh
 
 DIRECT_LIMIT = 5000
+# The relative residual that solve, the study drivers and the CLI ask for
+# unless told otherwise.
+DEFAULT_TOL = 1e-12
 # Tightened PCG passes on the edge system that solve may add to bring the
 # full-system residual under tol.
 MAX_REFINEMENTS = 3
@@ -324,7 +327,7 @@ def _recover(system: SparseSymSystem, x_edge: np.ndarray) -> tuple[np.ndarray, f
     return x, float(np.linalg.norm(r[dofmap.free_dofs]))
 
 
-def solve(system: SparseSymSystem, tol: float = 1e-12) -> WGSolution:
+def solve(system: SparseSymSystem, tol: float = DEFAULT_TOL) -> WGSolution:
     """Solve the eliminated system to the requested relative residual.
 
     The edge system is solved directly when the full system has fewer than

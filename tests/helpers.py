@@ -27,10 +27,10 @@ from wg_sfem.localspaces import (
 )
 from wg_sfem.polymesh import (
     MeshFormatError,
+    build_mesh,
     fan_triangles,
     generate_square_grid,
     polygon_area,
-    polygon_centroid,
     polygon_diameter,
 )
 from wg_sfem.quadrature import data_degree, segment_rule, symmetric_rule, triangle_rule
@@ -102,6 +102,29 @@ def segment_points(a, b, degree):
     return pts, rule.weights * float(np.linalg.norm(b - a))
 
 
+def polygon_centroid(coords):
+    """Shoelace centroids of polygons given as vertex cycles, shape (..., n,
+    2) -> (..., 2), on offsets from each cycle's first vertex: the oracle
+    for the library's centroid, which sums fan triangles instead."""
+    rel = coords - coords[..., :1, :]
+    x, y = rel[..., 0], rel[..., 1]
+    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
+    cross = x * yn - xn * y
+    six_area = 3.0 * np.sum(cross, axis=-1)
+    return coords[..., 0, :] + np.stack([np.sum((x + xn) * cross, axis=-1) / six_area,
+                                         np.sum((y + yn) * cross, axis=-1) / six_area], axis=-1)
+
+
+def jittered_square_mesh(level=4, seed=5):
+    """A square-grid level with every vertex moved by up to 0.2 h, so that
+    no two cells are translates (64 classes at level 4)."""
+    base = generate_square_grid(level)
+    rng = np.random.default_rng(seed)
+    h = 1.0 / 2 ** (level - 1)
+    return build_mesh(base.vertices + rng.uniform(-0.2 * h, 0.2 * h, base.vertices.shape),
+                      base.cells)
+
+
 def cell_vertices(mesh, c):
     return mesh.vertices[mesh.cycles[mesh.offsets[c] : mesh.offsets[c + 1]]]
 
@@ -135,7 +158,7 @@ def edge_normal(mesh, e):
     """Unit normal pointing from the lower- to the higher-index adjacent
     cell; outward on boundary edges."""
     c = int(mesh.edge_cells[e, 0])
-    return side_normal(mesh, c, mesh.cell_edges[c].index(e))
+    return side_normal(mesh, c, mesh.cell_sides([c])[0].tolist().index(e))
 
 
 def hex_grid_cell_count(level):
@@ -544,8 +567,8 @@ def isotropic_stack(mesh, cells, k):
 
 def loop_build_mesh(vertices, cells):
     """Validate and derive the topology of a mesh cell by cell, side by
-    side: a dict of the PolyMesh fields vertices, cells, edges, cell_edges,
-    edge_cells and boundary_edges.  Raises MeshFormatError as build_mesh
+    side: a dict of the PolyMesh fields vertices, cells, offsets, edges,
+    sides, edge_cells and boundary_edges.  Raises MeshFormatError as build_mesh
     does."""
     try:
         verts = np.array(vertices, dtype=float)
@@ -600,7 +623,7 @@ def loop_build_mesh(vertices, cells):
     edge_index = {}
     edge_list = []
     adjacency = []
-    cell_edges = []
+    all_sides = []
     for ci, cyc in enumerate(cell_tuples):
         sides = []
         for s in range(len(cyc)):
@@ -619,7 +642,7 @@ def loop_build_mesh(vertices, cells):
                     )
                 adjacency[e].append(ci)
             sides.append(e)
-        cell_edges.append(tuple(sides))
+        all_sides += sides
 
     ne = len(edge_list)
     edge_cells = np.full((ne, 2), -1, dtype=int)
@@ -632,7 +655,8 @@ def loop_build_mesh(vertices, cells):
         "vertices": verts,
         "cells": tuple(cell_tuples),
         "edges": np.array(edge_list, dtype=int),
-        "cell_edges": tuple(cell_edges),
+        "offsets": np.cumsum([0] + [len(cyc) for cyc in cell_tuples]),
+        "sides": np.array(all_sides, dtype=int),
         "edge_cells": edge_cells,
         "boundary_edges": boundary,
     }

@@ -165,7 +165,7 @@ def test_criterion_4_commuting_identity_suite():
                 ops = cache.get(c)
                 for u, grad_u in ((poly, poly_grad), (case.u, case.grad_u)):
                     u0 = ops.project_interior(u)
-                    ubs = [project_qb(mesh, e, k, u) for e in mesh.cell_edges[c]]
+                    ubs = [project_qb(mesh, e, k, u) for e in mesh.cell_sides([c])[0]]
                     lhs = ops.apply_weak_gradient(np.concatenate([u0] + ubs))
                     rhs = ops.project_lambda_field(grad_u)
                     rel = float(

@@ -6,7 +6,7 @@ import pytest
 import wg_sfem.analysis as analysis
 from wg_sfem.cli import LEVEL_CAPS, main
 from wg_sfem.localspaces import dim_pk
-from wg_sfem.polymesh import GENERATORS, read_mesh
+from wg_sfem.polymesh import GENERATORS, build_mesh, read_mesh, write_mesh
 from wg_sfem.wgsolve import SolverError
 
 
@@ -121,6 +121,21 @@ def test_solve_from_mesh_file(tmp_path, capsys):
                     "--case", "sin2d"])
     assert code == 0
     assert "l2_err=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("degree", ["1", "3"])
+def test_solve_far_off_mesh_meets_tol(degree, tmp_path, capsys):
+    """Hex level 4 moved to (1e6, 1e6), as a map-coordinate JSON mesh would
+    sit: the cell frames come from the anchor-relative fan, so the solve
+    meets the default tol and prints no note."""
+    base = GENERATORS["hex"](4)
+    mesh_path = tmp_path / "far.json"
+    write_mesh(build_mesh(base.vertices + 1e6, base.cells), mesh_path)
+    assert run_cli(["solve", "--mesh", str(mesh_path), "--degree", degree,
+                    "--case", "sin2d"]) == 0
+    captured = capsys.readouterr()
+    assert float(dict(part.split("=") for part in captured.out.split())["residual"]) <= 1e-12
+    assert captured.err == ""
 
 
 def test_solve_above_tol_says_so_on_stderr_and_exits_0(capsys):

@@ -38,6 +38,7 @@ from helpers import (
     fresh_cell,
     interior_values,
     isotropic_stack,
+    jittered_square_mesh,
     lambda_mass,
     lambda_values,
     loop_shape_classes,
@@ -294,7 +295,7 @@ def test_weak_gradient_reproduces_linear_gradient(k):
     for c in range(mesh.n_cells):
         ops = fresh_cell(mesh, c, k)
         u0 = ops.project_interior(lambda x, y: x)
-        ubs = [project_qb(mesh, e, k, lambda x, y: x) for e in mesh.cell_edges[c]]
+        ubs = [project_qb(mesh, e, k, lambda x, y: x) for e in mesh.cell_sides([c])[0]]
         gw = ops.apply_weak_gradient(np.concatenate([u0] + ubs))
         target = ops.project_lambda_field(
             lambda x, y: np.stack([np.ones_like(x), np.zeros_like(x)], axis=-1)
@@ -473,7 +474,7 @@ def test_commuting_identity_random_polynomial(family, k):
     for c in range(mesh.n_cells):
         ops = cache.get(c)
         u0 = ops.project_interior(p)
-        ubs = [project_qb(mesh, e, k, p) for e in mesh.cell_edges[c]]
+        ubs = [project_qb(mesh, e, k, p) for e in mesh.cell_sides([c])[0]]
         lhs = ops.apply_weak_gradient(np.concatenate([u0] + ubs))
         rhs = ops.project_lambda_field(grad)
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(np.linalg.norm(rhs), 1e-12)
@@ -499,7 +500,7 @@ def test_commuting_identity_sine_field():
     for c in range(0, mesh.n_cells, 3):
         ops = cache.get(c)
         u0 = ops.project_interior(u)
-        ubs = [project_qb(mesh, e, k, u) for e in mesh.cell_edges[c]]
+        ubs = [project_qb(mesh, e, k, u) for e in mesh.cell_sides([c])[0]]
         lhs = ops.apply_weak_gradient(np.concatenate([u0] + ubs))
         rhs = ops.project_lambda_field(grad)
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
@@ -549,7 +550,7 @@ def test_weak_gradient_exact_for_degree_kp1_polynomials(k):
     for c in (0, 5, mesh.n_cells - 1):
         ops = cache.get(c)
         u0 = ops.project_interior(p)
-        ubs = [project_qb(mesh, e, k, p) for e in mesh.cell_edges[c]]
+        ubs = [project_qb(mesh, e, k, p) for e in mesh.cell_sides([c])[0]]
         gw = ops.apply_weak_gradient(np.concatenate([u0] + ubs))
         for i, tri in enumerate(triangulate_cell(mesh, c).triangles):
             pts, _ = triangle_points(mesh.vertices[list(tri)], 6)
@@ -691,18 +692,8 @@ def test_batch_dofs_are_the_dof_map_arrays_of_each_batch(family, level):
         assert np.array_equal(dofs, cache.dofmap.cell_dof_array(mesh, cells))
 
 
-def _jittered_square_mesh(level=4, seed=5):
-    """A square-grid level (64 classes at level 4) with every vertex moved
-    by up to 0.2 h."""
-    base = GENERATORS["square"](level)
-    rng = np.random.default_rng(seed)
-    h = 1.0 / 2 ** (level - 1)
-    verts = base.vertices + rng.uniform(-0.2 * h, 0.2 * h, base.vertices.shape)
-    return build_mesh(verts, base.cells)
-
-
 def test_jittered_cells_are_never_merged():
-    mesh = _jittered_square_mesh()
+    mesh = jittered_square_mesh()
     cache = OperatorCache(mesh, 1)
     assert shape_classes(mesh).max() + 1 == mesh.n_cells
     coeffs = _stack_coeffs(mesh, cache)
@@ -772,7 +763,7 @@ def test_project_lambda_field_matches_a_dense_fit_of_the_basis_fields(k):
     same points."""
     hex_batch = next(OperatorCache(generate_hex_grid(3), k).batches())
     assert np.unique(hex_batch[1]).size < hex_batch[1].size
-    for stack, rows, cells, offsets, _ in [*OperatorCache(_jittered_square_mesh(3), k).batches(),
+    for stack, rows, cells, offsets, _ in [*OperatorCache(jittered_square_mesh(3), k).batches(),
                                            hex_batch]:
         got = stack.project_lambda_field(_sin_sin_grad, rows, offsets)
         for i, (row, off) in enumerate(zip(rows, offsets)):
@@ -793,7 +784,7 @@ def test_operators_do_not_depend_on_the_stack(k):
     """Each cell of a jittered mesh gets the same operators built alone as in
     a stack of 64 classes, and the batched data terms of a mixed-class batch
     match the single-cell ones."""
-    mesh = _jittered_square_mesh()
+    mesh = jittered_square_mesh()
     cache = OperatorCache(mesh, k)
     coeffs = _stack_coeffs(mesh, cache)
     for stack, rows, cells, offsets, _ in cache.batches():
@@ -815,7 +806,7 @@ def test_mass_lambda_is_the_identity(k):
     worst on these meshes, since the Piola frames' Grams have condition at
     most cond(B^T B)."""
     meshes = [GENERATORS["square"](2), GENERATORS["quad"](3), GENERATORS["hex"](3),
-              _jittered_square_mesh()]
+              jittered_square_mesh()]
     for mesh in meshes:
         for stack, *_ in OperatorCache(mesh, k).batches():
             eye = np.eye(stack.weak_gradient.shape[1])
@@ -973,7 +964,7 @@ def test_piola_build_matches_the_isotropic_oracle_cell_by_cell(k):
     monomial coefficients carry the condition of the interior mass matrix,
     up to 1e5 at k = 4, in both builds)."""
     meshes = [GENERATORS[f](level) for f in sorted(GENERATORS) for level in range(1, 5)]
-    for mesh in meshes + [_jittered_square_mesh(4, seed=3)]:
+    for mesh in meshes + [jittered_square_mesh(4, seed=3)]:
         new = {}
         for stack, rows, cells, offsets, _ in OperatorCache(mesh, k).batches():
             K = stack.stiffness[rows]
@@ -1071,7 +1062,7 @@ def test_weak_gradient_moments_of_polynomial_gradients_match_their_definition(k)
 
     degree = 2 * k + 4
     s = 2.0 * segment_rule(degree).points - 1.0
-    meshes = [GENERATORS[f](2) for f in sorted(GENERATORS)] + [_jittered_square_mesh(3, seed=3)]
+    meshes = [GENERATORS[f](2) for f in sorted(GENERATORS)] + [jittered_square_mesh(3, seed=3)]
     for mesh in meshes + [_inscribed_polygon(*POLYGONS[name]) for name in sorted(POLYGONS)]:
         cache = OperatorCache(mesh, k)
         for c in range(mesh.n_cells):

@@ -279,6 +279,20 @@ def test_read_rejects_clockwise_cell(tmp_path):
         read_mesh(path)
 
 
+@pytest.mark.parametrize("scale, shift", [(1e-2, 1e6), (1e-3, 1e5)])
+def test_far_off_small_cells_keep_their_orientation(scale, shift):
+    """Square level 5 cells 3e-4 and 3e-5 wide, far from the origin: the
+    shoelace sums run from each cycle's first vertex, so their cross terms
+    are of the cell's size, not of |x|^2, and every area is right."""
+    base = generate_square_grid(5)
+    mesh = build_mesh(scale * base.vertices + shift, base.cells)
+    area = polygon_area(mesh.vertices[mesh.cell_cycles(np.arange(mesh.n_cells))])
+    assert np.allclose(area, (scale / 16) ** 2, rtol=1e-6)
+    # A clockwise cell is still told apart.
+    with pytest.raises(MeshFormatError, match="cell 3 has clockwise"):
+        build_mesh(mesh.vertices, [*base.cells[:3], base.cells[3][::-1], *base.cells[4:]])
+
+
 def test_read_rejects_dangling_vertex_index(tmp_path):
     path = tmp_path / "dangling.json"
     path.write_text(json.dumps({
@@ -394,7 +408,7 @@ def test_generator_invariants_property(family, level):
 # ---------------------------------------------------------------- array topology
 
 
-MESH_FIELDS = ("vertices", "cells", "edges", "cell_edges", "edge_cells", "boundary_edges")
+MESH_FIELDS = ("vertices", "cells", "offsets", "edges", "sides", "edge_cells", "boundary_edges")
 
 
 def assert_matches_oracle(mesh, vertices, cells):

@@ -11,7 +11,7 @@ from scipy.sparse.linalg import spsolve
 import wg_sfem.wgsolve as wgsolve
 from wg_sfem.analysis import energy_error, get_case, l2_projection_error
 from wg_sfem.localspaces import DataError, DegreeError, OperatorCache, project_qb
-from wg_sfem.polymesh import GENERATORS, build_mesh, generate_hex_grid, generate_square_grid
+from wg_sfem.polymesh import GENERATORS, generate_hex_grid, generate_square_grid
 from wg_sfem.wgsolve import (
     SolverStructureError,
     _pcg,
@@ -23,7 +23,7 @@ from wg_sfem.wgsolve import (
     triple_bar_norm,
 )
 
-from helpers import side_trace_h1_norm, triangle_points, triangulate_cell
+from helpers import jittered_square_mesh, side_trace_h1_norm, triangle_points, triangulate_cell
 
 
 def zero(x, y):
@@ -367,7 +367,7 @@ def test_h1_norm_of_interpolated_linear():
     for c in range(mesh.n_cells):
         vec[dofmap.cell_dof_array(mesh, [c])[0]] = np.concatenate(
             [cache.get(c).project_interior(g)]
-            + [project_qb(mesh, e, k, g) for e in mesh.cell_edges[c]]
+            + [project_qb(mesh, e, k, g) for e in mesh.cell_sides([c])[0]]
         )
     assert discrete_h1_norm(mesh, k, vec, cache) == pytest.approx(2.0, rel=1e-12)
     assert triple_bar_norm(mesh, k, vec, cache) == pytest.approx(2.0, rel=1e-12)
@@ -458,20 +458,11 @@ def test_assembled_matrix_symmetric_without_symmetrizing(family, level, k):
 # ---------------------------------------------------------------- condensed solve
 
 
-def _jittered_square_mesh():
-    """Square level 4 with every vertex moved by up to 0.2 h."""
-    base = GENERATORS["square"](4)
-    rng = np.random.default_rng(7)
-    h = 1.0 / 8
-    return build_mesh(base.vertices + rng.uniform(-0.2 * h, 0.2 * h, base.vertices.shape),
-                      base.cells)
-
-
 ORACLE_MESHES = {
     "square": lambda: GENERATORS["square"](3),
     "quad": lambda: GENERATORS["quad"](3),
     "hex": lambda: GENERATORS["hex"](2),
-    "jitter": _jittered_square_mesh,
+    "jitter": lambda: jittered_square_mesh(4, seed=7),
 }
 
 
@@ -601,7 +592,7 @@ def test_loose_edge_solve_is_continued_with_a_tighter_tolerance(monkeypatch):
 
     monkeypatch.setattr(wgsolve, "_pcg", loose_first)
     monkeypatch.setattr(wgsolve, "DIRECT_LIMIT", 0)
-    system = assemble(_jittered_square_mesh(), 1, get_case("sin2d").f, None)
+    system = assemble(jittered_square_mesh(4, seed=7), 1, get_case("sin2d").f, None)
     sol = solve(system)
     assert sol.method == "pcg"
     assert len(tols) == 2 and tols[1] < tols[0]
@@ -691,7 +682,7 @@ def _off_eigenfunction(mesh, k):
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_multilevel_cycle_is_symmetric_positive_definite(k):
-    mesh = _jittered_square_mesh()
+    mesh = jittered_square_mesh(4, seed=7)
     S = assemble(mesh, k, zero, None).edge_matrix
     cycle = wgsolve._multilevel(S, mesh, k)
     B = np.column_stack([cycle(e) for e in np.eye(S.shape[0])])
