@@ -281,7 +281,7 @@ def test_read_rejects_clockwise_cell(tmp_path):
 
 @pytest.mark.parametrize("scale, shift", [(1e-2, 1e6), (1e-3, 1e5)])
 def test_far_off_small_cells_keep_their_orientation(scale, shift):
-    """Square level 5 cells 3e-4 and 3e-5 wide, far from the origin: the
+    """Square level 5 cells 6.25e-4 and 6.25e-5 wide, far from the origin: the
     shoelace sums run from each cycle's first vertex, so their cross terms
     are of the cell's size, not of |x|^2, and every area is right."""
     base = generate_square_grid(5)
