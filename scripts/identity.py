@@ -12,13 +12,15 @@ and comparing the two outputs:
 Each checkout imports its own ``src/``.  For every problem of PROBLEMS it
 solves the ``sin2d`` case and prints sha256 prefixes of each operator stack's
 ``weak_gradient``, ``stiffness``, ``condensed``, ``mass_scalar``,
-``frame_coeffs`` and ``h1``, of the system's ``rhs``, ``edge_rhs``, ``load``
-and ``edge_matrix.data``, of ``u0`` and ``ub``, and of the per-cell path on the
-first cell of every batch (PER_CELL: ``OperatorCache.get(c)``'s
-``project_interior`` of u and ``project_lambda_field`` of grad u, and the
-stack's ``interior_moments`` of f on that cell's row alone); and, exactly,
-the solve's ``iterations``, ``method`` and ``residual`` and the three error
-norms.  The set takes a few seconds.
+``frame_coeffs`` and ``h1``, of the system's ``rhs``, ``edge_rhs`` and
+``load``, of the CSR_ARRAYS of each of its CSR_MATRICES (the uncondensed
+``matrix`` and ``full_matrix`` are built on access), of ``u0`` and ``ub``, and
+of the per-cell path on the first cell of every batch (PER_CELL:
+``OperatorCache.get(c)``'s ``project_interior`` of u and
+``project_lambda_field`` of grad u, and the stack's ``interior_moments`` of f
+on that cell's row alone); and, exactly, the solve's ``iterations``,
+``method`` and ``residual`` and the three error norms.  The set takes a few
+seconds.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ PROBLEMS = ([(family, 3, k) for family in ("square", "quad", "hex") for k in ran
 JITTER_SEED = 1
 STACK_ARRAYS = ("weak_gradient", "stiffness", "condensed", "mass_scalar", "frame_coeffs", "h1")
 PER_CELL = ("project_interior", "project_lambda_field", "interior_moments")
+CSR_MATRICES = ("edge_matrix", "matrix", "full_matrix")
+CSR_ARRAYS = ("data", "indices", "indptr")
 DIGITS = 16
 
 
@@ -109,7 +113,9 @@ def fingerprint(family: str, level: int, k: int) -> dict:
     return {
         "stacks": [stack_digests(ops) for ops in stacks],
         "system": {"rhs": digest(system.rhs), "edge_rhs": digest(system.edge_rhs),
-                   "load": digest(system.load), "edge_matrix": digest(system.edge_matrix.data)},
+                   "load": digest(system.load),
+                   **{name: {array: digest(getattr(getattr(system, name), array))
+                             for array in CSR_ARRAYS} for name in CSR_MATRICES}},
         "u0": digest(sol.u0), "ub": digest(sol.ub), "per_cell": per_cell_digests(cache, case),
         "iterations": sol.iterations, "method": sol.method, "residual": sol.residual,
         "l2_err": l2_projection_error(mesh, k, case.u, sol, cache),

@@ -34,6 +34,8 @@ def test_two_runs_print_the_same_sorted_json(identity, capsys):
     record = payload["quad-L3-k1"]
     assert set(record["stacks"][0]) == set(identity.STACK_ARRAYS)
     assert set(record["per_cell"]) == set(identity.PER_CELL)
+    for name in identity.CSR_MATRICES:
+        assert set(record["system"][name]) == set(identity.CSR_ARRAYS)
     assert record["method"] == "direct" and record["iterations"] == 0
     assert json.dumps(payload, indent=1, sort_keys=True) + "\n" == first
 
@@ -50,3 +52,8 @@ def test_one_ulp_in_one_operator_value_changes_the_output(identity, capsys, monk
     after = json.loads(_run(identity, capsys))["quad-L3-k1"]
     assert after["stacks"][0]["stiffness"] != before["stacks"][0]["stiffness"]
     assert after["stacks"][0]["weak_gradient"] == before["stacks"][0]["weak_gradient"]
+    # The uncondensed matrix holds the nudged entry; its pattern stays.
+    matrix, matrix_before = after["system"]["matrix"], before["system"]["matrix"]
+    assert matrix["data"] != matrix_before["data"]
+    assert (matrix["indices"], matrix["indptr"]) == (matrix_before["indices"],
+                                                    matrix_before["indptr"])
