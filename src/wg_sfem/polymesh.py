@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -63,9 +63,11 @@ def polygon_area(coords: np.ndarray) -> np.ndarray:
 
 def polygon_diameter(coords: np.ndarray) -> np.ndarray:
     """Largest vertex-to-vertex distance of polygons given as vertex cycles,
-    shape (..., n, 2) -> (...)."""
-    diff = coords[..., :, None, :] - coords[..., None, :, :]
-    return np.sqrt((diff**2).sum(axis=-1).max(axis=(-2, -1)))
+    shape (..., n, 2) -> (...), over the n (n - 1) / 2 vertex pairs one
+    pair at a time: no (..., n, n, 2) array of differences."""
+    sq = [((coords[..., i, :] - coords[..., j, :]) ** 2).sum(axis=-1)
+          for i, j in combinations(range(coords.shape[-2]), 2)]
+    return np.sqrt(np.max(sq, axis=0))
 
 
 def _gather(flat: np.ndarray, offsets: np.ndarray, cells) -> np.ndarray:

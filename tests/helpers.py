@@ -8,7 +8,7 @@ the assertions.
 """
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, sqrt
 from types import SimpleNamespace
 
 import numpy as np
@@ -135,6 +135,15 @@ def cell_area(mesh, c):
 
 def cell_centroid(mesh, c):
     return polygon_centroid(cell_vertices(mesh, c))
+
+
+def loop_diameter(coords) -> float:
+    """Largest vertex-to-vertex distance of one polygon, shape (n, 2), by a
+    double loop over its vertices: the oracle of polygon_diameter, with the
+    same squares and sums, so equal to it bit for bit."""
+    pts = np.asarray(coords, dtype=float).tolist()
+    return sqrt(max((px - qx) * (px - qx) + (py - qy) * (py - qy)
+                    for px, py in pts for qx, qy in pts))
 
 
 def cell_diameter(mesh, c):
@@ -720,7 +729,7 @@ def loop_shape_classes(mesh):
         cells = [c for c, cyc in enumerate(mesh.cells) if len(cyc) == n_v]
         cyc = np.array([mesh.cells[c] for c in cells], dtype=int)
         coords = mesh.vertices[cyc]
-        diam = polygon_diameter(coords)
+        diam = np.array([loop_diameter(xy) for xy in coords])
         rel = (coords - coords[:, :1]).reshape(len(cells), -1) / diam[:, None]
         shape = np.round(np.column_stack([rel, np.log(diam)]), KEY_DECIMALS) + 0.0
         forward = cyc < np.roll(cyc, -1, axis=1)

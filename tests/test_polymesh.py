@@ -17,6 +17,7 @@ from wg_sfem.polymesh import (
     generate_quad_grid,
     generate_square_grid,
     polygon_area,
+    polygon_diameter,
     read_mesh,
     write_mesh,
 )
@@ -29,6 +30,7 @@ from helpers import (
     edge_normal,
     hex_grid_cell_count,
     loop_build_mesh,
+    loop_diameter,
     loop_generator_input,
     mixed_input,
     renumbered,
@@ -567,3 +569,20 @@ def test_three_cell_edge_names_the_first_third_use():
     with pytest.raises(MeshFormatError, match=r"^edge \(5, 6\) shared by more than two "
                                               r"cells \(cell 3\)$"):
         build_mesh(*MALFORMED["first-third-use-in-scan-order"])
+
+
+def test_diameter_matches_the_double_loop_on_random_polygons():
+    rng = np.random.default_rng(7)
+    for n_v in range(3, 15):
+        coords = rng.normal(size=(20, n_v, 2)) * 10.0 ** rng.integers(-4, 4, size=(20, 1, 1))
+        want = [loop_diameter(xy) for xy in coords]
+        assert polygon_diameter(coords).tolist() == want
+        assert float(polygon_diameter(coords[0])) == want[0]
+
+
+@pytest.mark.parametrize("family", sorted(GENERATORS))
+def test_diameter_matches_the_double_loop_on_every_family(family):
+    mesh = GENERATORS[family](4)
+    for n_v in {len(cyc) for cyc in mesh.cells}:
+        coords = mesh.vertices[np.array([cyc for cyc in mesh.cells if len(cyc) == n_v])]
+        assert polygon_diameter(coords).tolist() == [loop_diameter(xy) for xy in coords]
