@@ -139,11 +139,14 @@ def _block_matrix(blocks, n: int) -> sp.csr_matrix:
     back in the CSR arrays, so each run's first slot is a cumulative sum of
     run lengths, computed once per run.  The second gathers one batch's
     blocks at a time and writes every run at its slot; sum_duplicates then
-    sorts and sums each row in place.  The peak is the CSR itself, about 12
-    bytes per entry, plus one batch, where whole-matrix COO triplets, their
-    filtered copy and scipy's conversion took about 33.  A DOF lies on at
-    most two cells, so an entry has at most two contributions, whose sum does
-    not depend on their order: the arrays are those of summing the triplets.
+    sorts and sums each row in place.  The CSR arrays take 12 bytes per
+    entry, and the traced peak is about 17 with the per-run arrays and one
+    batch (uncondensed, square level 7, k = 1), where expanding whole-matrix
+    COO triplets, masking them and converting them took about 41.  A DOF
+    lies on at most two cells, so an entry has at most two contributions,
+    whose sum does not depend on their order: the arrays are bit for bit
+    those of summing the triplets, and the sum of exactly symmetric blocks
+    is exactly symmetric.
     """
     keeps = [idx >= 0 for _, _, idx in blocks]
     # Pass 1.  A dropped row is an empty run, sorted past the last row.
