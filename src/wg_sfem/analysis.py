@@ -16,10 +16,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
-from .localspaces import OperatorCache, _check_degree, _matvec, project_qb
+from .localspaces import OperatorCache, _batch_map, _check_degree, _matvec, project_qb
 from .polymesh import GENERATORS, PolyMesh
 from .wgsolve import (
     DEFAULT_TOL,
@@ -92,13 +93,20 @@ def get_case(label: str) -> ManufacturedCase:
 
 def l2_projection_error(mesh: PolyMesh, k: int, u, solution: WGSolution,
                         cache: OperatorCache) -> float:
-    """L2 norm of (projected exact solution - interior solution)."""
+    """L2 norm of (projected exact solution - interior solution).
+
+    Threads: as in wgsolve.assemble, the batches of cells are shared out
+    between the calling thread and one thread per further usable CPU, so u
+    may be called from several threads at once and in any order, and must
+    be thread-safe.  The norm is bit for bit that of one thread."""
     cache.check(mesh, k)
-    acc = 0.0
-    for ops, cls, cells, offsets, _ in cache.batches():
+
+    def local(ops, cls, cells, offsets, gdofs):
         delta = ops.project_interior(u, cls, offsets) - solution.u0[cells]
-        acc += float(np.sum(delta * _matvec(ops.mass_scalar[cls], delta), axis=1).sum())
-    return math.sqrt(acc)
+        return float(np.sum(delta * _matvec(ops.mass_scalar[cls], delta), axis=1).sum())
+
+    # The cells' terms are summed in batch order, as by one thread.
+    return math.sqrt(reduce(np.add, _batch_map(local, cache.batches()), 0.0))
 
 
 def energy_error(mesh: PolyMesh, k: int, u, grad_u, solution: WGSolution,
@@ -106,27 +114,33 @@ def energy_error(mesh: PolyMesh, k: int, u, grad_u, solution: WGSolution,
     """Energy norm of (projected exact solution - discrete solution).
 
     Per cell this is the weak-gradient-space distance between the projected
-    exact gradient and the weak gradient of the discrete solution.
+    exact gradient and the weak gradient of the discrete solution.  Threads:
+    as in l2_projection_error, grad_u must be thread-safe, and the norm is
+    bit for bit that of one thread.
     """
     cache.check(mesh, k)
     full = solution.full_vector(cache.dofmap)
-    acc = 0.0
-    for ops, cls, _, offsets, gdofs in cache.batches():
+
+    def local(ops, cls, cells, offsets, gdofs):
         delta = (ops.project_lambda_field(grad_u, cls, offsets)
                  - _matvec(ops.weak_gradient[cls], full[gdofs]))
-        acc += float(np.sum(delta * delta, axis=1).sum())
-    return math.sqrt(acc)
+        return float(np.sum(delta * delta, axis=1).sum())
+
+    return math.sqrt(reduce(np.add, _batch_map(local, cache.batches()), 0.0))
 
 
 def energy_error_via_projection(mesh: PolyMesh, k: int, u, solution: WGSolution,
                                 cache: OperatorCache) -> float:
     """Energy error evaluated as the weak gradient of the projected exact
     solution minus the weak gradient of the discrete one; consistency oracle
-    for the commuting route used by energy_error."""
+    for the commuting route used by energy_error.  Threads: as in
+    l2_projection_error, u must be thread-safe, and the norm is bit for bit
+    that of one thread."""
     cache.check(mesh, k)
     u0 = np.empty_like(solution.u0)
-    for ops, cls, cells, offsets, _ in cache.batches():
-        u0[cells] = ops.project_interior(u, cls, offsets)
+    for cells, projection in _batch_map(lambda ops, cls, cells, offsets, gdofs: (
+            cells, ops.project_interior(u, cls, offsets)), cache.batches()):
+        u0[cells] = projection
     ub = project_qb(mesh, np.arange(mesh.n_edges), k, u)
     exact = np.concatenate([u0.ravel(), ub.ravel()])
     return float(triple_bar_norm(mesh, k, exact - solution.full_vector(cache.dofmap), cache))

@@ -44,6 +44,9 @@ global DOF indices.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -73,6 +76,9 @@ KEY_DECIMALS = 12
 # Shape classes per stacked build, and cells per batch of
 # OperatorCache.batches.
 BATCH_CELLS = 256
+# Per thread: inside a _batch_map task, ``sink`` keeps the task's warnings
+# for its caller.
+_task = threading.local()
 
 
 class DegreeError(ValueError):
@@ -91,6 +97,67 @@ class LambdaDimensionError(RuntimeError):
 class DataError(ValueError):
     """User data f, g, u or grad u that returns a value of the wrong shape
     or a non-finite value at a quadrature point (see _evaluate)."""
+
+
+@lru_cache(maxsize=None)
+def _thread_pool(threads: int):
+    """A pool of this many threads, made on first use; a forked child, which
+    has none of its threads, makes its own."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(threads, "wg_sfem")
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_thread_pool.cache_clear)
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _warn(message: str) -> None:
+    """A RuntimeWarning; inside a _batch_map task, kept for the caller."""
+    sink = getattr(_task, "sink", None)
+    if sink is None:
+        warnings.warn(message, RuntimeWarning, stacklevel=4)
+    else:
+        sink.append(message)
+
+
+def _batch_map(func, items) -> list:
+    """[func(*item) for item in items], with the items shared out, next
+    untaken first, between the calling thread and a pool of one thread
+    fewer than the usable CPUs.  Results, warnings (_warn) and errors come
+    out as in that serial loop: no item is taken after a failure, the
+    first failing item's error is raised, and the caller issues the
+    warnings of the items up to it, in item order.  The tasks run in copies
+    of the caller's context (numpy's errstate).  With one CPU or one item,
+    or inside a task, whose thread may be the pool's, it runs inline."""
+    items, outer = list(items), getattr(_task, "sink", None)
+    results, sinks, failures = [None] * len(items), [[] for _ in items], {}
+    taken = iter(range(len(items)))
+
+    def run():
+        while not failures and (i := next(taken, None)) is not None:
+            _task.sink = sinks[i]
+            try:
+                results[i] = func(*items[i])
+            except BaseException as exc:  # re-raised by the caller
+                failures[i] = exc
+        _task.sink = outer
+
+    cpus = 1 if outer is not None else _usable_cpus()
+    futures = [_thread_pool(cpus - 1).submit(contextvars.copy_context().run, run)
+               for _ in range(min(cpus, len(items)) - 1)]
+    run()
+    for future in futures:
+        future.result()
+    first = min(failures, default=len(items))
+    for message in [message for sink in sinks[: first + 1] for message in sink]:
+        _warn(message)
+    if failures:
+        raise failures[first]
+    return results
 
 
 def _check_degree(k: int) -> None:
@@ -410,11 +477,7 @@ def build_lambda_basis(mesh: PolyMesh, cells, k: int) -> LambdaBasis:
     diag = np.diagonal(L, axis1=-2, axis2=-1)
     cond = np.max(diag.max(axis=-1) / diag.min(axis=-1), axis=1) ** 2
     for s in np.flatnonzero(cond > CONDITION_WARN):
-        warnings.warn(
-            f"cell {cells[s]}: RT frame mass matrix condition {cond[s]:.2e} (lower bound)",
-            RuntimeWarning,
-            stacklevel=4,
-        )
+        _warn(f"cell {cells[s]}: RT frame mass matrix condition {cond[s]:.2e} (lower bound)")
     orth = _inverse_lower(L).swapaxes(-1, -2)
     redo = np.nonzero(~(np.linalg.norm(gram, axis=(-2, -1)) * np.sum(orth * orth, axis=(-2, -1))
                         < ONE_PASS_COND))
@@ -570,25 +633,22 @@ class OperatorStack:
         self.weak_gradient = np.concatenate(
             [b_int, cols.transpose(0, 3, 1, 2).reshape(n_cells, nl, -1)], axis=-1
         )
-        self.stiffness = self.weak_gradient.swapaxes(-1, -2) @ self.weak_gradient
+        self.stiffness = K = self.weak_gradient.swapaxes(-1, -2) @ self.weak_gradient
 
-    @cached_property
-    def condensed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Static condensation of the interior unknowns of every row: the
-        inverse of the SPD interior block K_00, the map X = K_00^-1 K_0b from
-        side values to interior values, and the Schur complement
-        S = K_bb - K_0b^T X on the side unknowns (made exactly symmetric)."""
-        n0 = dim_pk(self.k)
-        K = self.stiffness
-        # X by a solve, not through the inverse: the inverse's error grows
-        # with the condition of K_00 (4e3 on hex cells at k = 2) and would
-        # show in the full-system residual.  One LU factorization serves
-        # both, solving for [K_0b | I].
-        eye = np.broadcast_to(np.eye(n0), (len(K), n0, n0))
+        # Static condensation of the interior unknowns of every row,
+        # ``condensed``: the inverse of the SPD interior block K_00, the map
+        # X = K_00^-1 K_0b from side values to interior values, and the Schur
+        # complement S = K_bb - K_0b^T X on the side unknowns (made exactly
+        # symmetric).  X by a solve, not through the inverse: the inverse's
+        # error grows with the condition of K_00 (4e3 on hex cells at k = 2)
+        # and would show in the full-system residual.  One LU factorization
+        # serves both, solving for [K_0b | I].
+        n0 = dim_pk(k)
+        eye = np.broadcast_to(np.eye(n0), (n_cells, n0, n0))
         sol = np.linalg.solve(K[:, :n0, :n0], np.concatenate([K[:, :n0, n0:], eye], axis=-1))
         X, K00_inv = sol[..., :-n0], sol[..., -n0:]
         S = K[:, n0:, n0:] - K[:, :n0, n0:].swapaxes(-1, -2) @ X
-        return K00_inv, X, 0.5 * (S + S.swapaxes(-1, -2))
+        self.condensed = K00_inv, X, 0.5 * (S + S.swapaxes(-1, -2))
 
     @cached_property
     def h1(self) -> np.ndarray:
@@ -811,18 +871,21 @@ class OperatorCache:
         self._offset = origin - origin[first][class_of]
         n_v = np.diff(mesh.offsets)[first]
         groups = [0, *(np.flatnonzero(np.diff(n_v)) + 1).tolist(), n_v.size]
+        spans = [(lo, min(lo + BATCH_CELLS, end)) for start, end in zip(groups, groups[1:])
+                 for lo in range(start, end, BATCH_CELLS)]
+        # The tables every stack build and data pass reads, made once here.
+        reference_tables(k), data_tables(k, 2 * k + 2), data_tables(k, data_degree(k))
+
+        stacks = _batch_map(lambda lo, hi: OperatorStack(mesh, first[lo:hi], k), spans)
         self._rows, self._batches = [], []
-        for start, end in zip(groups, groups[1:]):
-            for lo in range(start, end, BATCH_CELLS):
-                hi = min(lo + BATCH_CELLS, end)
-                stack = OperatorStack(mesh, first[lo:hi], k)
-                self._rows += [(stack, row) for row in range(hi - lo)]
-                members = order[starts[lo] : starts[hi]]
-                dofs = self.dofmap.cell_dof_array(mesh, members)
-                for i in range(0, members.size, BATCH_CELLS):
-                    cells = members[i : i + BATCH_CELLS]
-                    self._batches.append((stack, class_of[cells] - lo, cells,
-                                          self._offset[cells], dofs[i : i + BATCH_CELLS]))
+        for (lo, hi), stack in zip(spans, stacks):
+            self._rows += [(stack, row) for row in range(hi - lo)]
+            members = order[starts[lo] : starts[hi]]
+            dofs = self.dofmap.cell_dof_array(mesh, members)
+            for i in range(0, members.size, BATCH_CELLS):
+                cells = members[i : i + BATCH_CELLS]
+                self._batches.append((stack, class_of[cells] - lo, cells,
+                                      self._offset[cells], dofs[i : i + BATCH_CELLS]))
 
     def check(self, mesh: PolyMesh, k: int) -> OperatorCache:
         """This cache, if built from this very mesh object at degree k; else

@@ -24,13 +24,13 @@ matrices are built only on request.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, partial, reduce
 
 import numpy as np
 import scipy.sparse as sp
 
 # build_dof_map is imported for callers of this module.
-from .localspaces import DofMap, OperatorCache, _matvec, build_dof_map, project_qb
+from .localspaces import DofMap, OperatorCache, _batch_map, _matvec, build_dof_map, project_qb
 from .polymesh import PolyMesh
 
 DIRECT_LIMIT = 5000
@@ -94,8 +94,10 @@ class SparseSymSystem:
         return self.cache.dofmap
 
     def _stiffness_blocks(self, index: np.ndarray) -> list:
-        return [(ops.stiffness, cls, index[gdofs])
-                for ops, cls, _, _, gdofs in self.cache.batches()]
+        def block(ops, cls, cells, offsets, gdofs):
+            return ops.stiffness, cls, index[gdofs]
+
+        return _batch_map(block, self.cache.batches())
 
     @cached_property
     def full_matrix(self) -> sp.csr_matrix:
@@ -139,7 +141,8 @@ def _block_matrix(blocks, n: int) -> sp.csr_matrix:
     back in the CSR arrays, so each run's first slot is a cumulative sum of
     run lengths, computed once per run.  The second gathers one batch's
     blocks at a time and writes every run at its slot; sum_duplicates then
-    sorts and sums each row in place.  The CSR arrays take 12 bytes per
+    sorts and sums each row in place, and the arrays are cut to the stored
+    entries.  The CSR arrays take 12 bytes per
     entry, and the traced peak is about 17 with the per-run arrays and one
     batch (uncondensed, square level 7, k = 1), where expanding whole-matrix
     COO triplets, masking them and converting them took about 41.  A DOF
@@ -170,6 +173,15 @@ def _block_matrix(blocks, n: int) -> sp.csr_matrix:
         indices[slot] = idx[:, None, :]
     A = sp.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=(n, n))
     A.sum_duplicates()
+    # sum_duplicates sums in place, packing the entries at the front of the
+    # arrays under A's views, and keeps the views; a shrinking realloc of
+    # each such array frees its tail without a copy, and A takes the array
+    # in place of the view before it reads it again.
+    for name in ("data", "indices"):
+        owner = getattr(A, name).base
+        if owner is not None:
+            owner.resize(A.nnz, refcheck=False)
+            setattr(A, name, owner)
     return A
 
 
@@ -186,6 +198,13 @@ def assemble(mesh: PolyMesh, k: int, f, g=None, cache: OperatorCache | None = No
     edges at once, and return one value per point or one constant for all;
     any other shape, or a non-finite value, raises localspaces.DataError
     naming the shape or the point (and g's edge).
+
+    Threads: the batches of cells are shared out between the calling thread
+    and one thread per further usable CPU, so f may be called from several
+    threads at once and in any order, and must be thread-safe.  The results
+    are bit for bit those of one thread, and an error is the one the first
+    failing batch raises.  The thread count is the number of usable CPUs;
+    nothing sets it.
     """
     cache = OperatorCache(mesh, k) if cache is None else cache.check(mesh, k)
     dofmap = cache.dofmap
@@ -200,22 +219,25 @@ def assemble(mesh: PolyMesh, k: int, f, g=None, cache: OperatorCache | None = No
     x[dofmap.constrained_dofs] = x_c
     free_edges = dofmap.free_dofs[base:]
 
+    def local(ops, cls, cells, offsets, gdofs):
+        mom = ops.interior_moments(f, cls, offsets)
+        _, X, S = ops.condensed
+        # Condensed edge load -X^T f_0, less the boundary values' share.
+        cond = _matvec(X[cls].swapaxes(-1, -2), mom) + _matvec(S[cls], x[gdofs[:, n0:]])
+        return mom, cond, _matvec(ops.stiffness[cls], x[gdofs])
+
     load = np.empty((dofmap.n_cells, n0))
     Ax = np.zeros(n_dofs)
     edge_b = np.zeros(n_dofs - base)
     blocks = []
-    for ops, cls, cells, offsets, gdofs in cache.batches():
-        load[cells] = mom = ops.interior_moments(f, cls, offsets)
-        _, X, S = ops.condensed
-        edofs = gdofs[:, n0:] - base
+    for (ops, cls, cells, _, gdofs), (mom, cond, Kx) in zip(cache.batches(),
+                                                           _batch_map(local, cache.batches())):
+        load[cells] = mom
         # Interior DOFs are all free and come first, so this is each side
         # DOF's index among the free edge DOFs, negative if constrained.
-        blocks.append((S, cls, dofmap.free_index[gdofs[:, n0:]] - base))
-        # Condensed edge load -X^T f_0, less the boundary values' share.
-        cond = _matvec(X[cls].swapaxes(-1, -2), mom) + _matvec(S[cls], x[gdofs[:, n0:]])
-        edge_b -= np.bincount(edofs.ravel(), cond.ravel(), minlength=edge_b.size)
-        Ax += np.bincount(gdofs.ravel(), _matvec(ops.stiffness[cls], x[gdofs]).ravel(),
-                          minlength=n_dofs)
+        blocks.append((ops.condensed[2], cls, dofmap.free_index[gdofs[:, n0:]] - base))
+        edge_b -= np.bincount((gdofs[:, n0:] - base).ravel(), cond.ravel(), minlength=edge_b.size)
+        Ax += np.bincount(gdofs.ravel(), Kx.ravel(), minlength=n_dofs)
 
     rhs = -Ax
     rhs[:base] += load.ravel()
@@ -341,16 +363,21 @@ def _recover(system: SparseSymSystem, x_edge: np.ndarray) -> tuple[np.ndarray, f
     x[dofmap.free_dofs[base:]] = x_edge
     x[dofmap.constrained_dofs] = system.constrained_values
     Ax = np.zeros(dofmap.n_dofs)
-    for ops, cls, cells, _, gdofs in cache.batches():
+
+    def local(ops, cls, cells, offsets, gdofs):
         K00_inv, X, _ = ops.condensed
-        x[gdofs[:, :n0]] = (_matvec(K00_inv[cls], system.load[cells])
-                            - _matvec(X[cls], x[gdofs[:, n0:]]))
+        xl = x[gdofs]
+        xl[:, :n0] = _matvec(K00_inv[cls], system.load[cells]) - _matvec(X[cls], x[gdofs[:, n0:]])
         # On smooth solutions K x cancels to O(h^2) of its terms, so the
         # local products take extended precision: in double, their rounding
         # alone reads as a relative residual of about 5e-13 on the square
         # level-7 mesh at k = 1.
-        Kx = np.einsum("nij,nj->ni", ops.stiffness.astype(np.longdouble)[cls], x[gdofs])
-        Ax += np.bincount(gdofs.ravel(), Kx.astype(float).ravel(), minlength=Ax.size)
+        Kx = np.einsum("nij,nj->ni", ops.stiffness.astype(np.longdouble)[cls], xl)
+        return gdofs, xl[:, :n0], Kx.astype(float)
+
+    for gdofs, x0, Kx in _batch_map(local, cache.batches()):
+        x[gdofs[:, :n0]] = x0
+        Ax += np.bincount(gdofs.ravel(), Kx.ravel(), minlength=Ax.size)
     r = -Ax
     r[:base] += system.load.ravel()
     return x, float(np.linalg.norm(r[dofmap.free_dofs]))
@@ -435,10 +462,13 @@ def _sum_of_squares(cache: OperatorCache, vec: np.ndarray, matrix: str) -> np.nd
     matrix of each OperatorStack, for full DOF vectors v, (n_dofs,) or
     (n_dofs, m) for m functions at once."""
     cols = vec.reshape(vec.shape[0], -1)
-    acc = 0.0
-    for ops, cls, _, _, gdofs in cache.batches():
+
+    def local(ops, cls, cells, offsets, gdofs):
         mv = _matvec(getattr(ops, matrix)[cls], cols[gdofs])
-        acc = acc + np.sum(mv * mv, axis=1).sum(axis=0)
+        return np.sum(mv * mv, axis=1).sum(axis=0)
+
+    # The cells' terms are summed in batch order, as by one thread.
+    acc = reduce(np.add, _batch_map(local, cache.batches()), 0.0)
     return np.sqrt(acc.reshape(vec.shape[1:]))[()]
 
 

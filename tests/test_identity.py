@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wg_sfem.localspaces as localspaces
 from wg_sfem.localspaces import OperatorStack
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,3 +58,15 @@ def test_one_ulp_in_one_operator_value_changes_the_output(identity, capsys, monk
     assert matrix["data"] != matrix_before["data"]
     assert (matrix["indices"], matrix["indptr"]) == (matrix_before["indices"],
                                                     matrix_before["indptr"])
+
+
+def test_one_and_two_workers_print_the_same_bytes(identity, capsys, monkeypatch):
+    """On hex L3 at k = 2, in stacks and batches of 4 cells."""
+    monkeypatch.setattr(identity, "PROBLEMS", [("hex", 3, 2)])
+    monkeypatch.setattr(localspaces, "BATCH_CELLS", 4)
+    outputs = []
+    for n in (2, 1):
+        monkeypatch.setattr(localspaces, "_usable_cpus", lambda: n)
+        outputs.append(_run(identity, capsys))
+    assert len(json.loads(outputs[0])["hex-L3-k2"]["stacks"]) > 1
+    assert outputs[0] == outputs[1]

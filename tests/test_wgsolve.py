@@ -512,6 +512,17 @@ def test_block_matrix_of_at_most_two_cells_per_dof_is_bit_exact():
     _assert_block_matrix_is_the_dense_sum(blocks, n)
 
 
+def test_csr_arrays_hold_exactly_the_stored_entries():
+    """sum_duplicates leaves views of the arrays as long as the entries
+    before duplicates were summed; on square L4, k = 1, the edge matrix
+    held 3 233 slots for its 2 784 entries."""
+    mesh, case = generate_square_grid(4), get_case("sin2d")
+    system = assemble(mesh, 1, case.f, case.g)
+    for A in (system.edge_matrix, system.matrix, system.full_matrix):
+        for array in (A.data, A.indices):
+            assert (array if array.base is None else array.base).size == A.nnz
+
+
 def test_assembly_transients_stay_near_the_csr_they_build():
     """Traced peaks, which are deterministic for fixed inputs, of assemble
     (the edge matrix) and of system.matrix on square L6, k = 1, as
