@@ -39,7 +39,11 @@ OperatorCache builds, in its constructor, the global DOF layout (DofMap) and
 the operators once per shape class (cells equal up to translation), in
 stacks of at most BATCH_CELLS classes; every pass over the mesh walks its
 batches of cells, which may mix the classes of one stack and carry their
-global DOF indices.
+global DOF indices.  The stack builds, and each pass over the batches, go
+through _batch_map, which shares them between the calling thread and a
+pool of one thread per further usable CPU and returns the results in
+order; the callers add them up in that order, so every result is bit for
+bit that of one thread.
 """
 
 from __future__ import annotations
@@ -153,7 +157,7 @@ def _batch_map(func, items) -> list:
     for future in futures:
         future.result()
     first = min(failures, default=len(items))
-    for message in [message for sink in sinks[: first + 1] for message in sink]:
+    for message in [m for sink in sinks[: first + 1] for m in sink]:
         _warn(message)
     if failures:
         raise failures[first]

@@ -4,7 +4,9 @@ The bilinear form is (grad_w u, grad_w v) summed over cells, with no penalty
 term; boundary edge DOFs carry the edge projection of the boundary data and
 are eliminated symmetrically.  The reduced system is symmetric positive
 definite.  Every pass walks the batches of an OperatorCache, which carry
-their cells' global DOF indices in the layout of localspaces.DofMap.
+their cells' global DOF indices in the layout of localspaces.DofMap; the
+batches' local products are computed on every usable CPU
+(localspaces._batch_map) and scattered and summed here in batch order.
 
 Interior unknowns couple only inside their own cell, so they are condensed
 out row by row of each OperatorStack (OperatorStack.condensed), and only the
