@@ -106,7 +106,9 @@ class DataError(ValueError):
 @lru_cache(maxsize=None)
 def _thread_pool(threads: int):
     """A pool of this many threads, made on first use; a forked child, which
-    has none of its threads, makes its own."""
+    has none of its threads, makes its own.  Two first calls at once may
+    each make one; the one not kept serves its caller once, and its threads
+    end when it is dropped."""
     from concurrent.futures import ThreadPoolExecutor
     return ThreadPoolExecutor(threads, "wg_sfem")
 

@@ -100,6 +100,39 @@ def test_the_caller_and_one_pool_thread_share_the_items(workers):
     assert len({t for _, t in out}) == 2 and threading.get_ident() in {t for _, t in out}
 
 
+def test_every_item_runs_once_under_fast_thread_switches(workers):
+    """Many tiny items, with the interpreter switching threads every
+    microsecond: an item taken twice or lost, or a result stored in the
+    wrong slot, breaks the counts or the order."""
+    workers(2)
+    calls, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = _batch_map(lambda i: calls.append(i) or i * i, [(i,) for i in range(2000)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == [i * i for i in range(2000)]
+    assert sorted(calls) == list(range(2000))
+
+
+def test_tasks_see_the_callers_errstate(workers):
+    """Each thread runs a task under the caller's np.errstate, as one
+    thread would: dividing by zero raises on both."""
+    workers(2)
+    barrier = threading.Barrier(2, timeout=TIMEOUT_S)
+
+    def task(i):
+        barrier.wait()
+        try:
+            np.divide(np.ones(1), np.zeros(1))
+        except FloatingPointError:
+            return "raised"
+        return "warned"
+
+    with np.errstate(divide="raise"):
+        assert _batch_map(task, [(0,), (1,)]) == ["raised", "raised"]
+
+
 def test_one_worker_runs_every_item_inline(workers):
     workers(1)
     assert _batch_map(lambda i: threading.get_ident(), [(i,) for i in range(5)]) == [
