@@ -43,7 +43,9 @@ global DOF indices.  The stack builds, and each pass over the batches, go
 through _batch_map, which shares them between the calling thread and a
 pool of one thread per further usable CPU and returns the results in
 order; the callers add them up in that order, so every result is bit for
-bit that of one thread.
+bit that of one thread.  The tasks issue no warnings: each stack carries a
+lower bound on its cells' RT Gram condition, from which OperatorCache warns
+in the calling thread after the build.
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ from .quadrature import data_degree, segment_rule, symmetric_rule, triangle_rule
 
 MAX_DEGREE = 4
 NULLSPACE_RTOL = 1e-10
-# Cells whose raw RT Gram condition is at least this (by a lower bound) warn.
+# OperatorCache warns for cells whose raw RT Gram condition, by the lower
+# bound LambdaBasis.condition, exceeds this.
 CONDITION_WARN = 1e12
 # Fan triangles whose Gram has |G|_F |L^-1|_F^2 below this are orthonormalized
 # in one Cholesky pass.
@@ -80,8 +83,7 @@ KEY_DECIMALS = 12
 # Shape classes per stacked build, and cells per batch of
 # OperatorCache.batches.
 BATCH_CELLS = 256
-# Per thread: inside a _batch_map task, ``sink`` keeps the task's warnings
-# for its caller.
+# Per thread: ``busy`` is set while a _batch_map task runs.
 _task = threading.local()
 
 
@@ -121,48 +123,35 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _warn(message: str) -> None:
-    """A RuntimeWarning; inside a _batch_map task, kept for the caller."""
-    sink = getattr(_task, "sink", None)
-    if sink is None:
-        warnings.warn(message, RuntimeWarning, stacklevel=4)
-    else:
-        sink.append(message)
-
-
 def _batch_map(func, items) -> list:
     """[func(*item) for item in items], with the items shared out, next
     untaken first, between the calling thread and a pool of one thread
-    fewer than the usable CPUs.  Results, warnings (_warn) and errors come
-    out as in that serial loop: no item is taken after a failure, the
-    first failing item's error is raised, and the caller issues the
-    warnings of the items up to it, in item order.  The tasks run in copies
-    of the caller's context (numpy's errstate).  With one CPU or one item,
-    or inside a task, whose thread may be the pool's, it runs inline."""
-    items, outer = list(items), getattr(_task, "sink", None)
-    results, sinks, failures = [None] * len(items), [[] for _ in items], {}
+    fewer than the usable CPUs.  Results and errors come out as in that
+    serial loop: no item is taken after a failure, and the first failing
+    item's error is raised.  The tasks run in copies of the caller's
+    context (numpy's errstate).  With one CPU or one item, or inside a
+    task, whose thread may be the pool's, it runs inline."""
+    items, nested = list(items), getattr(_task, "busy", False)
+    results, failures = [None] * len(items), {}
     taken = iter(range(len(items)))
 
     def run():
+        _task.busy = True
         while not failures and (i := next(taken, None)) is not None:
-            _task.sink = sinks[i]
             try:
                 results[i] = func(*items[i])
             except BaseException as exc:  # re-raised by the caller
                 failures[i] = exc
-        _task.sink = outer
+        _task.busy = nested
 
-    cpus = 1 if outer is not None else _usable_cpus()
+    cpus = 1 if nested else _usable_cpus()
     futures = [_thread_pool(cpus - 1).submit(contextvars.copy_context().run, run)
                for _ in range(min(cpus, len(items)) - 1)]
     run()
     for future in futures:
         future.result()
-    first = min(failures, default=len(items))
-    for message in [m for sink in sinks[: first + 1] for m in sink]:
-        _warn(message)
     if failures:
-        raise failures[first]
+        raise failures[min(failures)]
     return results
 
 
@@ -409,6 +398,9 @@ class LambdaBasis:
         field over the per-triangle blocks of orthonormalized RT fields.
     constraint_residual: (S,) Frobenius norm of the row-equilibrated
         constraint matrix times coeffs.
+    condition: (S,) the largest (max L_ii / min L_ii)^2 over the fan
+        triangles' Gram factors L, a lower bound on the raw RT Gram's
+        condition number, which may be larger (OperatorCache warns from it).
     """
 
     cells: np.ndarray
@@ -418,6 +410,7 @@ class LambdaBasis:
     orth: np.ndarray
     coeffs: np.ndarray
     constraint_residual: np.ndarray
+    condition: np.ndarray
 
     @property
     def n_lambda(self) -> int:
@@ -436,11 +429,9 @@ def build_lambda_basis(mesh: PolyMesh, cells, k: int) -> LambdaBasis:
     Parent polygon sides coincide with single sub-triangle edges, so
     boundary traces are single-piece automatically.  A fan triangle with at
     most 1e-12 of its cell's area raises StarShapeError; geometry and
-    dimension errors also name the offending cell.
-
-    A RuntimeWarning names each cell where (max L_ii / min L_ii)^2 of a fan
-    triangle's Gram factor L exceeds CONDITION_WARN.  That is a lower bound
-    on the raw RT Gram's condition number, which may be larger.
+    dimension errors also name the offending cell.  The bound on each
+    cell's RT Gram condition is returned as ``condition``; nothing warns
+    here.
     """
     _check_degree(k)
     cells = np.atleast_1d(np.asarray(cells))
@@ -482,8 +473,6 @@ def build_lambda_basis(mesh: PolyMesh, cells, k: int) -> LambdaBasis:
         raise
     diag = np.diagonal(L, axis1=-2, axis2=-1)
     cond = np.max(diag.max(axis=-1) / diag.min(axis=-1), axis=1) ** 2
-    for s in np.flatnonzero(cond > CONDITION_WARN):
-        _warn(f"cell {cells[s]}: RT frame mass matrix condition {cond[s]:.2e} (lower bound)")
     orth = _inverse_lower(L).swapaxes(-1, -2)
     redo = np.nonzero(~(np.linalg.norm(gram, axis=(-2, -1)) * np.sum(orth * orth, axis=(-2, -1))
                         < ONE_PASS_COND))
@@ -545,7 +534,8 @@ def build_lambda_basis(mesh: PolyMesh, cells, k: int) -> LambdaBasis:
             f"last {min(cut, 3)} above the rank cut {NULLSPACE_RTOL:.0e} and the next: {near}"
         )
     null = Q[:, :, n_rows:]
-    return LambdaBasis(cells, k, coords, B, orth, null, np.linalg.norm(C @ null, axis=(-2, -1)))
+    return LambdaBasis(cells, k, coords, B, orth, null, np.linalg.norm(C @ null, axis=(-2, -1)),
+                       cond)
 
 
 def _evaluate(func, x: np.ndarray, y: np.ndarray, shape: tuple, edges=None) -> np.ndarray:
@@ -585,12 +575,13 @@ class OperatorStack:
     cells at once: ``rows`` (n,) names the stack row of each and
     ``offsets`` (n, 2) its translation from that row's cell.  Coefficient
     arguments and results are (n, dim) or (n, dim, m) for m functions.
+    ``condition`` is the rows' LambdaBasis.condition.
     """
 
     def __init__(self, mesh: PolyMesh, cells, k: int):
         lam = build_lambda_basis(mesh, cells, k)
         self.k = k
-        self.cells = lam.cells
+        self.cells, self.condition = lam.cells, lam.condition
         self.tri_coords, self.jacobian = lam.tri_coords, lam.jacobian
         cyc = mesh.cell_cycles(self.cells)
         self.diameter = polygon_diameter(mesh.vertices[cyc])
@@ -860,7 +851,10 @@ class OperatorCache:
     first cell, serves all members of a class, in OperatorStacks of at most
     BATCH_CELLS classes of one vertex count; each stack's member cells are
     cut into batches of at most BATCH_CELLS cells, which carry their global
-    DOF indices.
+    DOF indices.  After the build it issues, in the calling thread and in
+    stack order, a RuntimeWarning for each class whose first cell's
+    ``condition`` exceeds CONDITION_WARN; a failing build raises without
+    them.
     """
 
     def __init__(self, mesh: PolyMesh, k: int):
@@ -883,6 +877,11 @@ class OperatorCache:
         reference_tables(k), data_tables(k, 2 * k + 2), data_tables(k, data_degree(k))
 
         stacks = _batch_map(lambda lo, hi: OperatorStack(mesh, first[lo:hi], k), spans)
+        for stack in stacks:
+            for s in np.flatnonzero(stack.condition > CONDITION_WARN):
+                warnings.warn(f"cell {stack.cells[s]}: RT frame mass matrix condition "
+                              f"{stack.condition[s]:.2e} (lower bound)", RuntimeWarning,
+                              stacklevel=2)
         self._rows, self._batches = [], []
         for (lo, hi), stack in zip(spans, stacks):
             self._rows += [(stack, row) for row in range(hi - lo)]

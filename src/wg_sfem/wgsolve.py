@@ -96,10 +96,8 @@ class SparseSymSystem:
         return self.cache.dofmap
 
     def _stiffness_blocks(self, index: np.ndarray) -> list:
-        def block(ops, cls, cells, offsets, gdofs):
-            return ops.stiffness, cls, index[gdofs]
-
-        return _batch_map(block, self.cache.batches())
+        return [(ops.stiffness, cls, index[gdofs])
+                for ops, cls, _, _, gdofs in self.cache.batches()]
 
     @cached_property
     def full_matrix(self) -> sp.csr_matrix:
@@ -374,7 +372,7 @@ def _recover(system: SparseSymSystem, x_edge: np.ndarray) -> tuple[np.ndarray, f
         # local products take extended precision: in double, their rounding
         # alone reads as a relative residual of about 5e-13 on the square
         # level-7 mesh at k = 1.
-        Kx = np.einsum("nij,nj->ni", ops.stiffness.astype(np.longdouble)[cls], xl)
+        Kx = np.einsum("nij,nj->ni", ops.stiffness[cls], xl, dtype=np.longdouble)
         return gdofs, xl[:, :n0], Kx.astype(float)
 
     for gdofs, x0, Kx in _batch_map(local, cache.batches()):

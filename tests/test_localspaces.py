@@ -1,4 +1,3 @@
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +7,7 @@ from hypothesis import strategies as st
 
 import wg_sfem.localspaces as localspaces
 from wg_sfem.localspaces import (
+    CONDITION_WARN,
     DegreeError,
     GeometryError,
     LambdaDimensionError,
@@ -1035,10 +1035,9 @@ def test_dimension_law_on_inscribed_polygons(name, k):
     14-gons from k = 2 or 3, and the 5-, 10- and 14-gons had singular RT
     Grams at k = 4."""
     n, seed = POLYGONS[name]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        lam = build_lambda_basis(_inscribed_polygon(n, seed), 0, k)
+    lam = build_lambda_basis(_inscribed_polygon(n, seed), 0, k)
     assert lam.n_lambda == expected_lambda_dim(n, k)
+    assert lam.condition.max() <= CONDITION_WARN
 
 
 @pytest.mark.parametrize("k", range(MAX_DEGREE + 1))

@@ -1,5 +1,6 @@
 """The batch map that shares the per-cell work between threads: bit-identity
-with one thread, errors and warnings in serial order, and pool safety.
+with one thread, errors in serial order, condition warnings from the calling
+thread in stack order, and pool safety.
 
 Tests set the usable CPU count the map reads to at most 2, so that the
 calling thread and at most one pool thread share the items."""
@@ -141,25 +142,21 @@ def test_one_worker_runs_every_item_inline(workers):
 
 def test_the_first_failing_item_in_order_wins(workers):
     """Items 0 and 1 run at once and both fail, 1 first; item 2 is never
-    taken.  Item 0's error is raised, after item 0's warning alone."""
+    taken.  Item 0's error is raised."""
     workers(2)
     barrier, second_failed, started = threading.Barrier(2, timeout=TIMEOUT_S), threading.Event(), []
 
     def task(i):
         started.append(i)
         barrier.wait()
-        localspaces._warn(f"item {i}")
         if i == 1:
             second_failed.set()
         else:
             assert second_failed.wait(TIMEOUT_S)
         raise ValueError(f"item {i}")
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(ValueError, match="item 0"):
-            _batch_map(task, [(0,), (1,), (2,)])
-    assert [str(w.message) for w in caught] == ["item 0"]
+    with pytest.raises(ValueError, match="item 0"):
+        _batch_map(task, [(0,), (1,), (2,)])
     assert sorted(started) == [0, 1]
 
 
@@ -186,9 +183,10 @@ def _caught(build):
 
 
 def test_stack_build_fails_and_warns_as_the_serial_loop(workers, monkeypatch):
-    """Every cell warns; the stacks are cells 0-3, 4-7, 8-11 and 12-15, and
-    the third and fourth fail.  The serial loop over the stacks raises on
-    cell 9 after the warnings of cells 0-7."""
+    """Every cell's condition exceeds CONDITION_WARN; the stacks are cells
+    0-3, 4-7, 8-11 and 12-15, and the third and fourth fail.  The serial
+    loop over the stacks raises on cell 9, and so does the cache, without
+    the warnings of cells 0-7: it warns only after a whole build."""
     monkeypatch.setattr(localspaces, "CONDITION_WARN", 0.0)
     mesh = _star_failures()
     assert np.array_equal(shape_classes(mesh), np.arange(16))
@@ -198,11 +196,40 @@ def test_stack_build_fails_and_warns_as_the_serial_loop(workers, monkeypatch):
             OperatorStack(mesh, cells, 1)
 
     expected = _caught(serial)
-    assert expected[0].startswith("cell 9 is not star-shaped")
-    assert [m.split(":")[0] for m in expected[1]] == [f"cell {c}" for c in range(8)]
+    assert expected[0].startswith("cell 9 is not star-shaped") and expected[1] == []
     for n in (2, 1):
         workers(n)
         assert _caught(lambda: OperatorCache(mesh, 1)) == expected
+
+
+def test_condition_warnings_come_from_the_caller_in_stack_order(workers, monkeypatch):
+    """With CONDITION_WARN 0, the cache warns for exactly the cells whose
+    condition bound exceeds 0, stack by stack, with 1 and with 2 workers,
+    each warning naming this file; a direct build warns for none and
+    carries the same bounds."""
+    monkeypatch.setattr(localspaces, "CONDITION_WARN", 0.0)
+    mesh = jittered_square_mesh(3, 0)
+    runs = {}
+    for n in (1, 2):
+        workers(n)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cache = OperatorCache(mesh, 1)
+        runs[n] = [str(w.message) for w in caught]
+        assert {w.filename for w in caught} == {__file__}
+    stacks = list(dict.fromkeys(ops for ops, *_ in cache.batches()))
+    assert len(stacks) > 1
+    expected = [f"cell {c}: RT frame mass matrix condition {b:.2e} (lower bound)"
+                for ops in stacks for c, b in zip(ops.cells, ops.condition) if b > 0]
+    assert len(expected) == mesh.n_cells
+    assert runs[1] == runs[2] == expected
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ops in stacks:
+            lam = localspaces.build_lambda_basis(mesh, ops.cells, 1)
+            direct = OperatorStack(mesh, ops.cells, 1)
+            assert np.array_equal(lam.condition, ops.condition)
+            assert np.array_equal(direct.condition, ops.condition)
 
 
 def test_data_pass_raises_the_error_of_the_first_failing_batch(workers):
