@@ -23,7 +23,14 @@ from wg_sfem.analysis import (
     get_case,
     l2_projection_error,
 )
-from wg_sfem.localspaces import DataError, OperatorCache, OperatorStack, _batch_map, shape_classes
+from wg_sfem.localspaces import (
+    DataError,
+    OperatorCache,
+    OperatorStack,
+    _batch_map,
+    build_lambda_basis,
+    shape_classes,
+)
 from wg_sfem.polymesh import GENERATORS, StarShapeError, build_mesh
 from wg_sfem.wgsolve import assemble, discrete_h1_norm, solve
 
@@ -226,7 +233,7 @@ def test_condition_warnings_come_from_the_caller_in_stack_order(workers, monkeyp
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for ops in stacks:
-            lam = localspaces.build_lambda_basis(mesh, ops.cells, 1)
+            lam = build_lambda_basis(mesh, ops.cells, 1)
             direct = OperatorStack(mesh, ops.cells, 1)
             assert np.array_equal(lam.condition, ops.condition)
             assert np.array_equal(direct.condition, ops.condition)
