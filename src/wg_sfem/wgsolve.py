@@ -20,20 +20,25 @@ values are then recovered per cell as K_00^-1 (f_0 - K_0b u_b).  Convergence is 
 full system's true relative residual ||rhs - A x|| / ||rhs||, computed from
 the local stiffnesses: while it is above tol, conjugate gradients continue
 from x on the edge system with a tighter tolerance.  The uncondensed
-matrices are built only on request.
+matrices are built only on request.  scipy.sparse is imported by the two
+functions that build sparse matrices, _block_matrix and _multilevel, and
+scipy.sparse.linalg by spsolve, so importing the package loads no scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property, partial, reduce
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 # build_dof_map is imported for callers of this module.
 from .localspaces import DofMap, OperatorCache, _batch_map, _matvec, build_dof_map, project_qb
 from .polymesh import PolyMesh
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DIRECT_LIMIT = 5000
 # The relative residual that solve, the study drivers and the CLI ask for
@@ -151,6 +156,7 @@ def _block_matrix(blocks, n: int) -> sp.csr_matrix:
     those of summing the triplets, and the sum of exactly symmetric blocks
     is exactly symmetric.
     """
+    import scipy.sparse as sp
     keeps = [idx >= 0 for _, _, idx in blocks]
     # Pass 1.  A dropped row is an empty run, sorted past the last row.
     row = np.concatenate([np.where(idx >= 0, idx, n).ravel() for _, _, idx in blocks])
@@ -320,6 +326,7 @@ def _multilevel(S: sp.csr_matrix, mesh: PolyMesh, k: int):
     boxes of about four nodes (edge midpoints, then aggregate centroids),
     P = (I - 4/3 D^-1 A) P_tent with D the l1 row sums, and P^T A P, down to
     at most COARSEST unknowns, which take a dense inverse."""
+    import scipy.sparse as sp
     xy = mesh.vertices[mesh.edges[~mesh.boundary_edges]].mean(axis=1)
     m = xy.shape[0]
     P = sp.csr_matrix((np.ones(m), (np.arange(m) * (k + 1), np.arange(m))), shape=(S.shape[0], m))

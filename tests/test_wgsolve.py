@@ -873,6 +873,41 @@ print(wgsolve.solve(wgsolve.assemble(mesh, 1, case.f, case.g)).method, loaded())
         "[]", "pcg []", "direct ['scipy.sparse.linalg', 'scipy.linalg']"]
 
 
+def test_import_and_local_work_leave_scipy_unloaded():
+    """import wg_sfem loads numpy and the package, not scipy: meshes, the
+    operator cache, the edge projection and the norms are dense per-cell
+    work.  scipy.sparse loads at the first assemble, scipy.sparse.linalg
+    still not, and the CLI's mesh command and a usage error load none."""
+    script = """
+import contextlib, io, os, sys, tempfile
+import wg_sfem
+from wg_sfem import cli, wgsolve
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(loaded())
+mesh, case = wg_sfem.generate_quad_grid(3), wg_sfem.get_case("sin2d")
+cache = wg_sfem.OperatorCache(mesh, 1)
+edge = wg_sfem.project_qb(mesh, range(mesh.n_edges), 1, case.u)
+vec = wgsolve.constant_function_vector(cache.dofmap)
+wgsolve.triple_bar_norm(mesh, 1, vec, cache), wgsolve.discrete_h1_norm(mesh, 1, vec, cache)
+print(edge.shape == (mesh.n_edges, 2), loaded())
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["mesh", "--family", "hex", "--level", "2",
+                     "--out", os.path.join(tmp, "m.json")])
+print(code, loaded())
+try:
+    cli.main(["solve", "--family", "square", "--level", "2"])
+except SystemExit as exc:
+    print(exc.code, loaded())
+wgsolve.assemble(mesh, 1, case.f, case.g, cache=cache)
+print("scipy.sparse" in sys.modules, "scipy.sparse.linalg" in sys.modules)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", script], env={"PYTHONPATH": str(src)},
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.splitlines() == ["[]", "True []", "0 []", "2 []", "True False"]
+
+
 def test_two_phase_pcg_leaves_the_linalg_modules_unloaded():
     """The multilevel cycle is built from numpy and scipy.sparse alone:
     scipy.sparse.linalg would map a second BLAS and stay resident."""
