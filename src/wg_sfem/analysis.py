@@ -100,6 +100,7 @@ def l2_projection_error(mesh: PolyMesh, k: int, u, solution: WGSolution,
     may be called from several threads at once and in any order, and must
     be thread-safe.  The norm is bit for bit that of one thread."""
     cache.check(mesh, k)
+    solution.full_vector(cache.dofmap)  # ValueError unless the solution fits
 
     def local(ops, cls, cells, offsets, gdofs):
         delta = ops.project_interior(u, cls, offsets) - solution.u0[cells]
@@ -137,13 +138,14 @@ def energy_error_via_projection(mesh: PolyMesh, k: int, u, solution: WGSolution,
     l2_projection_error, u must be thread-safe, and the norm is bit for bit
     that of one thread."""
     cache.check(mesh, k)
+    full = solution.full_vector(cache.dofmap)
     u0 = np.empty_like(solution.u0)
     for cells, projection in _batch_map(lambda ops, cls, cells, offsets, gdofs: (
             cells, ops.project_interior(u, cls, offsets)), cache.batches()):
         u0[cells] = projection
     ub = project_qb(mesh, np.arange(mesh.n_edges), k, u)
     exact = np.concatenate([u0.ravel(), ub.ravel()])
-    return float(triple_bar_norm(mesh, k, exact - solution.full_vector(cache.dofmap), cache))
+    return float(triple_bar_norm(mesh, k, exact - full, cache))
 
 
 NOISE_FLOOR = 1e-13

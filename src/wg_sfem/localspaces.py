@@ -589,11 +589,9 @@ class OperatorStack:
         ref = reference_tables(k)
         B, det = lam.jacobian, _det(lam.jacobian)
         # The cell's centroid is the area-weighted mean of its fan triangles'
-        # centroids g; both are held relative to the anchor v0, which only
-        # the absolute center adds back.
+        # centroids g; both are held relative to the anchor v0.
         g = _fan_centroids(B)
         self._rel_center = (det[..., None] * g).sum(axis=1) / det.sum(axis=1)[:, None]
-        self.center = self.tri_coords[:, 0, 0] + self._rel_center
         # Lambda basis fields over each triangle's Piola fields.
         self.frame_coeffs = lam.orth @ lam.coeffs.reshape(n_cells, nt, nf, nl)
 

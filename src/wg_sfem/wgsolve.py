@@ -18,8 +18,8 @@ Jacobi for JACOBI_BUDGET iterations and then, at 1 <= k <= 2, by a
 multilevel V-cycle with an l1-Jacobi smoother (see _pcg); the interior
 values are then recovered per cell as K_00^-1 (f_0 - K_0b u_b).  Convergence is judged in one place, solve, on the
 full system's true relative residual ||rhs - A x|| / ||rhs||, computed from
-the local stiffnesses: while it is above tol, conjugate gradients continue
-from x on the edge system with a tighter tolerance.  The uncondensed
+the local stiffnesses: if it is above tol, conjugate gradients continue
+once from x on the edge system with a tighter tolerance.  The uncondensed
 matrices are built only on request.  scipy.sparse is imported by the two
 functions that build sparse matrices, _block_matrix and _multilevel, and
 scipy.sparse.linalg by spsolve, so importing the package loads no scipy.
@@ -44,9 +44,6 @@ DIRECT_LIMIT = 5000
 # The relative residual that solve, the study drivers and the CLI ask for
 # unless told otherwise.
 DEFAULT_TOL = 1e-12
-# Tightened PCG passes on the edge system that solve may add to bring the
-# full-system residual under tol.
-MAX_REFINEMENTS = 3
 # Jacobi-PCG iterations on the edge system before solve switches to the
 # multilevel cycle, and the largest level that cycle inverts densely.
 JACOBI_BUDGET = 20
@@ -396,13 +393,12 @@ def solve(system: SparseSymSystem, tol: float = DEFAULT_TOL) -> WGSolution:
     The edge system is solved directly when the full system has fewer than
     DIRECT_LIMIT free DOFs, otherwise by PCG, and the interior values are
     recovered cell by cell.  The only stop test is on the full system's
-    residual, recomputed from the recovered solution; while that is above
-    tol, PCG continues from x on the edge system with a tighter tolerance.
-    Where tol lies below the residual's rounding floor (about eps |A| |x| /
-    ||rhs||, which grows fourfold per level of refinement), the solve stops
-    once a continuation fails to halve the residual, and returns the
-    iterate with the lowest residual, above tol.  Raises ValueError unless
-    0 < tol < inf.
+    residual, recomputed from the recovered solution; if that is above tol,
+    PCG continues once from x on the edge system with a tighter tolerance,
+    and the solve returns whichever of the two iterates has the lower
+    residual.  Where tol lies below the residual's rounding floor (about
+    eps |A| |x| / ||rhs||, which grows fourfold per level of refinement),
+    that residual stays above tol.  Raises ValueError unless 0 < tol < inf.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -420,7 +416,7 @@ def solve(system: SparseSymSystem, tol: float = DEFAULT_TOL) -> WGSolution:
         # With the interior values recovered exactly, the full residual is
         # the edge system's: rescale tol from ||rhs|| to ||edge_rhs||.  (For
         # g = 0, _pcg returns zero whatever the tolerance.)  The Jacobi
-        # budget spans every pass; the multilevel cycle is built only once.
+        # budget spans both passes; the multilevel cycle is built only once.
         if 1 <= system.dofmap.k <= 2:
             switch = cache(lambda: _multilevel(S, system.cache.mesh, system.dofmap.k))
         x_edge, iterations = _pcg(S, g, 0.5 * tol * bnorm / (gnorm or 1.0), switch=switch,
@@ -428,22 +424,16 @@ def solve(system: SparseSymSystem, tol: float = DEFAULT_TOL) -> WGSolution:
         method = "pcg"
     x, rnorm = _recover(system, x_edge)
     residual = rnorm / bnorm if bnorm else 0.0
-    for _ in range(MAX_REFINEMENTS):
-        if residual <= tol or gnorm == 0.0:
-            break
+    if residual > tol and gnorm:
         # Shrink the edge residual by the full residual's excess over tol.
         edge_res = float(np.linalg.norm(g - S @ x_edge)) / gnorm
         x_next, more = _pcg(S, g, 0.5 * edge_res * tol / residual, x0=x_edge, switch=switch,
                             budget=max(JACOBI_BUDGET - iterations, 0))
         iterations += more
-        if method == "direct":
-            method = "direct+cg"
+        method = "direct+cg" if method == "direct" else method
         x_full, rnorm = _recover(system, x_next)
-        previous = residual
         if rnorm / bnorm < residual:
-            x_edge, x, residual = x_next, x_full, rnorm / bnorm
-        if rnorm / bnorm > 0.5 * previous:
-            break
+            x, residual = x_full, rnorm / bnorm
 
     dofmap = system.dofmap
     u0 = x[: dofmap.edge_base].reshape(dofmap.n_cells, dofmap.n_interior_per_cell)

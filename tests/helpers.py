@@ -204,8 +204,9 @@ def fresh_cell(mesh, c, k):
 def interior_values(ops, coeffs, pts):
     """Point values of an interior polynomial on ops.cell; coeffs
     (dim P_k, ...) give values (npts, ...)."""
-    s = ops.index
-    basis = CellScalarBasis(ops.stack.k, ops.stack.center[s], ops.stack.diameter[s])
+    stack, s = ops.stack, ops.index
+    center = stack.tri_coords[s, 0, 0] + stack._rel_center[s]
+    basis = CellScalarBasis(stack.k, center, stack.diameter[s])
     return basis.eval(np.asarray(pts) - ops.offset) @ coeffs
 
 

@@ -159,6 +159,29 @@ def test_every_pass_rejects_a_cache_of_another_mesh_or_degree(name, quad_and_squ
     run(quad, 1, quad_cache, sol)
 
 
+@pytest.fixture(scope="module")
+def quad_l3_misfits():
+    """A k = 1 cache of the quad L3 mesh, and sin2d solutions that do not
+    fit it: of quad L4 and L2 at k = 1, and of quad L3 at k = 2."""
+    solutions = {label: solve_case(GENERATORS["quad"](level), k, SIN2D)[0]
+                 for label, level, k in (("finer", 4, 1), ("coarser", 2, 1), ("degree-2", 3, 2))}
+    mesh = GENERATORS["quad"](3)
+    return mesh, OperatorCache(mesh, 1), solutions
+
+
+@pytest.mark.parametrize("misfit", ["finer", "coarser", "degree-2"])
+@pytest.mark.parametrize("name", ["l2_projection_error", "energy_error",
+                                  "energy_error_via_projection"])
+def test_error_norms_reject_a_solution_that_does_not_fit_the_cache(name, misfit,
+                                                                   quad_l3_misfits):
+    """Each error norm raises the DOF map's error for a solution of another
+    mesh or degree: not an IndexError, a broadcast error or a wrong norm
+    (the quad L4 solution once read 0.372 in L2)."""
+    mesh, cache, solutions = quad_l3_misfits
+    with pytest.raises(ValueError, match="does not fit the degree-1 DOF map"):
+        PASSES[name](mesh, 1, cache, solutions[misfit])
+
+
 def test_assemble_and_solve_case_build_their_own_cache(quad_and_square_l4):
     quad, sol, _, _ = quad_and_square_l4
     system = assemble(quad, 1, SIN2D.f, SIN2D.g)
