@@ -20,7 +20,12 @@ of the per-cell path on the first cell of every batch (PER_CELL:
 ``project_lambda_field`` of grad u, and the stack's ``interior_moments`` of f
 on that cell's row alone); and, exactly, the solve's ``iterations``,
 ``method`` and ``residual`` and the three error norms.  The set takes a few
-seconds.
+seconds; names of PROBLEMS as arguments, such as ``jitter-L7-k1``, restrict
+the run to those problems.
+
+Run as a script, it pins BLAS to one thread, as perfbench does: PCG's dot
+products run in BLAS, and on the jitter edge systems their last bits follow
+its thread count.
 """
 
 from __future__ import annotations
@@ -28,12 +33,32 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+
+
+def perfbench_module(name: str):
+    """perfbench/<name>.py, loaded without putting perfbench on sys.path."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    # Dataclasses look their module up in sys.modules.
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+if __name__ == "__main__":
+    # Before numpy is imported, or BLAS has already started its threads.
+    os.environ.update(perfbench_module("run").BLAS_ENV)
 
 import numpy as np  # noqa: E402
 
@@ -92,17 +117,8 @@ def per_cell_digests(cache, case) -> dict:
 
 def jitter_mesh(seed: int):
     """perfbench's jitter mesh of the seed, written and read as JSON."""
-    path = ROOT / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    # Its dataclasses look their module up in sys.modules.
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
     with tempfile.TemporaryDirectory() as tmp:
-        module.write_jitter_mesh(seed, Path(tmp) / "jitter.json")
+        perfbench_module("workloads").write_jitter_mesh(seed, Path(tmp) / "jitter.json")
         return read_mesh(Path(tmp) / "jitter.json")
 
 
@@ -127,12 +143,17 @@ def fingerprint(family: str, level: int, k: int) -> dict:
     }
 
 
-def main() -> int:
-    payload = {f"{family}-L{level}-k{k}": fingerprint(family, level, k)
-               for family, level, k in PROBLEMS}
+def main(names=()) -> int:
+    problems = {f"{family}-L{level}-k{k}": (family, level, k) for family, level, k in PROBLEMS}
+    unknown = set(names) - set(problems)
+    if unknown:
+        print(f"unknown problems {sorted(unknown)}; known: {list(problems)}", file=sys.stderr)
+        return 2
+    payload = {name: fingerprint(*problem) for name, problem in problems.items()
+               if not names or name in names}
     print(json.dumps(payload, indent=1, sort_keys=True))
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

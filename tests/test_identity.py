@@ -1,5 +1,8 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -70,3 +73,22 @@ def test_one_and_two_workers_print_the_same_bytes(identity, capsys, monkeypatch)
         outputs.append(_run(identity, capsys))
     assert len(json.loads(outputs[0])["hex-L3-k2"]["stacks"]) > 1
     assert outputs[0] == outputs[1]
+
+
+def test_the_output_does_not_follow_the_blas_thread_count():
+    """PCG's dot products on the jitter L7 k = 1 edge system (16 128
+    unknowns) differ in the last bit between one and two OpenBLAS threads;
+    run as a script, identity.py pins one thread."""
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        outputs.append(subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "identity.py"), "jitter-L7-k1"],
+            env=env, capture_output=True, text=True, check=True).stdout)
+    assert list(json.loads(outputs[0])) == ["jitter-L7-k1"]
+    assert outputs[0] == outputs[1]
+
+
+def test_an_unknown_problem_name_is_refused(identity, capsys):
+    assert identity.main(["jitter-L9-k1"]) == 2
+    assert "unknown problems ['jitter-L9-k1']" in capsys.readouterr().err
