@@ -289,7 +289,7 @@ def test_pcg_contract_on_random_spd_system():
     B = rng.standard_normal((50, 50))
     A = sp.csr_matrix(B @ B.T + 50 * np.eye(50))
     b = rng.standard_normal(50)
-    x, iters = _pcg(A, b, 1e-12)
+    x, iters = _pcg(A, b, 1e-12 * np.linalg.norm(b))
     assert 0 < iters <= 20 * int(np.ceil(np.sqrt(50)))
     assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b) * (1 + 1e-9)
 
@@ -323,7 +323,7 @@ def test_direct_and_pcg_paths_agree():
     mesh = generate_square_grid(4)
     system = assemble(mesh, 1, get_case("sin2d").f, None)
     direct = solve(system)
-    x_pcg, _ = _pcg(system.matrix, system.rhs, 1e-13)
+    x_pcg, _ = _pcg(system.matrix, system.rhs, 1e-13 * np.linalg.norm(system.rhs))
     full = np.zeros(system.dofmap.n_dofs)
     full[system.dofmap.free_dofs] = x_pcg
     res = np.linalg.norm(system.rhs - system.matrix @ x_pcg) / np.linalg.norm(system.rhs)
@@ -442,11 +442,12 @@ def test_pcg_iteration_cap_raises_with_history():
     A = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
                  offsets=[-1, 0, 1], format="csr")
     b = np.ones(n)
+    target = 1e-12 * np.linalg.norm(b)
     with pytest.raises(SolverConvergenceError) as exc:
-        _pcg(A, b, 1e-12)
+        _pcg(A, b, target)
     cap = 20 * int(np.ceil(np.sqrt(n)))
     assert exc.value.history.size == cap + 1
-    assert exc.value.history[-1] > 1e-12
+    assert exc.value.history[-1] > target
 
 
 @pytest.mark.parametrize("family,level", [("quad", 4), ("hex", 3)])
@@ -678,20 +679,22 @@ def test_direct_solve_below_tol_falls_back_to_cg(monkeypatch):
     assert _rel(sol.full_vector(system.dofmap), _uncondensed_solve(system)) <= 1e-10
 
 
-def test_loose_edge_solve_is_continued_with_a_tighter_tolerance(monkeypatch):
+def test_loose_edge_solve_is_continued_to_the_same_target(monkeypatch):
+    """Both PCG passes get the one absolute target 0.5 tol ||rhs||; a first
+    pass that stops 1e6 times above it is continued once, to tol."""
     real = wgsolve._pcg
-    tols = []
+    targets = []
 
-    def loose_first(A, b, tol, x0=None, **kw):
-        tols.append(tol if tols else tol * 1e6)
-        return real(A, b, tols[-1], x0, **kw)
+    def loose_first(A, b, atol, **kw):
+        targets.append(atol)
+        return real(A, b, atol if len(targets) > 1 else 1e6 * atol, **kw)
 
     monkeypatch.setattr(wgsolve, "_pcg", loose_first)
     monkeypatch.setattr(wgsolve, "DIRECT_LIMIT", 0)
     system = assemble(jittered_square_mesh(4, seed=7), 1, get_case("sin2d").f, None)
     sol = solve(system)
     assert sol.method == "pcg"
-    assert len(tols) == 2 and tols[1] < tols[0]
+    assert targets == [0.5 * 1e-12 * np.linalg.norm(system.rhs)] * 2
     assert sol.residual <= 1e-12
 
 
@@ -708,18 +711,19 @@ def test_tolerance_below_the_rounding_floor_reports_the_true_residual(limit, met
     assert _rel(sol.full_vector(system.dofmap), _uncondensed_solve(system)) <= 1e-10
 
 
-def test_solve_reports_the_recomputed_full_residual_and_continues_from_x(monkeypatch):
+def test_solve_reports_the_recomputed_full_residual_and_corrects_x(monkeypatch):
     """A PCG pass stops on its recurrence residual, which may drift from the
     true one.  solve judges each pass by the full residual recomputed from
     the recovered solution, reports that value, and while it is above tol
-    continues PCG from the pass's x.  The first pass here is cut short by a
-    loose tolerance."""
+    solves S dx = g - S x from zero, the true edge residual of the pass's x,
+    and returns x + dx.  The first pass here is cut short by a loose
+    target."""
     real_pcg, real_recover = wgsolve._pcg, wgsolve._recover
     passes, recovered = [], []
 
-    def pcg(A, b, tol, x0=None, **kw):
-        x, iters = real_pcg(A, b, tol if passes else 1e4 * tol, x0, **kw)
-        passes.append((x0, x))
+    def pcg(A, b, atol, **kw):
+        x, iters = real_pcg(A, b, atol if passes else 1e4 * atol, **kw)
+        passes.append((b, atol, x))
         return x, iters
 
     def recover(system, x_edge):
@@ -735,8 +739,13 @@ def test_solve_reports_the_recomputed_full_residual_and_continues_from_x(monkeyp
     sol = solve(system, tol=1e-8)
     A, b = system.matrix, system.rhs
     bnorm = np.linalg.norm(b)
-    assert len(passes) == 2 and passes[0][0] is None
-    assert np.array_equal(passes[1][0], passes[0][1])
+    (g, target, x_first), (residual, target_next, dx) = passes
+    assert np.array_equal(g, system.edge_rhs)
+    assert np.array_equal(residual, g - system.edge_matrix @ x_first)
+    assert target_next == target
+    dofmap = system.dofmap
+    x_edge = sol.full_vector(dofmap)[dofmap.free_dofs[dofmap.edge_base:]]
+    assert np.array_equal(x_edge, x_first + dx)
     assert recovered[0] / bnorm > 1e-8 >= sol.residual == recovered[1] / bnorm
     x = sol.full_vector(system.dofmap)[system.dofmap.free_dofs]
     recomputed = np.linalg.norm(b - A @ x) / bnorm
