@@ -101,8 +101,8 @@ class LambdaDimensionError(RuntimeError):
 
 
 class DataError(ValueError):
-    """User data f, g, u or grad u that returns a value of the wrong shape
-    or a non-finite value at a quadrature point (see _evaluate)."""
+    """User data f, g, u or grad u that returns a value of the wrong dtype
+    or shape, or a non-finite value at a quadrature point (see _evaluate)."""
 
 
 @lru_cache(maxsize=None)
@@ -542,14 +542,19 @@ def _evaluate(func, x: np.ndarray, y: np.ndarray, shape: tuple, edges=None) -> n
     """User data func at the points (x, y), as floats of shape x.shape +
     shape: the one place that calls f, g, u or grad u.  func gets the points
     flattened and returns one value of ``shape``, which every point takes,
-    or one per point, shape (x.size,) + shape.  Any other shape raises
-    DataError naming both; so does a non-finite value, naming its point and,
-    where ``edges`` names the edge of each row of x, its edge."""
-    vals = np.asarray(func(x.ravel(), y.ravel()), dtype=float)
+    or one per point, shape (x.size,) + shape.  Values that are not bool,
+    integer or real float raise DataError naming their dtype; any other
+    shape raises DataError naming both; so does a non-finite value, naming
+    its point and, where ``edges`` names the edge of each row of x, its
+    edge."""
+    vals = np.asarray(func(x.ravel(), y.ravel()))
+    if vals.dtype.kind not in "biuf":
+        raise DataError(f"data of dtype {vals.dtype}; expected real numbers")
     per_point = (x.size,) + shape
     if vals.shape not in (shape, per_point):
         raise DataError(f"data of shape {vals.shape}; expected shape {shape} or {per_point}")
-    vals = np.broadcast_to(vals, per_point)
+    # Real floats keep their bits.
+    vals = np.broadcast_to(vals.astype(float, copy=False), per_point)
     if not np.isfinite(vals).all():
         q = np.argmin(np.isfinite(vals.reshape(x.size, -1)).all(axis=1))
         edge = "" if edges is None else f" on edge {edges[np.unravel_index(q, x.shape)[0]]}"

@@ -456,7 +456,11 @@ def constant_function_vector(dofmap: DofMap) -> np.ndarray:
 def _sum_of_squares(cache: OperatorCache, vec: np.ndarray, matrix: str) -> np.ndarray | float:
     """The root of the sum over the cells of |M v|^2, M the named per-row
     matrix of each OperatorStack, for full DOF vectors v, (n_dofs,) or
-    (n_dofs, m) for m functions at once."""
+    (n_dofs, m) for m functions at once; ValueError for any other number
+    of rows."""
+    if vec.shape[0] != cache.dofmap.n_dofs:
+        raise ValueError(f"vector of shape {vec.shape} does not fit the degree-{cache.k} "
+                         f"DOF map of {cache.dofmap.n_dofs} DOFs")
     cols = vec.reshape(vec.shape[0], -1)
 
     def local(ops, cls, cells, offsets, gdofs):

@@ -1,4 +1,5 @@
 import ast
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -190,6 +191,24 @@ def test_misshaped_cell_and_edge_data_rejected_naming_both_shapes(f, g):
     mesh = generate_square_grid(2)
     with pytest.raises(DataError, match=r"shape \(.*\); expected shape \(\) or \(\d+,\)"):
         assemble(mesh, 1, f, g)
+
+
+@pytest.mark.parametrize("value", [
+    np.complex128(1 + 1e-3j), "1.0", np.array(1.0, dtype=object), None,
+], ids=["complex", "string", "object", "none"])
+@pytest.mark.parametrize("role", ["f", "g"])
+def test_data_that_are_not_real_numbers_rejected_naming_the_dtype(role, value):
+    """A complex f was once solved as its real part, with only numpy's
+    ComplexWarning; a string, an object array and None raised numpy's own
+    errors or read as non-finite."""
+    mesh = generate_square_grid(2)
+    data = lambda x, y: value
+    message = f"data of dtype {np.asarray(value).dtype}; expected real numbers"
+    with pytest.raises(DataError, match=re.escape(message)):
+        if role == "f":
+            assemble(mesh, 1, data, None)
+        else:
+            project_qb(mesh, np.flatnonzero(mesh.boundary_edges), 1, data)
 
 
 @pytest.mark.parametrize("k", [0, 2])
@@ -395,6 +414,21 @@ def test_h1_norm_of_constant_is_exactly_zero(family):
     for k in range(5):
         cache = OperatorCache(mesh, k)
         assert discrete_h1_norm(mesh, k, constant_function_vector(cache.dofmap), cache) == 0.0
+
+
+@pytest.mark.parametrize("rows", [125, 135, 256, "degree-2"])
+@pytest.mark.parametrize("norm", [triple_bar_norm, discrete_h1_norm])
+def test_norms_reject_a_vector_that_does_not_fit_the_cache(norm, rows):
+    """The quad L3 k = 1 cache has 128 DOFs.  A longer vector, one of
+    degree 2 (216 DOFs) among them, once read as its first 128 entries,
+    and a shorter one raised a bare IndexError."""
+    mesh = GENERATORS["quad"](3)
+    cache = OperatorCache(mesh, 1)
+    assert cache.dofmap.n_dofs == 128
+    n = build_dof_map(mesh, 2).n_dofs if rows == "degree-2" else rows
+    vec = np.random.default_rng(5).standard_normal(n)
+    with pytest.raises(ValueError, match=rf"vector of shape \({n},\) does not fit the degree-1"):
+        norm(mesh, 1, vec, cache)
 
 
 def test_solve_and_error_passes_never_build_the_h1_matrix():
