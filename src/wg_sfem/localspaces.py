@@ -553,7 +553,6 @@ def _evaluate(func, x: np.ndarray, y: np.ndarray, shape: tuple, edges=None) -> n
     per_point = (x.size,) + shape
     if vals.shape not in (shape, per_point):
         raise DataError(f"data of shape {vals.shape}; expected shape {shape} or {per_point}")
-    # Real floats keep their bits.
     vals = np.broadcast_to(vals.astype(float, copy=False), per_point)
     if not np.isfinite(vals).all():
         q = np.argmin(np.isfinite(vals.reshape(x.size, -1)).all(axis=1))
