@@ -544,13 +544,18 @@ def _evaluate(func, x: np.ndarray, y: np.ndarray, shape: tuple, edges=None) -> n
     flattened and returns one value of ``shape``, which every point takes,
     or one per point, shape (x.size,) + shape.  Values that are not bool,
     integer or real float raise DataError naming their dtype; any other
-    shape raises DataError naming both; so does a non-finite value, naming
+    shape raises DataError naming both, and ragged nested sequences one
+    naming the expected shapes (a ValueError that func itself raises
+    propagates unchanged); so does a non-finite value, naming
     its point and, where ``edges`` names the edge of each row of x, its
     edge."""
-    vals = np.asarray(func(x.ravel(), y.ravel()))
+    vals, per_point = func(x.ravel(), y.ravel()), (x.size,) + shape
+    try:
+        vals = np.asarray(vals)
+    except ValueError as exc:  # ragged nested sequences
+        raise DataError(f"ragged data; expected shape {shape} or {per_point}") from exc
     if vals.dtype.kind not in "biuf":
         raise DataError(f"data of dtype {vals.dtype}; expected real numbers")
-    per_point = (x.size,) + shape
     if vals.shape not in (shape, per_point):
         raise DataError(f"data of shape {vals.shape}; expected shape {shape} or {per_point}")
     vals = np.broadcast_to(vals.astype(float, copy=False), per_point)

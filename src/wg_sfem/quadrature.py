@@ -70,25 +70,18 @@ def segment_rule(degree: int) -> QuadRule:
 
 @lru_cache(maxsize=None)
 def triangle_rule(degree: int) -> QuadRule:
-    """Collapsed Gauss product rule on the reference triangle, exact for P_degree."""
-    if degree < 0:
-        raise UnsupportedDegreeError(f"negative quadrature degree {degree}")
+    """Collapsed Gauss product rule on the reference triangle, exact for
+    P_degree: the segment rule of degree in y times, for the (1 - x)
+    Jacobian factor, the one of degree + 1 in x."""
     if degree > MAX_TRIANGLE_DEGREE:
         raise UnsupportedDegreeError(
             f"triangle rules support degree <= {MAX_TRIANGLE_DEGREE}, got {degree}"
         )
-    nx = (degree + 3) // 2
-    ny = (degree + 2) // 2
-    tx, wx = np.polynomial.legendre.leggauss(nx)
-    ty, wy = np.polynomial.legendre.leggauss(ny)
-    gx, gy = 0.5 * (tx + 1.0), 0.5 * (ty + 1.0)
-    wx, wy = 0.5 * wx, 0.5 * wy
-
-    X = np.repeat(gx, ny)
-    Y = np.tile(gy, nx) * (1.0 - X)
-    W = np.repeat(wx * (1.0 - gx), ny) * np.tile(wy, nx)
-    pts = np.column_stack([X, Y])
-    return QuadRule(_readonly(pts), _readonly(W))
+    y, x = segment_rule(degree), segment_rule(degree + 1)
+    X = np.repeat(x.points, y.points.size)
+    Y = np.tile(y.points, x.points.size) * (1.0 - X)
+    W = np.repeat(x.weights * (1.0 - x.points), y.points.size) * np.tile(y.weights, x.points.size)
+    return QuadRule(_readonly(np.column_stack([X, Y])), _readonly(W))
 
 
 # Fully symmetric rules by degree, computed and checked by

@@ -22,10 +22,12 @@ relative residual ||rhs - A x|| / ||rhs||, computed from the local
 stiffnesses.  Both PCG passes run from zero to one absolute target on the
 edge residual, 0.5 tol ||rhs||: the first on edge_rhs and, if the full
 residual is above tol, one continuation on the true edge residual
-edge_rhs - S x, whose solution is added to x.  The uncondensed
-matrices are built only on request.  scipy.sparse is imported by the two
-functions that build sparse matrices, _block_matrix and _multilevel, and
-scipy.sparse.linalg by spsolve, so importing the package loads no scipy.
+edge_rhs - S x, whose solution is added to x.  assemble computes only
+the data terms; the three sparse matrices, which depend only on the mesh
+and k, are built on first access (the edge matrix by solve).  scipy.sparse
+is imported by the two functions that build sparse matrices, _block_matrix
+and _multilevel, and scipy.sparse.linalg by spsolve, so importing the
+package, and assembling, load no scipy.
 """
 
 from __future__ import annotations
@@ -84,14 +86,15 @@ class SparseSymSystem:
     unknowns that is left when every cell's interior unknowns are condensed
     out; ``load`` holds each cell's interior load moments, from which solve
     recovers the interior values.  ``rhs`` is the right-hand side of the
-    uncondensed system over the free DOFs.  The uncondensed matrices,
+    uncondensed system over the free DOFs.  The three matrices depend only
+    on the mesh and k and are built from the local operators on first
+    access: ``edge_matrix`` from the Schur complements, and the uncondensed
     ``matrix`` (free DOFs) and ``full_matrix`` (all DOFs, before
-    elimination), are built from the local stiffnesses on first access.
+    elimination) from the local stiffnesses.
     """
 
     rhs: np.ndarray
     constrained_values: np.ndarray
-    edge_matrix: sp.csr_matrix
     edge_rhs: np.ndarray
     load: np.ndarray
     cache: OperatorCache
@@ -100,18 +103,28 @@ class SparseSymSystem:
     def dofmap(self) -> DofMap:
         return self.cache.dofmap
 
-    def _stiffness_blocks(self, index: np.ndarray) -> list:
-        return [(ops.stiffness, cls, index[gdofs])
-                for ops, cls, _, _, gdofs in self.cache.batches()]
+    def _gathered(self, block, index: np.ndarray, n: int) -> sp.csr_matrix:
+        """The n x n sum of every batch's blocks block(ops)[rows], whose
+        columns are the last ones of their cells' local DOFs, at the global
+        indices index[dofs] (negative: dropped)."""
+        return _block_matrix([(M, cls, index[gdofs[:, -M.shape[-1]:]]) for ops, cls, _, _, gdofs
+                              in self.cache.batches() for M in [block(ops)]], n)
+
+    @cached_property
+    def edge_matrix(self) -> sp.csr_matrix:
+        # Interior DOFs are all free and come first, so this is each side
+        # DOF's index among the free edge DOFs, negative if constrained.
+        index = self.dofmap.free_index - self.dofmap.edge_base
+        return self._gathered(lambda ops: ops.condensed[2], index, self.edge_rhs.size)
 
     @cached_property
     def full_matrix(self) -> sp.csr_matrix:
         n = self.dofmap.n_dofs
-        return _block_matrix(self._stiffness_blocks(np.arange(n)), n)
+        return self._gathered(lambda ops: ops.stiffness, np.arange(n), n)
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        return _block_matrix(self._stiffness_blocks(self.dofmap.free_index), self.dofmap.n_free)
+        return self._gathered(lambda ops: ops.stiffness, self.dofmap.free_index, self.dofmap.n_free)
 
 
 @dataclass(frozen=True)
@@ -197,8 +210,10 @@ def assemble(mesh: PolyMesh, k: int, f, g=None, cache: OperatorCache | None = No
 
     g = None means homogeneous data; otherwise boundary edge DOFs are set to
     the edge projection of g and eliminated symmetrically.  The interior
-    unknowns are condensed out cell by cell, so only the edge system is
-    assembled as a matrix.
+    unknowns are condensed out cell by cell, so only the edge system's
+    data terms are assembled here: load, edge_rhs and rhs.  Its matrix,
+    which depends only on the mesh and k, is built on first access
+    (SparseSymSystem.edge_matrix), by the first solve.
 
     f(x, y) and g(x, y) get flat arrays of quadrature points, many cells or
     edges at once, and return one value per point or one constant for all;
@@ -223,25 +238,19 @@ def assemble(mesh: PolyMesh, k: int, f, g=None, cache: OperatorCache | None = No
     # The boundary values as a full DOF vector: rhs = f - A x on the free DOFs.
     x = np.zeros(n_dofs)
     x[dofmap.constrained_dofs] = x_c
-    free_edges = dofmap.free_dofs[base:]
 
     def local(ops, cls, cells, offsets, gdofs):
         mom = ops.interior_moments(f, cls, offsets)
         _, X, S = ops.condensed
         # Condensed edge load -X^T f_0, less the boundary values' share.
         cond = _matvec(X[cls].swapaxes(-1, -2), mom) + _matvec(S[cls], x[gdofs[:, n0:]])
-        return mom, cond, _matvec(ops.stiffness[cls], x[gdofs])
+        return cells, gdofs, mom, cond, _matvec(ops.stiffness[cls], x[gdofs])
 
     load = np.empty((dofmap.n_cells, n0))
     Ax = np.zeros(n_dofs)
     edge_b = np.zeros(n_dofs - base)
-    blocks = []
-    for (ops, cls, cells, _, gdofs), (mom, cond, Kx) in zip(cache.batches(),
-                                                           _batch_map(local, cache.batches())):
+    for cells, gdofs, mom, cond, Kx in _batch_map(local, cache.batches()):
         load[cells] = mom
-        # Interior DOFs are all free and come first, so this is each side
-        # DOF's index among the free edge DOFs, negative if constrained.
-        blocks.append((ops.condensed[2], cls, dofmap.free_index[gdofs[:, n0:]] - base))
         edge_b -= np.bincount((gdofs[:, n0:] - base).ravel(), cond.ravel(), minlength=edge_b.size)
         Ax += np.bincount(gdofs.ravel(), Kx.ravel(), minlength=n_dofs)
 
@@ -250,8 +259,7 @@ def assemble(mesh: PolyMesh, k: int, f, g=None, cache: OperatorCache | None = No
     return SparseSymSystem(
         rhs=rhs[dofmap.free_dofs],
         constrained_values=x_c,
-        edge_matrix=_block_matrix(blocks, free_edges.size),
-        edge_rhs=edge_b[free_edges - base],
+        edge_rhs=edge_b[dofmap.free_dofs[base:] - base],
         load=load,
         cache=cache,
     )
@@ -278,10 +286,8 @@ def _pcg(A: sp.csr_matrix, b: np.ndarray, atol: float, switch=None, budget: int 
             "nonpositive diagonal entry; matrix cannot be positive definite"
         )
     precond = (1.0 / diag).__mul__
-    x, r = np.zeros(n), b.copy()
-    z = precond(r)
-    p = z.copy()
-    rz = float(r @ z)
+    # p = None marks a phase start: Jacobi at iteration 0, switch() after budget.
+    x, r, p = np.zeros(n), b.copy(), None
     history = [float(np.linalg.norm(r))]
     max_iter = 20 * int(np.ceil(np.sqrt(n)))
     while history[-1] > atol:
@@ -292,7 +298,8 @@ def _pcg(A: sp.csr_matrix, b: np.ndarray, atol: float, switch=None, budget: int 
                 np.array(history),
             )
         if switch is not None and len(history) == budget + 1:
-            precond = switch()
+            precond, p = switch(), None
+        if p is None:
             z = precond(r)
             p, rz = z.copy(), float(r @ z)
         Ap = A @ p

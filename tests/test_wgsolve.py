@@ -211,6 +211,28 @@ def test_data_that_are_not_real_numbers_rejected_naming_the_dtype(role, value):
             project_qb(mesh, np.flatnonzero(mesh.boundary_edges), 1, data)
 
 
+@pytest.mark.parametrize("role", ["f", "g"])
+def test_ragged_data_rejected_naming_the_expected_shapes(role):
+    """numpy's own ValueError on a ragged list used to escape as is, past a
+    caller that catches DataError."""
+    mesh = generate_square_grid(2)
+    data = lambda x, y: [x, y[:-1]]
+    with pytest.raises(DataError, match=r"ragged data; expected shape \(\) or \(\d+,\)"):
+        if role == "f":
+            assemble(mesh, 1, data, None)
+        else:
+            project_qb(mesh, np.flatnonzero(mesh.boundary_edges), 1, data)
+
+
+def test_a_value_error_raised_by_the_data_propagates_unchanged():
+    def f(x, y):
+        raise ValueError("f's own error")
+
+    with pytest.raises(ValueError, match="f's own error") as exc:
+        assemble(generate_square_grid(2), 1, f, None)
+    assert type(exc.value) is ValueError
+
+
 @pytest.mark.parametrize("k", [0, 2])
 def test_project_qb_of_no_edges_is_empty(k):
     mesh = generate_square_grid(2)
@@ -559,13 +581,14 @@ def test_csr_arrays_hold_exactly_the_stored_entries():
 
 
 def test_assembly_transients_stay_near_the_csr_they_build():
-    """Traced peaks, which are deterministic for fixed inputs, of assemble
-    (the edge matrix) and of system.matrix on square L6, k = 1, as
-    multiples of the bytes of the CSR arrays each builds.  Building through
-    whole-matrix COO triplets peaked at 4.6 and 3.7 times; the two-pass
-    build peaks at 2.8 and 2.0."""
+    """Traced peaks, which are deterministic for fixed inputs, of the first
+    system.edge_matrix and system.matrix on square L6, k = 1, as multiples
+    of the bytes of the CSR arrays each builds.  Building through
+    whole-matrix COO triplets peaked at 4.6 (traced over all of assemble,
+    which then built the edge matrix) and 3.7 times; the two-pass build
+    peaks at 2.4 and 2.0."""
     mesh, case = generate_square_grid(6), get_case("sin2d")
-    cache = assemble(mesh, 1, case.f, case.g).cache
+    system = assemble(mesh, 1, case.f, case.g)
 
     def traced_peak(build):
         tracemalloc.start()
@@ -580,10 +603,23 @@ def test_assembly_transients_stay_near_the_csr_they_build():
     def csr_bytes(A):
         return A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
 
-    system, assemble_peak = traced_peak(lambda: assemble(mesh, 1, case.f, case.g, cache))
+    S, edge_peak = traced_peak(lambda: system.edge_matrix)
     A, matrix_peak = traced_peak(lambda: system.matrix)
-    assert assemble_peak < 3.5 * csr_bytes(system.edge_matrix)
+    assert edge_peak < 3.5 * csr_bytes(S)
     assert matrix_peak < 2.5 * csr_bytes(A)
+
+
+def test_the_matrices_are_built_on_first_access_and_kept():
+    """assemble computes only the data; solve builds the edge matrix alone,
+    and every matrix is built once."""
+    mesh, case = generate_square_grid(3), get_case("sin2d")
+    system = assemble(mesh, 1, case.f, case.g)
+    names = {"edge_matrix", "matrix", "full_matrix"}
+    assert names.isdisjoint(vars(system))
+    solve(system)
+    assert names & vars(system).keys() == {"edge_matrix"}
+    for name in names:
+        assert getattr(system, name) is getattr(system, name)
 
 
 # ---------------------------------------------------------------- condensed solve
@@ -916,8 +952,9 @@ print(wgsolve.solve(wgsolve.assemble(mesh, 1, case.f, case.g)).method, loaded())
 def test_import_and_local_work_leave_scipy_unloaded():
     """import wg_sfem loads numpy and the package, not scipy: meshes, the
     operator cache, the edge projection and the norms are dense per-cell
-    work.  scipy.sparse loads at the first assemble, scipy.sparse.linalg
-    still not, and the CLI's mesh command and a usage error load none."""
+    work, and so is assemble.  scipy.sparse loads at the first access to
+    a matrix, scipy.sparse.linalg still not, and the CLI's mesh command
+    and a usage error load none."""
     script = """
 import contextlib, io, os, sys, tempfile
 import wg_sfem
@@ -939,13 +976,15 @@ try:
     cli.main(["solve", "--family", "square", "--level", "2"])
 except SystemExit as exc:
     print(exc.code, loaded())
-wgsolve.assemble(mesh, 1, case.f, case.g, cache=cache)
+system = wgsolve.assemble(mesh, 1, case.f, case.g, cache=cache)
+print(loaded())
+system.edge_matrix
 print("scipy.sparse" in sys.modules, "scipy.sparse.linalg" in sys.modules)
 """
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run([sys.executable, "-c", script], env={"PYTHONPATH": str(src)},
                          capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.splitlines() == ["[]", "[]", "0 []", "2 []", "True False"]
+    assert out.stdout.splitlines() == ["[]", "[]", "0 []", "2 []", "[]", "True False"]
 
 
 def test_two_phase_pcg_leaves_the_linalg_modules_unloaded():
