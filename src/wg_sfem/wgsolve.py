@@ -107,8 +107,11 @@ class SparseSymSystem:
         """The n x n sum of every batch's blocks block(ops)[rows], whose
         columns are the last ones of their cells' local DOFs, at the global
         indices index[dofs] (negative: dropped)."""
-        return _block_matrix([(M, cls, index[gdofs[:, -M.shape[-1]:]]) for ops, cls, _, _, gdofs
-                              in self.cache.batches() for M in [block(ops)]], n)
+        blocks = []
+        for ops, cls, _, _, gdofs in self.cache.batches():
+            M = block(ops)
+            blocks.append((M, cls, index[gdofs[:, -M.shape[-1]:]]))
+        return _block_matrix(blocks, n)
 
     @cached_property
     def edge_matrix(self) -> sp.csr_matrix:
