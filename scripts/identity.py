@@ -13,8 +13,8 @@ Each checkout imports its own ``src/``.  For every problem of PROBLEMS it
 solves the ``sin2d`` case and prints sha256 prefixes of each operator stack's
 ``weak_gradient``, ``stiffness``, ``condensed``, ``mass_scalar``,
 ``frame_coeffs`` and ``h1``, of the system's ``rhs``, ``edge_rhs`` and
-``load``, of the CSR_ARRAYS of each of its CSR_MATRICES (the uncondensed
-``matrix`` and ``full_matrix`` are built on access), of ``u0`` and ``ub``, and
+``load``, of the CSR_ARRAYS of each of its CSR_MATRICES (all three are
+built on first access, ``edge_matrix`` by the solve), of ``u0`` and ``ub``, and
 of the per-cell path on the first cell of every batch (PER_CELL:
 ``OperatorCache.get(c)``'s ``project_interior`` of u and
 ``project_lambda_field`` of grad u, and the stack's ``interior_moments`` of f
