@@ -10,9 +10,11 @@ and comparing the two outputs:
     diff parent.json change.json
 
 Each checkout imports its own ``src/``.  For every problem of PROBLEMS it
-solves the ``sin2d`` case and prints sha256 prefixes of each operator stack's
-``weak_gradient``, ``stiffness``, ``condensed``, ``mass_scalar``,
-``frame_coeffs`` and ``h1``, of the system's ``rhs``, ``edge_rhs`` and
+solves the ``sin2d`` case and prints sha256 prefixes of the STACK_ARRAYS
+(``weak_gradient``, ``stiffness``, ``condensed``, ``mass_scalar``,
+``frame_coeffs`` and ``h1``) of each vertex count's operator stacks, their
+rows concatenated in class order, so that the output does not depend on
+how the classes are cut into stacks; of the system's ``rhs``, ``edge_rhs`` and
 ``load``, of the CSR_ARRAYS of each of its CSR_MATRICES (all three are
 built on first access, ``edge_matrix`` by the solve), of ``u0`` and ``ub``, and
 of the per-cell path on the first cell of every batch (PER_CELL:
@@ -94,11 +96,16 @@ def digest(*arrays) -> str:
     return h.hexdigest()[:DIGITS]
 
 
-def stack_digests(ops) -> dict:
-    """The digest of each of STACK_ARRAYS of an OperatorStack; ``condensed``
-    is a tuple of three arrays."""
-    values = {name: getattr(ops, name) for name in STACK_ARRAYS}
-    return {name: digest(*v) if isinstance(v, tuple) else digest(v) for name, v in values.items()}
+def group_digests(stacks) -> dict:
+    """The digest of each of STACK_ARRAYS over OperatorStacks of one vertex
+    count, in class order, with their rows concatenated; ``condensed`` is a
+    tuple of three arrays, concatenated part by part."""
+    def rows(name):
+        values = [getattr(ops, name) for ops in stacks]
+        if isinstance(values[0], tuple):
+            return [np.concatenate(parts) for parts in zip(*values)]
+        return [np.concatenate(values)]
+    return {name: digest(*rows(name)) for name in STACK_ARRAYS}
 
 
 def per_cell_digests(cache, case) -> dict:
@@ -128,9 +135,13 @@ def fingerprint(family: str, level: int, k: int) -> dict:
     system = assemble(mesh, k, case.f, case.g)
     cache = system.cache
     sol = solve(system)
-    stacks = dict.fromkeys(ops for ops, *_ in cache.batches())
+    groups = {}
+    # Stacks come in class order; a stack's fan has two triangles fewer
+    # than its cells have vertices.
+    for ops in dict.fromkeys(ops for ops, *_ in cache.batches()):
+        groups.setdefault(str(ops.jacobian.shape[1] + 2), []).append(ops)
     return {
-        "stacks": [stack_digests(ops) for ops in stacks],
+        "groups": {n_v: group_digests(stacks) for n_v, stacks in groups.items()},
         "system": {"rhs": digest(system.rhs), "edge_rhs": digest(system.edge_rhs),
                    "load": digest(system.load),
                    **{name: {array: digest(getattr(getattr(system, name), array))

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import wg_sfem.localspaces as localspaces
-from wg_sfem.localspaces import OperatorStack
+from wg_sfem.localspaces import OperatorCache, OperatorStack
+from wg_sfem.polymesh import GENERATORS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,7 +37,8 @@ def test_two_runs_print_the_same_sorted_json(identity, capsys):
     payload = json.loads(first)
     assert list(payload) == ["quad-L3-k1"]
     record = payload["quad-L3-k1"]
-    assert set(record["stacks"][0]) == set(identity.STACK_ARRAYS)
+    assert list(record["groups"]) == ["4"]
+    assert set(record["groups"]["4"]) == set(identity.STACK_ARRAYS)
     assert set(record["per_cell"]) == set(identity.PER_CELL)
     for name in identity.CSR_MATRICES:
         assert set(record["system"][name]) == set(identity.CSR_ARRAYS)
@@ -54,8 +56,8 @@ def test_one_ulp_in_one_operator_value_changes_the_output(identity, capsys, monk
 
     monkeypatch.setattr(OperatorStack, "__init__", nudged)
     after = json.loads(_run(identity, capsys))["quad-L3-k1"]
-    assert after["stacks"][0]["stiffness"] != before["stacks"][0]["stiffness"]
-    assert after["stacks"][0]["weak_gradient"] == before["stacks"][0]["weak_gradient"]
+    assert after["groups"]["4"]["stiffness"] != before["groups"]["4"]["stiffness"]
+    assert after["groups"]["4"]["weak_gradient"] == before["groups"]["4"]["weak_gradient"]
     # The uncondensed matrix holds the nudged entry; its pattern stays.
     matrix, matrix_before = after["system"]["matrix"], before["system"]["matrix"]
     assert matrix["data"] != matrix_before["data"]
@@ -71,7 +73,8 @@ def test_one_and_two_workers_print_the_same_bytes(identity, capsys, monkeypatch)
     for n in (2, 1):
         monkeypatch.setattr(localspaces, "_usable_cpus", lambda: n)
         outputs.append(_run(identity, capsys))
-    assert len(json.loads(outputs[0])["hex-L3-k2"]["stacks"]) > 1
+    cache = OperatorCache(GENERATORS["hex"](3), 2)
+    assert len(dict.fromkeys(ops for ops, *_ in cache.batches())) > 1
     assert outputs[0] == outputs[1]
 
 
