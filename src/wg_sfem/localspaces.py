@@ -80,9 +80,13 @@ ONE_PASS_COND = 1e3
 # Shape-class keys round the vertex offsets, in units of the cell diameter,
 # and the log of the diameter to this many decimals.
 KEY_DECIMALS = 12
-# Shape classes per stacked build, and cells per batch of
-# OperatorCache.batches.
+# Cells per batch of OperatorCache.batches, and the fewest shape classes
+# per stacked build.
 BATCH_CELLS = 256
+# Bytes per stacked build of its largest array, the complete Q of the
+# constraint QR, 8 (n_triangles n_fields)^2 per class: more classes per
+# stack mean fewer numpy calls; this bounds their transient memory.
+STACK_BYTES = 2 << 20
 # Per thread: ``busy`` is set while a _batch_map task runs.
 _task = threading.local()
 
@@ -476,6 +480,7 @@ def build_lambda_basis(mesh: PolyMesh, cells, k: int) -> LambdaBasis:
     orth = _inverse_lower(L).swapaxes(-1, -2)
     redo = np.nonzero(~(np.linalg.norm(gram, axis=(-2, -1)) * np.sum(orth * orth, axis=(-2, -1))
                         < ONE_PASS_COND))
+    del L, diag, gram
     if redo[0].size:
         _, w, _, fields = data_tables(k, 2 * k + 2)
         samples = np.einsum("tde,qfe->tqdf", B[redo], fields) * np.sqrt(
@@ -507,6 +512,7 @@ def build_lambda_basis(mesh: PolyMesh, cells, k: int) -> LambdaBasis:
 
     C = np.concatenate([jumps.reshape(n_cells, -1, nt * nf),
                         matches.reshape(n_cells, -1, nt * nf)], axis=1)
+    del jumps, matches
     C /= np.linalg.norm(C, axis=-1, keepdims=True)
     # The constraint rows are independent exactly when the dimension law
     # holds; the last columns of a complete QR of C^T then span the
@@ -601,8 +607,10 @@ class OperatorStack:
         # centroids g; both are held relative to the anchor v0.
         g = _fan_centroids(B)
         self._rel_center = (det[..., None] * g).sum(axis=1) / det.sum(axis=1)[:, None]
-        # Lambda basis fields over each triangle's Piola fields.
+        # Lambda basis fields over each triangle's Piola fields; the basis,
+        # a view of the complete Q, is not kept.
         self.frame_coeffs = lam.orth @ lam.coeffs.reshape(n_cells, nt, nf, nl)
+        del lam
 
         # Cell-frame monomials over the reference ones: on a triangle with
         # centroid g, zeta = (x - center) / diameter
@@ -878,8 +886,12 @@ class OperatorCache:
         self._offset = origin - origin[first][class_of]
         n_v = np.diff(mesh.offsets)[first]
         groups = [0, *(np.flatnonzero(np.diff(n_v)) + 1).tolist(), n_v.size]
-        spans = [(lo, min(lo + BATCH_CELLS, end)) for start, end in zip(groups, groups[1:])
-                 for lo in range(start, end, BATCH_CELLS)]
+        # Classes per stack: a multiple of BATCH_CELLS, so that a stack's
+        # batches of one-cell classes are whole, within STACK_BYTES if it can.
+        nq = (n_v - 2) * (k + 1) * (k + 3)
+        size = BATCH_CELLS * np.maximum(1, STACK_BYTES // (8 * nq * nq) // BATCH_CELLS)
+        spans = [(lo, min(lo + size[start], end)) for start, end in zip(groups, groups[1:])
+                 for lo in range(start, end, size[start])]
         # The tables every stack build and data pass reads, made once here.
         reference_tables(k), data_tables(k, 2 * k + 2), data_tables(k, data_degree(k))
 

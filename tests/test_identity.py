@@ -69,6 +69,7 @@ def test_one_and_two_workers_print_the_same_bytes(identity, capsys, monkeypatch)
     """On hex L3 at k = 2, in stacks and batches of 4 cells."""
     monkeypatch.setattr(identity, "PROBLEMS", [("hex", 3, 2)])
     monkeypatch.setattr(localspaces, "BATCH_CELLS", 4)
+    monkeypatch.setattr(localspaces, "STACK_BYTES", 0)
     outputs = []
     for n in (2, 1):
         monkeypatch.setattr(localspaces, "_usable_cpus", lambda: n)

@@ -47,6 +47,7 @@ def workers(monkeypatch):
     """Batches and stacks of at most 4 cells, and a setter of the usable
     CPU count the map reads."""
     monkeypatch.setattr(localspaces, "BATCH_CELLS", 4)
+    monkeypatch.setattr(localspaces, "STACK_BYTES", 0)
     return lambda n: monkeypatch.setattr(localspaces, "_usable_cpus", lambda: n)
 
 
