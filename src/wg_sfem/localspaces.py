@@ -63,6 +63,7 @@ import numpy as np
 from .polymesh import (
     PolyMesh,
     StarShapeError,
+    _readonly,
     fan_triangles,
     first_appearance_labels,
     polygon_diameter,
@@ -694,7 +695,7 @@ class OperatorStack:
             trace[:, s, :, n0 + s * nb : n0 + (s + 1) * nb] = (
                 -w[:, s] * edge_basis(k, 2 * k) * self._side_sign[:, s, None])
         grad = np.pad(grad.reshape(n_cells, -1, n0), ((0, 0), (0, 0), (0, n_sides * nb)))
-        return np.concatenate([grad, trace.reshape(n_cells, -1, trace.shape[-1])], axis=1)
+        return _readonly(np.concatenate([grad, trace.reshape(n_cells, -1, trace.shape[-1])], 1))
 
     def _samples(self, func, rows, offsets, shape):
         """The data_tables of the data-degree rule and func at the rule's
@@ -883,7 +884,7 @@ class OperatorCache:
         starts = np.concatenate([[0], np.cumsum(np.bincount(class_of))])
         first = order[starts[:-1]]
         origin = mesh.vertices[mesh.cycles[mesh.offsets[:-1]]]
-        self._offset = origin - origin[first][class_of]
+        self._offset = _readonly(origin - origin[first][class_of])
         n_v = np.diff(mesh.offsets)[first]
         groups = [0, *(np.flatnonzero(np.diff(n_v)) + 1).tolist(), n_v.size]
         # Classes per stack: a multiple of BATCH_CELLS, so that a stack's
@@ -897,6 +898,9 @@ class OperatorCache:
 
         stacks = _batch_map(lambda lo, hi: OperatorStack(mesh, first[lo:hi], k), spans)
         for stack in stacks:
+            for a in [*vars(stack).values(), *stack.condensed]:
+                if isinstance(a, np.ndarray):
+                    _readonly(a)
             for s in np.flatnonzero(stack.condition > CONDITION_WARN):
                 warnings.warn(f"cell {stack.cells[s]}: RT frame mass matrix condition "
                               f"{stack.condition[s]:.2e} (lower bound)", RuntimeWarning,
@@ -908,8 +912,8 @@ class OperatorCache:
             dofs = self.dofmap.cell_dof_array(mesh, members)
             for i in range(0, members.size, BATCH_CELLS):
                 cells = members[i : i + BATCH_CELLS]
-                self._batches.append((stack, class_of[cells] - lo, cells,
-                                      self._offset[cells], dofs[i : i + BATCH_CELLS]))
+                self._batches.append((stack, *map(_readonly, (
+                    class_of[cells] - lo, cells, self._offset[cells], dofs[i : i + BATCH_CELLS]))))
 
     def check(self, mesh: PolyMesh, k: int) -> OperatorCache:
         """This cache, if built from this very mesh object at degree k; else
