@@ -37,15 +37,17 @@ and the nullspace basis is orthonormal, so the weak-gradient mass matrix is
 the identity and is never formed.  A single cell is a stack of one.
 OperatorCache builds, in its constructor, the global DOF layout (DofMap) and
 the operators once per shape class (cells equal up to translation), in
-stacks of at most BATCH_CELLS classes; every pass over the mesh walks its
-batches of cells, which may mix the classes of one stack and carry their
-global DOF indices.  The stack builds, and each pass over the batches, go
-through _batch_map, which shares them between the calling thread and a
-pool of one thread per further usable CPU and returns the results in
-order; the callers add them up in that order, so every result is bit for
-bit that of one thread.  The tasks issue no warnings: each stack carries a
-lower bound on its cells' RT Gram condition, from which OperatorCache warns
-in the calling thread after the build.
+stacks of classes of one vertex count sized by STACK_BYTES, at least
+BATCH_CELLS; every pass over the mesh walks its batches of at most
+BATCH_CELLS cells, which may mix the classes of one stack and carry their
+global DOF indices, and the cache's arrays are read-only.  The stack
+builds, and each pass over the batches, go through _batch_map, which
+shares them between the calling thread and a pool of one thread per
+further usable CPU and returns the results in order; the callers add them
+up in that order, so every result is bit for bit that of one thread.  The
+tasks issue no warnings: each stack carries a lower bound on its cells' RT
+Gram condition, from which OperatorCache warns in the calling thread after
+the build.
 """
 
 from __future__ import annotations
@@ -864,13 +866,16 @@ class OperatorCache:
     (see shape_classes), and the mesh's global DOF layout ``dofmap``.
 
     The constructor builds everything: one stack row, from the class's
-    first cell, serves all members of a class, in OperatorStacks of at most
-    BATCH_CELLS classes of one vertex count; each stack's member cells are
-    cut into batches of at most BATCH_CELLS cells, which carry their global
-    DOF indices.  After the build it issues, in the calling thread and in
-    stack order, a RuntimeWarning for each class whose first cell's
-    ``condition`` exceeds CONDITION_WARN; a failing build raises without
-    them.
+    first cell, serves all members of a class, in OperatorStacks of classes
+    of one vertex count.  A stack holds the most multiples of BATCH_CELLS
+    classes whose complete constraint Q, 8 (n_triangles n_fields)^2 bytes
+    per class, fits in STACK_BYTES, and at least BATCH_CELLS; each stack's
+    member cells are cut into batches of at most BATCH_CELLS cells, which
+    carry their global DOF indices.  Every array of the stacks, the
+    offsets and the batches is read-only: a row serves its whole class.
+    After the build it issues, in the calling thread and in stack order, a
+    RuntimeWarning for each class whose first cell's ``condition`` exceeds
+    CONDITION_WARN; a failing build raises without them.
     """
 
     def __init__(self, mesh: PolyMesh, k: int):

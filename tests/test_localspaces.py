@@ -868,12 +868,12 @@ def test_cached_arrays_are_read_only():
     cell of its class: doubling cache.get(0).weak_gradient in place once
     moved the energy error of square L4 at k = 1 from 6.2e-3 to 2.2."""
     cache = OperatorCache(GENERATORS["square"](4), 1)
-    view, W, o = cache.get(5), cache.get(0).weak_gradient, cache.get(5).offset
+    W, o = cache.get(0).weak_gradient, cache.get(5).offset
     with pytest.raises(ValueError, match="read-only"):
         W *= 2
     with pytest.raises(ValueError, match="read-only"):
         o += 0.25
-    stack = view.stack
+    stack = cache.get(5).stack
     for a in [*vars(stack).values(), *stack.condensed, stack.h1]:
         if isinstance(a, np.ndarray):
             with pytest.raises(ValueError, match="read-only"):
