@@ -50,9 +50,11 @@ DIRECT_LIMIT = 5000
 # unless told otherwise.
 DEFAULT_TOL = 1e-12
 # Jacobi-PCG iterations on the edge system before solve switches to the
-# multilevel cycle, and the largest level that cycle inverts densely.
+# multilevel cycle, and the largest level that cycle inverts densely: at 200
+# unknowns the inverse takes the place of the last small levels, whose
+# Galerkin operators are nearly dense.
 JACOBI_BUDGET = 20
-COARSEST = 64
+COARSEST = 200
 
 
 def spsolve(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
@@ -327,20 +329,20 @@ def _pcg(A: sp.csr_matrix, b: np.ndarray, atol: float, switch=None, budget: int 
 def _multilevel(S: sp.csr_matrix, mesh: PolyMesh, k: int):
     """The symmetric V(1,1) l1-Jacobi cycle r -> z for the free edge system
     S at degree k >= 1.  Level 1 injects each free edge's m = 0 mode (edge
-    DOFs are contiguous, k + 1 per edge); below it, smoothed aggregation:
-    boxes of about four nodes (edge midpoints, then aggregate centroids),
+    DOFs are contiguous, k + 1 per edge, so the injection and its transpose
+    are strided views); below it, smoothed aggregation: boxes of about
+    eight nodes (edge midpoints, then aggregate centroids),
     P = (I - 4/3 D^-1 A) P_tent with D the l1 row sums, and P^T A P, down to
     at most COARSEST unknowns, which take a dense inverse."""
     import scipy.sparse as sp
     xy = mesh.vertices[mesh.edges[~mesh.boundary_edges]].mean(axis=1)
     m = xy.shape[0]
-    P = sp.csr_matrix((np.ones(m), (np.arange(m) * (k + 1), np.arange(m))), shape=(S.shape[0], m))
-    levels = [(S, 1.0 / (abs(S) @ np.ones(S.shape[0])), P, P.T.tocsr())]
+    levels = [(S, 1.0 / (abs(S) @ np.ones(S.shape[0])), None, None)]
     A = S[:: k + 1][:, :: k + 1]
     while m > COARSEST:
-        # Boxes of about four nodes; the second bound coarsens collinear ones.
+        # Boxes of about eight nodes; the second bound coarsens collinear ones.
         lo, ext = xy.min(axis=0), np.ptp(xy, axis=0)
-        h = max(np.sqrt(4.0 * ext.prod() / m), 4.0 * ext.max() / m)
+        h = max(np.sqrt(8.0 * ext.prod() / m), 8.0 * ext.max() / m)
         box = np.floor((xy - lo) / h).astype(np.int64)
         _, agg, size = np.unique(box[:, 0] * (m + 1) + box[:, 1], return_inverse=True,
                                  return_counts=True)
@@ -358,7 +360,10 @@ def _multilevel(S: sp.csr_matrix, mesh: PolyMesh, k: int):
             return bottom @ r
         A, d, P, R = levels[level]
         x = d * r
-        x += P @ cycle(R @ (r - A @ x), level + 1)
+        if P is None:
+            x[:: k + 1] += cycle((r - A @ x)[:: k + 1], level + 1)
+        else:
+            x += P @ cycle(R @ (r - A @ x), level + 1)
         x += d * (r - A @ x)
         return x
 

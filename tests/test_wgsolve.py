@@ -852,14 +852,45 @@ def _off_eigenfunction(mesh, k):
     return assemble(mesh, k, get_case("sin2d").f, lambda x, y: np.exp(x) * np.cos(2 * y))
 
 
+def _cycle_levels(cycle):
+    """The (A, d, P, R) levels that a _multilevel cycle closes over."""
+    return dict(zip(cycle.__code__.co_freevars, (c.cell_contents for c in cycle.__closure__)))["levels"]
+
+
 @pytest.mark.parametrize("k", [1, 2])
-def test_multilevel_cycle_is_symmetric_positive_definite(k):
+def test_multilevel_cycle_is_symmetric_positive_definite(k, monkeypatch):
+    """On 112 free edges, with COARSEST lowered so that two
+    smoothed-aggregation levels lie between the m = 0 level and the dense
+    bottom; at the default the m = 0 level would be the bottom."""
+    monkeypatch.setattr(wgsolve, "COARSEST", 8)
     mesh = jittered_square_mesh(4, seed=7)
     S = assemble(mesh, k, zero, None).edge_matrix
     cycle = wgsolve._multilevel(S, mesh, k)
+    assert len(_cycle_levels(cycle)) >= 3
     B = np.column_stack([cycle(e) for e in np.eye(S.shape[0])])
     assert np.abs(B - B.T).max() <= 1e-12 * np.abs(B).max()
     assert np.linalg.eigvalsh(0.5 * (B + B.T)).min() > 0.0
+
+
+def test_multilevel_cycle_keeps_fewer_bytes_than_the_edge_matrix():
+    """Traced bytes that a _multilevel cycle keeps alive (its levels'
+    matrices and weights and the dense bottom) on jittered level 6, k = 1,
+    as a multiple of the bytes of the CSR arrays of the edge matrix it is
+    built for.  Boxes of about four nodes down to 64 unknowns, with level
+    1's injection as sparse matrices, kept 1.33 times; boxes of about
+    eight down to 200, with strided views, keep 0.72 times."""
+    mesh = jittered_square_mesh(6, seed=7)
+    S = assemble(mesh, 1, zero, None).edge_matrix
+    wgsolve._multilevel(S, mesh, 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cycle = wgsolve._multilevel(S, mesh, 1)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert callable(cycle)
+    assert kept < S.data.nbytes + S.indices.nbytes + S.indptr.nbytes
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -882,7 +913,7 @@ def test_two_phase_pcg_matches_jacobi_pcg(family, k, monkeypatch):
     assert len(built) == 1
     assert two_phase.method == jacobi.method == "pcg"
     assert two_phase.residual <= 1e-12 and jacobi.residual <= 1e-12
-    # 20 Jacobi and 16-38 V-cycle iterations here, against Jacobi alone 98-287.
+    # 20 Jacobi and 21-39 V-cycle iterations here, against Jacobi alone 98-287.
     assert two_phase.iterations <= 65 < jacobi.iterations
     assert _rel(two_phase.full_vector(system.dofmap), jacobi.full_vector(system.dofmap)) <= 1e-10
 
