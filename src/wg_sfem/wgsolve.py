@@ -278,7 +278,7 @@ def _pcg(A: sp.csr_matrix, b: np.ndarray, atol: float, switch=None, budget: int 
     Jacobi-preconditioned; given ``switch``, CG restarts from x after
     ``budget`` iterations above atol, preconditioned by ``switch()``, and
     the cap counts both phases.  solve passes the V-cycle of _multilevel at
-    1 <= k <= 2 (at k = 0 it costs more than the iterations it saves; at
+    1 <= k <= 2 (at k = 0 it saves no clear time over Jacobi; at
     k >= 3 the m = 0 modes are too small a coarse space to beat Jacobi).
     Its l1 smoother weights 1 / sum_j |a_ij| bound the spectrum of D^-1 A
     by 1, which keeps the cycle positive definite; plain Jacobi's reaches
