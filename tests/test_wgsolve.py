@@ -877,10 +877,11 @@ def test_multilevel_cycle_keeps_fewer_bytes_than_the_edge_matrix():
     matrices and weights and the dense bottom) on jittered level 6, k = 1,
     as a multiple of the bytes of the CSR arrays of the edge matrix it is
     built for.  Boxes of about four nodes down to 64 unknowns, with level
-    1's injection as sparse matrices, kept 1.33 times; boxes of about
+    1's injection as sparse matrices, kept 1.34 times; boxes of about
     eight down to 200, with strided views, keep 0.72 times."""
     mesh = jittered_square_mesh(6, seed=7)
     S = assemble(mesh, 1, zero, None).edge_matrix
+    # A first build keeps scipy's one-off allocations out of the trace.
     wgsolve._multilevel(S, mesh, 1)
     tracemalloc.start()
     try:
