@@ -16,11 +16,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import reduce
 
 import numpy as np
 
-from .localspaces import OperatorCache, _batch_map, _check_degree, _matvec, project_qb
+from .localspaces import OperatorCache, _check_degree, _matvec, project_qb
 from .polymesh import GENERATORS, PolyMesh
 from .wgsolve import (
     DEFAULT_TOL,
@@ -104,10 +103,9 @@ def l2_projection_error(mesh: PolyMesh, k: int, u, solution: WGSolution,
 
     def local(ops, cls, cells, offsets, gdofs):
         delta = ops.project_interior(u, cls, offsets) - solution.u0[cells]
-        return float(np.sum(delta * _matvec(ops.mass_scalar[cls], delta), axis=1).sum())
+        return (float(np.sum(delta * _matvec(ops.mass_scalar[cls], delta), axis=1).sum()),)
 
-    # The cells' terms are summed in batch order, as by one thread.
-    return math.sqrt(reduce(np.add, _batch_map(local, cache.batches()), 0.0))
+    return math.sqrt(cache.walk(local)[0])
 
 
 def energy_error(mesh: PolyMesh, k: int, u, grad_u, solution: WGSolution,
@@ -125,9 +123,9 @@ def energy_error(mesh: PolyMesh, k: int, u, grad_u, solution: WGSolution,
     def local(ops, cls, cells, offsets, gdofs):
         delta = (ops.project_lambda_field(grad_u, cls, offsets)
                  - _matvec(ops.weak_gradient[cls], full[gdofs]))
-        return float(np.sum(delta * delta, axis=1).sum())
+        return (float(np.sum(delta * delta, axis=1).sum()),)
 
-    return math.sqrt(reduce(np.add, _batch_map(local, cache.batches()), 0.0))
+    return math.sqrt(cache.walk(local)[0])
 
 
 def energy_error_via_projection(mesh: PolyMesh, k: int, u, solution: WGSolution,
@@ -139,12 +137,11 @@ def energy_error_via_projection(mesh: PolyMesh, k: int, u, solution: WGSolution,
     that of one thread."""
     cache.check(mesh, k)
     full = solution.full_vector(cache.dofmap)
-    u0 = np.empty_like(solution.u0)
-    for cells, projection in _batch_map(lambda ops, cls, cells, offsets, gdofs: (
-            cells, ops.project_interior(u, cls, offsets)), cache.batches()):
-        u0[cells] = projection
+    n0 = cache.dofmap.n_interior_per_cell
+    _, u0 = cache.walk(lambda ops, cls, cells, offsets, gdofs: (
+        0.0, (gdofs[:, :n0], ops.project_interior(u, cls, offsets))), cache.dofmap.edge_base)
     ub = project_qb(mesh, np.arange(mesh.n_edges), k, u)
-    exact = np.concatenate([u0.ravel(), ub.ravel()])
+    exact = np.concatenate([u0, ub.ravel()])
     return float(triple_bar_norm(mesh, k, exact - full, cache))
 
 

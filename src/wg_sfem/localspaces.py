@@ -43,11 +43,12 @@ BATCH_CELLS cells, which may mix the classes of one stack and carry their
 global DOF indices, and the cache's arrays are read-only.  The stack
 builds, and each pass over the batches, go through _batch_map, which
 shares them between the calling thread and a pool of one thread per
-further usable CPU and returns the results in order; the callers add them
-up in that order, so every result is bit for bit that of one thread.  The
-tasks issue no warnings: each stack carries a lower bound on its cells' RT
-Gram condition, from which OperatorCache warns in the calling thread after
-the build.
+further usable CPU and returns the results in order.  OperatorCache.walk
+is the one place where the batches' results are added up: it sums their
+terms and scatters their per-DOF values in that order, so every result is
+bit for bit that of one thread.  The tasks issue no warnings: each stack
+carries a lower bound on its cells' RT Gram condition, from which
+OperatorCache warns in the calling thread after the build.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ import os
 import threading
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -303,7 +304,7 @@ def reference_tables(k: int) -> ReferenceTables:
         mass=mass.astype(float),
     )
     for table in vars(tables).values():
-        table.setflags(write=False)
+        _readonly(table)
     return tables
 
 
@@ -316,10 +317,8 @@ def data_tables(k: int, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     rule = symmetric_rule(degree)
     pts = rule.points.astype(np.longdouble) - np.longdouble(1) / 3
     fields = _raw_fields(k, pts).swapaxes(1, 2) @ reference_tables(k).rt_coeffs
-    tables = (_reference_monomials(k, pts).astype(float), fields.swapaxes(1, 2).astype(float))
-    for table in tables:
-        table.setflags(write=False)
-    return (rule.points, rule.weights, *tables)
+    return (rule.points, rule.weights, _readonly(_reference_monomials(k, pts).astype(float)),
+            _readonly(fields.swapaxes(1, 2).astype(float)))
 
 
 def monomial_change_of_frame(k: int, A: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -944,6 +943,23 @@ class OperatorCache:
         OperatorStack, with each cell's stack row, its offset from that
         row's cell and its global DOF indices (DofMap.cell_dof_array)."""
         return iter(self._batches)
+
+    def walk(self, local, *sizes) -> tuple:
+        """One pass over the batches: the one place where their results are
+        added up.  local(stack, rows, cells, offsets, dofs) runs on every
+        batch through _batch_map and returns a term, then one (indices,
+        values) pair per entry of ``sizes``.  Returns the sum of the terms
+        and, for each pair, the vector of that size with the values added
+        at their indices, by one np.bincount over all batches.  Both sums
+        run in batch order, so they are bit for bit those of one thread;
+        a vector entry that no value reaches, or that only values of
+        -0.0 reach, is +0.0."""
+        terms, *columns = zip(*_batch_map(local, self._batches))
+        vectors = []
+        for pairs, size in zip(columns, sizes, strict=True):
+            index, values = (np.concatenate([a.ravel() for a in part]) for part in zip(*pairs))
+            vectors.append(np.bincount(index, values, minlength=size))
+        return (reduce(np.add, terms, 0.0), *vectors)
 
 
 def project_qb(mesh: PolyMesh, edge, k: int, func) -> np.ndarray:

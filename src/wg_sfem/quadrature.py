@@ -23,6 +23,8 @@ from math import factorial
 
 import numpy as np
 
+from .polymesh import _readonly
+
 MAX_SEGMENT_DEGREE = 40
 MAX_TRIANGLE_DEGREE = 25
 
@@ -47,11 +49,6 @@ class QuadRule:
 
     points: np.ndarray
     weights: np.ndarray
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @lru_cache(maxsize=None)

@@ -3,10 +3,10 @@
 The bilinear form is (grad_w u, grad_w v) summed over cells, with no penalty
 term; boundary edge DOFs carry the edge projection of the boundary data and
 are eliminated symmetrically.  The reduced system is symmetric positive
-definite.  Every pass walks the batches of an OperatorCache, which carry
-their cells' global DOF indices in the layout of localspaces.DofMap; the
-batches' local products are computed on every usable CPU
-(localspaces._batch_map) and scattered and summed here in batch order.
+definite.  Every pass is one OperatorCache.walk over the cache's batches,
+which carry their cells' global DOF indices in the layout of
+localspaces.DofMap: the batches' local products are computed on every
+usable CPU, and walk scatters and sums them in batch order.
 
 Interior unknowns couple only inside their own cell, so they are condensed
 out row by row of each OperatorStack (OperatorStack.condensed), and only the
@@ -33,13 +33,13 @@ package, and assembling, load no scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 # build_dof_map is imported for callers of this module.
-from .localspaces import DofMap, OperatorCache, _batch_map, _matvec, build_dof_map, project_qb
+from .localspaces import DofMap, OperatorCache, _matvec, build_dof_map, project_qb
 from .polymesh import PolyMesh
 
 if TYPE_CHECKING:
@@ -249,23 +249,18 @@ def assemble(mesh: PolyMesh, k: int, f, g=None, cache: OperatorCache | None = No
         _, X, S = ops.condensed
         # Condensed edge load -X^T f_0, less the boundary values' share.
         cond = _matvec(X[cls].swapaxes(-1, -2), mom) + _matvec(S[cls], x[gdofs[:, n0:]])
-        return cells, gdofs, mom, cond, _matvec(ops.stiffness[cls], x[gdofs])
+        return 0.0, (gdofs[:, :n0], mom), (gdofs[:, n0:], cond), (
+            gdofs, _matvec(ops.stiffness[cls], x[gdofs]))
 
-    load = np.empty((dofmap.n_cells, n0))
-    Ax = np.zeros(n_dofs)
-    edge_b = np.zeros(n_dofs - base)
-    for cells, gdofs, mom, cond, Kx in _batch_map(local, cache.batches()):
-        load[cells] = mom
-        edge_b -= np.bincount((gdofs[:, n0:] - base).ravel(), cond.ravel(), minlength=edge_b.size)
-        Ax += np.bincount(gdofs.ravel(), Kx.ravel(), minlength=n_dofs)
-
+    _, load, cond, Ax = cache.walk(local, base, n_dofs, n_dofs)
     rhs = -Ax
-    rhs[:base] += load.ravel()
+    rhs[:base] += load
     return SparseSymSystem(
         rhs=rhs[dofmap.free_dofs],
         constrained_values=x_c,
-        edge_rhs=edge_b[dofmap.free_dofs[base:] - base],
-        load=load,
+        # 0.0 - sum, not -sum: a DOF whose terms are all +0.0 gets +0.0.
+        edge_rhs=0.0 - cond[dofmap.free_dofs[base:]],
+        load=load.reshape(dofmap.n_cells, n0),
         cache=cache,
     )
 
@@ -290,12 +285,14 @@ def _pcg(A: sp.csr_matrix, b: np.ndarray, atol: float, switch=None, budget: int 
         raise SolverStructureError(
             "nonpositive diagonal entry; matrix cannot be positive definite"
         )
-    precond = (1.0 / diag).__mul__
+    # Named: numpy writes a product into an operand that nothing else holds.
+    inv_diag = 1.0 / diag
+    precond = inv_diag.__mul__
     # p = None marks a phase start: Jacobi at iteration 0, switch() after budget.
     x, r, p = np.zeros(n), b.copy(), None
     history = [float(np.linalg.norm(r))]
     max_iter = 20 * int(np.ceil(np.sqrt(n)))
-    while history[-1] > atol:
+    while not history[-1] <= atol:  # a NaN residual runs to the cap
         if len(history) > max_iter:
             raise SolverConvergenceError(
                 f"conjugate gradients exceeded {max_iter} iterations "
@@ -379,7 +376,6 @@ def _recover(system: SparseSymSystem, x_edge: np.ndarray) -> tuple[np.ndarray, f
     x = np.zeros(dofmap.n_dofs)
     x[dofmap.free_dofs[base:]] = x_edge
     x[dofmap.constrained_dofs] = system.constrained_values
-    Ax = np.zeros(dofmap.n_dofs)
 
     def local(ops, cls, cells, offsets, gdofs):
         K00_inv, X, _ = ops.condensed
@@ -390,11 +386,9 @@ def _recover(system: SparseSymSystem, x_edge: np.ndarray) -> tuple[np.ndarray, f
         # alone reads as a relative residual of about 5e-13 on the square
         # level-7 mesh at k = 1.
         Kx = np.einsum("nij,nj->ni", ops.stiffness[cls], xl, dtype=np.longdouble)
-        return gdofs, xl[:, :n0], Kx.astype(float)
+        return 0.0, (gdofs[:, :n0], xl[:, :n0]), (gdofs, Kx.astype(float))
 
-    for gdofs, x0, Kx in _batch_map(local, cache.batches()):
-        x[gdofs[:, :n0]] = x0
-        Ax += np.bincount(gdofs.ravel(), Kx.ravel(), minlength=Ax.size)
+    _, x[:base], Ax = cache.walk(local, base, x.size)
     r = -Ax
     r[:base] += system.load.ravel()
     return x, float(np.linalg.norm(r[dofmap.free_dofs]))
@@ -480,11 +474,9 @@ def _sum_of_squares(cache: OperatorCache, vec: np.ndarray, matrix: str) -> np.nd
 
     def local(ops, cls, cells, offsets, gdofs):
         mv = _matvec(getattr(ops, matrix)[cls], cols[gdofs])
-        return np.sum(mv * mv, axis=1).sum(axis=0)
+        return (np.sum(mv * mv, axis=1).sum(axis=0),)
 
-    # The cells' terms are summed in batch order, as by one thread.
-    acc = reduce(np.add, _batch_map(local, cache.batches()), 0.0)
-    return np.sqrt(acc.reshape(vec.shape[1:]))[()]
+    return np.sqrt(cache.walk(local)[0].reshape(vec.shape[1:]))[()]
 
 
 def triple_bar_norm(mesh: PolyMesh, k: int, vec: np.ndarray, cache: OperatorCache

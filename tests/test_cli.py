@@ -152,6 +152,15 @@ def test_solve_above_tol_says_so_on_stderr_and_exits_0(capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_solve_on_the_jacobi_only_pcg_path_above_32768_edge_unknowns(capsys):
+    """Hex level 6 at k = 3: 48 512 free edge unknowns, which PCG solves
+    with Jacobi alone (no multilevel cycle at k >= 3)."""
+    assert run_cli(["solve", "--family", "hex", "--level", "6", "--degree", "3"]) == 0
+    fields = dict(part.split("=") for part in capsys.readouterr().out.split())
+    assert float(fields["residual"]) <= 1e-11
+    assert float(fields["l2_err"]) <= 1e-10
+
+
 def test_solve_degree_cap_exits_2():
     with pytest.raises(SystemExit) as exc:
         run_cli(["solve", "--family", "square", "--level", "2", "--degree", "7",

@@ -696,6 +696,41 @@ def test_batch_dofs_are_the_dof_map_arrays_of_each_batch(family, level):
         assert np.array_equal(dofs, cache.dofmap.cell_dof_array(mesh, cells))
 
 
+def test_walk_sums_and_scatters_as_a_serial_loop_over_the_batches(monkeypatch):
+    """Hex level 3 in batches of at most 4 cells, over several stacks, with
+    DOFs whose two cells lie in different batches.  The summed terms and
+    each scattered vector are bit for bit those of adding every batch's
+    results, value by value, in batch order."""
+    monkeypatch.setattr(localspaces, "BATCH_CELLS", 4)
+    monkeypatch.setattr(localspaces, "STACK_BYTES", 0)
+    cache = OperatorCache(generate_hex_grid(3), 1)
+    dofmap = cache.dofmap
+    n0, sizes = dofmap.n_interior_per_cell, (dofmap.n_dofs, dofmap.edge_base)
+    x = np.sin(np.arange(dofmap.n_dofs))
+
+    def local(ops, rows, cells, offsets, dofs):
+        Kx = (ops.stiffness[rows] @ x[dofs][..., None])[..., 0]
+        return np.array([Kx.sum(), np.abs(Kx).sum()]), (dofs, Kx), (dofs[:, :n0], -Kx[:, :n0])
+
+    batches = list(cache.batches())
+    assert len(dict.fromkeys(ops for ops, *_ in batches)) > 1
+    batches_per_dof = sum(np.bincount(dofs.ravel(), minlength=dofmap.n_dofs) > 0
+                          for *_, dofs in batches)
+    assert batches_per_dof.max() == 2
+
+    term, vectors = 0.0, [np.zeros(size) for size in sizes]
+    for batch in batches:
+        t, *pairs = local(*batch)
+        term = term + t
+        for vector, (index, values) in zip(vectors, pairs):
+            for i, v in zip(index.ravel(), values.ravel()):
+                vector[i] += v
+    walked = cache.walk(local, *sizes)
+    assert len(walked) == 3
+    for got, expected in zip(walked, [term, *vectors]):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
 def test_jittered_cells_are_never_merged():
     mesh = jittered_square_mesh()
     cache = OperatorCache(mesh, 1)

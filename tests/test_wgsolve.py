@@ -348,6 +348,50 @@ def test_pcg_detects_negative_curvature_behind_a_positive_diagonal():
         _pcg(A, np.array([1.0, -1.0]), 1e-12)
 
 
+def _reference_jacobi_cg(A, b, atol):
+    """Jacobi-preconditioned CG from zero, written out plainly: x and the
+    number of iterations until the recurrence residual is at most atol."""
+    inv_diag = 1.0 / A.diagonal()
+    x, r = np.zeros(b.size), b.copy()
+    z = inv_diag * r
+    p, rz, iterations = z.copy(), r @ z, 0
+    while np.linalg.norm(r) > atol:
+        Ap = A @ p
+        alpha = rz / (p @ Ap)
+        x, r = x + alpha * p, r - alpha * Ap
+        z = inv_diag * r
+        rz, rz_old = r @ z, rz
+        p = z + rz / rz_old * p
+        iterations += 1
+    return x, iterations
+
+
+def test_jacobi_pcg_above_numpys_temporary_elision_size():
+    """40 000 unknowns, above the 32 768 doubles from which numpy reuses an
+    operand that nothing else holds for an arithmetic result: a 1D
+    tridiagonal SPD system with a varying diagonal, against the plain
+    reference."""
+    n = 40_000
+    i = np.arange(n)
+    A = sp.diags([-np.ones(n - 1), 3.0 + np.cos(i), -np.ones(n - 1)], [-1, 0, 1], format="csr")
+    b = 1.0 + np.sin(0.01 * i)
+    atol = 1e-10 * np.linalg.norm(b)
+    x, iterations = _pcg(A, b, atol)
+    x_ref, ref_iterations = _reference_jacobi_cg(A, b, atol)
+    assert 0 < iterations == ref_iterations
+    assert np.linalg.norm(b - A @ x) <= atol
+    assert np.allclose(x, x_ref, rtol=0, atol=1e-12)
+
+
+def test_pcg_with_a_nan_residual_runs_to_the_cap_and_raises():
+    from wg_sfem.wgsolve import SolverConvergenceError
+
+    A = sp.csr_matrix(np.diag([1.0, 2.0, 3.0, 4.0]))
+    with pytest.raises(SolverConvergenceError) as exc:
+        _pcg(A, np.array([1.0, np.nan, 1.0, 1.0]), 1e-12)
+    assert exc.value.history.size == 20 * 2 + 1
+
+
 def test_zero_data_on_the_pcg_path_is_zero_without_building_the_cycle(monkeypatch):
     """Zero data reach _pcg as b = 0, which it answers at once."""
     def refuse(*args):
