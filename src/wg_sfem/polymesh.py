@@ -257,6 +257,14 @@ def build_mesh(vertices, cells) -> PolyMesh:
     # The scan meets an edge's cells in ascending order.
     edge_cells = np.full((np.count_nonzero(use == 0), 2), -1, dtype=int)
     edge_cells[sides, use] = cell_of
+    # The two cells of an interior edge run it in opposite directions
+    # unless they fold over it; fwd[use == 0] is each edge's first side's.
+    fwd = cycles < cycles[nxt]
+    folded = np.flatnonzero((use == 1) & (fwd == fwd[use == 0][sides]))
+    if folded.size:
+        p = folded[0]
+        raise MeshFormatError(f"cells {edge_cells[sides[p], 0]} and {cell_of[p]} run edge "
+                              f"{tuple(pairs[p].tolist())} the same way, so they fold over it")
 
     return PolyMesh(
         vertices=_readonly(verts),

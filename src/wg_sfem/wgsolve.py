@@ -15,8 +15,10 @@ K_bb - K_0b^T K_00^-1 K_0b with the loads -X^T f_0, X = K_00^-1 K_0b.  The
 edge system is solved directly when the full system has fewer than
 DIRECT_LIMIT free DOFs, otherwise by conjugate gradients, preconditioned by
 Jacobi for JACOBI_BUDGET iterations and then, at 1 <= k <= 2, by a
-multilevel V-cycle with an l1-Jacobi smoother (see _pcg); the interior
-values are then recovered per cell as K_00^-1 (f_0 - K_0b u_b).
+multilevel V-cycle with an l1-Jacobi smoother (see _pcg), whose first
+coarse level holds the mesh vertices' values, prolonged to the linear
+trace on each free edge (see _multilevel); the interior values are then
+recovered per cell as K_00^-1 (f_0 - K_0b u_b).
 Convergence is judged in one place, solve, on the full system's true
 relative residual ||rhs - A x|| / ||rhs||, computed from the local
 stiffnesses.  Both PCG passes run from zero to one absolute target on the
@@ -273,8 +275,12 @@ def _pcg(A: sp.csr_matrix, b: np.ndarray, atol: float, switch=None, budget: int 
     Jacobi-preconditioned; given ``switch``, CG restarts from x after
     ``budget`` iterations above atol, preconditioned by ``switch()``, and
     the cap counts both phases.  solve passes the V-cycle of _multilevel at
-    1 <= k <= 2 (at k = 0 it saves no clear time over Jacobi; at
-    k >= 3 the m = 0 modes are too small a coarse space to beat Jacobi).
+    1 <= k <= 2.  At k = 0 the cycle has no vertex level (see _multilevel).
+    At k >= 3 the smoother alone must reduce the edge modes m >= 2: forced
+    on, at k = 3 the cycle took 83 and 126 iterations on hex L6 and jitter
+    L7 against Jacobi's 382 and 678, in 0.6-0.7 times Jacobi's time, but at
+    k = 4 it took 163 and 262 against 463 and 831 in the same time, so
+    those degrees stay on Jacobi until interleaved runs settle k = 3.
     Its l1 smoother weights 1 / sum_j |a_ij| bound the spectrum of D^-1 A
     by 1, which keeps the cycle positive definite; plain Jacobi's reaches
     2.04 on jittered squares.  The dot products and norms run in BLAS, so
@@ -325,17 +331,32 @@ def _pcg(A: sp.csr_matrix, b: np.ndarray, atol: float, switch=None, budget: int 
 
 def _multilevel(S: sp.csr_matrix, mesh: PolyMesh, k: int):
     """The symmetric V(1,1) l1-Jacobi cycle r -> z for the free edge system
-    S at degree k >= 1.  Level 1 injects each free edge's m = 0 mode (edge
-    DOFs are contiguous, k + 1 per edge, so the injection and its transpose
-    are strided views); below it, smoothed aggregation: boxes of about
-    eight nodes (edge midpoints, then aggregate centroids),
-    P = (I - 4/3 D^-1 A) P_tent with D the l1 row sums, and P^T A P, down to
-    at most COARSEST unknowns, which take a dense inverse."""
+    S at degree k >= 1.  Level 1 holds a value at every vertex of a free
+    edge, boundary vertices included, so that a mesh whose vertices all lie
+    on the boundary has one too.  Its prolongation P gives each free edge
+    the linear trace of its two vertex values, the trace of continuous P1
+    (the coarse space of Cockburn, Dubois, Gopalakrishnan & Tan for the
+    condensed HDG system): mode 0 the mean, mode 1 half the rise from the
+    low vertex to the high one (the edge basis is s^m, s = -1 at the low
+    vertex), the modes m >= 2 zero; its level matrix is P^T S P.  Below it,
+    smoothed aggregation: boxes of about eight nodes (vertices, then
+    aggregate centroids), P = (I - 4/3 D^-1 A) P_tent with D the l1 row
+    sums, and P^T A P, down to at most COARSEST unknowns, which take a
+    dense inverse.  At k = 0 an edge holds its mean alone, and the vertex
+    level cannot serve: the vertex graphs of the square, quad, hex and
+    jittered meshes are bipartite, so vertex values of alternating sign
+    have mean zero on every edge, and P has a kernel."""
     import scipy.sparse as sp
-    xy = mesh.vertices[mesh.edges[~mesh.boundary_edges]].mean(axis=1)
-    m = xy.shape[0]
-    levels = [(S, 1.0 / (abs(S) @ np.ones(S.shape[0])), None, None)]
-    A = S[:: k + 1][:, :: k + 1]
+    ends = mesh.edges[~mesh.boundary_edges]
+    verts, col = np.unique(ends.ravel(), return_inverse=True)
+    # Edge e's modes 0 and 1 are rows (k + 1) e and (k + 1) e + 1.
+    rows = (k + 1) * np.arange(ends.shape[0])[:, None] + [0, 0, 1, 1]
+    P = sp.csr_matrix((np.tile([0.5, 0.5, -0.5, 0.5], ends.shape[0]),
+                       (rows.ravel(), np.tile(col.reshape(-1, 2), 2).ravel())),
+                      shape=(S.shape[0], verts.size))
+    R = P.T.tocsr()
+    levels = [(S, 1.0 / (abs(S) @ np.ones(S.shape[0])), P, R)]
+    A, xy, m = (R @ S @ P).tocsr(), mesh.vertices[verts], verts.size
     while m > COARSEST:
         # Boxes of about eight nodes; the second bound coarsens collinear ones.
         lo, ext = xy.min(axis=0), np.ptp(xy, axis=0)
@@ -357,10 +378,7 @@ def _multilevel(S: sp.csr_matrix, mesh: PolyMesh, k: int):
             return bottom @ r
         A, d, P, R = levels[level]
         x = d * r
-        if P is None:
-            x[:: k + 1] += cycle((r - A @ x)[:: k + 1], level + 1)
-        else:
-            x += P @ cycle(R @ (r - A @ x), level + 1)
+        x += P @ cycle(R @ (r - A @ x), level + 1)
         x += d * (r - A @ x)
         return x
 

@@ -653,6 +653,17 @@ def loop_build_mesh(vertices, cells):
                 adjacency[e].append(ci)
             sides.append(e)
         all_sides += sides
+    # A second scan: the two cells of an interior edge run it in opposite
+    # directions unless they fold over it.
+    first_run = {}
+    for ci, cyc in enumerate(cell_tuples):
+        for s in range(len(cyc)):
+            a, b = cyc[s], cyc[(s + 1) % len(cyc)]
+            key = (a, b) if a < b else (b, a)
+            if key in first_run and first_run[key][1] == (a < b):
+                raise MeshFormatError(f"cells {first_run[key][0]} and {ci} run edge {key} "
+                                      "the same way, so they fold over it")
+            first_run.setdefault(key, (ci, a < b))
 
     ne = len(edge_list)
     edge_cells = np.full((ne, 2), -1, dtype=int)

@@ -206,12 +206,16 @@ DART = [(1.0, 0.0), (0.2, 0.2), (0.0, 1.0), (0.0, 0.0)]
      "vertex 1 has a non-numeric coordinate True"),
     (b'{"vertices": [[0, 0]], "cells": [], "note": "\xff"}', "malformed mesh JSON in"),
     ("[" * 100_000, "malformed mesh JSON in"),
+    (json.dumps({"vertices": [[0, 0], [1, 0], [0.5, 1], [0.3, 0.5]],
+                 "cells": [[0, 1, 2], [0, 1, 3]]}),
+     "cells 0 and 1 run edge (0, 1) the same way"),
 ], ids=["missing-file", "malformed-json", "dart", "cells-not-a-sequence", "no-cells",
-        "bool-index", "bool-coordinate", "non-utf8", "deeply-nested"])
+        "bool-index", "bool-coordinate", "non-utf8", "deeply-nested", "folded"])
 def test_solve_bad_mesh_file_exits_2_naming_the_file_or_cell(content, names, tmp_path, capsys):
     """A dart anchored next to its reflex vertex is not star-shaped about
     its first vertex, so the cache cannot build its fan; a cell list that is
-    not a sequence, or is empty, is a mesh format error."""
+    not a sequence, or is empty, or two cells folded over their shared
+    edge, is a mesh format error."""
     path = tmp_path / "mesh.json"
     if isinstance(content, bytes):
         path.write_bytes(content)

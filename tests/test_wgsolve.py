@@ -13,7 +13,8 @@ from scipy.sparse.linalg import spsolve
 import wg_sfem.wgsolve as wgsolve
 from wg_sfem.analysis import energy_error, get_case, l2_projection_error
 from wg_sfem.localspaces import DataError, DegreeError, OperatorCache, project_qb
-from wg_sfem.polymesh import GENERATORS, generate_hex_grid, generate_square_grid
+from wg_sfem.polymesh import (GENERATORS, build_mesh, generate_hex_grid,
+                              generate_square_grid)
 from wg_sfem.wgsolve import (
     SolverStructureError,
     _block_matrix,
@@ -901,13 +902,47 @@ def _cycle_levels(cycle):
     return dict(zip(cycle.__code__.co_freevars, (c.cell_contents for c in cycle.__closure__)))["levels"]
 
 
+def _strip(n):
+    """A 1 x n strip of squares of side 1/n: every vertex lies on the
+    boundary, and the free edges are the n - 1 inner vertical ones."""
+    x = np.arange(n + 1) / n
+    verts = np.concatenate([np.column_stack([x, 0.0 * x]),
+                            np.column_stack([x, 0.0 * x + 1.0 / n])])
+    return build_mesh(verts, np.arange(n)[:, None] + [0, 1, n + 2, n + 1])
+
+
 @pytest.mark.parametrize("k", [1, 2])
-def test_multilevel_cycle_is_symmetric_positive_definite(k, monkeypatch):
-    """On 112 free edges, with COARSEST lowered so that two
-    smoothed-aggregation levels lie between the m = 0 level and the dense
-    bottom; at the default the m = 0 level would be the bottom."""
-    monkeypatch.setattr(wgsolve, "COARSEST", 8)
+def test_vertex_level_is_the_trace_of_continuous_p1(k):
+    """Level 1's prolongation takes the values of a global linear function
+    at the vertices of the free edges to its edge projection, and leaves
+    the modes m >= 2 at zero."""
     mesh = jittered_square_mesh(4, seed=7)
+    S = assemble(mesh, k, zero, None).edge_matrix
+    _, _, P, _ = _cycle_levels(wgsolve._multilevel(S, mesh, k))[0]
+    free = np.flatnonzero(~mesh.boundary_edges)
+    verts = np.unique(mesh.edges[free])
+    assert P.shape == (free.size * (k + 1), verts.size)
+
+    def linear(x, y):
+        return 0.3 - 1.7 * x + 2.9 * y
+
+    want = project_qb(mesh, free, k, linear)
+    got = (P @ linear(*mesh.vertices[verts].T)).reshape(free.size, k + 1)
+    assert np.abs(got - want).max() <= 1e-14
+    assert P[np.arange(P.shape[0]) % (k + 1) >= 2].nnz == 0
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("make_mesh", [lambda: jittered_square_mesh(4, seed=7),
+                                       lambda: _strip(40)], ids=["jitter-L4", "strip-1x40"])
+def test_multilevel_cycle_is_symmetric_positive_definite(k, make_mesh, monkeypatch):
+    """With COARSEST lowered so that smoothed-aggregation levels lie
+    between the vertex level and the dense bottom; at the default the
+    vertex level would be the bottom.  Jittered level 4 has 112 free edges
+    and 77 vertices on them.  On the strip every vertex is on the boundary,
+    and the levels are 39 (k + 1) -> 78 vertices -> 10."""
+    monkeypatch.setattr(wgsolve, "COARSEST", 8)
+    mesh = make_mesh()
     S = assemble(mesh, k, zero, None).edge_matrix
     cycle = wgsolve._multilevel(S, mesh, k)
     assert len(_cycle_levels(cycle)) >= 3
@@ -921,8 +956,9 @@ def test_multilevel_cycle_keeps_fewer_bytes_than_the_edge_matrix():
     matrices and weights and the dense bottom) on jittered level 6, k = 1,
     as a multiple of the bytes of the CSR arrays of the edge matrix it is
     built for.  Boxes of about four nodes down to 64 unknowns, with level
-    1's injection as sparse matrices, kept 1.34 times; boxes of about
-    eight down to 200, with strided views, keep 0.72 times."""
+    1's m = 0 injection as sparse matrices, kept 1.34 times; boxes of about
+    eight down to 200, with the injection as strided views, kept 0.72
+    times; the vertex level, its P and R sparse, keeps 0.95 times."""
     mesh = jittered_square_mesh(6, seed=7)
     S = assemble(mesh, 1, zero, None).edge_matrix
     # A first build keeps scipy's one-off allocations out of the trace.
@@ -958,7 +994,7 @@ def test_two_phase_pcg_matches_jacobi_pcg(family, k, monkeypatch):
     assert len(built) == 1
     assert two_phase.method == jacobi.method == "pcg"
     assert two_phase.residual <= 1e-12 and jacobi.residual <= 1e-12
-    # 20 Jacobi and 21-39 V-cycle iterations here, against Jacobi alone 98-287.
+    # 20 Jacobi and 15-38 V-cycle iterations here, against Jacobi alone 98-287.
     assert two_phase.iterations <= 65 < jacobi.iterations
     assert _rel(two_phase.full_vector(system.dofmap), jacobi.full_vector(system.dofmap)) <= 1e-10
 
@@ -966,8 +1002,10 @@ def test_two_phase_pcg_matches_jacobi_pcg(family, k, monkeypatch):
 @pytest.mark.parametrize("family,level,k,off", [("square", 6, 1, False), ("quad", 5, 0, True),
                                                  ("quad", 5, 3, True)])
 def test_multilevel_cycle_is_built_only_where_it_pays(family, level, k, off, monkeypatch):
-    """square-sin2d converges inside the Jacobi budget; at k = 0 there is no
-    edge mode to inject, and at k >= 3 the m = 0 modes are too few."""
+    """square-sin2d converges inside the Jacobi budget; at k = 0 the vertex
+    level has a kernel, and at k >= 3 the modes m >= 2 are left to the
+    smoother: forced on, the cycle saved time at k = 3 but not at k = 4
+    (wgsolve._pcg)."""
     def refuse(*args):
         raise AssertionError("multilevel cycle built")
 
