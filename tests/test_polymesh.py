@@ -582,8 +582,8 @@ def test_three_cell_edge_names_the_first_third_use():
      "cells 1 and 2 run edge (5, 6) the same way, so they fold over it"),
 ])
 def test_folded_cells_name_the_edge_and_both_cells(name, message):
-    """Each cell is counterclockwise, and each edge has two cells; the
-    folded pair solved patch-linear with an L2 error of 0.233 before."""
+    """Each cell is counterclockwise, and no edge has more than two cells;
+    unchecked, the folded pair solves patch-linear with an L2 error of 0.233."""
     with pytest.raises(MeshFormatError, match=f"^{re.escape(message)}$"):
         build_mesh(*MALFORMED[name])
 

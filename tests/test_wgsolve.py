@@ -932,9 +932,10 @@ def test_vertex_level_is_the_trace_of_continuous_p1(k):
     assert P[np.arange(P.shape[0]) % (k + 1) >= 2].nnz == 0
 
 
-@pytest.mark.parametrize("k", [1, 2])
-@pytest.mark.parametrize("make_mesh", [lambda: jittered_square_mesh(4, seed=7),
-                                       lambda: _strip(40)], ids=["jitter-L4", "strip-1x40"])
+@pytest.mark.parametrize("k,make_mesh", [
+    pytest.param(k, make, id=f"{name}{k}") for name, make in
+    [("", lambda: jittered_square_mesh(4, seed=7)), ("strip-1x40-", lambda: _strip(40))]
+    for k in (1, 2)])
 def test_multilevel_cycle_is_symmetric_positive_definite(k, make_mesh, monkeypatch):
     """With COARSEST lowered so that smoothed-aggregation levels lie
     between the vertex level and the dense bottom; at the default the
