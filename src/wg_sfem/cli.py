@@ -1,7 +1,7 @@
 """Command-line entry point: mesh generation, single solves, convergence studies.
 
-Exit codes: 0 success, 2 usage error or bad mesh input, 3 solver failure,
-4 partial study.
+Exit codes: 0 success, 2 usage error, bad mesh input or an --out that cannot
+be written, 3 solver failure, 4 partial study.
 Stdout numbers use 4-significant-digit scientific notation; files carry full
 precision.
 """
@@ -28,10 +28,6 @@ from .wgsolve import DEFAULT_TOL, SolverError
 
 LEVEL_CAPS = {"square": 8, "quad": 8, "hex": 7}
 FORMATS = ("csv", "md", "json")
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.3E}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,10 +70,14 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         if not 1 <= level <= cap:
             parser.error(f"level {level} outside [1, {cap}] for family '{family}'")
 
-    if args.out is not None and (args.out.endswith("/") or Path(args.out).is_dir()):
-        parser.error(f"--out {args.out} names a directory")
-    if args.out is not None and not Path(args.out).absolute().parent.is_dir():
-        parser.error(f"no directory {Path(args.out).parent} for --out {args.out}")
+    try:
+        if args.out is not None and (args.out.endswith("/") or Path(args.out).is_dir()):
+            parser.error(f"--out {args.out} names a directory")
+        # resolve() follows a symlink to where the file would be written.
+        if args.out is not None and not Path(args.out).resolve().parent.is_dir():
+            parser.error(f"no directory {Path(args.out).resolve().parent} for --out {args.out}")
+    except OSError as exc:
+        parser.error(f"cannot write --out {args.out}: {exc.strerror or exc}")
     if args.subcommand == "mesh":
         check_level(args.family, args.level)
         return
@@ -107,9 +107,18 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     args.levels = (lo, hi)
 
 
+def _write_out(path: str, write) -> None:
+    """Write ``--out`` by ``write(path)``; if that fails, exit 2 naming the path."""
+    try:
+        write(path)
+    except OSError as exc:
+        print(f"cannot write --out {path}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _cmd_mesh(args: argparse.Namespace) -> int:
     mesh = GENERATORS[args.family](args.level)
-    write_mesh(mesh, args.out)
+    _write_out(args.out, lambda path: write_mesh(mesh, path))
     print(
         f"family={args.family} level={args.level} vertices={mesh.n_vertices} "
         f"cells={mesh.n_cells} edges={mesh.n_edges} -> {args.out}"
@@ -134,21 +143,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     l2 = l2_projection_error(mesh, args.degree, case.u, solution, cache)
     energy = energy_error(mesh, args.degree, case.u, case.grad_u, solution, cache)
     print(
-        f"dofs={cache.dofmap.n_dofs} residual={_fmt(solution.residual)} "
-        f"l2_err={_fmt(l2)} energy_err={_fmt(energy)}"
+        f"dofs={cache.dofmap.n_dofs} residual={solution.residual:.3E} "
+        f"l2_err={l2:.3E} energy_err={energy:.3E}"
     )
     if note := above_tol(solution.residual, args.tol):
         print(note, file=sys.stderr)
     if args.out:
-        payload = {
-            "k": args.degree,
-            "u0": [[float(v) for v in row] for row in solution.u0],
-            "ub": [[float(v) for v in row] for row in solution.ub],
-            "residual": solution.residual,
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
+        payload = {"k": args.degree, "u0": solution.u0.tolist(), "ub": solution.ub.tolist(),
+                   "residual": solution.residual}
+        _write_out(args.out, lambda path: Path(path).write_text(json.dumps(payload) + "\n",
+                                                                encoding="utf-8"))
     return 0
 
 
@@ -162,8 +166,7 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     for note in filter(None, (above_tol(r.residual, args.tol, r.level) for r in table.rows)):
         print(note, file=sys.stderr)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        _write_out(args.out, lambda path: Path(path).write_text(rendered, encoding="utf-8"))
     if table.partial:
         print(f"study incomplete: {table.failure}", file=sys.stderr)
         return 4
@@ -174,11 +177,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     _validate(parser, args)
-    if args.subcommand == "mesh":
-        return _cmd_mesh(args)
-    if args.subcommand == "solve":
-        return _cmd_solve(args)
-    return _cmd_convergence(args)
+    return {"mesh": _cmd_mesh, "solve": _cmd_solve,
+            "convergence": _cmd_convergence}[args.subcommand](args)
 
 
 if __name__ == "__main__":

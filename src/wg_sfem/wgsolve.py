@@ -275,12 +275,13 @@ def _pcg(A: sp.csr_matrix, b: np.ndarray, atol: float, switch=None, budget: int 
     Jacobi-preconditioned; given ``switch``, CG restarts from x after
     ``budget`` iterations above atol, preconditioned by ``switch()``, and
     the cap counts both phases.  solve passes the V-cycle of _multilevel at
-    1 <= k <= 2.  At k = 0 the cycle has no vertex level (see _multilevel).
-    At k >= 3 the smoother alone must reduce the edge modes m >= 2: forced
-    on, at k = 3 the cycle took 83 and 126 iterations on hex L6 and jitter
-    L7 against Jacobi's 382 and 678, in 0.6-0.7 times Jacobi's time, but at
-    k = 4 it took 163 and 262 against 463 and 831 in the same time, so
-    those degrees stay on Jacobi until interleaved runs settle k = 3.
+    1 <= k <= 2.  At k = 0 the vertex level's P has a kernel (see
+    _multilevel).  At k >= 3 the smoother alone must reduce the edge modes
+    m >= 2: forced on, at k = 3 the cycle took 83 and 126 iterations on hex
+    L6 and jitter L7 against Jacobi's 382 and 678, in 0.6-0.7 times
+    Jacobi's time, but at k = 4 it took 163 and 262 against 463 and 831 in
+    the same time, so those degrees stay on Jacobi until interleaved runs
+    settle k = 3.
     Its l1 smoother weights 1 / sum_j |a_ij| bound the spectrum of D^-1 A
     by 1, which keeps the cycle positive definite; plain Jacobi's reaches
     2.04 on jittered squares.  The dot products and norms run in BLAS, so
@@ -342,10 +343,13 @@ def _multilevel(S: sp.csr_matrix, mesh: PolyMesh, k: int):
     smoothed aggregation: boxes of about eight nodes (vertices, then
     aggregate centroids), P = (I - 4/3 D^-1 A) P_tent with D the l1 row
     sums, and P^T A P, down to at most COARSEST unknowns, which take a
-    dense inverse.  At k = 0 an edge holds its mean alone, and the vertex
-    level cannot serve: the vertex graphs of the square, quad, hex and
-    jittered meshes are bipartite, so vertex values of alternating sign
-    have mean zero on every edge, and P has a kernel."""
+    dense inverse.  A level keeps its P alone and restricts through P.T,
+    a CSC view of P's own arrays whose matvec has the bits of a CSR copy's;
+    each Galerkin product multiplies a transient CSR copy of P^T, which
+    fixes its summation order.  At k = 0 an edge holds its mean alone, and
+    the vertex level cannot serve: the vertex graphs of the square, quad,
+    hex and jittered meshes are bipartite, so vertex values of alternating
+    sign have mean zero on every edge, and P has a kernel."""
     import scipy.sparse as sp
     ends = mesh.edges[~mesh.boundary_edges]
     verts, col = np.unique(ends.ravel(), return_inverse=True)
@@ -354,9 +358,8 @@ def _multilevel(S: sp.csr_matrix, mesh: PolyMesh, k: int):
     P = sp.csr_matrix((np.tile([0.5, 0.5, -0.5, 0.5], ends.shape[0]),
                        (rows.ravel(), np.tile(col.reshape(-1, 2), 2).ravel())),
                       shape=(S.shape[0], verts.size))
-    R = P.T.tocsr()
-    levels = [(S, 1.0 / (abs(S) @ np.ones(S.shape[0])), P, R)]
-    A, xy, m = (R @ S @ P).tocsr(), mesh.vertices[verts], verts.size
+    levels = [(S, 1.0 / (abs(S) @ np.ones(S.shape[0])), P, P.T)]
+    A, xy, m = (P.T.tocsr() @ S @ P).tocsr(), mesh.vertices[verts], verts.size
     while m > COARSEST:
         # Boxes of about eight nodes; the second bound coarsens collinear ones.
         lo, ext = xy.min(axis=0), np.ptp(xy, axis=0)
@@ -368,9 +371,8 @@ def _multilevel(S: sp.csr_matrix, mesh: PolyMesh, k: int):
         T = sp.csr_matrix((np.ones(m), (np.arange(m), agg)), shape=(m, size.size))
         d = 1.0 / (abs(A) @ np.ones(m))
         P = (T - sp.diags(4.0 / 3.0 * d) @ (A @ T)).tocsr()
-        R = P.T.tocsr()
-        levels.append((A, d, P, R))
-        A, m = (R @ A @ P).tocsr(), size.size
+        levels.append((A, d, P, P.T))
+        A, m = (P.T.tocsr() @ A @ P).tocsr(), size.size
     bottom = np.linalg.inv(A.toarray())
 
     def cycle(r: np.ndarray, level: int = 0) -> np.ndarray:

@@ -1,3 +1,4 @@
+import errno
 import json
 
 import numpy as np
@@ -76,6 +77,53 @@ def test_out_into_a_missing_directory_exits_2_before_any_work(subcommand, tmp_pa
             run_cli([*subcommand, "--out", directory])
         assert exc.value.code == 2
         assert f"--out {directory} names a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", [
+    ["mesh", "--family", "square", "--level", "2"],
+    ["solve", "--family", "square", "--level", "2", "--degree", "0"],
+], ids=["mesh", "solve"])
+@pytest.mark.parametrize("kind", ["name-too-long", "dangling-symlink"])
+def test_out_that_cannot_be_written_exits_2_before_any_work(subcommand, kind, tmp_path, capsys,
+                                                            monkeypatch):
+    """A file name longer than the system allows, and a symlink into a
+    missing directory, fail in the --out check with exit 2 and no
+    traceback."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the --out check")
+
+    monkeypatch.setattr("wg_sfem.cli.solve_case", no_work)
+    monkeypatch.setitem(GENERATORS, "square", no_work)
+    out = tmp_path / "link.json"
+    if kind == "name-too-long":
+        out = tmp_path / ("x" * 300 + ".json")
+    else:
+        out.symlink_to(tmp_path / "missing" / "out.json")
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*subcommand, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--out {out}" in err and "Traceback" not in err
+    if kind == "name-too-long":
+        assert f"cannot write --out {out}: File name too long" in err
+
+
+@pytest.mark.parametrize("subcommand", [
+    ["mesh", "--family", "square", "--level", "2"],
+    ["solve", "--family", "square", "--level", "2", "--degree", "0"],
+    ["convergence", "--family", "square", "--levels", "2:3", "--degree", "0"],
+], ids=["mesh", "solve", "convergence"])
+def test_out_whose_write_fails_exits_2_naming_it(subcommand, tmp_path, capsys, monkeypatch):
+    def full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr("wg_sfem.cli.write_mesh", full)
+    monkeypatch.setattr("pathlib.Path.write_text", full)
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*subcommand, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"cannot write --out {out}: No space left on device" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- solve
